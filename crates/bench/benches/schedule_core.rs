@@ -31,7 +31,7 @@
 //!   explorations — their ratio is the tracked incremental-reuse speedup.
 
 use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
-use cim_bench::artifacts::{case_study_graph, fig6c_results_for};
+use cim_bench::artifacts::{case_study_graph, fig6c_results};
 use cim_bench::runner::{ResultStore, RunnerOptions};
 use clsa_core::{
     batched_cross_layer_schedule, prepare, reference, run, Dependencies, EdgeCost, LayerSets,
@@ -139,13 +139,13 @@ fn bench_warm_sweep(c: &mut Criterion) {
     {
         // Populate the store once; the bench then measures warm replays.
         let store = ResultStore::open(&dir).expect("store opens");
-        fig6c_results_for(&g, &RunnerOptions::sequential(), Some(&store)).expect("cold sweep");
+        fig6c_results(&g, &RunnerOptions::sequential(), Some(&store)).expect("cold sweep");
     }
     let mut group = c.benchmark_group("schedule_core");
     group.bench_with_input(BenchmarkId::new("warm_sweep", "fig6c"), &g, |b, g| {
         b.iter(|| {
             let store = ResultStore::open(&dir).expect("store opens");
-            fig6c_results_for(g, &RunnerOptions::sequential(), Some(&store)).expect("warm sweep")
+            fig6c_results(g, &RunnerOptions::sequential(), Some(&store)).expect("warm sweep")
         })
     });
     group.finish();

@@ -14,8 +14,8 @@ use cim_mapping::{layer_costs, min_pes, LayerCost, MappingOptions};
 use clsa_core::CoreError;
 use serde::Serialize;
 
-use crate::experiments::{paper_sweep_stored, ConfigResult, SweepOptions};
-use crate::runner::{parallel_map, sweep_jobs, ResultStore, RunnerOptions, SweepJob};
+use crate::experiments::{ConfigResult, SweepOptions};
+use crate::runner::{parallel_map, sweep_jobs, ResultStore, RunnerOptions, Sweep, SweepJob};
 
 /// The canonicalized TinyYOLOv4 graph of the paper's case study
 /// (Sec. V-A) — BN folded, partitioned, ready for the pipeline.
@@ -32,52 +32,40 @@ pub fn case_study_graph() -> Graph {
 
 /// The aggregated rows of **Fig. 6c** — the TinyYOLOv4 sweep over
 /// `xinf`, `wdup+{16,32}`, and `wdup+{16,32}+xinf` — exactly as the
-/// `fig6` binary exports them.
+/// `fig6` binary exports them, computed from the canonicalized
+/// [`case_study_graph`].
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors from the sweep.
 pub fn fig6c_results(
-    runner: &RunnerOptions,
-    store: Option<&ResultStore>,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    fig6c_results_for(&case_study_graph(), runner, store)
-}
-
-/// [`fig6c_results`] on an already-canonicalized [`case_study_graph`] —
-/// for callers (the `fig6` binary's all-parts run) that hold one for the
-/// other figure parts and must not canonicalize the model twice.
-///
-/// # Errors
-///
-/// Propagates pipeline errors from the sweep.
-pub fn fig6c_results_for(
     graph: &Graph,
     runner: &RunnerOptions,
     store: Option<&ResultStore>,
 ) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_stored("TinyYOLOv4", graph, &fig6c_options(), runner, store)
-}
-
-/// The sweep configuration of Fig. 6c — one definition shared by the
-/// unsharded path and the job-list form, so both name the same rows.
-fn fig6c_options() -> SweepOptions {
-    SweepOptions {
-        xs: vec![16, 32],
-        ..SweepOptions::default()
+    let jobs = fig6c_jobs(graph)?;
+    Ok(Sweep {
+        store,
+        ..Sweep::new(&jobs, *runner)
     }
+    .run()?
+    .results)
 }
 
-/// The flat job list behind [`fig6c_results`] — the form sharded
-/// execution (`--shard i/n` / `--shard merge`) partitions and merges.
-/// Identical job identities to [`fig6c_results_for`], so slices warmed
-/// here replay in the unsharded path and vice versa.
+/// The flat job list behind [`fig6c_results`] — the form the `fig6`
+/// binary runs under `--shard i/n` / `--shard merge`, with the same job
+/// identities, so slices warmed here replay in the unsharded path and
+/// vice versa.
 ///
 /// # Errors
 ///
 /// Propagates job-construction (canonicalization, architecture) errors.
 pub fn fig6c_jobs(graph: &Graph) -> Result<Vec<SweepJob>, CoreError> {
-    sweep_jobs("TinyYOLOv4", graph, &fig6c_options())
+    let opts = SweepOptions {
+        xs: vec![16, 32],
+        ..SweepOptions::default()
+    };
+    sweep_jobs("TinyYOLOv4", graph, &opts)
 }
 
 /// The per-layer cost rows of **Table I** — TinyYOLOv4's base-layer

@@ -10,7 +10,7 @@
 //!     [--model TinyYOLOv4] [--space tiny|case-study|wide] \
 //!     [--strategy grid|random|anneal] [--budget N] [--wall-secs S] \
 //!     [--batch N] [--seed S] [--jobs N] [--cache-dir <path>] [--json <path>] \
-//!     [--shard i/n|merge] [--resume] \
+//!     [--shard i/n|merge] \
 //!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
 //! ```
 //!
@@ -28,22 +28,27 @@
 //! from disk). The binary echoes the seed it ran with.
 //!
 //! Because the search is deterministic and every measurement persists as
-//! it completes, the store doubles as the crash-recovery journal: after a
-//! killed run, `--resume` (with the same `--cache-dir`) replays every
+//! it completes, the store is also the resume state: after a killed run,
+//! rerunning the same command with the same `--cache-dir` replays every
 //! already-measured candidate warm and picks up where the run died. The
 //! `--fault-*` flags drive deterministic chaos injection into the store's
 //! I/O paths (see `cim_bench::runner::fault`); a candidate whose pipeline
 //! evaluation panics is quarantined as infeasible instead of aborting
 //! the search.
+//!
+//! Exit status 2 when the search cannot run: a `--shard` mode without
+//! `--cache-dir`, or an invalid design space.
 
+use std::process::ExitCode;
 use std::time::Duration;
 
 use cim_bench::runner::ShardMode;
 use cim_bench::tune::{autotune, autotune_shard, AutotuneReport, ParetoRow};
-use cim_bench::{parse_common_args, render_table, CommonArgs};
+use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_tune::{strategy_by_name, Budget, DesignSpace, TuneOptions};
+use clsa_core::CoreError;
 
 /// Resolves `--model`: any zoo registry entry (Table II + the case
 /// study) or the paper's Fig. 5 worked example. The graph comes back
@@ -102,8 +107,12 @@ fn print_front(rows: &[ParetoRow]) {
     );
 }
 
-fn main() {
-    let args: CommonArgs = parse_common_args();
+fn main() -> ExitCode {
+    let args = parse_common_args();
+    sweep_exit_code(run(&args).map(|()| 0))
+}
+
+fn run(args: &CommonArgs) -> Result<(), CoreError> {
     let model = flag_value(&args.rest, "--model").unwrap_or("TinyYOLOv4");
     let space_name = flag_value(&args.rest, "--space").unwrap_or("case-study");
     let strategy_name = flag_value(&args.rest, "--strategy").unwrap_or("anneal");
@@ -143,48 +152,19 @@ fn main() {
         strategy.name(),
     );
     let store = args.open_store();
-    if args.resume {
-        // The autotune search is deterministic, so the persistent store
-        // *is* the journal: every summary written before a crash replays
-        // warm and the search continues from the first cold candidate.
-        match &store {
-            Some(store) => println!(
-                "resume: {} measurements already persisted; the search replays them warm",
-                store.len()
-            ),
-            None => eprintln!(
-                "note: --resume ignored — requires --cache-dir (the persistent store is the resume point)"
-            ),
-        }
-    }
+    args.shard.require_store(store.as_ref())?;
     let runner = args.runner;
-    match args.shard {
-        ShardMode::All => {}
-        ShardMode::Slice(shard) => {
-            let store = store.as_ref().unwrap_or_else(|| {
-                panic!("--shard {shard} requires --cache-dir: the store is the merge point")
-            });
-            // A slice warms its owned subset of the *whole* space; the
-            // strategy/budget only shape the final merge run.
-            let report = autotune_shard(&graph, &space, shard, &runner, store).expect("slice runs");
-            println!("{report}");
-            args.report_faults();
-            println!("slice done — run the remaining slices, then `--shard merge`");
-            if args.json.is_some() {
-                eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
-            }
-            return;
-        }
-        ShardMode::Merge => {
-            // The merge is a plain strategy run against the warm store —
-            // byte-identical to unsharded by tuner determinism — but a
-            // missing store would silently recompute everything.
-            assert!(
-                store.is_some(),
-                "--shard merge requires --cache-dir: the store is the merge point"
-            );
-        }
+    if let (ShardMode::Slice(shard), Some(store)) = (args.shard, &store) {
+        // A slice warms its owned subset of the *whole* space; the
+        // strategy/budget only shape the final merge run.
+        let report = autotune_shard(&graph, &space, shard, &runner, store)?;
+        println!("{report}");
+        args.report_faults();
+        args.note_slice_done();
+        return Ok(());
     }
+    // A merge is a plain strategy run against the warm store —
+    // byte-identical to unsharded by tuner determinism.
     let (result, rows) = autotune(
         &graph,
         &space,
@@ -193,8 +173,7 @@ fn main() {
         &TuneOptions { batch },
         &runner,
         store.as_ref(),
-    )
-    .expect("tuning runs");
+    )?;
 
     println!(
         "\nPareto front — {} of {} evaluated candidates survive dominance pruning\n",
@@ -222,4 +201,5 @@ fn main() {
         cim_bench::write_json(path, &report).expect("write json");
         println!("wrote {path}");
     }
+    Ok(())
 }

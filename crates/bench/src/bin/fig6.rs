@@ -8,33 +8,35 @@
 //!   `wdup+{16,32}+xinf` (paper: `xinf` Ut = 4.1 %, `wdup+32+xinf`
 //!   Ut = 28.4 %, speedup up to 21.9×).
 //!
-//! Usage: `cargo run --release -p cim-bench --bin fig6 [-- --part a|b|c] [--json <path>] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--resume] [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]`
-//!
-//! With `--cache-dir`, part c also keeps a crash-safe sweep journal: a
-//! run killed mid-sweep (SIGKILL included) resumes with `--resume`,
-//! replaying completed jobs from the store and producing a byte-identical
-//! artifact. The `--fault-*` flags drive deterministic chaos injection
-//! (see `cim_bench::runner::fault`).
+//! Usage: `cargo run --release -p cim-bench --bin fig6 [-- --part a|b|c] [--json <path>] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]`
 //!
 //! With `--cache-dir`, part c's sweep summaries persist across runs: a
 //! warm re-run replays from disk (byte-identical `--json` output) and
-//! prints the store's hit/miss/evict counters.
+//! prints the store's hit/miss/evict counters. The store is also the
+//! resume state: a run killed mid-sweep (SIGKILL included) continues by
+//! rerunning the same command — finished jobs replay from the store —
+//! and produces a byte-identical artifact. The `--fault-*` flags drive
+//! deterministic chaos injection (see `cim_bench::runner::fault`).
 //!
 //! With `--shard i/n --cache-dir D`, part c evaluates only the jobs its
 //! fingerprint-range slice owns (persisting into the shared store `D`);
 //! after every slice has run, `--shard merge --cache-dir D` replays the
 //! warm store into the byte-identical unsharded figure and `--json`
 //! artifact.
+//!
+//! Exit status: 3 when quarantined jobs left part c partial, 2 when its
+//! sweep could not run (a `--shard` mode without `--cache-dir`, or a
+//! merge against a store missing rows).
+
+use std::process::ExitCode;
 
 use cim_arch::Architecture;
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
-use cim_bench::runner::{
-    fingerprint, run_batch_sharded_resumable, ResultStore, ScheduleCache, ShardMode, ShardOutcome,
-};
-use cim_bench::{parse_common_args, render_table, CommonArgs};
+use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
+use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs};
 use cim_ir::Graph;
 use cim_mapping::Solver;
-use clsa_core::{gantt_text, RunConfig};
+use clsa_core::{gantt_text, CoreError, RunConfig};
 
 /// Parts a and b schedule the *same* `wdup+16` mapping two ways; routing
 /// both through one cache runs the mapping and Stage-I/II analyses once.
@@ -101,62 +103,19 @@ fn part_b(cs: &CaseStudy) {
 
 /// Returns the number of quarantined jobs, so `main` can exit loudly
 /// on a partial artifact.
-fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
+fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> Result<usize, CoreError> {
     println!("Fig. 6c — speedup and utilization (TinyYOLOv4)\n");
-    let json = args.json.as_deref();
-    let jobs = fig6c_jobs(g).expect("sweep jobs build");
-    // A merge only replays the store; journaling applies to runs that
-    // evaluate jobs. Slices journal under their own tag so concurrent
-    // slices sharing one store directory never mix progress.
-    let shard_tag = match args.shard {
-        ShardMode::Slice(spec) => Some(spec.to_string().replace('/', "of")),
-        _ => None,
-    };
-    let journal = match args.shard {
-        ShardMode::Merge => None,
-        _ => args.open_journal(&jobs, shard_tag.as_deref()),
-    };
-    let hook = args.fault_hook();
-    let outcome =
-        run_batch_sharded_resumable(&jobs, &args.runner, store, args.shard, journal.as_ref(), hook.as_ref())
-            .expect("sweep runs");
+    let jobs = fig6c_jobs(g)?;
+    let outcome = args.sweep(&jobs, store).run()?;
     args.report_faults();
-    let quarantined;
-    let results = match outcome {
-        ShardOutcome::Slice(run) => {
-            // A slice only warms the store; the aggregated figure (and
-            // any --json artifact) comes from the final merge run.
-            println!("{run}");
-            for failure in &run.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if run.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            println!("slice done — run the remaining slices, then `--shard merge`");
-            if json.is_some() {
-                eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
-            }
-            return run.failures.len();
-        }
-        ShardOutcome::Full(batch) | ShardOutcome::Merged(batch) => {
-            for failure in &batch.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                // Keep the journal while failures remain: a later
-                // `--resume` replays the survivors warm and retries only
-                // the quarantined jobs.
-                if batch.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            quarantined = batch.failures.len();
-            batch.results
-        }
-    };
+    for failure in &outcome.failures {
+        eprintln!("warning: {failure}");
+    }
+    let quarantined = outcome.failures.len();
+    if args.report_slice(&outcome, jobs.len()) {
+        return Ok(quarantined);
+    }
+    let results = outcome.results;
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
@@ -187,14 +146,14 @@ fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> usize {
     if let Some(store) = store {
         println!("persistent store: {}", store.stats());
     }
-    if let Some(path) = json {
+    if let Some(path) = &args.json {
         cim_bench::write_json(path, &results).expect("write json");
         println!("wrote {path}");
     }
-    quarantined
+    Ok(quarantined)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_common_args();
     // Nothing below consumes randomness; surface a stray --seed.
     args.note_seed_unused();
@@ -220,13 +179,11 @@ fn main() {
             } else {
                 part_b(&cs);
             }
+            ExitCode::SUCCESS
         }
         "c" => {
             let store = args.open_store();
-            if part_c(&case_study_graph(), &args, store.as_ref()) > 0 {
-                // Partial artifact: quarantined jobs were reported above.
-                std::process::exit(3);
-            }
+            sweep_exit_code(part_c(&case_study_graph(), &args, store.as_ref()))
         }
         _ => {
             let store = args.open_store();
@@ -239,9 +196,7 @@ fn main() {
             // per process.
             let quarantined = part_c(&cs.g, &args, store.as_ref());
             println!("case-study cache: {}", cs.cache.stats());
-            if quarantined > 0 {
-                std::process::exit(3);
-            }
+            sweep_exit_code(quarantined)
         }
     }
 }

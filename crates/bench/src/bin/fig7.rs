@@ -8,25 +8,38 @@
 //! large models; `xinf` up to 4.4× for large models; utilization decreasing
 //! with ResNet depth.
 //!
-//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--resume] [--fault-seed S --fault-rate site=per_mille ...]`
+//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--fault-seed S --fault-rate site=per_mille ...]`
 //!
 //! With `--cache-dir`, the sweep's summaries persist across runs: a warm
 //! re-run replays from disk (byte-identical `--json` output), and a
-//! crash-safe journal makes a killed run resumable with `--resume`.
+//! killed run continues by rerunning the same command against the same
+//! store.
 //!
 //! With `--shard i/n --cache-dir D`, the process evaluates only the jobs
 //! its fingerprint-range slice owns; `--shard merge --cache-dir D` then
 //! replays the fully-warm store into the byte-identical unsharded tables
 //! and `--json` artifact.
+//!
+//! Exit status: 3 when quarantined jobs left the artifact partial, 2 when
+//! the sweep could not run (a `--shard` mode without `--cache-dir`, or a
+//! merge against a store missing rows).
 
-use cim_bench::runner::{run_batch_sharded_resumable, sweep_jobs_for_models, ShardMode, ShardOutcome};
-use cim_bench::{parse_common_args, render_table, ConfigResult, SweepOptions};
+use std::process::ExitCode;
 
-fn main() {
+use cim_bench::runner::sweep_jobs_for_models;
+use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs, SweepOptions};
+use clsa_core::CoreError;
+
+fn main() -> ExitCode {
     let args = parse_common_args();
     // Nothing below consumes randomness; surface a stray --seed.
     args.note_seed_unused();
-    let (runner, json) = (args.runner, args.json.clone());
+    sweep_exit_code(run(&args))
+}
+
+/// Runs the sweep and prints the figure; returns the number of
+/// quarantined jobs, so `main` can exit loudly on a partial artifact.
+fn run(args: &CommonArgs) -> Result<usize, CoreError> {
     let store = args.open_store();
     let opts = SweepOptions::default();
 
@@ -37,65 +50,18 @@ fn main() {
         .iter()
         .map(|info| (info.name.to_string(), info.build()))
         .collect();
-    let jobs = sweep_jobs_for_models(&models, &opts).expect("job construction");
-    eprintln!("running {} configurations on {} workers...", jobs.len(), runner.jobs);
-    let shard_tag = match args.shard {
-        ShardMode::Slice(spec) => Some(spec.to_string().replace('/', "of")),
-        _ => None,
-    };
-    let journal = match args.shard {
-        ShardMode::Merge => None,
-        _ => args.open_journal(&jobs, shard_tag.as_deref()),
-    };
-    let hook = args.fault_hook();
-    let outcome = run_batch_sharded_resumable(
-        &jobs,
-        &runner,
-        store.as_ref(),
-        args.shard,
-        journal.as_ref(),
-        hook.as_ref(),
-    )
-    .expect("sweep runs");
+    let jobs = sweep_jobs_for_models(&models, &opts)?;
+    eprintln!("running {} configurations on {} workers...", jobs.len(), args.runner.jobs);
+    let outcome = args.sweep(&jobs, store.as_ref()).run()?;
     args.report_faults();
-    let batch = match outcome {
-        ShardOutcome::Slice(run) => {
-            // A slice only warms the store; the tables (and any --json
-            // artifact) come from the final `--shard merge` run.
-            println!("{run}");
-            for failure in &run.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if run.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            println!("slice done — run the remaining slices, then `--shard merge`");
-            if json.is_some() {
-                eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
-            }
-            if !run.failures.is_empty() {
-                // Quarantined jobs: the slice is partial. Exit loudly so
-                // an orchestrator knows to re-run (with `--resume`).
-                std::process::exit(3);
-            }
-            return;
-        }
-        ShardOutcome::Full(batch) | ShardOutcome::Merged(batch) => {
-            for failure in &batch.failures {
-                eprintln!("warning: {failure}");
-            }
-            if let Some(journal) = journal {
-                if batch.failures.is_empty() {
-                    journal.finish();
-                }
-            }
-            batch
-        }
-    };
-    let quarantined = batch.failures.len();
-    let all: Vec<ConfigResult> = batch.results;
+    for failure in &outcome.failures {
+        eprintln!("warning: {failure}");
+    }
+    let quarantined = outcome.failures.len();
+    if args.report_slice(&outcome, jobs.len()) {
+        return Ok(quarantined);
+    }
+    let all = &outcome.results;
 
     let labels: Vec<String> = {
         let mut v = vec!["layer-by-layer".to_string(), "xinf".to_string()];
@@ -170,18 +136,14 @@ fn main() {
         })
         .fold(0.0f64, f64::max);
     println!("max Eq. 3 relative deviation: {:.1}%", worst_eq3 * 100.0);
-    println!("schedule cache: {}", batch.stats);
-    if let Some(stats) = batch.store_stats {
+    println!("schedule cache: {}", outcome.stats);
+    if let Some(stats) = outcome.store_stats {
         println!("persistent store: {stats}");
     }
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &all).expect("write json");
+    if let Some(path) = &args.json {
+        cim_bench::write_json(path, all).expect("write json");
         println!("wrote {path}");
     }
-    if quarantined > 0 {
-        // The artifact is partial (quarantined jobs were reported above);
-        // a clean exit would let an orchestrator mistake it for complete.
-        std::process::exit(3);
-    }
+    Ok(quarantined)
 }

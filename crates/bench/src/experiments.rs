@@ -1,13 +1,13 @@
-//! The shared sweep driver: runs the paper's four mapping × scheduling
-//! configurations over a model and a range of extra-PE budgets, through
-//! the parallel batched evaluation engine ([`crate::runner`]).
+//! The paper sweep's vocabulary: the options that pick its four mapping
+//! × scheduling configurations over a range of extra-PE budgets
+//! ([`SweepOptions`], turned into jobs by
+//! [`sweep_jobs`](crate::runner::sweep_jobs)), and the row each job
+//! aggregates into ([`ConfigResult`], produced by
+//! [`Sweep::run`](crate::runner::Sweep::run)).
 
-use cim_ir::Graph;
 use cim_mapping::Solver;
-use clsa_core::{CoreError, SetPolicy};
+use clsa_core::SetPolicy;
 use serde::{Deserialize, Serialize};
-
-use crate::runner::{run_batch_with_store, sweep_jobs, ResultStore, RunnerOptions};
 
 /// One configuration's outcome — one bar of Fig. 6c / Fig. 7.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,7 +41,7 @@ pub struct ConfigResult {
     pub duplicated_layers: usize,
 }
 
-/// Options of [`paper_sweep`].
+/// Options of the paper sweep ([`sweep_jobs`](crate::runner::sweep_jobs)).
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Extra-PE budgets to evaluate (the paper uses `{4, 8, 16, 32}`).
@@ -62,65 +62,20 @@ impl Default for SweepOptions {
     }
 }
 
-/// Runs the full paper sweep for one model: the layer-by-layer baseline and
-/// `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for every `x`.
-///
-/// Configurations execute on the lane-based worker pool (one worker per
-/// hardware thread) with the shared schedule cache; results are returned
-/// in deterministic order — baseline, xinf, then per `x` ascending
-/// (`wdup`, `wdup+xinf`) — and are bit-for-bit identical to a sequential
-/// run. Use [`paper_sweep_with`] to pick the worker count explicitly.
-///
-/// # Errors
-///
-/// Propagates frontend and pipeline errors. The sweep canonicalizes the
-/// graph first (BN folding + partitioning), so raw TF-style models are
-/// accepted.
-pub fn paper_sweep(
-    name: &str,
-    graph: &Graph,
-    opts: &SweepOptions,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_with(name, graph, opts, &RunnerOptions::default())
-}
-
-/// [`paper_sweep`] with an explicit worker-pool configuration.
-///
-/// # Errors
-///
-/// Same conditions as [`paper_sweep`].
-pub fn paper_sweep_with(
-    name: &str,
-    graph: &Graph,
-    opts: &SweepOptions,
-    runner: &RunnerOptions,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    paper_sweep_stored(name, graph, opts, runner, None)
-}
-
-/// [`paper_sweep_with`] backed by a persistent result store
-/// (`--cache-dir`): jobs whose summaries are already on disk replay
-/// without scheduling, and fresh results are persisted for the next
-/// process. Rows are byte-identical to an unstored run.
-///
-/// # Errors
-///
-/// Same conditions as [`paper_sweep`]; store I/O problems are absorbed
-/// (see [`run_batch_with_store`]).
-pub fn paper_sweep_stored(
-    name: &str,
-    graph: &Graph,
-    opts: &SweepOptions,
-    runner: &RunnerOptions,
-    store: Option<&ResultStore>,
-) -> Result<Vec<ConfigResult>, CoreError> {
-    let jobs = sweep_jobs(name, graph, opts)?;
-    Ok(run_batch_with_store(&jobs, runner, store)?.results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{sweep_jobs, RunnerOptions, Sweep};
+
+    fn sweep_rows(
+        name: &str,
+        graph: &cim_ir::Graph,
+        opts: &SweepOptions,
+        runner: RunnerOptions,
+    ) -> Vec<ConfigResult> {
+        let jobs = sweep_jobs(name, graph, opts).unwrap();
+        Sweep::new(&jobs, runner).run().unwrap().results
+    }
 
     #[test]
     fn sweep_order_and_determinism_on_fig5() {
@@ -129,8 +84,8 @@ mod tests {
             xs: vec![1, 2],
             ..SweepOptions::default()
         };
-        let a = paper_sweep("fig5", &g, &opts).unwrap();
-        let b = paper_sweep("fig5", &g, &opts).unwrap();
+        let a = sweep_rows("fig5", &g, &opts, RunnerOptions::default());
+        let b = sweep_rows("fig5", &g, &opts, RunnerOptions::default());
         assert_eq!(a, b, "parallel sweep must be deterministic");
         let labels: Vec<&str> = a.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
@@ -158,8 +113,8 @@ mod tests {
             xs: vec![1, 2, 3],
             ..SweepOptions::default()
         };
-        let parallel = paper_sweep_with("fig5", &g, &opts, &RunnerOptions::with_jobs(4)).unwrap();
-        let sequential = paper_sweep_with("fig5", &g, &opts, &RunnerOptions::sequential()).unwrap();
+        let parallel = sweep_rows("fig5", &g, &opts, RunnerOptions::with_jobs(4));
+        let sequential = sweep_rows("fig5", &g, &opts, RunnerOptions::sequential());
         assert_eq!(parallel, sequential);
         // Byte-identical through serialization, not just PartialEq.
         assert_eq!(
@@ -175,7 +130,7 @@ mod tests {
             xs: vec![16, 32],
             ..SweepOptions::default()
         };
-        let results = paper_sweep("TinyYOLOv4", &g, &opts).unwrap();
+        let results = sweep_rows("TinyYOLOv4", &g, &opts, RunnerOptions::default());
         assert_eq!(results.len(), 1 + 1 + 2 * 2);
         let by = |l: &str| results.iter().find(|r| r.label == l).unwrap();
 

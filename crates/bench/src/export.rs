@@ -3,8 +3,12 @@
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::process::ExitCode;
 
+use clsa_core::CoreError;
 use serde::Serialize;
+
+use crate::runner::{FaultHook, ResultStore, ShardMode, Sweep, SweepJob, SweepOutcome};
 
 /// Serializes `records` as pretty JSON to `path`, creating parent
 /// directories as needed.
@@ -47,11 +51,8 @@ pub struct CommonArgs {
     /// was not given; stochastic binaries fall back to [`DEFAULT_SEED`]).
     pub seed: Option<u64>,
     /// `--shard i/n` or `--shard merge` → sweep sharding mode
-    /// ([`ShardMode::All`](crate::runner::ShardMode::All) when absent).
+    /// ([`ShardMode::All`] when absent).
     pub shard: crate::runner::ShardMode,
-    /// `--resume` → replay the sweep journal beside `--cache-dir` and
-    /// continue a killed run instead of starting over.
-    pub resume: bool,
     /// `--fault-seed` / `--fault-rate` / `--fault-delay-ms` → the
     /// deterministic chaos plan, `None` outside chaos runs.
     pub faults: Option<std::sync::Arc<crate::runner::FaultPlan>>,
@@ -60,9 +61,25 @@ pub struct CommonArgs {
 /// The seed stochastic binaries run with when `--seed` is not given.
 pub const DEFAULT_SEED: u64 = 0;
 
+/// The exit status of a sweep binary from its `quarantined` job count:
+/// success on a complete artifact, 3 on a partial one (the quarantined
+/// jobs were reported as warnings), and 2 — after printing the error —
+/// when the sweep could not run, e.g. a `--shard` mode without
+/// `--cache-dir` or a merge against a store missing rows.
+pub fn sweep_exit_code(quarantined: Result<usize, CoreError>) -> ExitCode {
+    match quarantined {
+        Ok(0) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::from(3),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
 impl CommonArgs {
-    /// Opens the persistent [`ResultStore`](crate::runner::ResultStore)
-    /// named by `--cache-dir`, or `None` when the flag was not given.
+    /// Opens the persistent [`ResultStore`] named by `--cache-dir`, or
+    /// `None` when the flag was not given.
     ///
     /// # Panics
     ///
@@ -80,47 +97,41 @@ impl CommonArgs {
         })
     }
 
-    /// The chaos plan as the trait object the batch runners take.
-    pub fn fault_hook(&self) -> Option<std::sync::Arc<dyn crate::runner::FaultHook>> {
-        self.faults
-            .as_ref()
-            .map(|p| p.clone() as std::sync::Arc<dyn crate::runner::FaultHook>)
+    /// The sweep of `jobs` these flags select: `--jobs`, `--shard`, and
+    /// the chaos plan, against `store` (from [`open_store`](Self::open_store)).
+    pub fn sweep<'a>(&'a self, jobs: &'a [SweepJob], store: Option<&'a ResultStore>) -> Sweep<'a> {
+        Sweep {
+            jobs,
+            runner: self.runner,
+            store,
+            shard: self.shard,
+            faults: self.faults.as_deref().map(|plan| plan as &dyn FaultHook),
+        }
     }
 
-    /// Opens the sweep journal for `jobs` beside `--cache-dir` (honoring
-    /// `--resume`), printing resume accounting. `None` without a cache
-    /// dir — there is no store to resume from — or if the journal cannot
-    /// be created (a warning is printed; the sweep itself proceeds).
-    pub fn open_journal(
-        &self,
-        jobs: &[crate::runner::SweepJob],
-        shard_tag: Option<&str>,
-    ) -> Option<crate::runner::SweepJournal> {
-        let dir = match self.cache_dir.as_deref() {
-            Some(dir) => dir,
-            None => {
-                if self.resume {
-                    eprintln!("note: --resume ignored — requires --cache-dir (the store holds the completed rows)");
-                }
-                return None;
-            }
+    /// Under `--shard i/n`, prints the slice's counters (`total` is the
+    /// length of the full job list) and returns `true`: a slice only
+    /// warms the store. Returns `false`, printing nothing, otherwise.
+    pub fn report_slice(&self, outcome: &SweepOutcome, total: usize) -> bool {
+        let ShardMode::Slice(spec) = self.shard else {
+            return false;
         };
-        match crate::runner::SweepJournal::open(std::path::Path::new(dir), jobs, shard_tag, self.resume)
-        {
-            Ok(journal) => {
-                if self.resume {
-                    println!(
-                        "resume: {} of {} jobs already journaled in {dir}",
-                        journal.resumed_count(),
-                        journal.total()
-                    );
-                }
-                Some(journal)
-            }
-            Err(e) => {
-                eprintln!("warning: sweep journal unavailable in {dir}: {e}; running unjournaled");
-                None
-            }
+        println!(
+            "shard {spec}: {} of {total} jobs owned; cache {}; store {}",
+            outcome.owned,
+            outcome.stats,
+            outcome.store_stats.unwrap_or_default()
+        );
+        self.note_slice_done();
+        true
+    }
+
+    /// Tells the operator of a finished `--shard i/n` slice where the
+    /// artifact comes from: the final `--shard merge` run.
+    pub fn note_slice_done(&self) {
+        println!("slice done — run the remaining slices, then `--shard merge`");
+        if self.json.is_some() {
+            eprintln!("note: --json ignored for a shard slice; export from `--shard merge`");
         }
     }
 
@@ -160,15 +171,15 @@ impl CommonArgs {
     }
 }
 
-/// Parses the five flags every experiment binary supports — `--jobs <N>`,
-/// `--json <path>`, `--cache-dir <path>`, `--seed <u64>`, and
-/// `--shard i/n|merge` — from the process arguments.
+/// Parses the flags every experiment binary supports — `--jobs <N>`,
+/// `--json <path>`, `--cache-dir <path>`, `--seed <u64>`,
+/// `--shard i/n|merge`, and the chaos flags — from the process
+/// arguments.
 ///
 /// # Panics
 ///
-/// Panics with a usage message on a malformed `--jobs`, `--seed`, or
-/// `--shard` value (see [`parse_jobs_arg`] / [`parse_seed_arg`] /
-/// [`parse_shard_arg`]).
+/// Panics with a usage message on a missing or malformed flag value (see
+/// the `parse_*_arg` functions).
 pub fn parse_common_args() -> CommonArgs {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (rest, runner) = parse_jobs_arg(&raw);
@@ -176,7 +187,6 @@ pub fn parse_common_args() -> CommonArgs {
     let (rest, cache_dir) = parse_cache_dir_arg(&rest);
     let (rest, seed) = parse_seed_arg(&rest);
     let (rest, shard) = parse_shard_arg(&rest);
-    let (rest, resume) = parse_resume_arg(&rest);
     let (rest, faults) = parse_fault_args(&rest);
     CommonArgs {
         rest,
@@ -185,24 +195,8 @@ pub fn parse_common_args() -> CommonArgs {
         cache_dir,
         seed,
         shard,
-        resume,
         faults: faults.map(std::sync::Arc::new),
     }
-}
-
-/// Parses an optional `--resume` flag (no value) from a raw argument
-/// list, returning the remaining arguments and whether it was present.
-pub fn parse_resume_arg(args: &[String]) -> (Vec<String>, bool) {
-    let mut rest = Vec::new();
-    let mut resume = false;
-    for a in args {
-        if a == "--resume" {
-            resume = true;
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (rest, resume)
 }
 
 /// Parses the chaos flags — `--fault-seed <u64>`, repeatable
@@ -289,13 +283,17 @@ pub fn parse_jobs_arg(args: &[String]) -> (Vec<String>, crate::runner::RunnerOpt
 /// Parses an optional `--cache-dir <path>` argument pair from a raw
 /// argument list, returning the remaining arguments and the persistent
 /// store directory if present.
+///
+/// # Panics
+///
+/// Panics with a usage message when the flag value is missing.
 pub fn parse_cache_dir_arg(args: &[String]) -> (Vec<String>, Option<String>) {
     let mut rest = Vec::new();
     let mut dir = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--cache-dir" {
-            dir = it.next().cloned();
+            dir = Some(it.next().expect("--cache-dir takes a directory path").clone()); // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
         } else {
             rest.push(a.clone());
         }
@@ -330,7 +328,7 @@ pub fn parse_seed_arg(args: &[String]) -> (Vec<String>, Option<u64>) {
 
 /// Parses an optional `--shard <i/n|merge>` argument pair from a raw
 /// argument list, returning the remaining arguments and the sharding
-/// mode — [`ShardMode::All`](crate::runner::ShardMode::All) when the
+/// mode — [`ShardMode::All`] when the
 /// flag is absent.
 ///
 /// # Panics
@@ -363,13 +361,17 @@ pub fn parse_shard_arg(args: &[String]) -> (Vec<String>, crate::runner::ShardMod
 
 /// Parses an optional `--json <path>` argument pair from a raw argument
 /// list, returning the remaining arguments and the path if present.
+///
+/// # Panics
+///
+/// Panics with a usage message when the flag value is missing.
 pub fn parse_json_arg(args: &[String]) -> (Vec<String>, Option<String>) {
     let mut rest = Vec::new();
     let mut json = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--json" {
-            json = it.next().cloned();
+            json = Some(it.next().expect("--json takes a file path").clone()); // cim-lint: allow(panic-unwrap) CLI parse/serialize; abort with message is the contract
         } else {
             rest.push(a.clone());
         }
@@ -416,6 +418,9 @@ mod tests {
         assert_eq!(dir.as_deref(), Some("/tmp/store"));
         let (_, none) = parse_cache_dir_arg(&rest);
         assert!(none.is_none());
+        // A trailing flag with no value fails instead of vanishing.
+        let dangling = vec!["--part".to_string(), "c".to_string(), "--cache-dir".to_string()];
+        assert!(std::panic::catch_unwind(|| parse_cache_dir_arg(&dangling)).is_err());
     }
 
     #[test]
@@ -455,17 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_resume_flag() {
-        let args: Vec<String> = ["--resume", "--part", "c"].iter().map(|s| s.to_string()).collect();
-        let (rest, resume) = parse_resume_arg(&args);
-        assert_eq!(rest, vec!["--part".to_string(), "c".to_string()]);
-        assert!(resume);
-        let (_, absent) = parse_resume_arg(&rest);
-        assert!(!absent);
-        assert!(!CommonArgs::default().resume);
-    }
-
-    #[test]
     fn parses_fault_flags() {
         use crate::runner::FaultSite;
         let args: Vec<String> = [
@@ -486,13 +480,7 @@ mod tests {
         assert_eq!(rest.len(), 2);
         assert!(none.is_none(), "no chaos flags, no plan");
         assert!(CommonArgs::default().faults.is_none());
-        assert!(CommonArgs::default().fault_hook().is_none());
-    }
-
-    #[test]
-    fn open_journal_without_cache_dir_is_none() {
-        let args = CommonArgs { resume: true, ..CommonArgs::default() };
-        assert!(args.open_journal(&[], None).is_none());
+        assert!(CommonArgs::default().sweep(&[], None).faults.is_none());
     }
 
     #[test]
@@ -507,5 +495,8 @@ mod tests {
         let (rest, json) = parse_json_arg(&rest);
         assert_eq!(rest.len(), 2);
         assert!(json.is_none());
+        // A trailing flag with no value fails instead of vanishing.
+        let dangling = vec!["--part".to_string(), "c".to_string(), "--json".to_string()];
+        assert!(std::panic::catch_unwind(|| parse_json_arg(&dangling)).is_err());
     }
 }

@@ -23,21 +23,24 @@
 //! reference — results are bit-for-bit identical either way).
 //!
 //! The library part hosts the parallel batched evaluation engine
-//! ([`runner`]: lane-based worker pool, concurrent schedule cache,
-//! deterministic [`BatchResult`](runner::BatchResult) aggregation), the
-//! shared sweep driver ([`experiments`]), the text-table renderer
-//! ([`table`]), and JSON export ([`export`]).
+//! ([`runner`]: lane-based worker pool, concurrent schedule cache, and
+//! the one sweep entry point [`Sweep::run`](runner::Sweep::run) with its
+//! deterministic aggregation), the sweep options and row type
+//! ([`experiments`]), the text-table renderer ([`table`]), and JSON
+//! export ([`export`]).
 //!
 //! # Examples
 //!
 //! Sweep the paper's Fig. 5 example through the parallel runner:
 //!
 //! ```
-//! use cim_bench::{paper_sweep, SweepOptions};
+//! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
+//! use cim_bench::SweepOptions;
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
 //! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
-//! let rows = paper_sweep("fig5", &cim_models::fig5_example(), &opts)?;
+//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
+//! let rows = Sweep::new(&jobs, RunnerOptions::default()).run()?.results;
 //! assert_eq!(rows.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 //! assert!(rows.iter().all(|r| r.speedup >= 1.0));
 //! # Ok(())
@@ -54,10 +57,10 @@ pub mod runner;
 pub mod table;
 pub mod tune;
 
-pub use experiments::{paper_sweep, paper_sweep_stored, paper_sweep_with, ConfigResult, SweepOptions};
+pub use experiments::{ConfigResult, SweepOptions};
 pub use export::{
     parse_args_json, parse_cache_dir_arg, parse_common_args, parse_fault_args, parse_jobs_arg,
-    parse_json_arg, parse_resume_arg, parse_seed_arg, parse_shard_arg, write_json, CommonArgs,
+    parse_json_arg, parse_seed_arg, parse_shard_arg, sweep_exit_code, write_json, CommonArgs,
     DEFAULT_SEED,
 };
 pub use table::render_table;

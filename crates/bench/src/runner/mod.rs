@@ -5,9 +5,9 @@
 //! run. This module turns such a sweep into a flat job list and executes
 //! it on a pool of scoped worker threads with three guarantees:
 //!
-//! 1. **Determinism** — [`BatchResult`] rows are bit-for-bit identical to
-//!    a sequential run, for any worker count. Jobs land in indexed slots;
-//!    aggregation happens in job order after the pool drains.
+//! 1. **Determinism** — [`SweepOutcome`] rows are bit-for-bit identical
+//!    to a sequential run, for any worker count. Jobs land in indexed
+//!    slots; aggregation happens in job order after the pool drains.
 //! 2. **No recomputation** — a shared [`ScheduleCache`] memoizes both the
 //!    stage prefix (mapping + `determine_sets` + `determine_dependencies`,
 //!    keyed by `(model, arch, mapping strategy)` fingerprints) and full
@@ -21,34 +21,35 @@
 //! 4. **Durability (opt-in)** — an on-disk [`ResultStore`] (`--cache-dir
 //!    <path>`) persists per-job [`RunSummary`] rows across processes, so
 //!    a warm re-run of a sweep replays from disk (byte-identical output)
-//!    instead of re-scheduling. See [`store`] for the row format and the
-//!    corruption policy.
+//!    instead of re-scheduling. The store is also the resume state: a
+//!    SIGKILL'd sweep rerun against the same store replays its finished
+//!    jobs and computes the rest. See [`store`] for the row format and
+//!    the corruption policy.
 //!
 //! 5. **Survivability (opt-in)** — a panic in one job is caught, retried,
-//!    and quarantined ([`run_batch_resumable`]) instead of tearing down
-//!    the batch; a [`SweepJournal`] beside the store plus `--resume`
-//!    makes a SIGKILL'd sweep resumable with byte-identical output; and a
-//!    seeded [`fault::FaultPlan`] injects deterministic store/job faults
-//!    for reproducible chaos tests.
+//!    and quarantined into [`SweepOutcome::failures`] instead of tearing
+//!    down the sweep, and a seeded [`fault::FaultPlan`] injects
+//!    deterministic store/job faults for reproducible chaos tests.
 //!
 //! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo) →
-//! [`run_batch`] / [`run_batch_with_store`] (sweep jobs →
-//! [`BatchResult`]). The experiment binaries all sit on top and accept
-//! `--jobs N` (see [`parse_jobs_arg`](crate::parse_jobs_arg)) plus
-//! `--cache-dir <path>` (see
+//! [`Sweep::run`] (sweep jobs → [`SweepOutcome`]). [`Sweep`] holds the
+//! job list, the worker count, the optional store, the [`ShardMode`], and
+//! the optional fault hook. The experiment binaries all sit on top and
+//! accept `--jobs N` (see [`parse_jobs_arg`](crate::parse_jobs_arg)) plus
+//! `--cache-dir <path>` and `--shard i/n|merge` (see
 //! [`parse_common_args`](crate::parse_common_args)).
 //!
 //! # Examples
 //!
 //! ```
-//! use cim_bench::runner::{run_batch, sweep_jobs, RunnerOptions};
+//! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
 //! use cim_bench::SweepOptions;
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
 //! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
 //! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
-//! let parallel = run_batch(&jobs, &RunnerOptions::with_jobs(4))?;
-//! let sequential = run_batch(&jobs, &RunnerOptions::sequential())?;
+//! let parallel = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run()?;
+//! let sequential = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
 //! assert_eq!(parallel.results, sequential.results); // bit-for-bit
 //! assert!(parallel.stats.stage_hits() >= 1); // baseline/xinf shared stages
 //! # Ok(())
@@ -58,7 +59,6 @@
 mod cache;
 pub mod fault;
 mod fingerprint;
-pub mod journal;
 mod lane;
 mod shard;
 pub mod store;
@@ -67,15 +67,12 @@ mod sweep;
 pub use cache::{CacheStats, ScheduleCache};
 pub use fault::{mix64, panic_message, parse_rate_spec, FaultHook, FaultPlan, FaultSite, FAULT_SITES};
 pub use fingerprint::{fingerprint, mapping_fingerprint, strategy_fingerprint, CacheKey, FnvWriter};
-pub use journal::{sweep_fingerprint, SweepJournal, JOURNAL_FORMAT_VERSION};
 pub use lane::parallel_map;
 pub use shard::{shard_of, ShardMode, ShardSpec};
 pub use store::{ResultStore, RunSummary, StoreStats, STORE_FORMAT_VERSION};
 pub use sweep::{
-    merge_batch, pe_min_of, run_batch, run_batch_resumable, run_batch_shard,
-    run_batch_shard_resumable, run_batch_sharded, run_batch_sharded_resumable,
-    run_batch_with_store, sweep_jobs, sweep_jobs_for_models, BatchResult, JobFailure,
-    JobFailureKind, ShardOutcome, ShardRun, SweepJob, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
+    pe_min_of, sweep_jobs, sweep_jobs_for_models, JobFailure, JobFailureKind, Sweep, SweepJob,
+    SweepOutcome, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
 };
 
 /// Worker-pool options.

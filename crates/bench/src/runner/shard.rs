@@ -26,7 +26,10 @@
 
 use std::fmt;
 
+use clsa_core::CoreError;
+
 use super::fingerprint::{CacheKey, FnvWriter};
+use super::store::ResultStore;
 
 /// One slice of an `n`-way sharded sweep: this process owns the jobs
 /// whose key hashes into range `index` of `of`.
@@ -91,6 +94,26 @@ pub enum ShardMode {
     /// aggregate the unsharded artifact (`--shard merge`; requires
     /// `--cache-dir`).
     Merge,
+}
+
+impl ShardMode {
+    /// Checks that a `Slice` or `Merge` run has a store to merge
+    /// through; `All` runs without one.
+    ///
+    /// # Errors
+    ///
+    /// A [`CoreError::StageMismatch`] naming `--cache-dir` when `store`
+    /// is `None` outside `All` mode.
+    pub fn require_store(self, store: Option<&ResultStore>) -> Result<(), CoreError> {
+        let flag = match (self, store) {
+            (ShardMode::All, _) | (_, Some(_)) => return Ok(()),
+            (ShardMode::Slice(spec), None) => spec.to_string(),
+            (ShardMode::Merge, None) => "merge".to_string(),
+        };
+        Err(CoreError::StageMismatch {
+            detail: format!("--shard {flag} requires --cache-dir: the store is the merge point"),
+        })
+    }
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! versioned, fingerprint-keyed map from a job's [`CacheKey`] —
 //! `(model, architecture, strategy)` fingerprints — to the
 //! [`RunSummary`] the batch aggregator needs, so a
-//! re-run of `fig6`/`fig7`/`paper_sweep` after a code-irrelevant change
-//! replays from disk instead of re-scheduling.
+//! re-run of `fig6`/`fig7` (or any [`Sweep`](super::Sweep)) after a
+//! code-irrelevant change replays from disk instead of re-scheduling.
 //!
 //! # On-disk layout
 //!
@@ -77,7 +77,7 @@ use super::fingerprint::CacheKey;
 pub const STORE_FORMAT_VERSION: u32 = 2;
 
 /// The serializable reduction of a [`RunResult`] the store's consumers
-/// need — the fields `run_batch` aggregates into sweep rows plus the
+/// need — the fields `Sweep::run` aggregates into sweep rows plus the
 /// autotuner's traffic objective, and nothing else.
 ///
 /// Floats round-trip exactly through serde_json (shortest-representation

@@ -1,12 +1,13 @@
 //! Sweep construction and deterministic aggregation.
 //!
 //! A sweep is expressed as a **flat job list** — one [`SweepJob`] per
-//! `(model, architecture, strategy)` point — executed over the lane pool
-//! with a shared [`ScheduleCache`](super::ScheduleCache), then folded into
-//! a [`BatchResult`] whose rows come out in job order. Aggregation is the
-//! only cross-job step (speedups are relative to each model's
-//! layer-by-layer baseline row), so jobs stay embarrassingly parallel and
-//! the batch output is bit-for-bit identical for every `--jobs` value.
+//! `(model, architecture, strategy)` point — that [`Sweep::run`] executes
+//! over the lane pool with a shared [`ScheduleCache`](super::ScheduleCache),
+//! then folds into a [`SweepOutcome`] whose rows come out in job order.
+//! Aggregation is the only cross-job step (speedups are relative to each
+//! model's layer-by-layer baseline row), so jobs stay embarrassingly
+//! parallel and the output is bit-for-bit identical for every `--jobs`
+//! value.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,9 +22,8 @@ use clsa_core::{eq3_predicted_from_utilization, CoreError, RunConfig};
 use super::cache::{CacheStats, ScheduleCache};
 use super::fault::{panic_message, FaultHook, FaultSite};
 use super::fingerprint::{fingerprint, CacheKey};
-use super::journal::SweepJournal;
 use super::lane::parallel_map;
-use super::shard::{ShardMode, ShardSpec};
+use super::shard::ShardMode;
 use super::store::{ResultStore, RunSummary, StoreStats};
 use super::RunnerOptions;
 use crate::experiments::{ConfigResult, SweepOptions};
@@ -71,22 +71,60 @@ pub struct SweepJob {
     pub config: RunConfig,
 }
 
-/// Aggregated outcome of a batch run.
+/// One sweep over a flat job list — the single entry point of the
+/// runner. Build it with [`Sweep::new`] and set the optional fields with
+/// struct-update syntax, e.g.
+/// `Sweep { store: Some(&store), ..Sweep::new(&jobs, runner) }`:
+///
+/// ```
+/// use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
+/// use cim_bench::SweepOptions;
+///
+/// # fn main() -> Result<(), clsa_core::CoreError> {
+/// let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
+/// let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
+/// let outcome = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
+/// assert_eq!(outcome.results.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
+/// assert_eq!(outcome.owned, jobs.len());
+/// assert!(outcome.failures.is_empty());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Sweep<'a> {
+    /// The jobs, in the order their rows come out.
+    pub jobs: &'a [SweepJob],
+    /// Worker-pool options (`--jobs`).
+    pub runner: RunnerOptions,
+    /// Persistent store (`--cache-dir`): consulted before any job
+    /// computes, and written after. Required by `Slice` and `Merge`.
+    pub store: Option<&'a ResultStore>,
+    /// Which part of the job list this process evaluates (`--shard`).
+    pub shard: ShardMode,
+    /// Deterministic chaos injection into the job body (store-level
+    /// sites are installed on the store itself).
+    pub faults: Option<&'a dyn FaultHook>,
+}
+
+/// What one [`Sweep::run`] produced.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BatchResult {
-    /// One row per job, in job order — identical to a sequential run.
-    /// Quarantined jobs (see [`failures`](Self::failures)) produce no
-    /// row; with zero faults this is every job.
+pub struct SweepOutcome {
+    /// One row per job, in job order. Quarantined jobs (see
+    /// [`failures`](Self::failures)) produce no row; with zero faults
+    /// this is every job. Empty for a slice that owns only part of the
+    /// list: a model's baseline may belong to another slice, so the rows
+    /// come from the merge.
     pub results: Vec<ConfigResult>,
-    /// In-memory cache counters accumulated over the batch.
-    pub stats: CacheStats,
-    /// Persistent-store counters, when the batch ran against a
-    /// `--cache-dir` ([`run_batch_with_store`]).
-    pub store_stats: Option<StoreStats>,
+    /// Jobs this run owned: every job, except under `ShardMode::Slice`.
+    pub owned: usize,
     /// Typed per-job failure report: jobs quarantined after repeated
     /// panics, plus rows unaggregatable because their model's baseline
     /// was quarantined. Empty on a clean run.
     pub failures: Vec<JobFailure>,
+    /// In-memory cache counters accumulated over the run.
+    pub stats: CacheStats,
+    /// Persistent-store counters, when the sweep ran against a store.
+    pub store_stats: Option<StoreStats>,
 }
 
 /// Why a job produced no result row.
@@ -105,7 +143,7 @@ pub enum JobFailureKind {
     BaselineUnavailable,
 }
 
-/// One entry of [`BatchResult::failures`], naming the failed job.
+/// One entry of [`SweepOutcome::failures`], naming the failed job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobFailure {
     /// Index into the batch's job list.
@@ -143,6 +181,8 @@ enum JobOutcome {
     Done(RunSummary),
     Failed(CoreError),
     Panicked { attempts: u32, message: String },
+    /// Another `--shard` slice owns the job; this run leaves it alone.
+    NotOwned,
 }
 
 /// The fault-decision key of a job: a stable fold of its schedule-level
@@ -152,66 +192,133 @@ fn job_fault_key(key: &CacheKey) -> u64 {
     key.model ^ key.arch.rotate_left(21) ^ key.strategy.rotate_left(42)
 }
 
-/// Runs one job with panic containment and bounded retry, consulting
-/// store, journal, and fault hook. This is the single job body shared by
-/// [`run_batch_resumable`] and [`run_batch_shard_resumable`].
-fn run_one(
-    index: usize,
-    job: &SweepJob,
-    cache: &ScheduleCache,
-    store: Option<&ResultStore>,
-    journal: Option<&SweepJournal>,
-    faults: Option<&dyn FaultHook>,
-) -> JobOutcome {
-    let key = CacheKey::schedule(job.model_fp, &job.config);
-    if let Some(store) = store {
-        if let Some(summary) = store.get(&key) {
-            if let Some(journal) = journal {
-                journal.mark(index);
+impl<'a> Sweep<'a> {
+    /// A sweep of every job in this process, with no store and no
+    /// fault injection.
+    pub fn new(jobs: &'a [SweepJob], runner: RunnerOptions) -> Self {
+        Sweep {
+            jobs,
+            runner,
+            store: None,
+            shard: ShardMode::All,
+            faults: None,
+        }
+    }
+
+    /// Runs the sweep on the lane pool and aggregates the rows.
+    ///
+    /// Every job resolves through one shared [`ScheduleCache`], so
+    /// repeated `(model, arch, strategy)` prefixes (e.g. the baseline and
+    /// `xinf` rows of one model) are computed once. With a store, each
+    /// job first looks up its schedule-level [`CacheKey`]: a trustworthy
+    /// row skips the whole pipeline, and a fresh summary is persisted
+    /// afterwards. The store is therefore also the resume state — rerun
+    /// a killed sweep against the same store and the finished jobs
+    /// replay warm. Summaries round-trip bit-exactly, so rows are
+    /// identical for every `runner.jobs`, cold or warm.
+    ///
+    /// Each job runs under `catch_unwind` with bounded retry
+    /// ([`MAX_JOB_ATTEMPTS`]); a job that panics every attempt is
+    /// quarantined into [`SweepOutcome::failures`] and the survivors
+    /// aggregate through the unchanged fold.
+    ///
+    /// The shard mode picks the jobs: `All` runs every job, `Slice` only
+    /// the jobs its fingerprint range owns
+    /// ([`ShardSpec::owns`](super::ShardSpec::owns)), and
+    /// `Merge` computes nothing — every row must already be in the store.
+    ///
+    /// # Errors
+    ///
+    /// * `Slice` or `Merge` without a store ([`ShardMode::require_store`]).
+    /// * `Merge` with a job missing from the store: a
+    ///   [`CoreError::StageMismatch`] naming the first such job — run
+    ///   every `--shard i/n` slice first.
+    /// * The first typed pipeline error in job order (deterministically,
+    ///   even when a later job fails first on the wall clock).
+    /// * A model with no [`BASELINE_LABEL`] job in the list.
+    ///
+    /// Store I/O problems never fail the sweep: unreadable rows are
+    /// evicted and recomputed, failed writes are counted in
+    /// [`StoreStats::write_errors`].
+    pub fn run(&self) -> Result<SweepOutcome, CoreError> {
+        self.shard.require_store(self.store)?;
+        let cache = ScheduleCache::new();
+        let outcomes = parallel_map(self.jobs, self.runner.jobs, |_, job| self.run_one(job, &cache));
+        let owned = outcomes
+            .iter()
+            .filter(|o| !matches!(o, JobOutcome::NotOwned))
+            .count();
+        let (results, failures) = aggregate(self.jobs, outcomes)?;
+        Ok(SweepOutcome {
+            results,
+            owned,
+            failures,
+            stats: cache.stats(),
+            store_stats: self.store.map(ResultStore::stats),
+        })
+    }
+
+    /// The single job body of every shard mode: store first, then (unless
+    /// merging) the pipeline with panic containment, bounded retry, and
+    /// the fault hook.
+    fn run_one(&self, job: &SweepJob, cache: &ScheduleCache) -> JobOutcome {
+        let key = CacheKey::schedule(job.model_fp, &job.config);
+        if let ShardMode::Slice(spec) = self.shard {
+            if !spec.owns(&key) {
+                return JobOutcome::NotOwned;
             }
+        }
+        if let Some(summary) = self.store.and_then(|store| store.get(&key)) {
             return JobOutcome::Done(summary);
         }
-    }
-    let fault_key = job_fault_key(&key);
-    let mut message = String::new();
-    for attempt in 0..MAX_JOB_ATTEMPTS {
-        if let Some(h) = faults {
-            if h.decide(FaultSite::JobDelay, fault_key, attempt) {
-                std::thread::sleep(h.delay());
+        if self.shard == ShardMode::Merge {
+            return JobOutcome::Failed(CoreError::StageMismatch {
+                detail: format!(
+                    "merge: no persisted summary for job `{} {}` (key {key:?}); \
+                     run every `--shard i/n` slice against this --cache-dir first",
+                    job.model, job.label
+                ),
+            });
+        }
+        let fault_key = job_fault_key(&key);
+        let mut message = String::new();
+        for attempt in 0..MAX_JOB_ATTEMPTS {
+            if let Some(h) = self.faults {
+                if h.decide(FaultSite::JobDelay, fault_key, attempt) {
+                    std::thread::sleep(h.delay());
+                }
+            }
+            let injected = self
+                .faults
+                .is_some_and(|h| h.decide(FaultSite::JobPanic, fault_key, attempt));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if injected {
+                    panic!("injected fault: job panic (key {fault_key:016x}, attempt {attempt})");
+                }
+                cache.run(job.model_fp, &job.graph, &job.config)
+            }));
+            match caught {
+                Ok(Ok(result)) => {
+                    let summary = RunSummary::of(&result);
+                    if let Some(store) = self.store {
+                        store.put(&key, &summary);
+                    }
+                    return JobOutcome::Done(summary);
+                }
+                Ok(Err(e)) => return JobOutcome::Failed(e),
+                Err(payload) => message = panic_message(payload.as_ref()),
             }
         }
-        let injected = faults.is_some_and(|h| h.decide(FaultSite::JobPanic, fault_key, attempt));
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if injected {
-                panic!("injected fault: job panic (key {fault_key:016x}, attempt {attempt})");
-            }
-            cache.run(job.model_fp, &job.graph, &job.config)
-        }));
-        match caught {
-            Ok(Ok(result)) => {
-                let summary = RunSummary::of(&result);
-                if let Some(store) = store {
-                    store.put(&key, &summary);
-                }
-                if let Some(journal) = journal {
-                    journal.mark(index);
-                }
-                return JobOutcome::Done(summary);
-            }
-            Ok(Err(e)) => return JobOutcome::Failed(e),
-            Err(payload) => message = panic_message(payload.as_ref()),
+        JobOutcome::Panicked {
+            attempts: MAX_JOB_ATTEMPTS,
+            message,
         }
-    }
-    JobOutcome::Panicked {
-        attempts: MAX_JOB_ATTEMPTS,
-        message,
     }
 }
 
 /// Builds the paper's standard job list for one model: the layer-by-layer
 /// baseline and `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for
-/// every `x` in `opts.xs` — the flat form of the sweep
-/// [`paper_sweep`](crate::experiments::paper_sweep) evaluates.
+/// every `x` in `opts.xs`, in that order.
 ///
 /// # Errors
 ///
@@ -281,93 +388,15 @@ pub fn sweep_jobs_for_models(
     Ok(jobs)
 }
 
-/// Executes a flat job list on the lane pool and aggregates the rows.
-///
-/// Every job resolves through one shared [`ScheduleCache`], so repeated
-/// `(model, arch, strategy)` prefixes (e.g. the baseline and `xinf` rows
-/// of one model) are computed once. Results are deterministic: rows come
-/// out in job order with values independent of `options.jobs`.
-///
-/// # Errors
-///
-/// Propagates the first job error in job order (deterministically, even
-/// when a later job fails first on the wall clock). Speedup aggregation
-/// requires each model's [`BASELINE_LABEL`] row to be part of `jobs`;
-/// a missing baseline is a [`CoreError::StageMismatch`].
-pub fn run_batch(jobs: &[SweepJob], options: &RunnerOptions) -> Result<BatchResult, CoreError> {
-    run_batch_with_store(jobs, options, None)
-}
-
-/// [`run_batch`] backed by a persistent [`ResultStore`].
-///
-/// Each job first consults the store under its schedule-level
-/// [`CacheKey`]; a trustworthy row skips the whole pipeline (mapping,
-/// stages, scheduling) and replays the persisted [`RunSummary`]. Misses
-/// compute through the shared in-memory [`ScheduleCache`] as usual and
-/// persist their summary afterwards, so a warm re-run of the same sweep
-/// is nearly free and — because aggregation consumes only summaries, and
-/// summaries round-trip bit-exactly — produces byte-identical rows.
-///
-/// # Errors
-///
-/// Same conditions as [`run_batch`]. Store I/O problems never fail the
-/// batch: unreadable rows are evicted and recomputed, failed writes are
-/// counted in [`StoreStats::write_errors`].
-pub fn run_batch_with_store(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-) -> Result<BatchResult, CoreError> {
-    run_batch_resumable(jobs, options, store, None, None)
-}
-
-/// The fully-instrumented batch entry point: [`run_batch_with_store`]
-/// plus an optional completion [`SweepJournal`] (crash-safe `--resume`)
-/// and an optional [`FaultHook`] (deterministic chaos injection into job
-/// execution; store-level sites are installed on the store itself).
-///
-/// Each job runs under `catch_unwind` with bounded retry
-/// ([`MAX_JOB_ATTEMPTS`]); a job that panics every attempt is
-/// **quarantined** — reported in [`BatchResult::failures`] instead of
-/// tearing down the batch — and the surviving jobs aggregate through the
-/// unchanged fold, so with zero faults the rows are byte-identical to
-/// [`run_batch`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_batch`]: typed pipeline errors
-/// ([`CoreError`]) still propagate first-in-job-order — containment is
-/// for panics, not for deterministic configuration errors.
-pub fn run_batch_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<BatchResult, CoreError> {
-    let cache = ScheduleCache::new();
-    let hook: Option<&dyn FaultHook> = faults.map(|a| a.as_ref());
-    let outcomes = parallel_map(jobs, options.jobs, |index, job| {
-        run_one(index, job, &cache, store, journal, hook)
-    });
-    let (results, failures) = aggregate(jobs, outcomes)?;
-    Ok(BatchResult {
-        results,
-        stats: cache.stats(),
-        store_stats: store.map(ResultStore::stats),
-        failures,
-    })
-}
-
 /// Folds per-job summaries into the final row list — the single
-/// aggregation path shared by live runs ([`run_batch_with_store`]) and
-/// store replays ([`merge_batch`]), so a merged sharded sweep is
+/// aggregation path of every shard mode, so a merged sharded sweep is
 /// byte-identical to an unsharded one by construction, not by parallel
 /// maintenance of two folds.
 fn aggregate(
     jobs: &[SweepJob],
     outcomes: Vec<JobOutcome>,
 ) -> Result<(Vec<ConfigResult>, Vec<JobFailure>), CoreError> {
+    let complete = !outcomes.iter().any(|o| matches!(o, JobOutcome::NotOwned));
     // Baselines first: every other row of a model references its makespan,
     // utilization, and actual PE total (the Eq. 3 denominator). Also note
     // which models *have* a baseline job in the list at all — that
@@ -389,6 +418,7 @@ fn aggregate(
     for (index, (job, outcome)) in jobs.iter().zip(outcomes).enumerate() {
         let s = match outcome {
             JobOutcome::Done(s) => s,
+            JobOutcome::NotOwned => continue,
             JobOutcome::Failed(e) => return Err(e),
             JobOutcome::Panicked { attempts, message } => {
                 failures.push(JobFailure {
@@ -400,6 +430,11 @@ fn aggregate(
                 continue;
             }
         };
+        if !complete {
+            // A partial slice: the model's baseline may be another
+            // slice's job, so rows come from the merge.
+            continue;
+        }
         let Some(&(base_makespan, ut_lbl, base_pes)) = baselines.get(job.model.as_str()) else {
             if baseline_models.contains(job.model.as_str()) {
                 failures.push(JobFailure {
@@ -441,213 +476,6 @@ fn aggregate(
     Ok((results, failures))
 }
 
-/// The outcome of one shard *slice* ([`run_batch_shard`]): counters, no
-/// rows — a slice deliberately produces no artifact, only warm store
-/// entries for the final merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRun {
-    /// The slice that ran.
-    pub shard: ShardSpec,
-    /// Jobs this slice owned (evaluated or replayed warm).
-    pub owned: usize,
-    /// Total jobs in the full (unsharded) list.
-    pub total: usize,
-    /// In-memory cache counters over the owned jobs.
-    pub stats: CacheStats,
-    /// Persistent-store counters (puts of fresh summaries, hits on a
-    /// warm re-run of the same slice).
-    pub store_stats: StoreStats,
-    /// Jobs of this slice quarantined after repeated panics. A later
-    /// `--shard merge` will name them as missing rows; re-run the slice
-    /// (warm jobs replay free) to fill the gaps.
-    pub failures: Vec<JobFailure>,
-}
-
-impl std::fmt::Display for ShardRun {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {}: {} of {} jobs owned; cache {}; store {}",
-            self.shard, self.owned, self.total, self.stats, self.store_stats
-        )
-    }
-}
-
-/// Evaluates the slice of `jobs` owned by `shard`, persisting every
-/// summary into the shared `store` — one process of an `n`-way sharded
-/// sweep. Ownership is decided per job by its schedule-level
-/// [`CacheKey`] ([`ShardSpec::owns`]), so concurrent slices of the same
-/// list touch disjoint keys and never duplicate work; the store's
-/// two-process safety covers the shared directory.
-///
-/// No rows are aggregated here — aggregation needs every model's
-/// baseline, which another slice may own. Run [`merge_batch`] (or
-/// `--shard merge`) after all slices to produce the artifact.
-///
-/// # Errors
-///
-/// Propagates the first owned-job error in job order.
-pub fn run_batch_shard(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: &ResultStore,
-    shard: ShardSpec,
-) -> Result<ShardRun, CoreError> {
-    run_batch_shard_resumable(jobs, options, store, shard, None, None)
-}
-
-/// [`run_batch_shard`] with the full instrumentation of
-/// [`run_batch_resumable`]: panic quarantine (reported in
-/// [`ShardRun::failures`]), an optional journal (indices are into the
-/// **full** job list, so every slice journals against the same sweep
-/// fingerprint under its own shard tag), and an optional fault hook.
-///
-/// # Errors
-///
-/// Propagates the first owned-job [`CoreError`] in job order.
-pub fn run_batch_shard_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: &ResultStore,
-    shard: ShardSpec,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<ShardRun, CoreError> {
-    let owned: Vec<(usize, &SweepJob)> = jobs
-        .iter()
-        .enumerate()
-        .filter(|(_, job)| shard.owns(&CacheKey::schedule(job.model_fp, &job.config)))
-        .collect();
-    let cache = ScheduleCache::new();
-    let hook: Option<&dyn FaultHook> = faults.map(|a| a.as_ref());
-    let outcomes = parallel_map(&owned, options.jobs, |_, (index, job)| {
-        run_one(*index, job, &cache, Some(store), journal, hook)
-    });
-    let mut failures = Vec::new();
-    for ((index, job), outcome) in owned.iter().zip(outcomes) {
-        match outcome {
-            JobOutcome::Done(_) => {}
-            JobOutcome::Failed(e) => return Err(e),
-            JobOutcome::Panicked { attempts, message } => failures.push(JobFailure {
-                index: *index,
-                model: job.model.clone(),
-                label: job.label.clone(),
-                kind: JobFailureKind::Quarantined { attempts, message },
-            }),
-        }
-    }
-    Ok(ShardRun {
-        shard,
-        owned: owned.len(),
-        total: jobs.len(),
-        stats: cache.stats(),
-        store_stats: store.stats(),
-        failures,
-    })
-}
-
-/// Replays a fully-warm `store` into the unsharded [`BatchResult`]:
-/// every job's summary must already be persisted (by any combination of
-/// slice and unsharded runs). Aggregation goes through the same fold as
-/// a live run, so the rows — and any `--json` artifact serialized from
-/// them — are byte-identical to an unsharded sweep.
-///
-/// # Errors
-///
-/// A job with no persisted summary is a [`CoreError::StageMismatch`]
-/// naming the job — run the missing `--shard i/n` slices first.
-pub fn merge_batch(jobs: &[SweepJob], store: &ResultStore) -> Result<BatchResult, CoreError> {
-    let outcomes = jobs
-        .iter()
-        .map(|job| {
-            let key = CacheKey::schedule(job.model_fp, &job.config);
-            match store.get(&key) {
-                Some(summary) => JobOutcome::Done(summary),
-                None => JobOutcome::Failed(CoreError::StageMismatch {
-                    detail: format!(
-                        "merge: no persisted summary for job `{} {}` (key {key:?}); \
-                         run every `--shard i/n` slice against this --cache-dir first",
-                        job.model, job.label
-                    ),
-                }),
-            }
-        })
-        .collect();
-    let (results, failures) = aggregate(jobs, outcomes)?;
-    Ok(BatchResult {
-        results,
-        stats: CacheStats::default(),
-        store_stats: Some(store.stats()),
-        failures,
-    })
-}
-
-/// What a [`run_batch_sharded`] call produced, by [`ShardMode`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardOutcome {
-    /// `ShardMode::All`: the full batch ran here (rows + counters).
-    Full(BatchResult),
-    /// `ShardMode::Slice`: this process warmed its slice of the store.
-    Slice(ShardRun),
-    /// `ShardMode::Merge`: rows replayed from the fully-warm store —
-    /// byte-identical to a `Full` run's rows.
-    Merged(BatchResult),
-}
-
-/// The single sharded entry point the sweep binaries dispatch through:
-/// runs `jobs` under `mode` (see [`ShardMode`]).
-///
-/// # Errors
-///
-/// `Slice` and `Merge` modes require a store (`--cache-dir`) — without
-/// one there is nothing to merge through, reported as a
-/// [`CoreError::StageMismatch`]. Otherwise as [`run_batch_with_store`],
-/// [`run_batch_shard`], and [`merge_batch`].
-pub fn run_batch_sharded(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    mode: ShardMode,
-) -> Result<ShardOutcome, CoreError> {
-    run_batch_sharded_resumable(jobs, options, store, mode, None, None)
-}
-
-/// [`run_batch_sharded`] with the full instrumentation of
-/// [`run_batch_resumable`]. `Merge` mode ignores the journal and hook —
-/// a merge only replays the store.
-///
-/// # Errors
-///
-/// As [`run_batch_sharded`].
-pub fn run_batch_sharded_resumable(
-    jobs: &[SweepJob],
-    options: &RunnerOptions,
-    store: Option<&ResultStore>,
-    mode: ShardMode,
-    journal: Option<&SweepJournal>,
-    faults: Option<&Arc<dyn FaultHook>>,
-) -> Result<ShardOutcome, CoreError> {
-    let need_store = |what: &str| {
-        store.ok_or_else(|| CoreError::StageMismatch {
-            detail: format!("--shard {what} requires --cache-dir: the store is the merge point"),
-        })
-    };
-    match mode {
-        ShardMode::All => Ok(ShardOutcome::Full(run_batch_resumable(
-            jobs, options, store, journal, faults,
-        )?)),
-        ShardMode::Slice(spec) => Ok(ShardOutcome::Slice(run_batch_shard_resumable(
-            jobs,
-            options,
-            need_store(&spec.to_string())?,
-            spec,
-            journal,
-            faults,
-        )?)),
-        ShardMode::Merge => Ok(ShardOutcome::Merged(merge_batch(jobs, need_store("merge")?)?)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -681,7 +509,7 @@ mod tests {
     fn batch_reuses_stage_work_across_the_baseline_pair() {
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let batch = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let batch = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
         assert_eq!(batch.results.len(), 2);
         // baseline + xinf share the (model, arch, mapping) stage prefix.
         assert_eq!(batch.stats.stage_computes, 1);
@@ -695,7 +523,7 @@ mod tests {
         let g = cim_models::fig5_example();
         let mut jobs = sweep_jobs("fig5", &g, &SweepOptions::default()).unwrap();
         jobs.remove(0);
-        let err = run_batch(&jobs, &RunnerOptions::sequential()).unwrap_err();
+        let err = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap_err();
         assert!(matches!(err, CoreError::StageMismatch { .. }));
     }
 
@@ -707,22 +535,34 @@ mod tests {
 
     #[test]
     fn slices_plus_merge_reproduce_the_unsharded_batch() {
+        use crate::runner::ShardSpec;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
-        let reference = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("merge");
         let store = ResultStore::open(&dir).unwrap();
         let mut owned_total = 0;
         for i in 0..2 {
-            let spec = ShardSpec::new(i, 2).unwrap();
-            let slice = run_batch_shard(&jobs, &RunnerOptions::sequential(), &store, spec).unwrap();
-            assert_eq!(slice.total, jobs.len());
+            let slice = Sweep {
+                store: Some(&store),
+                shard: ShardMode::Slice(ShardSpec::new(i, 2).unwrap()),
+                ..Sweep::new(&jobs, RunnerOptions::sequential())
+            }
+            .run()
+            .unwrap();
+            assert!(slice.results.is_empty(), "a partial slice aggregates nothing");
             owned_total += slice.owned;
         }
         assert_eq!(owned_total, jobs.len(), "slices partition the job list exactly");
 
-        let merged = merge_batch(&jobs, &store).unwrap();
+        let merged = Sweep {
+            store: Some(&store),
+            shard: ShardMode::Merge,
+            ..Sweep::new(&jobs, RunnerOptions::sequential())
+        }
+        .run()
+        .unwrap();
         assert_eq!(merged.results, reference.results);
         // Byte-identical through serialization — the artifact contract.
         assert_eq!(
@@ -739,7 +579,13 @@ mod tests {
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
         let dir = shard_tmp_dir("cold");
         let store = ResultStore::open(&dir).unwrap();
-        let err = merge_batch(&jobs, &store).unwrap_err();
+        let err = Sweep {
+            store: Some(&store),
+            shard: ShardMode::Merge,
+            ..Sweep::new(&jobs, RunnerOptions::sequential())
+        }
+        .run()
+        .unwrap_err();
         let text = err.to_string();
         assert!(text.contains("fig5 layer-by-layer"), "{text}");
         assert!(text.contains("--shard"), "{text}");
@@ -748,33 +594,33 @@ mod tests {
 
     #[test]
     fn slice_and_merge_modes_require_a_store() {
+        use crate::runner::ShardSpec;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        for mode in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
-            let err =
-                run_batch_sharded(&jobs, &RunnerOptions::sequential(), None, mode).unwrap_err();
+        for shard in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
+            let err = Sweep { shard, ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+                .run()
+                .unwrap_err();
             assert!(err.to_string().contains("--cache-dir"), "{err}");
         }
     }
 
     #[test]
-    fn zero_fault_resumable_run_is_byte_identical_to_run_batch() {
+    fn zero_fault_plan_is_byte_identical_to_a_plain_sweep() {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
-        let reference = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+        let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("zerofault");
         let store = ResultStore::open(&dir).unwrap();
-        let journal = SweepJournal::open(&dir, &jobs, None, false).unwrap();
-        let inert: Arc<dyn FaultHook> = Arc::new(FaultPlan::new(7));
-        let batch = run_batch_resumable(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store),
-            Some(&journal),
-            Some(&inert),
-        )
+        let inert = FaultPlan::new(7);
+        let batch = Sweep {
+            store: Some(&store),
+            faults: Some(&inert),
+            ..Sweep::new(&jobs, RunnerOptions::sequential())
+        }
+        .run()
         .unwrap();
         assert!(batch.failures.is_empty());
         assert_eq!(batch.results, reference.results);
@@ -782,20 +628,19 @@ mod tests {
             serde_json::to_string(&batch.results).unwrap(),
             serde_json::to_string(&reference.results).unwrap()
         );
-        assert_eq!(journal.completed_count(), jobs.len());
+        assert_eq!(store.len(), jobs.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn persistent_panics_are_quarantined_not_propagated() {
-        use crate::runner::fault::{FaultPlan, FaultSite};
+        use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let plan = Arc::new(FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000));
-        let hook: Arc<dyn FaultHook> = plan.clone();
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let plan = FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000);
+        let batch = Sweep { faults: Some(&plan), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
         assert!(batch.results.is_empty());
         assert_eq!(batch.failures.len(), jobs.len());
         for failure in &batch.failures {
@@ -811,7 +656,7 @@ mod tests {
 
     #[test]
     fn transient_panics_retry_to_success() {
-        use crate::runner::fault::{FaultPlan, FaultSite};
+        use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
         let keys: Vec<u64> = jobs
@@ -830,27 +675,25 @@ mod tests {
                     && keys.iter().all(|&k| !(0..MAX_JOB_ATTEMPTS).all(|a| fires(k, a)))
             })
             .expect("some seed yields transient-only panics");
-        let plan = Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let hook: Arc<dyn FaultHook> = plan.clone();
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let plan = FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500);
+        let batch = Sweep { faults: Some(&plan), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
         assert!(batch.failures.is_empty(), "transient panics must retry to success");
         assert_eq!(batch.results.len(), jobs.len());
         assert!(plan.fired(FaultSite::JobPanic) >= 1);
         // Same seed, fresh run ⇒ identical rows and identical fault count.
-        let plan2 = Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let hook2: Arc<dyn FaultHook> = plan2.clone();
-        let batch2 =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook2))
-                .unwrap();
+        let plan2 = FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500);
+        let batch2 = Sweep { faults: Some(&plan2), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
         assert_eq!(batch.results, batch2.results);
         assert_eq!(plan.fired(FaultSite::JobPanic), plan2.fired(FaultSite::JobPanic));
     }
 
     #[test]
     fn quarantined_baseline_reports_dependents_instead_of_erroring() {
-        use crate::runner::fault::{FaultPlan, FaultSite};
+        use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
         assert_eq!(jobs[0].label, BASELINE_LABEL);
@@ -870,11 +713,10 @@ mod tests {
                         .all(|&k| (0..MAX_JOB_ATTEMPTS).all(|a| !fires(k, a)))
             })
             .expect("some seed quarantines exactly the baseline");
-        let hook: Arc<dyn FaultHook> =
-            Arc::new(FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500));
-        let batch =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), None, None, Some(&hook))
-                .unwrap();
+        let plan = FaultPlan::new(seed).with_rate(FaultSite::JobPanic, 500);
+        let batch = Sweep { faults: Some(&plan), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
         assert!(batch.results.is_empty());
         assert_eq!(batch.failures.len(), jobs.len());
         assert!(matches!(batch.failures[0].kind, JobFailureKind::Quarantined { .. }));
@@ -889,67 +731,23 @@ mod tests {
         let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
         let dir = shard_tmp_dir("resume");
         let store = ResultStore::open(&dir).unwrap();
-        let journal = SweepJournal::open(&dir, &jobs, None, false).unwrap();
-        let first =
-            run_batch_resumable(&jobs, &RunnerOptions::sequential(), Some(&store), Some(&journal), None)
-                .unwrap();
-        drop(journal);
+        let first = Sweep { store: Some(&store), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
 
-        // A second process resuming the same sweep: journal replays the
-        // completed set, the store replays every summary, nothing is
-        // recomputed, and the rows serialize byte-identically.
+        // A second process rerunning the same sweep against the same
+        // store: every summary replays from disk, nothing is recomputed,
+        // and the rows serialize byte-identically.
         let store2 = ResultStore::open(&dir).unwrap();
-        let journal2 = SweepJournal::open(&dir, &jobs, None, true).unwrap();
-        assert_eq!(journal2.resumed_count(), jobs.len());
-        let second = run_batch_resumable(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store2),
-            Some(&journal2),
-            None,
-        )
-        .unwrap();
-        assert_eq!(second.stats.schedule_computes, 0, "fully warm resume computes nothing");
+        let second = Sweep { store: Some(&store2), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
+            .run()
+            .unwrap();
+        assert_eq!(second.stats.schedule_computes, 0, "fully warm rerun computes nothing");
+        assert_eq!(store2.stats().hits, jobs.len() as u64);
         assert_eq!(
             serde_json::to_string(&first.results).unwrap(),
             serde_json::to_string(&second.results).unwrap()
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sharded_dispatch_matches_the_direct_entry_points() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
-        let full = match run_batch_sharded(&jobs, &RunnerOptions::sequential(), None, ShardMode::All)
-            .unwrap()
-        {
-            ShardOutcome::Full(batch) => batch,
-            other => panic!("All mode must run the full batch, got {other:?}"),
-        };
-
-        let dir = shard_tmp_dir("dispatch");
-        let store = ResultStore::open(&dir).unwrap();
-        for i in 0..2 {
-            let mode = ShardMode::Slice(ShardSpec::new(i, 2).unwrap());
-            match run_batch_sharded(&jobs, &RunnerOptions::sequential(), Some(&store), mode).unwrap()
-            {
-                ShardOutcome::Slice(run) => assert_eq!(run.total, jobs.len()),
-                other => panic!("Slice mode must not aggregate, got {other:?}"),
-            }
-        }
-        let merged = match run_batch_sharded(
-            &jobs,
-            &RunnerOptions::sequential(),
-            Some(&store),
-            ShardMode::Merge,
-        )
-        .unwrap()
-        {
-            ShardOutcome::Merged(batch) => batch,
-            other => panic!("Merge mode must aggregate, got {other:?}"),
-        };
-        assert_eq!(merged.results, full.results);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,7 @@
 //! set the worker count — results are identical for every N; pass
 //! `--cache-dir <path>` to persist sweep summaries across runs)
 
-use clsa_cim::bench::runner::{run_batch_with_store, sweep_jobs_for_models, ResultStore};
+use clsa_cim::bench::runner::{sweep_jobs_for_models, ResultStore, Sweep};
 use clsa_cim::bench::{parse_cache_dir_arg, parse_jobs_arg, SweepOptions};
 use clsa_cim::ir::Graph;
 
@@ -43,7 +43,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         jobs.len(),
         runner.jobs
     );
-    let batch = run_batch_with_store(&jobs, &runner, store.as_ref())?;
+    let batch = Sweep {
+        store: store.as_ref(),
+        ..Sweep::new(&jobs, runner)
+    }
+    .run()?;
 
     for (name, _) in &models {
         let rows: Vec<_> = batch.results.iter().filter(|r| &r.model == name).collect();

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use cim_bench::runner::{fingerprint, run_batch, sweep_jobs, RunnerOptions, ScheduleCache};
+use cim_bench::runner::{fingerprint, sweep_jobs, RunnerOptions, ScheduleCache, Sweep};
 use cim_bench::SweepOptions;
 use clsa_cim::arch::Architecture;
 use clsa_cim::core::{prepare, run_prepared, RunConfig};
@@ -129,7 +129,7 @@ fn batched_sweep_peaks_at_one_prepared_per_mapping() {
     // All six jobs share one canonicalized graph allocation.
     assert!(jobs[1..].iter().all(|j| Arc::ptr_eq(&j.graph, &jobs[0].graph)));
 
-    let batch = run_batch(&jobs, &RunnerOptions::with_jobs(4)).unwrap();
+    let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run().unwrap();
     // 3 distinct mappings (once-each, wdup+1, wdup+2) serve 6 schedules:
     // each baseline/xinf pair shared one Prepared instead of cloning it.
     assert_eq!(batch.stats.stage_computes, 3);

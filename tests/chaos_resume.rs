@@ -1,25 +1,22 @@
-//! Crash-safe resumable sweeps, end to end: a child process running the
-//! fig. 6c sweep (slowed by an injected per-job delay so the kill lands
-//! mid-sweep) is SIGKILLed, then the sweep is resumed against the same
-//! store — and the final artifact is **byte-identical** to
-//! `tests/golden/fig6c.json`, the same bytes an uninterrupted run
-//! produces.
+//! Crash recovery through the store, end to end: a child process running
+//! the fig. 6c sweep (slowed by an injected per-job delay so the kill
+//! lands mid-sweep) is SIGKILLed once it has persisted a row, then the
+//! sweep is simply rerun against the same store — and the artifact is
+//! **byte-identical** to `tests/golden/fig6c.json`, the same bytes an
+//! uninterrupted run produces. The store is the only resume state: every
+//! row that reached disk replays as a hit, the rest compute.
 //!
 //! The child is this same test binary re-executed with [`STORE_ENV`]
 //! set (the `child_chaos_sweep` "test" is a no-op in a normal run) —
 //! the same pattern `tests/serve_protocol.rs` uses for daemon restarts.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::Duration;
 
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
-use cim_bench::runner::{
-    run_batch_resumable, sweep_fingerprint, FaultHook, FaultPlan, FaultSite, ResultStore,
-    RunnerOptions, SweepJournal,
-};
+use cim_bench::runner::{FaultPlan, FaultSite, ResultStore, RunnerOptions, Sweep};
 
 const STORE_ENV: &str = "CIM_CHAOS_IT_STORE";
 
@@ -28,6 +25,23 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Persisted rows in a store directory: every file but the manifest and
+/// the dot-prefixed in-flight temps.
+fn rows_on_disk(dir: &Path) -> usize {
+    fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(Result::ok)
+                .filter(|e| {
+                    let name = e.file_name();
+                    let name = name.to_string_lossy();
+                    name.ends_with(".json") && name != "index.json" && !name.starts_with('.')
+                })
+                .count()
+        })
+        .unwrap_or(0)
 }
 
 /// Not a test of its own: becomes the *interrupted sweep process* when
@@ -41,25 +55,19 @@ fn child_chaos_sweep() {
     let g = case_study_graph();
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
     let store = ResultStore::open(&dir).expect("store opens");
-    let journal =
-        SweepJournal::open(store.dir(), &jobs, None, false).expect("journal opens fresh");
     // Every job sleeps a second before computing, so the parent's kill
-    // reliably lands between the first mark and the last.
-    let slow: Arc<dyn FaultHook> = Arc::new(
-        FaultPlan::new(2024)
-            .with_rate(FaultSite::JobDelay, 1000)
-            .with_delay(Duration::from_millis(1000)),
-    );
-    let batch = run_batch_resumable(
-        &jobs,
-        &RunnerOptions::sequential(),
-        Some(&store),
-        Some(&journal),
-        Some(&slow),
-    )
+    // reliably lands between the first persisted row and the last.
+    let slow = FaultPlan::new(2024)
+        .with_rate(FaultSite::JobDelay, 1000)
+        .with_delay(Duration::from_millis(1000));
+    let outcome = Sweep {
+        store: Some(&store),
+        faults: Some(&slow),
+        ..Sweep::new(&jobs, RunnerOptions::sequential())
+    }
+    .run()
     .expect("sweep runs");
-    assert!(batch.failures.is_empty());
-    journal.finish();
+    assert!(outcome.failures.is_empty());
 }
 
 #[test]
@@ -67,10 +75,6 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_golden_artifact() {
     let dir = tmp_dir("resume");
     let g = case_study_graph();
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
-    let journal_path = dir.join(format!(
-        ".journal-{:016x}-all.ndjson",
-        sweep_fingerprint(&jobs)
-    ));
 
     let mut child = Command::new(std::env::current_exe().expect("own path"))
         .args(["child_chaos_sweep", "--exact", "--test-threads=1"])
@@ -80,50 +84,45 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_golden_artifact() {
         .spawn()
         .expect("child sweep spawns");
 
-    // Wait for the first completion mark (header + ≥1 line), then
-    // SIGKILL the child mid-sweep. Bounded poll, no wall clock.
-    let mut marks = 0usize;
+    // Wait for the first persisted row, then SIGKILL the child
+    // mid-sweep. Bounded poll, no wall clock.
     for _ in 0..2_000 {
-        marks = fs::read_to_string(&journal_path)
-            .map(|text| text.lines().count().saturating_sub(1))
-            .unwrap_or(0);
-        if marks >= 1 {
+        if rows_on_disk(&dir) >= 1 {
             break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(marks >= 1, "child never journaled a completed job");
     child.kill().expect("SIGKILL delivered"); // SIGKILL: no cleanup runs
     let _ = child.wait();
 
-    // The interruption is real: the journal survived but is incomplete.
-    assert!(journal_path.exists(), "journal survives the kill");
-    let store = ResultStore::open(&dir).expect("store reopens after kill");
-    let journal = SweepJournal::open(store.dir(), &jobs, None, true).expect("journal resumes");
+    // The interruption is real: some rows landed, not all of them.
+    let persisted = rows_on_disk(&dir);
     assert!(
-        journal.resumed_count() >= 1 && journal.resumed_count() < jobs.len(),
-        "kill landed mid-sweep: {}/{} jobs were done",
-        journal.resumed_count(),
+        persisted >= 1 && persisted < jobs.len(),
+        "kill landed mid-sweep: {persisted}/{} rows persisted",
         jobs.len()
     );
 
-    // Resume: completed jobs replay from the store, the rest compute.
-    let resumed = run_batch_resumable(
-        &jobs,
-        &RunnerOptions::sequential(),
-        Some(&store),
-        Some(&journal),
-        None,
-    )
-    .expect("resumed sweep runs");
+    // Resume is a plain rerun against the same store: the persisted rows
+    // replay as hits, the rest compute.
+    let store = ResultStore::open(&dir).expect("store reopens after kill");
+    let resumed = Sweep {
+        store: Some(&store),
+        ..Sweep::new(&jobs, RunnerOptions::sequential())
+    }
+    .run()
+    .expect("rerun sweeps");
     assert!(resumed.failures.is_empty());
-    let store_stats = resumed.store_stats.expect("store-backed run has stats");
-    assert!(
-        store_stats.hits >= 1,
-        "resume replayed nothing from disk: {store_stats:?}"
+    let stats = store.stats();
+    assert_eq!(
+        stats.hits, persisted as u64,
+        "every persisted row replays: {stats:?}"
     );
-    journal.finish();
-    assert!(!journal_path.exists(), "a finished sweep removes its journal");
+    assert_eq!(
+        stats.writes,
+        (jobs.len() - persisted) as u64,
+        "only the rest compute"
+    );
 
     // The artifact is byte-identical to an uninterrupted run — pinned by
     // the committed golden.
@@ -132,7 +131,7 @@ fn sigkill_mid_sweep_then_resume_reproduces_the_golden_artifact() {
     let golden = fs::read_to_string(golden).expect("committed golden readable");
     assert_eq!(
         resumed_json, golden,
-        "kill + resume drifted from tests/golden/fig6c.json"
+        "kill + rerun drifted from tests/golden/fig6c.json"
     );
     let _ = fs::remove_dir_all(&dir);
 }

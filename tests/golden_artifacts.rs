@@ -19,7 +19,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cim_bench::artifacts::{fig6c_results, table1_costs, table2_rows};
+use cim_bench::artifacts::{case_study_graph, fig6c_results, table1_costs, table2_rows};
 use cim_bench::runner::{ResultStore, RunnerOptions};
 
 fn golden_path(name: &str) -> PathBuf {
@@ -52,7 +52,8 @@ fn check_golden(name: &str, json: &str) {
 
 #[test]
 fn fig6c_matches_golden_sequential() {
-    let rows = fig6c_results(&RunnerOptions::sequential(), None).expect("sweep runs");
+    let rows =
+        fig6c_results(&case_study_graph(), &RunnerOptions::sequential(), None).expect("sweep runs");
     let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
     check_golden("fig6c.json", &json);
 }
@@ -62,7 +63,8 @@ fn fig6c_matches_golden_at_four_workers() {
     if blessing() {
         return; // sequential test owns the bless write
     }
-    let rows = fig6c_results(&RunnerOptions::with_jobs(4), None).expect("sweep runs");
+    let rows =
+        fig6c_results(&case_study_graph(), &RunnerOptions::with_jobs(4), None).expect("sweep runs");
     let json = serde_json::to_string_pretty(&rows).expect("rows serialize");
     check_golden("fig6c.json", &json);
 }
@@ -76,8 +78,9 @@ fn fig6c_matches_golden_cold_and_warm_through_the_store() {
     let _ = fs::remove_dir_all(&dir);
 
     // Cold: computes everything, populates the store.
+    let g = case_study_graph();
     let store = ResultStore::open(&dir).expect("store opens");
-    let cold = fig6c_results(&RunnerOptions::with_jobs(4), Some(&store)).expect("cold sweep");
+    let cold = fig6c_results(&g, &RunnerOptions::with_jobs(4), Some(&store)).expect("cold sweep");
     assert_eq!(store.stats().hits, 0, "cold run has nothing to hit");
     assert!(store.stats().writes > 0, "cold run persists its rows");
     check_golden(
@@ -90,7 +93,7 @@ fn fig6c_matches_golden_cold_and_warm_through_the_store() {
     for jobs in [1, 4] {
         let store = ResultStore::open(&dir).expect("store reopens");
         let warm =
-            fig6c_results(&RunnerOptions::with_jobs(jobs), Some(&store)).expect("warm sweep");
+            fig6c_results(&g, &RunnerOptions::with_jobs(jobs), Some(&store)).expect("warm sweep");
         let stats = store.stats();
         assert_eq!(stats.hits, stats.lookups, "warm run is all hits");
         assert!(stats.hits > 0);

@@ -8,8 +8,8 @@
 //!    point twice.
 
 use clsa_cim::bench::runner::{
-    fingerprint, parallel_map, run_batch, sweep_jobs, sweep_jobs_for_models, RunnerOptions,
-    ScheduleCache,
+    fingerprint, parallel_map, sweep_jobs, sweep_jobs_for_models, RunnerOptions, ScheduleCache,
+    Sweep,
 };
 use clsa_cim::bench::SweepOptions;
 use clsa_cim::core::RunConfig;
@@ -36,8 +36,8 @@ fn parallel_batch_is_byte_identical_to_sequential() {
     let jobs = sweep_jobs_for_models(&models, &opts).unwrap();
     assert!(jobs.len() >= 12, "acceptance demands a ≥ 12-config sweep");
 
-    let parallel = run_batch(&jobs, &RunnerOptions::with_jobs(4)).unwrap();
-    let sequential = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+    let parallel = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run().unwrap();
+    let sequential = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
     // Byte-for-byte: compare the serialized aggregates, not just PartialEq
     // (which would accept e.g. -0.0 vs 0.0 or NaN-sign differences).
@@ -59,9 +59,9 @@ fn parallel_batch_is_byte_identical_to_sequential() {
 fn every_worker_count_agrees() {
     let (models, opts) = three_by_two_sweep();
     let jobs = sweep_jobs_for_models(&models, &opts).unwrap();
-    let reference = run_batch(&jobs, &RunnerOptions::sequential()).unwrap();
+    let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
     for workers in [2, 3, 8, 64] {
-        let batch = run_batch(&jobs, &RunnerOptions::with_jobs(workers)).unwrap();
+        let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(workers)).run().unwrap();
         assert_eq!(batch.results, reference.results, "jobs = {workers}");
     }
 }
@@ -76,7 +76,7 @@ fn cache_hits_on_baseline_vs_clsa_pair() {
     // Two jobs: layer-by-layer and xinf over the same model and arch.
     let jobs = sweep_jobs("fig5", &g, &opts).unwrap();
     assert_eq!(jobs.len(), 2);
-    let batch = run_batch(&jobs, &RunnerOptions::with_jobs(2)).unwrap();
+    let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(2)).run().unwrap();
     assert!(
         batch.stats.stage_hits() >= 1,
         "baseline and CLSA over one model must share the stage prefix: {}",

@@ -3,15 +3,16 @@
 //! reproduce the unsharded artifacts **byte-for-byte** — for the fig. 6c
 //! sweep (pinned against `tests/golden/fig6c.json`) and for the autotune
 //! Pareto front. Also pins the failure modes: a merge against a store
-//! that is missing rows, and shard modes without a store at all.
+//! that is missing rows (which must fail without computing anything),
+//! and shard modes without a store at all.
 
 use std::fs;
 use std::path::PathBuf;
 
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
 use cim_bench::runner::{
-    merge_batch, run_batch_shard, run_batch_sharded, run_batch_with_store, ResultStore,
-    RunnerOptions, ShardMode, ShardOutcome, ShardSpec,
+    CacheKey, FaultPlan, FaultSite, ResultStore, RunnerOptions, ShardMode, ShardSpec, Sweep,
+    SweepJob, SweepOutcome,
 };
 use cim_bench::tune::{autotune, autotune_shard};
 use cim_frontend::{canonicalize, CanonOptions};
@@ -23,33 +24,50 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One `--shard` run of `jobs` against `store`.
+fn sharded(
+    jobs: &[SweepJob],
+    runner: RunnerOptions,
+    store: &ResultStore,
+    shard: ShardMode,
+) -> Result<SweepOutcome, clsa_core::CoreError> {
+    Sweep {
+        store: Some(store),
+        shard,
+        ..Sweep::new(jobs, runner)
+    }
+    .run()
+}
+
+fn slice(i: usize) -> ShardMode {
+    ShardMode::Slice(ShardSpec::new(i, 2).unwrap())
+}
+
 #[test]
 fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
     let g = case_study_graph();
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
     let runner = RunnerOptions::with_jobs(4);
-    let reference = run_batch_with_store(&jobs, &runner, None).expect("unsharded sweep");
+    let reference = Sweep::new(&jobs, runner).run().expect("unsharded sweep");
 
     // Two worker processes in spirit: each owns a fingerprint-range
     // slice, both persist into the same store.
     let dir = tmp_dir("fig6c");
     let store = ResultStore::open(&dir).expect("store opens");
-    let s0 = run_batch_shard(&jobs, &runner, &store, ShardSpec::new(0, 2).unwrap())
-        .expect("slice 0 runs");
-    let s1 = run_batch_shard(&jobs, &runner, &store, ShardSpec::new(1, 2).unwrap())
-        .expect("slice 1 runs");
+    let s0 = sharded(&jobs, runner, &store, slice(0)).expect("slice 0 runs");
+    let s1 = sharded(&jobs, runner, &store, slice(1)).expect("slice 1 runs");
     assert_eq!(
         s0.owned + s1.owned,
         jobs.len(),
         "the slices partition the job list exactly"
     );
-    assert_eq!((s0.total, s1.total), (jobs.len(), jobs.len()));
+    assert!(s0.results.is_empty() && s1.results.is_empty(), "slices export nothing");
     assert_eq!(store.len(), jobs.len(), "every job persisted exactly once");
 
     // The merge replays the fully-warm store — a fresh handle, as the
     // merge would run in its own process.
     let store = ResultStore::open(&dir).expect("store reopens");
-    let merged = merge_batch(&jobs, &store).expect("merge replays");
+    let merged = sharded(&jobs, runner, &store, ShardMode::Merge).expect("merge replays");
     assert_eq!(
         store.stats().hits,
         jobs.len() as u64,
@@ -68,13 +86,6 @@ fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
         merged_json, golden,
         "sharded merge drifted from tests/golden/fig6c.json"
     );
-
-    // The dispatching entry point agrees with the piecewise calls.
-    let via_mode = match run_batch_sharded(&jobs, &runner, Some(&store), ShardMode::Merge) {
-        Ok(ShardOutcome::Merged(batch)) => batch,
-        other => panic!("expected a merged batch, got {other:?}"),
-    };
-    assert_eq!(via_mode.results, reference.results);
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -84,12 +95,54 @@ fn merge_against_a_cold_store_names_the_missing_slice() {
     let jobs = fig6c_jobs(&g).expect("sweep jobs build");
     let dir = tmp_dir("coldmerge");
     let store = ResultStore::open(&dir).expect("store opens");
-    let err = merge_batch(&jobs, &store).expect_err("nothing persisted yet");
+    let err = sharded(&jobs, RunnerOptions::sequential(), &store, ShardMode::Merge)
+        .expect_err("nothing persisted yet");
     let detail = err.to_string();
     assert!(
         detail.contains("run every `--shard i/n` slice"),
         "the error tells the operator what to do next: {detail}"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A merge shares the job body of a live run, so it must stop at the
+/// store: against a partly warm store it names a missing job and neither
+/// computes, writes, nor consults the job-level fault sites.
+#[test]
+fn merge_against_a_partly_warm_store_computes_nothing() {
+    let g = case_study_graph();
+    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let runner = RunnerOptions::with_jobs(2);
+    let dir = tmp_dir("partmerge");
+    let store = ResultStore::open(&dir).expect("store opens");
+    sharded(&jobs, runner, &store, slice(0)).expect("slice 0 runs");
+
+    let slice1_owns = ShardSpec::new(1, 2).unwrap();
+    let missing: Vec<String> = jobs
+        .iter()
+        .filter(|job| slice1_owns.owns(&CacheKey::schedule(job.model_fp, &job.config)))
+        .map(|job| format!("`{} {}`", job.model, job.label))
+        .collect();
+    assert!(!missing.is_empty(), "slice 1 owns part of the fig6c sweep");
+
+    let store = ResultStore::open(&dir).expect("store reopens");
+    let plan = FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000);
+    let err = Sweep {
+        store: Some(&store),
+        shard: ShardMode::Merge,
+        faults: Some(&plan),
+        ..Sweep::new(&jobs, runner)
+    }
+    .run()
+    .expect_err("slice 1 never ran");
+    let detail = err.to_string();
+    assert!(
+        detail.contains(&missing[0]),
+        "the error names slice 1's first job {}: {detail}",
+        missing[0]
+    );
+    assert_eq!(store.stats().writes, 0, "a merge writes nothing");
+    assert_eq!(plan.fired(FaultSite::JobPanic), 0, "a merge never runs a job");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -102,7 +155,8 @@ fn shard_modes_without_a_store_are_typed_errors() {
         ShardMode::Slice(ShardSpec::new(0, 2).unwrap()),
         ShardMode::Merge,
     ] {
-        let err = run_batch_sharded(&jobs, &runner, None, mode)
+        let err = Sweep { shard: mode, ..Sweep::new(&jobs, runner) }
+            .run()
             .expect_err("the store is the merge point");
         assert!(
             err.to_string().contains("--cache-dir"),

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use cim_bench::runner::{
-    run_batch_with_store, sweep_jobs, CacheKey, ResultStore, RunSummary, RunnerOptions,
+    sweep_jobs, CacheKey, ResultStore, RunSummary, RunnerOptions, Sweep, SweepOutcome,
     STORE_FORMAT_VERSION,
 };
 use cim_bench::SweepOptions;
@@ -26,14 +26,22 @@ fn fig5_jobs() -> Vec<cim_bench::runner::SweepJob> {
     sweep_jobs("fig5", &cim_models::fig5_example(), &opts).expect("jobs build")
 }
 
+fn sweep(
+    jobs: &[cim_bench::runner::SweepJob],
+    runner: RunnerOptions,
+    store: Option<&ResultStore>,
+) -> SweepOutcome {
+    Sweep { store, ..Sweep::new(jobs, runner) }.run().expect("sweep runs")
+}
+
 #[test]
 fn cold_warm_and_unstored_runs_are_byte_identical() {
     let dir = tmp_dir("rerun");
     let jobs = fig5_jobs();
-    let unstored = run_batch_with_store(&jobs, &RunnerOptions::sequential(), None).unwrap();
+    let unstored = sweep(&jobs, RunnerOptions::sequential(), None);
 
     let store = ResultStore::open(&dir).unwrap();
-    let cold = run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let cold = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
     let cold_stats = store.stats();
     assert_eq!(cold_stats.hits, 0);
     assert_eq!(cold_stats.writes, jobs.len() as u64, "every job persisted");
@@ -41,7 +49,7 @@ fn cold_warm_and_unstored_runs_are_byte_identical() {
     // Fresh handle — the next process. Everything replays from disk: the
     // in-memory schedule cache is never even consulted.
     let store = ResultStore::open(&dir).unwrap();
-    let warm = run_batch_with_store(&jobs, &RunnerOptions::with_jobs(4), Some(&store)).unwrap();
+    let warm = sweep(&jobs, RunnerOptions::with_jobs(4), Some(&store));
     let warm_stats = store.stats();
     assert_eq!(warm_stats.hits, jobs.len() as u64, "warm run is all hits");
     assert_eq!(warm.stats.schedule_lookups, 0, "no in-memory computation");
@@ -60,8 +68,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
     let dir = tmp_dir("trunc");
     let jobs = fig5_jobs();
     let store = ResultStore::open(&dir).unwrap();
-    let reference =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let reference = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
 
     // Truncate every persisted row mid-document.
     for dirent in fs::read_dir(&dir).unwrap() {
@@ -73,8 +80,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
     }
 
     let store = ResultStore::open(&dir).unwrap();
-    let recovered =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let recovered = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
     let stats = store.stats();
     assert_eq!(recovered.results, reference.results, "recompute, never trust");
     assert_eq!(stats.hits, 0, "no truncated row served");
@@ -83,7 +89,7 @@ fn truncated_rows_are_evicted_and_recomputed() {
 
     // Third run: healed — full hits again.
     let store = ResultStore::open(&dir).unwrap();
-    let healed = run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let healed = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
     assert_eq!(healed.results, reference.results);
     assert_eq!(store.stats().hits as usize, jobs.len());
     let _ = fs::remove_dir_all(&dir);
@@ -94,8 +100,7 @@ fn version_mismatched_rows_are_evicted_and_recomputed() {
     let dir = tmp_dir("version");
     let jobs = fig5_jobs();
     let store = ResultStore::open(&dir).unwrap();
-    let reference =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let reference = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
 
     // Stamp one row as written by a future format version.
     let victim = fs::read_dir(&dir)
@@ -111,8 +116,7 @@ fn version_mismatched_rows_are_evicted_and_recomputed() {
     fs::write(&victim, text).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
-    let recovered =
-        run_batch_with_store(&jobs, &RunnerOptions::sequential(), Some(&store)).unwrap();
+    let recovered = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
     let stats = store.stats();
     assert_eq!(recovered.results, reference.results);
     assert_eq!(stats.evictions, 1, "exactly the stamped row evicted");
