@@ -13,7 +13,9 @@
 //! * `cold_pipeline` — a full `clsa_core::run` (mapping + Stages I–IV +
 //!   validation) from scratch;
 //! * `stage2_dependencies` — the CSR `determine_dependencies` (scratch
-//!   buffer, flat arena) on the case-study mapping;
+//!   buffer, flat arena, row-band lookup) on the case-study mapping,
+//!   beside the retained naive reference (per-set `HashSet`, full scan of
+//!   every producer layer) — the ratio of this pair tracks Stage II;
 //! * `batched_noc_gpeu_b32` — `batched_cross_layer_schedule` under the
 //!   `NocAndGpeu` cost model at batch 32, both the optimized (costs
 //!   precomputed once per batch) and the retained naive reference
@@ -101,6 +103,16 @@ fn bench_stage2(c: &mut Criterion) {
         |b, p| {
             b.iter(|| {
                 clsa_core::determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II")
+            })
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new("stage2_dependencies", "naive_reference"),
+        &prepared,
+        |b, p| {
+            b.iter(|| {
+                reference::determine_dependencies_naive(&p.mapped_graph, &p.layers)
+                    .expect("naive stage II")
             })
         },
     );

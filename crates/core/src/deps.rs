@@ -10,6 +10,18 @@
 //! One producer set can influence multiple consumer sets (the paper's `Q`
 //! relation) and one consumer set can require multiple producer sets (`P`).
 //!
+//! # Lookup
+//!
+//! Stage I emits every layer's sets as strictly ordered, disjoint row bands
+//! (each set's last row lies above the next set's first row). For such a
+//! producer layer the walk binary-searches the first set whose last row
+//! reaches the propagated rectangle and stops at the first set that starts
+//! below it, so one consumer set costs `O(log S + k)` per producer layer
+//! it reaches (`S` sets, `k` of them intersected) instead of `O(S)`. Layers
+//! built by hand with any other set shape (reversed, overlapping or
+//! column-split) are checked once per call and then scanned in full. Each
+//! node's input shapes are also gathered once per call, not once per set.
+//!
 //! # Representation
 //!
 //! The relation is stored in **CSR form** over the global
@@ -21,7 +33,7 @@
 //! `fan_in`, `fan_out`) and the serde format (the nested `deps` array) are
 //! unchanged.
 
-use cim_ir::{input_region, Graph, NodeId, Op, Rect};
+use cim_ir::{input_region, FeatureShape, Graph, NodeId, Op, Rect};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
@@ -115,26 +127,40 @@ impl Dependencies {
     /// Rebuilds the CSR form from the legacy nested `deps[l][s]` shape
     /// (each inner list is sorted and deduplicated on ingestion) — the
     /// serde wire format.
-    fn from_nested(nested: Vec<Vec<Vec<SetRef>>>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Names the first edge whose producer is not a set of the nested
+    /// shape, as [`from_edges`](Self::from_edges) rejects it.
+    fn from_nested(nested: Vec<Vec<Vec<SetRef>>>) -> std::result::Result<Self, serde::Error> {
         let counts: Vec<usize> = nested.iter().map(Vec::len).collect();
         let space = SetSpace::from_counts(&counts);
         let mut offsets = Vec::with_capacity(space.total_sets() + 1);
         let mut producers =
             Vec::with_capacity(nested.iter().flatten().map(Vec::len).sum::<usize>());
         offsets.push(0);
-        for sets in nested {
-            for mut ds in sets {
+        for (l, sets) in nested.into_iter().enumerate() {
+            for (s, mut ds) in sets.into_iter().enumerate() {
+                if let Some(p) = ds
+                    .iter()
+                    .find(|p| counts.get(p.layer).is_none_or(|&n| p.set >= n))
+                {
+                    let consumer = SetRef { layer: l, set: s };
+                    return Err(serde::Error::custom(format!(
+                        "Dependencies: producer {p} of {consumer} is out of range"
+                    )));
+                }
                 ds.sort_unstable();
                 ds.dedup();
                 producers.extend_from_slice(&ds);
                 offsets.push(producers.len());
             }
         }
-        Self {
+        Ok(Self {
             space,
             offsets,
             producers,
-        }
+        })
     }
 
     /// Producer sets required by set `s` of layer `l`.
@@ -259,7 +285,7 @@ impl Deserialize for Dependencies {
         let deps = Value::map_get(entries, "deps")
             .ok_or_else(|| serde::Error::custom("Dependencies: missing `deps`"))?;
         let nested: Vec<Vec<Vec<SetRef>>> = Deserialize::from_value(deps)?;
-        Ok(Self::from_nested(nested))
+        Self::from_nested(nested)
     }
 }
 
@@ -274,18 +300,7 @@ impl Deserialize for Dependencies {
 ///
 /// See the crate-level documentation for the worked Fig. 5 example.
 pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dependencies> {
-    // Map node id -> layer index for base layers.
-    let mut layer_of = vec![usize::MAX; graph.len()];
-    for (i, l) in layers.iter().enumerate() {
-        let node = graph.node(l.node)?;
-        if !node.op.is_base() {
-            return Err(CoreError::StageMismatch {
-                detail: format!("layer entry `{}` is not a base layer", l.name),
-            });
-        }
-        layer_of[l.node.index()] = i;
-    }
-
+    let walk = Walk::new(graph, layers)?;
     let space = SetSpace::of_layers(layers);
     let mut offsets = Vec::with_capacity(space.total_sets() + 1);
     let mut producers: Vec<SetRef> = Vec::new();
@@ -297,17 +312,13 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
 
     for layer in layers {
         let node = graph.node(layer.node)?;
-        let in_shapes: Vec<_> = node
-            .inputs
-            .iter()
-            .map(|&i| graph.node(i).map(|n| n.out_shape))
-            .collect::<std::result::Result<_, _>>()?;
+        let in_shapes = walk.in_shapes(layer.node);
         for set in &layer.sets {
             // The IFM region this conv/dense set needs.
             scratch.clear();
             for (idx, &inp) in node.inputs.iter().enumerate() {
-                if let Some(r) = input_region(&node.op, set.rect, &in_shapes, idx, node.out_shape) {
-                    back_propagate(graph, &layer_of, layers, inp, r, &mut scratch)?;
+                if let Some(r) = input_region(&node.op, set.rect, in_shapes, idx, node.out_shape) {
+                    walk.back_propagate(inp, r, &mut scratch)?;
                 }
             }
             scratch.sort_unstable();
@@ -323,46 +334,112 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     })
 }
 
-/// Propagates `rect` (a region of `node`'s output) backwards until base
-/// layers or graph inputs are reached, recording intersecting producer sets
-/// (possibly with duplicates — the caller sort-dedups the scratch buffer).
-fn back_propagate(
-    graph: &Graph,
-    layer_of: &[usize],
-    layers: &[LayerSets],
-    node: NodeId,
-    rect: Rect,
-    found: &mut Vec<SetRef>,
-) -> Result<()> {
-    let n = graph.node(node)?;
-    if n.op.is_base() {
-        let li = layer_of[node.index()];
-        if li == usize::MAX {
-            return Err(CoreError::StageMismatch {
-                detail: format!("base layer `{}` has no Stage-I sets", n.name),
-            });
+/// What the backward walk of one Stage-II call looks up, computed once per
+/// call rather than once per set.
+struct Walk<'a> {
+    graph: &'a Graph,
+    layers: &'a [LayerSets],
+    /// Node index → index of its entry in `layers` (`usize::MAX` if none).
+    layer_of: Vec<usize>,
+    /// `shapes[shape_offsets[n]..shape_offsets[n + 1]]` are the output
+    /// shapes of node `n`'s inputs, in positional order.
+    shape_offsets: Vec<usize>,
+    shapes: Vec<FeatureShape>,
+    /// Per layer: whether its sets are strictly ordered, disjoint row bands
+    /// (`y1` of each set below `y0` of the next), as `determine_sets`
+    /// always emits them.
+    banded: Vec<bool>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(graph: &'a Graph, layers: &'a [LayerSets]) -> Result<Self> {
+        let mut layer_of = vec![usize::MAX; graph.len()];
+        for (i, l) in layers.iter().enumerate() {
+            let node = graph.node(l.node)?;
+            if !node.op.is_base() {
+                return Err(CoreError::StageMismatch {
+                    detail: format!("layer entry `{}` is not a base layer", l.name),
+                });
+            }
+            layer_of[l.node.index()] = i;
         }
-        for (si, set) in layers[li].sets.iter().enumerate() {
+        let mut shape_offsets = Vec::with_capacity(graph.len() + 1);
+        let mut shapes = Vec::new();
+        shape_offsets.push(0);
+        for n in graph.iter() {
+            for &i in &n.inputs {
+                shapes.push(graph.node(i)?.out_shape);
+            }
+            shape_offsets.push(shapes.len());
+        }
+        let banded = layers
+            .iter()
+            .map(|l| l.sets.windows(2).all(|w| w[0].rect.y1 < w[1].rect.y0))
+            .collect();
+        Ok(Self {
+            graph,
+            layers,
+            layer_of,
+            shape_offsets,
+            shapes,
+            banded,
+        })
+    }
+
+    fn in_shapes(&self, node: NodeId) -> &[FeatureShape] {
+        let n = node.index();
+        &self.shapes[self.shape_offsets[n]..self.shape_offsets[n + 1]]
+    }
+
+    /// Propagates `rect` (a region of `node`'s output) backwards until base
+    /// layers or graph inputs are reached, recording intersecting producer
+    /// sets (possibly with duplicates — the caller sort-dedups the scratch
+    /// buffer).
+    fn back_propagate(&self, node: NodeId, rect: Rect, found: &mut Vec<SetRef>) -> Result<()> {
+        let n = self.graph.node(node)?;
+        if n.op.is_base() {
+            let li = self.layer_of[node.index()];
+            if li == usize::MAX {
+                return Err(CoreError::StageMismatch {
+                    detail: format!("base layer `{}` has no Stage-I sets", n.name),
+                });
+            }
+            self.push_intersecting(li, rect, found);
+            return Ok(());
+        }
+        if matches!(n.op, Op::Input { .. }) {
+            return Ok(());
+        }
+        let in_shapes = self.in_shapes(node);
+        for (idx, &inp) in n.inputs.iter().enumerate() {
+            if let Some(r) = input_region(&n.op, rect, in_shapes, idx, n.out_shape) {
+                self.back_propagate(inp, r, found)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Records every set of layer `li` that `rect` intersects. On a banded
+    /// layer only the sets whose rows overlap `rect` are visited: the first
+    /// is found by binary search, and the walk stops at the first set below
+    /// `rect`. Any other layer is scanned in full.
+    fn push_intersecting(&self, li: usize, rect: Rect, found: &mut Vec<SetRef>) {
+        let sets = &self.layers[li].sets;
+        let banded = self.banded[li];
+        let first = if banded {
+            sets.partition_point(|s| s.rect.y1 < rect.y0)
+        } else {
+            0
+        };
+        for (si, set) in sets.iter().enumerate().skip(first) {
+            if banded && set.rect.y0 > rect.y1 {
+                break;
+            }
             if set.rect.intersects(&rect) {
                 found.push(SetRef { layer: li, set: si });
             }
         }
-        return Ok(());
     }
-    if matches!(n.op, Op::Input { .. }) {
-        return Ok(());
-    }
-    let in_shapes: Vec<_> = n
-        .inputs
-        .iter()
-        .map(|&i| graph.node(i).map(|x| x.out_shape))
-        .collect::<std::result::Result<_, _>>()?;
-    for (idx, &inp) in n.inputs.iter().enumerate() {
-        if let Some(r) = input_region(&n.op, rect, &in_shapes, idx, n.out_shape) {
-            back_propagate(graph, layer_of, layers, inp, r, found)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -372,7 +449,7 @@ mod tests {
     use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, PadSpec, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
 
-    use crate::sets::{determine_sets, SetPolicy};
+    use crate::sets::{determine_sets, OfmSet, SetPolicy};
 
     fn conv_op(oc: usize, k: usize, st: usize) -> Op {
         Op::Conv2d(Conv2dAttrs {
@@ -686,6 +763,53 @@ mod tests {
             err.to_string().contains("not topologically earlier"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn deserializing_an_out_of_range_edge_fails() {
+        let json = r#"{"deps":[[[]],[[{"layer":0,"set":5}]]]}"#;
+        let err = serde_json::from_str::<Dependencies>(json).unwrap_err();
+        assert!(err.to_string().contains("L0S5 of L1S0"), "{err}");
+        let json = r#"{"deps":[[[{"layer":2,"set":0}]]]}"#;
+        let err = serde_json::from_str::<Dependencies>(json).unwrap_err();
+        assert!(err.to_string().contains("L2S0 of L0S0"), "{err}");
+    }
+
+    /// Hand-built layers whose sets are not ordered row bands take the
+    /// plain scan, and still match the reference analysis.
+    #[test]
+    fn non_banded_sets_match_the_reference() {
+        let g = fig5_graph();
+        let (finest, _) = stages(&g, &SetPolicy::finest());
+        let band = |y0: usize, y1: usize| OfmSet {
+            rect: Rect::new(y0, 0, y1, 7),
+            duration: 8 * (y1 - y0 + 1) as u64,
+        };
+        let split = |y0: usize, y1: usize, x0: usize, x1: usize| OfmSet {
+            rect: Rect::new(y0, x0, y1, x1),
+            duration: ((y1 - y0 + 1) * (x1 - x0 + 1)) as u64,
+        };
+        let shapes: [Vec<OfmSet>; 3] = [
+            // Reversed: bottom band first.
+            vec![band(6, 7), band(4, 5), band(2, 3), band(0, 1)],
+            // Overlapping bands.
+            vec![band(0, 3), band(2, 5), band(4, 7)],
+            // Column-split: two sets share each row band.
+            vec![
+                split(0, 3, 0, 3),
+                split(0, 3, 4, 7),
+                split(4, 7, 0, 3),
+                split(4, 7, 4, 7),
+            ],
+        ];
+        for sets in shapes {
+            let mut layers = finest.clone();
+            layers[0].sets = sets;
+            let fast = determine_dependencies(&g, &layers).unwrap();
+            let naive = crate::reference::determine_dependencies_naive(&g, &layers).unwrap();
+            assert_eq!(fast, naive, "{:?}", layers[0].sets);
+            assert!(fast.num_edges() > 0);
+        }
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //!
 //! Two consumers:
 //!
-//! * the validator itself — [`crate::validate_schedule_costed`] is now a
-//!   thin filter over [`analyze_costed`], returning the first
-//!   [`Severity::Error`] validation finding as a
+//! * the validator itself — [`crate::validate_schedule_costed`] runs only
+//!   the validation group of [`analyze_costed`] and returns its first
+//!   finding as a
 //!   [`CoreError::InvalidSchedule`](crate::CoreError::InvalidSchedule)
-//!   with an unchanged message, so every
-//!   historical error string (and the tests asserting on them) is
-//!   preserved byte-for-byte;
+//!   with an unchanged message, so every historical error string (and the
+//!   tests asserting on them) is preserved byte-for-byte;
 //! * the `lint-schedule` binary in `cim-bench`, which prints the full
 //!   report (including the advisory findings the validator ignores).
 //!
@@ -22,9 +21,10 @@
 //! | validation | `shape`, `cost-table`, `duration`, `overlap`, `data-dep`, `makespan` | the schedule breaks the paper's legality rules (Sec. IV); always [`Severity::Error`] |
 //! | analysis | `backward-dep`, `cycle`, `unreachable`, `fan-in`, `capacity`, `tile-span` | the *inputs* are malformed or the mapping looks suspicious; severities vary |
 //!
-//! Analysis findings never affect [`crate::validate_schedule`]'s verdict:
-//! a schedule over odd-looking inputs is still legal if every window obeys
-//! the duration, ordering, dependency, and makespan rules.
+//! Analysis findings never affect [`crate::validate_schedule`]'s verdict,
+//! so the validator does not compute them: a schedule over odd-looking
+//! inputs is still legal if every window obeys the duration, ordering,
+//! dependency, and makespan rules.
 
 use serde::Serialize;
 
@@ -124,10 +124,25 @@ pub fn analyze_costed(
     costed: &CostedDeps,
 ) -> Vec<ScheduleDiagnostic> {
     let mut out = Vec::new();
+    if validation_findings(layers, deps, schedule, costed, &mut out) {
+        analyze_deps(layers, deps, &mut out);
+    }
+    out
+}
 
+/// The validation group of [`analyze_costed`]: pushes its findings, all of
+/// [`Severity::Error`], and reports whether the shapes agree well enough
+/// for the analysis group to index the dependencies.
+pub(crate) fn validation_findings(
+    layers: &[LayerSets],
+    deps: &Dependencies,
+    schedule: &Schedule,
+    costed: &CostedDeps,
+    out: &mut Vec<ScheduleDiagnostic>,
+) -> bool {
     // -- shape (gate: everything below indexes through it) ---------------
-    if !check_shape(layers, schedule, &mut out) {
-        return out;
+    if !check_shape(layers, schedule, out) {
+        return false;
     }
     // The historical validator assumed deps agree with the schedule shape
     // (they always do when both come from the pipeline) and would index
@@ -143,7 +158,7 @@ pub fn analyze_costed(
                 schedule.num_layers()
             ),
         ));
-        return out;
+        return false;
     }
 
     // -- cost-table provenance -------------------------------------------
@@ -223,14 +238,12 @@ pub fn analyze_costed(
             ),
         ));
     }
-
-    // -- analysis group (never consumed by the validator) -----------------
-    analyze_deps(layers, deps, &mut out);
-    out
+    true
 }
 
-/// Analysis-only findings over the dependency structure: backward edges,
-/// cycles, unreachable sets, and fan-in anomalies.
+/// The analysis group of [`analyze_costed`], which the validator never
+/// runs: backward edges, cycles, unreachable sets, and fan-in anomalies
+/// over the dependency structure.
 fn analyze_deps(layers: &[LayerSets], deps: &Dependencies, out: &mut Vec<ScheduleDiagnostic>) {
     // Backward (non-topological) edges. `Dependencies::from_edges` admits
     // arbitrary producer/consumer pairs; the schedulers require every

@@ -5,7 +5,7 @@
 
 use crate::cost::CostedDeps;
 use crate::deps::Dependencies;
-use crate::diagnose::{analyze_costed, is_validation_code, Severity};
+use crate::diagnose::validation_findings;
 use crate::error::{CoreError, Result};
 use crate::schedule::{EdgeCost, Schedule};
 use crate::sets::LayerSets;
@@ -42,12 +42,12 @@ pub fn validate_schedule(
 
 /// [`validate_schedule`] on a prebuilt [`CostedDeps`] table.
 ///
-/// Implemented as a filter over the structured diagnostics pass
-/// ([`crate::diagnose::analyze_costed`]): the first validation finding of
-/// [`Severity::Error`] becomes the returned error, with a message
-/// byte-identical to the historical single-shot validator's. Analysis
-/// findings (backward edges, fan-in anomalies, …) never affect the
-/// verdict — see the `diagnose` module docs for the split.
+/// Runs only the validation group of the structured diagnostics pass
+/// ([`crate::diagnose::analyze_costed`]): its first finding becomes the
+/// returned error, with a message byte-identical to the historical
+/// single-shot validator's. The analysis group (backward edges, cycles,
+/// fan-in anomalies, …) never affects the verdict, so it is not run — see
+/// the `diagnose` module docs for the split.
 ///
 /// # Errors
 ///
@@ -58,10 +58,9 @@ pub fn validate_schedule_costed(
     schedule: &Schedule,
     costed: &CostedDeps,
 ) -> Result<()> {
-    let first = analyze_costed(layers, deps, schedule, costed)
-        .into_iter()
-        .find(|d| d.severity == Severity::Error && is_validation_code(d.code));
-    match first {
+    let mut findings = Vec::new();
+    validation_findings(layers, deps, schedule, costed, &mut findings);
+    match findings.into_iter().next() {
         Some(d) => Err(CoreError::InvalidSchedule { detail: d.detail }),
         None => Ok(()),
     }
@@ -213,6 +212,113 @@ mod tests {
         s.makespan += 7;
         let err = validate_schedule(&layers, &deps, &s, &EdgeCost::Free).unwrap_err();
         assert!(err.to_string().contains("makespan"), "{err}");
+    }
+
+    /// The validator runs only the validation group, yet its verdict is
+    /// the first validation error of the full diagnostics pass — on clean
+    /// and corrupted schedules, on a mismatched cost table, and on deps
+    /// whose backward edges and cycles only the analysis group reports.
+    #[test]
+    fn verdict_is_the_first_validation_finding_of_the_full_pass() {
+        use crate::deps::SetRef;
+        use crate::diagnose::{analyze_costed, is_validation_code, Severity};
+
+        let (layers, deps, s) = pipeline();
+        let counts: Vec<usize> = layers.iter().map(|l| l.sets.len()).collect();
+        let a = SetRef { layer: 0, set: 0 };
+        let b = SetRef { layer: 0, set: 1 };
+        let c = SetRef { layer: 1, set: 0 };
+        let corrupt = |f: &dyn Fn(&mut Schedule)| {
+            let mut bad = s.clone();
+            f(&mut bad);
+            bad
+        };
+        let with_costs = |deps: Dependencies| {
+            let costed = CostedDeps::free(&layers, &deps).unwrap();
+            (deps, costed)
+        };
+        let (deps, free) = with_costs(deps);
+        // A cost table built from other deps.
+        let (_, other_costed) = with_costs(Dependencies::from_edges(&counts, &[(c, a)]).unwrap());
+        // A same-layer edge the schedule satisfies: analysis errors only.
+        let (backward, backward_costed) =
+            with_costs(Dependencies::from_edges(&counts, &[(b, a)]).unwrap());
+        let (cycle, cycle_costed) =
+            with_costs(Dependencies::from_edges(&counts, &[(c, a), (a, c)]).unwrap());
+        let cases = [
+            ("clean", &deps, s.clone(), &free),
+            (
+                "duration",
+                &deps,
+                corrupt(&|t| t.time_mut(0, 0).finish += 1),
+                &free,
+            ),
+            (
+                "overlap",
+                &deps,
+                corrupt(&|t| {
+                    let d = t.time(0, 1).finish - t.time(0, 1).start;
+                    t.time_mut(0, 1).start = t.time(0, 0).start;
+                    t.time_mut(0, 1).finish = t.time(0, 0).start + d;
+                }),
+                &free,
+            ),
+            (
+                "early consumer",
+                &deps,
+                corrupt(&|t| {
+                    let d = t.time(1, 0).finish - t.time(1, 0).start;
+                    t.time_mut(1, 0).start = 0;
+                    t.time_mut(1, 0).finish = d;
+                }),
+                &free,
+            ),
+            ("makespan", &deps, corrupt(&|t| t.makespan += 7), &free),
+            ("cost table", &deps, s.clone(), &other_costed),
+            ("backward edge", &backward, s.clone(), &backward_costed),
+            ("cycle", &cycle, s.clone(), &cycle_costed),
+        ];
+
+        let mut analysis_seen = Vec::new();
+        for (name, deps, s, costed) in cases {
+            let diags = analyze_costed(&layers, deps, &s, costed);
+            let expected = diags
+                .iter()
+                .find(|d| d.severity == Severity::Error && is_validation_code(d.code))
+                .map(|d| d.detail.clone());
+            let got = validate_schedule_costed(&layers, deps, &s, costed)
+                .err()
+                .map(|e| match e {
+                    CoreError::InvalidSchedule { detail } => detail,
+                    other => panic!("{name}: unexpected error kind {other}"),
+                });
+            assert_eq!(got, expected, "{name}");
+            assert_eq!(
+                got.is_some(),
+                name != "clean" && name != "backward edge",
+                "{name}"
+            );
+            // Validation findings come first, then the analysis findings.
+            let first_analysis = diags.iter().position(|d| !is_validation_code(d.code));
+            if let Some(i) = first_analysis {
+                assert!(
+                    diags[i..].iter().all(|d| !is_validation_code(d.code)),
+                    "{name}: {diags:?}"
+                );
+            }
+            analysis_seen.extend(
+                diags
+                    .iter()
+                    .filter(|d| !is_validation_code(d.code))
+                    .map(|d| d.code),
+            );
+        }
+        for code in ["backward-dep", "cycle", "unreachable"] {
+            assert!(
+                analysis_seen.contains(&code),
+                "{code} never reported: {analysis_seen:?}"
+            );
+        }
     }
 
     #[test]

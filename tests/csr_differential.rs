@@ -13,13 +13,14 @@ use clsa_cim::arch::{
 };
 use clsa_cim::core::{
     batched_cross_layer_schedule, batched_cross_layer_schedule_costed, cross_layer_schedule,
-    cross_layer_schedule_costed, determine_dependencies, determine_sets, reference,
-    validate_schedule, validate_schedule_costed, CostedDeps, Dependencies, EdgeCost, LayerSets,
-    OfmSet, SetPolicy, SetRef,
+    cross_layer_schedule_costed, determine_dependencies, prepare, reference, validate_schedule,
+    validate_schedule_costed, CostedDeps, Dependencies, EdgeCost, LayerSets, OfmSet, RunConfig,
+    SetPolicy, SetRef,
 };
-use clsa_cim::mapping::{layer_costs, MappingOptions};
+use clsa_cim::frontend::{canonicalize, CanonOptions};
+use clsa_cim::mapping::{layer_costs, min_pes, MappingOptions, Solver};
 use clsa_cim::sim::Simulator;
-use cim_ir::{FeatureShape, NodeId, Rect};
+use cim_ir::{FeatureShape, Graph, NodeId, Rect};
 use proptest::prelude::*;
 
 /// Random layered workloads: synthetic sets with random durations, PE
@@ -141,33 +142,82 @@ proptest! {
     }
 }
 
-/// Stage II on real models, across Stage-I policies: the scratch-buffer CSR
-/// analysis produces exactly the reference (`HashSet`-per-set) relation.
+/// Stage II through [`prepare`]'s mapping and Stage I: the mapped graph is
+/// `graph` once-each, or (`wdup`) with Greedy weight duplication at
+/// `PE_min + 64`. Asserts the scratch-buffer CSR analysis equals the
+/// reference (`HashSet`-per-set) relation, by value and by serde bytes.
+fn assert_stage2_matches_reference(name: &str, graph: &Graph, policy: SetPolicy, wdup: bool) {
+    let costs = layer_costs(
+        graph,
+        &CrossbarSpec::wan_nature_2022(),
+        &MappingOptions::default(),
+    )
+    .expect("model has base layers");
+    let arch = Architecture::paper_case_study(min_pes(&costs) + 64).expect("arch");
+    let mut cfg = RunConfig::baseline(arch);
+    cfg.set_policy = policy;
+    if wdup {
+        cfg = cfg.with_duplication(Solver::Greedy);
+    }
+    let p = prepare(graph, &cfg).expect("prepare");
+    let fast = determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II");
+    let naive = reference::determine_dependencies_naive(&p.mapped_graph, &p.layers)
+        .expect("reference stage II");
+    let label = format!("{name} (wdup {wdup}) under {policy:?}");
+    assert_eq!(fast, naive, "{label}");
+    assert_eq!(
+        serde_json::to_string(&fast).unwrap(),
+        serde_json::to_string(&naive).unwrap(),
+        "{label} wire format"
+    );
+}
+
+/// Stage II on real models, across Stage-I policies and duplication:
+/// concat and upsample routes (TinyYOLOv4), residual adds (ResNet50) and a
+/// plain chain (VGG16).
 #[test]
 fn stage2_matches_reference_on_models_and_policies() {
-    let models: Vec<(&str, cim_ir::Graph)> = vec![
+    let canonical = |g: Graph| {
+        canonicalize(&g, &CanonOptions::default())
+            .expect("model canonicalizes")
+            .into_graph()
+    };
+    let models: Vec<(&str, Graph)> = vec![
         ("fig5", clsa_cim::models::fig5_example()),
         ("toy_cnn", clsa_cim::models::toy_cnn(None)),
+        ("TinyYOLOv4", canonical(clsa_cim::models::tiny_yolo_v4())),
+        ("ResNet50", canonical(clsa_cim::models::resnet50())),
+        ("VGG16", canonical(clsa_cim::models::vgg16())),
     ];
-    for (name, g) in models {
-        let costs = layer_costs(
-            &g,
-            &CrossbarSpec::wan_nature_2022(),
-            &MappingOptions::default(),
-        )
-        .expect("model has base layers");
-        for policy in [SetPolicy::finest(), SetPolicy::coarse(1), SetPolicy::coarse(4)] {
-            let layers = determine_sets(&g, &costs, &policy).expect("stage I");
-            let fast = determine_dependencies(&g, &layers).expect("stage II");
-            let naive =
-                reference::determine_dependencies_naive(&g, &layers).expect("reference stage II");
-            assert_eq!(fast, naive, "{name} under {policy:?}");
-            // And the serde wire format is representation-independent.
-            assert_eq!(
-                serde_json::to_string(&fast).unwrap(),
-                serde_json::to_string(&naive).unwrap(),
-                "{name} wire format under {policy:?}"
-            );
+    for (name, g) in &models {
+        for max_sets in [None, Some(8), Some(4), Some(2), Some(1)] {
+            let policy = SetPolicy {
+                max_sets_per_layer: max_sets,
+            };
+            for wdup in [false, true] {
+                assert_stage2_matches_reference(name, g, policy, wdup);
+            }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Stage II ≡ reference on random CNNs, across set policies, with and
+    /// without duplication.
+    #[test]
+    fn prop_stage2_matches_reference_on_random_cnns(
+        seed in 0u64..10_000,
+        n in 1usize..8,
+        max_sets in 0usize..10,
+        wdup in proptest::bool::ANY,
+    ) {
+        let g = canonicalize(&cim_models::random_cnn(seed, n), &CanonOptions::default())
+            .expect("canonicalizes")
+            .into_graph();
+        // 0 stands for the finest policy.
+        let policy = SetPolicy { max_sets_per_layer: (max_sets > 0).then_some(max_sets) };
+        assert_stage2_matches_reference(&format!("random_cnn({seed}, {n})"), &g, policy, wdup);
     }
 }
