@@ -30,7 +30,14 @@
 //!   autotuner's budget is spent against). Two points: a cold evaluator
 //!   per exploration (`grid32_case_study`) and a long-lived warm one
 //!   (`grid32_case_study_warm`) whose schedule cache survives across
-//!   explorations — their ratio is the tracked incremental-reuse speedup.
+//!   explorations — their ratio is the tracked incremental-reuse speedup;
+//! * `fabric_shared` — the shared-fabric event core: one `run_mix` of a
+//!   fixed 8-stream mix (every zoo model once plus a second TinyYOLOv4
+//!   stream, the shape of the `fabric-contended` benchmark's 8-stream
+//!   mixes) with 4-byte/cycle links and a weight capacity of 8 % of the
+//!   working set, so link reservation, tile windows and LRU residency all
+//!   do work. Throughput is in simulated sets (the solo baselines plus
+//!   the shared run).
 
 use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
 use cim_bench::artifacts::{case_study_graph, fig6c_results};
@@ -230,12 +237,58 @@ fn bench_tuner_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_fabric_shared(c: &mut Criterion) {
+    use cim_fabric::{
+        arch_for_mix, run_mix, CoResidency, FabricConfig, FabricSpec, TenantInstance, TenantSpec,
+    };
+
+    let mut instances = Vec::new();
+    for info in cim_models::all_models() {
+        let base = TenantInstance::prepare(info.name, &info.build()).expect("zoo model prepares");
+        instances.extend(base.streams_of(&TenantSpec {
+            model: info.name.into(),
+            streams: if info.name == "TinyYOLOv4" { 2 } else { 1 },
+        }));
+    }
+    let working_set: usize = instances.iter().map(|i| i.pe_min).sum();
+    let config = FabricConfig {
+        policy: CoResidency::Shared,
+        fabric: FabricSpec {
+            link_bandwidth_bytes_per_cycle: 4,
+            capacity_pes: working_set * 8 / 100,
+            reload_cycles_per_pe: 50,
+        },
+        stagger: 500,
+        seed: 7,
+        ..FabricConfig::new(arch_for_mix(&instances, 0).expect("arch fits"))
+    };
+    let sets: usize = instances
+        .iter()
+        .flat_map(|i| i.layers.iter())
+        .map(|l| l.sets.len())
+        .sum();
+    // The mix must keep every contention point busy, or the bench would
+    // time an idle fabric.
+    let probe = run_mix(&instances, &config).expect("mix runs");
+    let occupancy: u64 = probe.tenants.iter().map(|t| t.occupancy_stall_cycles).sum();
+    assert!(probe.link_stall_cycles > 0 && occupancy > 0 && probe.reloads > 0);
+    let mut group = c.benchmark_group("schedule_core");
+    group.throughput(Throughput::Elements(2 * sets as u64));
+    group.bench_with_input(
+        BenchmarkId::new("fabric_shared", "contended_mix"),
+        &instances,
+        |b, instances| b.iter(|| run_mix(instances, &config).expect("mix runs")),
+    );
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_cold_pipeline,
     bench_stage2,
     bench_batched,
     bench_warm_sweep,
-    bench_tuner_throughput
+    bench_tuner_throughput,
+    bench_fabric_shared
 );
 criterion_main!(benches);

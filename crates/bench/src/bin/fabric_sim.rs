@@ -22,6 +22,12 @@
 //!
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
 //! value and any tenant insertion order at a fixed `--seed`.
+//!
+//! Bad input — an unknown model, a malformed `--tenants` list, an unknown
+//! `--policy`, a non-numeric count — prints one `error: …` line and exits
+//! with status 2.
+
+use std::process::ExitCode;
 
 use cim_bench::runner::{fingerprint, parallel_map, CacheKey, ScheduleCache};
 use cim_bench::{parse_common_args, render_table, write_json, CommonArgs};
@@ -37,15 +43,23 @@ use serde::Serialize;
 
 /// Resolves a tenant model name: the paper's Fig. 5 worked example or
 /// any zoo registry entry. Returns the **raw** graph —
-/// [`TenantInstance::prepare`] canonicalizes.
-fn model_graph(name: &str) -> Option<Graph> {
+/// [`TenantInstance::prepare`] canonicalizes. An unknown name is an error
+/// listing the accepted spellings.
+fn model_graph(name: &str) -> Result<Graph, String> {
     if name == "fig5" {
-        return Some(cim_models::fig5_example());
+        return Ok(cim_models::fig5_example());
     }
-    cim_models::all_models()
-        .into_iter()
-        .find(|info| info.name == name)
-        .map(|info| info.build())
+    let zoo = cim_models::all_models();
+    match zoo.iter().find(|info| info.name == name) {
+        Some(info) => Ok(info.build()),
+        None => {
+            let names: Vec<&str> = zoo.iter().map(|info| info.name).collect();
+            Err(format!(
+                "unknown model {name:?} (accepted: fig5, {})",
+                names.join(", ")
+            ))
+        }
+    }
 }
 
 /// Binary-specific flag: `--flag <value>` out of the leftover args.
@@ -61,25 +75,24 @@ fn has_flag(rest: &[String], flag: &str) -> bool {
     rest.iter().any(|a| a == flag)
 }
 
-fn parse_u64(rest: &[String], flag: &str, default: u64) -> u64 {
-    flag_value(rest, flag).map_or(default, |v| {
+fn parse_u64(rest: &[String], flag: &str, default: u64) -> Result<u64, String> {
+    flag_value(rest, flag).map_or(Ok(default), |v| {
         v.parse()
-            .unwrap_or_else(|_| panic!("{flag} takes an unsigned integer, got {v:?}"))
+            .map_err(|_| format!("{flag} takes an unsigned integer, got {v:?}"))
     })
 }
 
 /// Prepares the instances of a tenant list, fanning prepared models out
 /// into their streams.
-fn instances_of(specs: &[TenantSpec]) -> Vec<TenantInstance> {
+fn instances_of(specs: &[TenantSpec]) -> Result<Vec<TenantInstance>, String> {
     let mut instances = Vec::new();
     for spec in specs {
-        let graph = model_graph(&spec.model)
-            .unwrap_or_else(|| panic!("unknown model {:?} (try fig5, TinyYOLOv4, VGG16)", spec.model));
+        let graph = model_graph(&spec.model)?;
         let base = TenantInstance::prepare(&spec.model, &graph)
-            .unwrap_or_else(|e| panic!("preparing {}: {e}", spec.model));
+            .map_err(|e| format!("preparing {}: {e}", spec.model))?;
         instances.extend(base.streams_of(spec));
     }
-    instances
+    Ok(instances)
 }
 
 fn print_result(result: &FabricResult) {
@@ -154,7 +167,7 @@ fn bench_mode(model: &str, config: &FabricConfig, seed: u64, json: Option<&str>)
             model: model.to_string(),
             streams,
         };
-        let instances = instances_of(std::slice::from_ref(&spec));
+        let instances = instances_of(std::slice::from_ref(&spec)).unwrap_or_else(|e| panic!("{e}"));
         let mut cfg = config.clone();
         cfg.arch = arch_for_mix(&instances, 0).unwrap_or_else(|e| panic!("architecture: {e}"));
         let result = run_mix(&instances, &cfg).unwrap_or_else(|e| panic!("mix runs: {e}"));
@@ -253,7 +266,7 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
         models.sort_unstable();
         models.dedup();
         for model in models {
-            let graph = model_graph(model).unwrap_or_else(|| panic!("unknown model {model:?}"));
+            let graph = model_graph(model).unwrap_or_else(|e| panic!("{e}"));
             let graph = canonicalize(&graph, &CanonOptions::default())
                 .expect("registry models canonicalize")
                 .into_graph();
@@ -327,31 +340,43 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = parse_common_args();
     args.report_faults();
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Runs the selected mode; `Err` is an input error for `main` to report.
+fn run(args: &CommonArgs) -> Result<(), String> {
     let tenants = flag_value(&args.rest, "--tenants").unwrap_or("fig5:2");
-    let specs = parse_tenant_list(tenants).unwrap_or_else(|e| panic!("--tenants {tenants}: {e}"));
-    let policy = flag_value(&args.rest, "--policy").map_or(CoResidency::Shared, |v| {
-        CoResidency::parse(v)
-            .unwrap_or_else(|| panic!("--policy takes shared|partitioned, got {v:?}"))
-    });
-    let fabric = FabricSpec {
-        link_bandwidth_bytes_per_cycle: parse_u64(&args.rest, "--bandwidth", 0),
-        capacity_pes: parse_u64(&args.rest, "--capacity-pes", 0) as usize,
-        reload_cycles_per_pe: parse_u64(&args.rest, "--reload", 50),
+    let specs = parse_tenant_list(tenants).map_err(|e| format!("--tenants {tenants}: {e}"))?;
+    let policy = match flag_value(&args.rest, "--policy") {
+        None => CoResidency::Shared,
+        Some(v) => CoResidency::parse(v)
+            .ok_or_else(|| format!("--policy takes shared|partitioned, got {v:?}"))?,
     };
-    let extra_pes = parse_u64(&args.rest, "--extra-pes", 0) as usize;
+    let fabric = FabricSpec {
+        link_bandwidth_bytes_per_cycle: parse_u64(&args.rest, "--bandwidth", 0)?,
+        capacity_pes: parse_u64(&args.rest, "--capacity-pes", 0)? as usize,
+        reload_cycles_per_pe: parse_u64(&args.rest, "--reload", 50)?,
+    };
+    let extra_pes = parse_u64(&args.rest, "--extra-pes", 0)? as usize;
+    let stagger = parse_u64(&args.rest, "--stagger", 0)?;
+    let instances = instances_of(&specs)?;
     let seed = args.seed_or_default();
     println!("seed: {seed}");
-
-    let instances = instances_of(&specs);
-    let arch = arch_for_mix(&instances, extra_pes).unwrap_or_else(|e| panic!("architecture: {e}"));
+    let arch = arch_for_mix(&instances, extra_pes).map_err(|e| format!("architecture: {e}"))?;
     let config = FabricConfig {
         arch,
         policy,
         fabric,
-        stagger: parse_u64(&args.rest, "--stagger", 0),
+        stagger,
         seed,
         jobs: args.runner.jobs,
     };
@@ -360,11 +385,11 @@ fn main() {
         args.note_cache_dir_unused();
         let model = specs.first().map(|s| s.model.clone()).unwrap_or_default();
         bench_mode(&model, &config, seed, args.json.as_deref());
-        return;
+        return Ok(());
     }
     if has_flag(&args.rest, "--mix-sweep") {
-        mix_sweep_mode(&args, &instances, &config);
-        return;
+        mix_sweep_mode(args, &instances, &config);
+        return Ok(());
     }
     args.note_cache_dir_unused();
 
@@ -374,4 +399,5 @@ fn main() {
         write_json(path, &result).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("wrote {path}");
     }
+    Ok(())
 }

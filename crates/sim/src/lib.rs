@@ -54,4 +54,4 @@ pub mod stats;
 pub use engine::{SimResult, Simulator};
 pub use error::{Result, SimError};
 pub use shared::{run_shared, FabricContention, SharedOutcome, TenantOutcome, TenantWorkload};
-pub use stats::{GroupStats, HopClassStats, SimStats};
+pub use stats::{GroupStats, SimStats};

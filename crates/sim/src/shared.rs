@@ -24,20 +24,30 @@
 //!   evicted block charges `pes × reload_cycles_per_pe` cycles on its next
 //!   booking (the first-ever load is free — weights are pre-programmed).
 //!
+//! Fabric state lives in dense tables sized once per run, so per-set and
+//! per-message bookkeeping is array indexing: one ownership window per
+//! *distinct* home tile (each layer's slot resolved at set-up), one
+//! link-free cycle per directed mesh link at `4 × (row × cols + col) +
+//! direction` of its source tile (0 east, 1 west, 2 south, 3 north; routes
+//! are walked by arithmetic, never stored), and one weight block per
+//! (tenant, layer), the resident ones on an intrusive recency list (a hit
+//! moves a block to the tail, an eviction pops the head).
+//!
 //! Determinism law: the outcome is a pure function of the workloads (in
-//! slice order) and the fabric spec. No clocks, no entropy, no
-//! iteration-order-dependent state (all shared maps are B-trees keyed by
-//! plain integers).
+//! slice order) and the fabric spec. No clocks, no entropy, no hash maps
+//! and no iteration-order-dependent state: every table is a `Vec` indexed
+//! by integers fixed at set-up, and the recency list orders blocks by
+//! booking sequence, which is event order.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, BTreeMap};
+use std::collections::BinaryHeap;
 
-use cim_arch::{EnergyLog, FabricSpec, NocSpec, TileId};
+use cim_arch::{EnergyLog, FabricSpec, NocSpec, TileCoord, TileId};
 use clsa_core::{CostedDeps, Dependencies, LayerSets, Schedule, SetTime};
 
 use crate::engine::SimResult;
 use crate::error::{Result, SimError};
-use crate::stats::{GroupStats, HopClassStats, SimStats};
+use crate::stats::{GroupStats, SimStats};
 
 /// One tenant's workload: the Stage-I/II artifacts plus its fabric
 /// context (arrival time and per-group home tiles).
@@ -111,68 +121,76 @@ pub struct SharedOutcome {
     pub makespan: u64,
 }
 
-/// A directed mesh link between two adjacent coordinates.
-type Link = ((usize, usize), (usize, usize));
-
 /// Rolling tile-ownership window (see module docs).
+#[derive(Clone, Copy)]
 struct Window {
     owner: usize,
     start: u64,
     until: u64,
 }
 
-/// One resident weight block.
+/// A layer's home tile, resolved once per run.
+struct Home {
+    tile: TileId,
+    /// Ownership-window slot of the tile.
+    window: usize,
+    /// Mesh position; `None` without a mesh or outside it.
+    at: Option<TileCoord>,
+}
+
+/// One (tenant, layer) weight block's residency slot.
+#[derive(Default)]
 struct Block {
+    tenant: usize,
     pes: usize,
-    last_use: u64,
+    resident: bool,
+    /// Loaded at least once (the first load is free).
+    loaded: bool,
+    /// Neighbours on the recency list while resident.
+    prev: Option<usize>,
+    next: Option<usize>,
 }
 
 /// Shared mutable fabric state, updated in event order.
 #[derive(Default)]
 struct FabricState {
-    /// Tile id → current ownership window.
-    windows: BTreeMap<u32, Window>,
-    /// Directed link → cycle at which it frees up.
-    link_free: BTreeMap<Link, u64>,
-    /// (from tile, to tile) → cached XY route as directed links.
-    routes: BTreeMap<(u32, u32), Vec<Link>>,
-    /// (tenant, layer) → resident weight block.
-    resident: BTreeMap<(usize, usize), Block>,
+    /// Ownership window per distinct home tile, in tile-id order.
+    windows: Vec<Option<Window>>,
+    /// Free-at cycle per directed link (index: see module docs).
+    link_free: Vec<u64>,
+    /// Weight blocks, tenant by tenant, layer by layer.
+    blocks: Vec<Block>,
+    /// Least and most recently booked resident blocks.
+    lru_head: Option<usize>,
+    lru_tail: Option<usize>,
     /// PEs of capacity currently occupied by resident blocks.
     used_pes: usize,
-    /// Booking sequence counter driving LRU recency.
-    lru_seq: u64,
 }
 
-/// In-flight byte tracking for one message class (min-heap on arrival).
-#[derive(Default)]
-struct InflightTracker {
-    inflight: u64,
-    peak: u64,
-    arrivals: BinaryHeap<Reverse<(u64, u64)>>,
-}
-
-impl InflightTracker {
-    fn send(&mut self, now: u64, arrival: u64, bytes: u64) {
-        while let Some(&Reverse((at, b))) = self.arrivals.peek() {
-            if at > now {
-                break;
-            }
-            self.inflight -= b;
-            self.arrivals.pop();
+impl FabricState {
+    /// Takes resident block `b` off the recency list.
+    fn unlink(&mut self, b: usize) {
+        let Block { prev, next, .. } = self.blocks[b];
+        match prev {
+            None => self.lru_head = next,
+            Some(p) => self.blocks[p].next = next,
         }
-        self.arrivals.push(Reverse((arrival, bytes)));
-        self.inflight += bytes;
-        self.peak = self.peak.max(self.inflight);
+        match next {
+            None => self.lru_tail = prev,
+            Some(n) => self.blocks[n].prev = prev,
+        }
     }
-}
 
-/// Hop-class accumulator (messages, bytes, in-flight peak).
-#[derive(Default)]
-struct HopClass {
-    messages: u64,
-    bytes: u64,
-    inflight: InflightTracker,
+    /// Appends block `b` as the most recently used.
+    fn push_tail(&mut self, b: usize) {
+        self.blocks[b].prev = self.lru_tail;
+        self.blocks[b].next = None;
+        match self.lru_tail {
+            None => self.lru_head = Some(b),
+            Some(t) => self.blocks[t].next = Some(b),
+        }
+        self.lru_tail = Some(b);
+    }
 }
 
 /// Per-tenant mutable run state (the single-tenant engine's locals, one
@@ -191,12 +209,13 @@ struct TenantState {
     peak_live_bytes: u64,
     stats: SimStats,
     energy: EnergyLog,
-    ever_loaded: Vec<bool>,
+    /// Home tile per layer (`None` = no fabric context).
+    homes: Option<Vec<Home>>,
+    /// Weight-block slot of layer 0; layer `l` is at `first_block + l`.
+    first_block: usize,
     completed: usize,
     total: usize,
     makespan: u64,
-    hop_classes: BTreeMap<u64, HopClass>,
-    noc_inflight: InflightTracker,
     busy_cycles: u64,
     occupancy_stall: u64,
     link_stall: u64,
@@ -206,7 +225,14 @@ struct TenantState {
 }
 
 impl TenantState {
-    fn new(w: &TenantWorkload<'_>) -> Self {
+    /// State of `w`, its blocks from `first_block` on, its homes' windows
+    /// indexed into the run's sorted distinct home `tiles`.
+    fn new(
+        w: &TenantWorkload<'_>,
+        first_block: usize,
+        tiles: &[TileId],
+        noc: Option<&NocSpec>,
+    ) -> Self {
         let total = w.costed.space().total_sets();
         let n_layers = w.layers.len();
         let mut indegree = vec![0u32; total];
@@ -215,6 +241,15 @@ impl TenantState {
                 indegree[w.costed.space().index(l, s)] = w.deps.of(l, s).len() as u32;
             }
         }
+        let homes = w.home_tiles.as_ref().map(|own| {
+            own.iter()
+                .map(|&tile| Home {
+                    tile,
+                    window: tiles.partition_point(|&t| t < tile),
+                    at: noc.and_then(|n| n.coord(tile).ok()),
+                })
+                .collect()
+        });
         TenantState {
             indegree,
             ready: vec![0; total],
@@ -232,12 +267,11 @@ impl TenantState {
                 ..SimStats::default()
             },
             energy: EnergyLog::new(),
-            ever_loaded: vec![false; n_layers],
+            homes,
+            first_block,
             completed: 0,
             total,
             makespan: 0,
-            hop_classes: BTreeMap::new(),
-            noc_inflight: InflightTracker::default(),
             busy_cycles: 0,
             occupancy_stall: 0,
             link_stall: 0,
@@ -248,26 +282,23 @@ impl TenantState {
     }
 }
 
-/// Books `[want, want + dur)` on `tile` for `tenant`, pushing the start
-/// past a foreign ownership window if needed. Returns `(start, stall)`.
+/// Books `[want, want + dur)` on window `slot` for `tenant`, pushing the
+/// start past a foreign ownership window if needed. Returns `(start, stall)`.
 fn book_tile(
     fs: &mut FabricState,
     states: &mut [TenantState],
-    tile: u32,
+    slot: usize,
     tenant: usize,
     want: u64,
     dur: u64,
 ) -> (u64, u64) {
-    match fs.windows.get_mut(&tile) {
-        None => {
-            fs.windows.insert(
-                tile,
-                Window {
-                    owner: tenant,
-                    start: want,
-                    until: want + dur,
-                },
-            );
+    match &mut fs.windows[slot] {
+        empty @ None => {
+            *empty = Some(Window {
+                owner: tenant,
+                start: want,
+                until: want + dur,
+            });
             (want, 0)
         }
         Some(w) if w.owner == tenant => {
@@ -296,51 +327,71 @@ fn book_tile(
     }
 }
 
-/// Touches weight block `(tenant, layer)` of `pes` PEs: evicts LRU blocks
-/// until it fits and returns the reload charge in cycles (0 on a hit or a
+/// Touches weight block `b`: evicts least-recently-used blocks until it
+/// fits and returns the reload charge in cycles (0 on a hit or a
 /// first-ever load).
 fn touch_block(
     fs: &mut FabricState,
     states: &mut [TenantState],
-    tenant: usize,
-    layer: usize,
-    pes: usize,
+    b: usize,
     spec: &FabricSpec,
 ) -> u64 {
+    let pes = fs.blocks[b].pes;
     if spec.capacity_pes == 0 || pes == 0 {
         return 0;
     }
-    fs.lru_seq += 1;
-    let seq = fs.lru_seq;
-    if let Some(b) = fs.resident.get_mut(&(tenant, layer)) {
-        b.last_use = seq;
+    if fs.blocks[b].resident {
+        fs.unlink(b);
+        fs.push_tail(b);
         return 0;
     }
-    // Evict least-recently-used blocks until the new block fits. A block
-    // larger than the whole capacity over-commits after evicting
-    // everything else — it still runs, it just evicts the world.
+    // Evict from the head until the new block fits. A block larger than
+    // the whole capacity over-commits after evicting everything else — it
+    // still runs, it just evicts the world.
     while fs.used_pes + pes > spec.capacity_pes {
-        let victim = fs
-            .resident
-            .iter()
-            .min_by_key(|(key, b)| (b.last_use, **key))
-            .map(|(key, _)| *key);
-        let Some(key) = victim else { break };
-        if let Some(b) = fs.resident.remove(&key) {
-            fs.used_pes -= b.pes;
-            states[key.0].evictions += 1;
-        }
+        let Some(victim) = fs.lru_head else { break };
+        fs.unlink(victim);
+        let v = &mut fs.blocks[victim];
+        v.resident = false;
+        fs.used_pes -= v.pes;
+        states[v.tenant].evictions += 1;
     }
     fs.used_pes += pes;
-    fs.resident.insert((tenant, layer), Block { pes, last_use: seq });
-    if states[tenant].ever_loaded[layer] {
+    fs.push_tail(b);
+    let block = &mut fs.blocks[b];
+    block.resident = true;
+    if std::mem::replace(&mut block.loaded, true) {
         let charge = pes as u64 * spec.reload_cycles_per_pe;
-        states[tenant].reloads += 1;
-        states[tenant].reload_cycles += charge;
+        let st = &mut states[block.tenant];
+        st.reloads += 1;
+        st.reload_cycles += charge;
         charge
     } else {
-        states[tenant].ever_loaded[layer] = true;
         0
+    }
+}
+
+/// Calls `f` with the link-table index of every directed link on the XY
+/// route `a → b`: first along the row (X), then along the column (Y), as
+/// [`NocSpec::xy_route`] walks it.
+fn for_each_link(cols: usize, a: TileCoord, b: TileCoord, mut f: impl FnMut(usize)) {
+    let (mut row, mut col) = (a.row, a.col);
+    let mut hop = |r: usize, c: usize, direction: usize| f(4 * (r * cols + c) + direction);
+    while col < b.col {
+        hop(row, col, 0);
+        col += 1;
+    }
+    while col > b.col {
+        hop(row, col, 1);
+        col -= 1;
+    }
+    while row < b.row {
+        hop(row, col, 2);
+        row += 1;
+    }
+    while row > b.row {
+        hop(row, col, 3);
+        row -= 1;
     }
 }
 
@@ -351,42 +402,21 @@ fn inject_message(
     fs: &mut FabricState,
     noc: &NocSpec,
     bandwidth: u64,
-    from: TileId,
-    to: TileId,
+    from: &Home,
+    to: &Home,
     now: u64,
     bytes: u64,
 ) -> Result<(u64, u64)> {
-    let key = (from.0, to.0);
-    if let std::collections::btree_map::Entry::Vacant(e) = fs.routes.entry(key) {
-        let bad = |e: cim_arch::ArchError| SimError::BadWorkload {
-            detail: format!("fabric route {from} -> {to} failed: {e}"),
-        };
-        let start = noc.coord(from).map_err(bad)?;
-        let mut prev = (start.row, start.col);
-        let mut links = Vec::new();
-        for c in noc.xy_route(from, to).map_err(bad)? {
-            let cur = (c.row, c.col);
-            links.push((prev, cur));
-            prev = cur;
-        }
-        e.insert(links);
-    }
-    let links = &fs.routes[&key];
-    if links.is_empty() {
-        return Ok((now, 0));
-    }
-    let ser = bytes.div_ceil(bandwidth).max(1);
-    let busiest = links
-        .iter()
-        .map(|l| fs.link_free.get(l).copied().unwrap_or(0))
-        .max()
-        .unwrap_or(0);
-    let start = busiest.max(now);
-    let clear = start + ser;
-    let route: Vec<Link> = links.clone();
-    for l in route {
-        fs.link_free.insert(l, clear);
-    }
+    let bad = |e: cim_arch::ArchError| SimError::BadWorkload {
+        detail: format!("fabric route {} -> {} failed: {e}", from.tile, to.tile),
+    };
+    // `at` is `None` only outside the mesh, where `coord` reports why.
+    let coord = |h: &Home| h.at.map_or_else(|| noc.coord(h.tile), Ok).map_err(bad);
+    let (a, b) = (coord(from)?, coord(to)?);
+    let mut start = now;
+    for_each_link(noc.mesh_cols, a, b, |l| start = start.max(fs.link_free[l]));
+    let clear = start + bytes.div_ceil(bandwidth).max(1);
+    for_each_link(noc.mesh_cols, a, b, |l| fs.link_free[l] = clear);
     Ok((clear, start - now))
 }
 
@@ -399,7 +429,7 @@ fn try_start(
     states: &mut [TenantState],
     fs: &mut FabricState,
     heap: &mut BinaryHeap<Reverse<(u64, usize, usize, usize)>>,
-    fabric: &FabricContention,
+    spec: &FabricSpec,
     k: usize,
     l: usize,
 ) {
@@ -413,10 +443,10 @@ fn try_start(
         return;
     }
     let want = states[k].group_free[l].max(states[k].ready[i]);
-    let reload = touch_block(fs, states, k, l, w.layers[l].pes, &fabric.spec);
+    let reload = touch_block(fs, states, states[k].first_block + l, spec);
     let dur = w.layers[l].sets[s].duration + reload;
-    let (start, stall) = match &w.home_tiles {
-        Some(tiles) => book_tile(fs, states, tiles[l].0, k, want, dur),
+    let (start, stall) = match states[k].homes.as_ref().map(|h| h[l].window) {
+        Some(slot) => book_tile(fs, states, slot, k, want, dur),
         None => (want, 0),
     };
     let st = &mut states[k];
@@ -482,14 +512,38 @@ pub fn run_shared(
         }
     }
 
-    let mut states: Vec<TenantState> = workloads.iter().map(TenantState::new).collect();
-    let mut fs = FabricState::default();
+    // Window slots: the distinct home tiles, in tile-id order.
+    let mut tiles: Vec<TileId> = workloads
+        .iter()
+        .flat_map(|w| w.home_tiles.iter().flatten().copied())
+        .collect();
+    tiles.sort_unstable();
+    tiles.dedup();
+    let spec = &fabric.spec;
+    let bandwidth = spec.link_bandwidth_bytes_per_cycle;
+    let mesh = fabric.noc.as_ref();
+    let link_noc = mesh.filter(|_| bandwidth > 0);
+    let mut fs = FabricState {
+        windows: vec![None; tiles.len()],
+        link_free: vec![0; link_noc.map_or(0, |noc| 4 * noc.capacity())],
+        ..FabricState::default()
+    };
+    let mut states: Vec<TenantState> = Vec::with_capacity(workloads.len());
+    for (k, w) in workloads.iter().enumerate() {
+        let first_block = fs.blocks.len();
+        states.push(TenantState::new(w, first_block, &tiles, mesh));
+        fs.blocks.extend(w.layers.iter().map(|layer| Block {
+            tenant: k,
+            pes: layer.pes,
+            ..Block::default()
+        }));
+    }
     // Event heap: Reverse ordering on (finish, tenant, layer, set).
     let mut heap: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
 
     for (k, w) in workloads.iter().enumerate() {
         for l in 0..w.layers.len() {
-            try_start(workloads, &mut states, &mut fs, &mut heap, fabric, k, l);
+            try_start(workloads, &mut states, &mut fs, &mut heap, spec, k, l);
         }
     }
 
@@ -508,7 +562,7 @@ pub fn run_shared(
             // Chain: the group moves on to its next set.
             st.next[l] = s + 1;
         }
-        try_start(workloads, &mut states, &mut fs, &mut heap, fabric, k, l);
+        try_start(workloads, &mut states, &mut fs, &mut heap, spec, k, l);
 
         // Data edges: deliver this set to its consumers — latency, byte
         // count, and hop count all precomputed; link serialization is the
@@ -524,11 +578,11 @@ pub fn run_shared(
         }
         for ((c, &delay), &edge_hops) in consumers.iter().zip(latencies).zip(hops) {
             let mut arrival = t + delay;
-            if let (Some(noc), Some(tiles)) = (&fabric.noc, &w.home_tiles) {
-                let bw = fabric.spec.link_bandwidth_bytes_per_cycle;
-                if bw > 0 && tiles[l] != tiles[c.layer] {
+            if let (Some(noc), Some(homes)) = (link_noc, &states[k].homes) {
+                let (from, to) = (&homes[l], &homes[c.layer]);
+                if from.window != to.window {
                     let (clear, stall) =
-                        inject_message(&mut fs, noc, bw, tiles[l], tiles[c.layer], t, bytes)?;
+                        inject_message(&mut fs, noc, bandwidth, from, to, t, bytes)?;
                     arrival = clear + delay;
                     states[k].link_stall += stall;
                 }
@@ -541,13 +595,8 @@ pub fn run_shared(
             st.stats.bytes_moved += bytes;
             if w.costed.tracks_transfers() {
                 st.energy.record_transfer(bytes, edge_hops);
-                let class = st.hop_classes.entry(edge_hops).or_default();
-                class.messages += 1;
-                class.bytes += bytes;
-                class.inflight.send(t, arrival, bytes);
-                st.noc_inflight.send(t, arrival, bytes);
             }
-            try_start(workloads, &mut states, &mut fs, &mut heap, fabric, k, c.layer);
+            try_start(workloads, &mut states, &mut fs, &mut heap, spec, k, c.layer);
         }
 
         // Release producer buffers whose last consuming edge was this
@@ -569,7 +618,7 @@ pub fn run_shared(
     }
 
     // Flush open ownership windows into the busy accounting.
-    for w in fs.windows.values() {
+    for w in fs.windows.iter().flatten() {
         states[w.owner].busy_cycles += w.until - w.start;
     }
 
@@ -586,17 +635,6 @@ pub fn run_shared(
             }
             st.stats.peak_live_bytes = st.peak_live_bytes;
             st.stats.energy = st.energy;
-            st.stats.hop_profile = st
-                .hop_classes
-                .iter()
-                .map(|(&h, c)| HopClassStats {
-                    hops: h,
-                    messages: c.messages,
-                    bytes: c.bytes,
-                    peak_inflight_bytes: c.inflight.peak,
-                })
-                .collect();
-            st.stats.peak_inflight_bytes = st.noc_inflight.peak;
             makespan = makespan.max(st.makespan);
             TenantOutcome {
                 result: SimResult {
@@ -833,5 +871,181 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::Deadlock { .. }));
+    }
+
+    /// A `rows × cols` mesh.
+    fn mesh(rows: usize, cols: usize) -> NocSpec {
+        NocSpec {
+            mesh_rows: rows,
+            mesh_cols: cols,
+            ..NocSpec::default()
+        }
+    }
+
+    /// `tile` resolved against `noc` as the run's set-up would.
+    fn home(noc: &NocSpec, tile: u32) -> Home {
+        Home {
+            tile: TileId(tile),
+            window: 0,
+            at: noc.coord(TileId(tile)).ok(),
+        }
+    }
+
+    /// The resident weight blocks from least to most recently used.
+    fn recency(fs: &FabricState) -> Vec<usize> {
+        let mut order = Vec::new();
+        let mut b = fs.lru_head;
+        while let Some(block) = b {
+            order.push(block);
+            b = fs.blocks[block].next;
+        }
+        order
+    }
+
+    #[test]
+    fn lru_victims_follow_booking_recency_across_three_tenants() {
+        let (layers, deps) = chain_workload();
+        let costed = free_costed(&layers, &deps);
+        let workloads: Vec<TenantWorkload<'_>> = (0..3)
+            .map(|_| TenantWorkload {
+                layers: &layers,
+                deps: &deps,
+                costed: &costed,
+                arrival: 0,
+                home_tiles: None,
+            })
+            .collect();
+        // Six 2-PE blocks (tenant k, layer l at slot 2k + l) on a 5-PE
+        // fabric: two fit, the third evicts.
+        let spec = FabricSpec {
+            capacity_pes: 5,
+            reload_cycles_per_pe: 10,
+            ..FabricSpec::uncontended()
+        };
+        let mut fs = FabricState {
+            blocks: (0..6)
+                .map(|b| Block {
+                    tenant: b / 2,
+                    pes: 2,
+                    ..Block::default()
+                })
+                .collect(),
+            ..FabricState::default()
+        };
+        let mut states: Vec<TenantState> = (0..3)
+            .map(|k| TenantState::new(&workloads[k], 2 * k, &[], None))
+            .collect();
+        // (block touched, reload charge, recency list afterwards).
+        let script: [(usize, u64, &[usize]); 10] = [
+            (0, 0, &[0]),     // A0 first load
+            (2, 0, &[0, 2]),  // B0 first load
+            (4, 0, &[2, 4]),  // C0 first load evicts A0
+            (0, 20, &[4, 0]), // A0 reload evicts B0
+            (4, 0, &[0, 4]),  // C0 hit moves to the tail
+            (3, 0, &[4, 3]),  // B1 first load evicts A0
+            (1, 0, &[3, 1]),  // A1 first load evicts C0
+            (4, 20, &[1, 4]), // C0 reload evicts B1
+            (2, 20, &[4, 2]), // B0 reload evicts A1
+            (0, 20, &[2, 0]), // A0 reload evicts C0
+        ];
+        for (step, &(b, charge, after)) in script.iter().enumerate() {
+            let reload = touch_block(&mut fs, &mut states, b, &spec);
+            assert_eq!(reload, charge, "step {step}");
+            assert_eq!(recency(&fs), after, "step {step}");
+            assert_eq!(fs.used_pes, 2 * after.len(), "step {step}");
+        }
+        // Victims A0, B0, A0, C0, B1, A1, C0.
+        let evictions: Vec<u64> = states.iter().map(|st| st.evictions).collect();
+        let reloads: Vec<u64> = states.iter().map(|st| st.reloads).collect();
+        let reload_cycles: Vec<u64> = states.iter().map(|st| st.reload_cycles).collect();
+        assert_eq!(evictions, [3, 2, 2]);
+        assert_eq!(reloads, [2, 1, 1]);
+        assert_eq!(reload_cycles, [40, 20, 20]);
+    }
+
+    /// The link-table indices of the XY route `a → b` on `noc`.
+    fn links(noc: &NocSpec, a: u32, b: u32) -> Vec<usize> {
+        let (a, b) = (noc.coord(TileId(a)).unwrap(), noc.coord(TileId(b)).unwrap());
+        let mut links = Vec::new();
+        for_each_link(noc.mesh_cols, a, b, |l| links.push(l));
+        links
+    }
+
+    #[test]
+    fn xy_links_run_west_and_north() {
+        let noc = mesh(3, 3);
+        // (2,2) → (0,0): west twice along row 2, then north up column 0.
+        let west_north = [4 * 8 + 1, 4 * 7 + 1, 4 * 6 + 3, 4 * 3 + 3];
+        assert_eq!(links(&noc, 8, 0), west_north);
+        // (0,0) → (2,2): east along row 0, then south down column 2.
+        assert_eq!(links(&noc, 0, 8), [0, 4, 4 * 2 + 2, 4 * 5 + 2]);
+    }
+
+    #[test]
+    fn xy_links_follow_the_mesh_route_everywhere() {
+        let noc = mesh(3, 4);
+        for a in 0..12 {
+            for b in 0..12 {
+                // Each link leaves the tile the previous one entered and
+                // enters the next tile of `NocSpec::xy_route`.
+                let path = noc.xy_route(TileId(a), TileId(b)).unwrap();
+                let route = links(&noc, a, b);
+                assert_eq!(route.len(), path.len(), "{a} -> {b}");
+                let mut source = a as usize;
+                for (link, step) in route.into_iter().zip(path) {
+                    assert_eq!(link / 4, source, "{a} -> {b}");
+                    source = match link % 4 {
+                        0 => source + 1,
+                        1 => source - 1,
+                        2 => source + noc.mesh_cols,
+                        _ => source - noc.mesh_cols,
+                    };
+                    assert_eq!(source, step.row * noc.mesh_cols + step.col, "{a} -> {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn opposite_directions_share_no_link() {
+        let noc = mesh(1, 2);
+        let mut fs = FabricState {
+            link_free: vec![0; 4 * noc.capacity()],
+            ..FabricState::default()
+        };
+        let (left, right) = (&home(&noc, 0), &home(&noc, 1));
+        let mut send = |from, to| inject_message(&mut fs, &noc, 1, from, to, 0, 8).unwrap();
+        // 8 bytes at 1 byte/cycle hold a link for 8 cycles.
+        assert_eq!(send(left, right), (8, 0));
+        // The reverse direction is its own link: no wait.
+        assert_eq!(send(right, left), (8, 0));
+        // The same direction queues behind the first message.
+        assert_eq!(send(left, right), (16, 8));
+    }
+
+    #[test]
+    fn home_tile_outside_the_mesh_is_a_bad_workload() {
+        let (layers, deps) = chain_workload();
+        let costed = free_costed(&layers, &deps);
+        let w = TenantWorkload {
+            layers: &layers,
+            deps: &deps,
+            costed: &costed,
+            arrival: 0,
+            home_tiles: Some(vec![TileId(0), TileId(u32::MAX)]),
+        };
+        let fabric = FabricContention {
+            noc: Some(NocSpec::square_for(4)),
+            spec: FabricSpec {
+                link_bandwidth_bytes_per_cycle: 1,
+                ..FabricSpec::uncontended()
+            },
+        };
+        let err = run_shared(std::slice::from_ref(&w), &fabric).unwrap_err();
+        let route = "fabric route tile0 -> tile4294967295 failed: ";
+        assert!(
+            matches!(&err, SimError::BadWorkload { detail } if detail.starts_with(route)),
+            "{err:?}"
+        );
     }
 }

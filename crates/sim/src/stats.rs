@@ -16,20 +16,6 @@ pub struct GroupStats {
     pub sets_executed: usize,
 }
 
-/// NoC traffic of one hop-distance class (all messages whose XY route is
-/// `hops` links long).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct HopClassStats {
-    /// Route length in mesh hops.
-    pub hops: u64,
-    /// Messages delivered over routes of this length.
-    pub messages: u64,
-    /// Total bytes moved over routes of this length.
-    pub bytes: u64,
-    /// Peak bytes simultaneously in flight on routes of this length.
-    pub peak_inflight_bytes: u64,
-}
-
 /// Aggregate statistics of one simulation run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimStats {
@@ -48,18 +34,6 @@ pub struct SimStats {
     /// Energy accounting (MVM ops; transfers are added when an
     /// architecture-aware edge cost is used).
     pub energy: EnergyLog,
-    /// Per hop-distance traffic totals and peaks, sorted by `hops` with
-    /// only non-empty classes present. Empty under [`EdgeCost::Free`]
-    /// (nothing moves over the NoC in the paper's peak model).
-    ///
-    /// [`EdgeCost::Free`]: clsa_core::EdgeCost::Free
-    pub hop_profile: Vec<HopClassStats>,
-    /// Peak bytes simultaneously in flight across the whole NoC (every
-    /// message counts from its send to its arrival). `0` under
-    /// [`EdgeCost::Free`].
-    ///
-    /// [`EdgeCost::Free`]: clsa_core::EdgeCost::Free
-    pub peak_inflight_bytes: u64,
 }
 
 impl SimStats {

@@ -9,14 +9,27 @@
 //! function of the *set* of tenants and the config: worker count and
 //! insertion order must never leak into the result. Both claims are
 //! checked here on real models, the second across random mixes.
+//!
+//! A third check pins the contended core's output itself: a fixed list of
+//! mixes in which links, tiles and weight capacity all contend is compared
+//! byte-for-byte with `tests/golden/fabric_contended.json`. To re-bless
+//! after an *intentional* output change:
+//!
+//! ```text
+//! CIM_BLESS=1 cargo test --release --test fabric_differential
+//! ```
+
+mod common;
 
 use clsa_cim::arch::{place_groups_at, PlacementStrategy};
 use clsa_cim::core::{CostedDeps, EdgeCost};
 use clsa_cim::fabric::{
-    arch_for_mix, run_mix, CoResidency, FabricConfig, FabricResult, TenantInstance, TenantSpec,
+    arch_for_mix, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec, TenantInstance,
+    TenantSpec,
 };
 use clsa_cim::sim::{run_shared, FabricContention, Simulator, TenantWorkload};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Stage-I/II artifacts are model-dependent but case-independent —
@@ -33,6 +46,14 @@ fn toy_cnn() -> &'static TenantInstance {
     CELL.get_or_init(|| {
         TenantInstance::prepare("toy_cnn", &clsa_cim::models::toy_cnn(None))
             .expect("toy_cnn prepares")
+    })
+}
+
+fn tiny_yolo_v4() -> &'static TenantInstance {
+    static CELL: OnceLock<TenantInstance> = OnceLock::new();
+    CELL.get_or_init(|| {
+        TenantInstance::prepare("TinyYOLOv4", &clsa_cim::models::tiny_yolo_v4())
+            .expect("TinyYOLOv4 prepares")
     })
 }
 
@@ -116,6 +137,57 @@ fn check_invariants(result: &FabricResult, expected_tenants: usize, tiles: u128)
     assert!(result.utilization_milli <= 1000);
     assert!(result.jain_fairness_milli <= 1000);
     assert!(result.worst_slowdown_milli >= 1000);
+}
+
+/// The contended core's output, pinned: every mix below must reproduce
+/// `tests/golden/fabric_contended.json` byte-for-byte (re-bless with
+/// `CIM_BLESS=1`), and each one must exercise all four contention
+/// counters, so the golden covers link reservation, tile windows and LRU
+/// residency rather than an idle fabric.
+///
+/// The pinned mixes: TinyYOLOv4 × 2 + fig5 × 2 under both policies and
+/// two arrival staggers, with 4-byte/cycle links, a weight capacity of
+/// 8 % of the mix's working set and 50 reload cycles per PE.
+#[test]
+fn contended_mixes_match_golden() {
+    let mut instances = tiny_yolo_v4().streams_of(&TenantSpec {
+        model: "TinyYOLOv4".into(),
+        streams: 2,
+    });
+    instances.extend(fig5().streams_of(&TenantSpec {
+        model: "fig5".into(),
+        streams: 2,
+    }));
+    let arch = arch_for_mix(&instances, 0).expect("arch fits");
+    let working_set: usize = instances.iter().map(|i| i.pe_min).sum();
+    let mut mixes = BTreeMap::new();
+    for policy in [CoResidency::Shared, CoResidency::Partitioned] {
+        for stagger in [0, 500] {
+            let config = FabricConfig {
+                policy,
+                fabric: FabricSpec {
+                    link_bandwidth_bytes_per_cycle: 4,
+                    capacity_pes: working_set * 8 / 100,
+                    reload_cycles_per_pe: 50,
+                },
+                stagger,
+                seed: 7,
+                ..FabricConfig::new(arch.clone())
+            };
+            let result = run_mix(&instances, &config).expect("mix runs");
+            mixes.insert(format!("{policy}/stagger-{stagger}"), result);
+        }
+    }
+    for (label, r) in &mixes {
+        let occupancy: u64 = r.tenants.iter().map(|t| t.occupancy_stall_cycles).sum();
+        assert!(r.link_stall_cycles > 0, "{label}: no link stalls");
+        assert!(occupancy > 0, "{label}: no occupancy stalls");
+        assert!(r.evictions > 0, "{label}: no evictions");
+        assert!(r.reloads > 0, "{label}: no reloads");
+        check_invariants(r, 4, arch.num_tiles() as u128);
+    }
+    let json = serde_json::to_string_pretty(&mixes).expect("results serialize");
+    common::check_golden("fabric_contended.json", &json);
 }
 
 proptest! {

@@ -16,39 +16,13 @@
 //! CIM_BLESS=1 cargo test --release --test golden_artifacts
 //! ```
 
+mod common;
+
 use std::fs;
-use std::path::PathBuf;
 
 use cim_bench::artifacts::{case_study_graph, fig6c_results, table1_costs, table2_rows};
 use cim_bench::runner::{ResultStore, RunnerOptions};
-
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
-fn blessing() -> bool {
-    std::env::var("CIM_BLESS").is_ok_and(|v| v == "1")
-}
-
-/// Compares `json` with the committed golden (or rewrites it under
-/// `CIM_BLESS=1`).
-fn check_golden(name: &str, json: &str) {
-    let path = golden_path(name);
-    if blessing() {
-        fs::write(&path, json).expect("write golden");
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("golden {name} unreadable ({e}); bless with CIM_BLESS=1 cargo test --test golden_artifacts")
-    });
-    assert_eq!(
-        expected, json,
-        "{name} drifted from the committed golden; if the change is \
-         intentional, re-bless with CIM_BLESS=1 cargo test --test golden_artifacts"
-    );
-}
+use common::{blessing, check_golden};
 
 #[test]
 fn fig6c_matches_golden_sequential() {
