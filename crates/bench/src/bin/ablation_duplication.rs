@@ -9,7 +9,7 @@
 
 use cim_arch::Architecture;
 use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::{cli, render_table};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
 use clsa_core::RunConfig;
@@ -27,10 +27,7 @@ struct Record {
 }
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    args.note_cache_dir_unused();
+    let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
     let (runner, json) = (args.runner, args.json);
 
     // One job per (model, x); the two solver runs inside a job share

@@ -36,46 +36,20 @@
 //! evaluation panics is quarantined as infeasible instead of aborting
 //! the search.
 //!
-//! Exit status 2 when the search cannot run: a `--shard` mode without
-//! `--cache-dir`, or an invalid design space.
+//! Exit status 2 when the search cannot run: a bad flag or value (an
+//! unknown model, space or strategy, `--budget 0`), a `--shard` mode
+//! without `--cache-dir`, or an invalid design space.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
+use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SEED, SWEEP};
+use cim_bench::render_table;
 use cim_bench::runner::ShardMode;
 use cim_bench::tune::{autotune, autotune_shard, AutotuneReport, ParetoRow};
-use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs};
 use cim_frontend::{canonicalize, CanonOptions};
-use cim_ir::Graph;
 use cim_tune::{strategy_by_name, Budget, DesignSpace, TuneOptions};
 use clsa_core::CoreError;
-
-/// Resolves `--model`: any zoo registry entry (Table II + the case
-/// study) or the paper's Fig. 5 worked example. The graph comes back
-/// canonicalized, ready for the evaluator.
-fn model_graph(name: &str) -> Option<Graph> {
-    let raw = if name == "fig5" {
-        cim_models::fig5_example()
-    } else {
-        cim_models::all_models()
-            .into_iter()
-            .find(|info| info.name == name)?
-            .build()
-    };
-    Some(
-        canonicalize(&raw, &CanonOptions::default())
-            .expect("registry models canonicalize")
-            .into_graph(),
-    )
-}
-
-/// Binary-specific flag: `--flag <value>` out of the leftover args.
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
-}
 
 fn print_front(rows: &[ParetoRow]) {
     let table: Vec<Vec<String>> = rows
@@ -108,30 +82,43 @@ fn print_front(rows: &[ParetoRow]) {
 }
 
 fn main() -> ExitCode {
-    let args = parse_common_args();
+    let args = cli::parse(&[
+        &[
+            Flag::value("--model", "name"),
+            Flag::value("--space", "tiny|case-study|wide"),
+            Flag::value("--strategy", "grid|random|anneal"),
+            Flag::value("--budget", "N"),
+            Flag::value("--wall-secs", "S"),
+            Flag::value("--batch", "N"),
+            SEED,
+        ],
+        SWEEP,
+    ]);
     sweep_exit_code(run(&args).map(|()| 0))
 }
 
-fn run(args: &CommonArgs) -> Result<(), CoreError> {
-    let model = flag_value(&args.rest, "--model").unwrap_or("TinyYOLOv4");
-    let space_name = flag_value(&args.rest, "--space").unwrap_or("case-study");
-    let strategy_name = flag_value(&args.rest, "--strategy").unwrap_or("anneal");
-    let budget_candidates: Option<usize> = flag_value(&args.rest, "--budget")
-        .map(|v| v.parse().expect("--budget takes a positive integer"));
-    let wall_secs: Option<u64> = flag_value(&args.rest, "--wall-secs")
-        .map(|v| v.parse().expect("--wall-secs takes a positive integer"));
-    let batch: usize = flag_value(&args.rest, "--batch")
-        .map_or_else(|| TuneOptions::default().batch, |v| {
-            v.parse().expect("--batch takes a positive integer")
-        });
+fn run(args: &Args) -> Result<(), CoreError> {
+    let model = args.value("--model").unwrap_or("TinyYOLOv4");
+    let space_name = args.value("--space").unwrap_or("case-study");
+    let strategy_name = args.value("--strategy").unwrap_or("anneal");
+    let budget_candidates: Option<usize> = args.get("--budget");
+    if budget_candidates == Some(0) {
+        args.fail("--budget must be at least 1");
+    }
+    let wall_secs: Option<u64> = args.get("--wall-secs");
+    let batch: usize = args.get("--batch").unwrap_or(TuneOptions::default().batch);
     let seed = args.seed_or_default();
 
-    let graph = model_graph(model)
-        .unwrap_or_else(|| panic!("unknown --model {model}; zoo entries or `fig5`"));
-    let space = DesignSpace::preset(space_name)
-        .unwrap_or_else(|| panic!("unknown --space {space_name}; tiny|case-study|wide"));
-    let mut strategy = strategy_by_name(strategy_name, seed)
-        .unwrap_or_else(|| panic!("unknown --strategy {strategy_name}; grid|random|anneal"));
+    let raw = cim_models::graph_by_name(model).unwrap_or_else(|e| args.fail(e));
+    let space = DesignSpace::preset(space_name).unwrap_or_else(|| {
+        args.fail(format!("invalid value {space_name:?} for --space <tiny|case-study|wide>"))
+    });
+    let mut strategy = strategy_by_name(strategy_name, seed).unwrap_or_else(|| {
+        args.fail(format!("invalid value {strategy_name:?} for --strategy <grid|random|anneal>"))
+    });
+    let graph = canonicalize(&raw, &CanonOptions::default())
+        .expect("registry models canonicalize")
+        .into_graph();
     let mut budget = Budget {
         max_candidates: budget_candidates,
         max_wall: wall_secs.map(Duration::from_secs),

@@ -8,7 +8,8 @@
 //!     [--tenants model:streams,model:streams] [--stagger N] [--seed S] \
 //!     [--policy shared|partitioned] [--bandwidth B] [--capacity-pes C] \
 //!     [--reload R] [--extra-pes E] [--jobs N] [--json <path>] \
-//!     [--bench] [--mix-sweep [--cache-dir <path>]]
+//!     [--bench] [--mix-sweep [--cache-dir <path>]] \
+//!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
 //! ```
 //!
 //! Default mode runs the given mix once and prints per-tenant slowdown
@@ -23,71 +24,31 @@
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
 //! value and any tenant insertion order at a fixed `--seed`.
 //!
-//! Bad input — an unknown model, a malformed `--tenants` list, an unknown
-//! `--policy`, a non-numeric count — prints one `error: …` line and exits
-//! with status 2.
+//! Bad input — an unknown flag or model, a malformed `--tenants` list, an
+//! unknown `--policy`, a non-numeric count — prints one `error: …` line
+//! and the usage line, and exits with status 2. The `--fault-*` flags
+//! inject faults into the `--mix-sweep` store's I/O.
 
-use std::process::ExitCode;
-
+use cim_bench::cli::{self, Args, Flag, CACHE_DIR, FAULTS, JOBS, JSON, SEED};
 use cim_bench::runner::{fingerprint, parallel_map, CacheKey, ScheduleCache};
-use cim_bench::{parse_common_args, render_table, write_json, CommonArgs};
+use cim_bench::{render_table, write_json};
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
     TenantInstance, TenantSpec,
 };
 use cim_frontend::{canonicalize, CanonOptions};
-use cim_ir::Graph;
 use cim_tune::{mix_measurement, MixSpace, ParetoArchive};
 use clsa_core::RunConfig;
 use serde::Serialize;
 
-/// Resolves a tenant model name: the paper's Fig. 5 worked example or
-/// any zoo registry entry. Returns the **raw** graph —
-/// [`TenantInstance::prepare`] canonicalizes. An unknown name is an error
-/// listing the accepted spellings.
-fn model_graph(name: &str) -> Result<Graph, String> {
-    if name == "fig5" {
-        return Ok(cim_models::fig5_example());
-    }
-    let zoo = cim_models::all_models();
-    match zoo.iter().find(|info| info.name == name) {
-        Some(info) => Ok(info.build()),
-        None => {
-            let names: Vec<&str> = zoo.iter().map(|info| info.name).collect();
-            Err(format!(
-                "unknown model {name:?} (accepted: fig5, {})",
-                names.join(", ")
-            ))
-        }
-    }
-}
-
-/// Binary-specific flag: `--flag <value>` out of the leftover args.
-fn flag_value<'a>(rest: &'a [String], flag: &str) -> Option<&'a str> {
-    rest.iter()
-        .position(|a| a == flag)
-        .and_then(|i| rest.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Binary-specific presence flag (no value).
-fn has_flag(rest: &[String], flag: &str) -> bool {
-    rest.iter().any(|a| a == flag)
-}
-
-fn parse_u64(rest: &[String], flag: &str, default: u64) -> Result<u64, String> {
-    flag_value(rest, flag).map_or(Ok(default), |v| {
-        v.parse()
-            .map_err(|_| format!("{flag} takes an unsigned integer, got {v:?}"))
-    })
-}
-
 /// Prepares the instances of a tenant list, fanning prepared models out
-/// into their streams.
+/// into their streams. Tenant names resolve through
+/// [`cim_models::graph_by_name`] (exact names; an unknown one is an error
+/// listing the accepted spellings).
 fn instances_of(specs: &[TenantSpec]) -> Result<Vec<TenantInstance>, String> {
     let mut instances = Vec::new();
     for spec in specs {
-        let graph = model_graph(&spec.model)?;
+        let graph = cim_models::graph_by_name(&spec.model)?;
         let base = TenantInstance::prepare(&spec.model, &graph)
             .map_err(|e| format!("preparing {}: {e}", spec.model))?;
         instances.extend(base.streams_of(spec));
@@ -240,7 +201,7 @@ struct SweepRow {
     on_front: bool,
 }
 
-fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &FabricConfig) {
+fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConfig) {
     let space = MixSpace::tiny();
     space.validate().unwrap_or_else(|e| panic!("mix space: {e}"));
     let points: Vec<usize> = (0..space.len()).collect();
@@ -266,7 +227,7 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
         models.sort_unstable();
         models.dedup();
         for model in models {
-            let graph = model_graph(model).unwrap_or_else(|e| panic!("{e}"));
+            let graph = cim_models::graph_by_name(model).unwrap_or_else(|e| panic!("{e}"));
             let graph = canonicalize(&graph, &CanonOptions::default())
                 .expect("registry models canonicalize")
                 .into_graph();
@@ -340,34 +301,47 @@ fn mix_sweep_mode(args: &CommonArgs, instances: &[TenantInstance], config: &Fabr
     }
 }
 
-fn main() -> ExitCode {
-    let args = parse_common_args();
+fn main() {
+    let args = cli::parse(&[
+        &[
+            Flag::value("--tenants", "model:streams,..."),
+            Flag::value("--stagger", "N"),
+            Flag::value("--policy", "shared|partitioned"),
+            Flag::value("--bandwidth", "B"),
+            Flag::value("--capacity-pes", "C"),
+            Flag::value("--reload", "R"),
+            Flag::value("--extra-pes", "E"),
+            Flag::switch("--bench"),
+            Flag::switch("--mix-sweep"),
+            JOBS,
+            JSON,
+            CACHE_DIR,
+            SEED,
+        ],
+        FAULTS,
+    ]);
     args.report_faults();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
+    if let Err(e) = run(&args) {
+        args.fail(e);
     }
 }
 
 /// Runs the selected mode; `Err` is an input error for `main` to report.
-fn run(args: &CommonArgs) -> Result<(), String> {
-    let tenants = flag_value(&args.rest, "--tenants").unwrap_or("fig5:2");
+fn run(args: &Args) -> Result<(), String> {
+    let tenants = args.value("--tenants").unwrap_or("fig5:2");
     let specs = parse_tenant_list(tenants).map_err(|e| format!("--tenants {tenants}: {e}"))?;
-    let policy = match flag_value(&args.rest, "--policy") {
+    let policy = match args.value("--policy") {
         None => CoResidency::Shared,
         Some(v) => CoResidency::parse(v)
             .ok_or_else(|| format!("--policy takes shared|partitioned, got {v:?}"))?,
     };
     let fabric = FabricSpec {
-        link_bandwidth_bytes_per_cycle: parse_u64(&args.rest, "--bandwidth", 0)?,
-        capacity_pes: parse_u64(&args.rest, "--capacity-pes", 0)? as usize,
-        reload_cycles_per_pe: parse_u64(&args.rest, "--reload", 50)?,
+        link_bandwidth_bytes_per_cycle: args.get("--bandwidth").unwrap_or(0),
+        capacity_pes: args.get("--capacity-pes").unwrap_or(0),
+        reload_cycles_per_pe: args.get("--reload").unwrap_or(50),
     };
-    let extra_pes = parse_u64(&args.rest, "--extra-pes", 0)? as usize;
-    let stagger = parse_u64(&args.rest, "--stagger", 0)?;
+    let extra_pes = args.get("--extra-pes").unwrap_or(0);
+    let stagger = args.get("--stagger").unwrap_or(0);
     let instances = instances_of(&specs)?;
     let seed = args.seed_or_default();
     println!("seed: {seed}");
@@ -381,13 +355,13 @@ fn run(args: &CommonArgs) -> Result<(), String> {
         jobs: args.runner.jobs,
     };
 
-    if has_flag(&args.rest, "--bench") {
+    if args.has("--bench") {
         args.note_cache_dir_unused();
         let model = specs.first().map(|s| s.model.clone()).unwrap_or_default();
         bench_mode(&model, &config, seed, args.json.as_deref());
         return Ok(());
     }
-    if has_flag(&args.rest, "--mix-sweep") {
+    if args.has("--mix-sweep") {
         mix_sweep_mode(args, &instances, &config);
         return Ok(());
     }

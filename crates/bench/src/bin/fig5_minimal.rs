@@ -7,7 +7,7 @@
 
 use cim_arch::CrossbarSpec;
 use cim_bench::runner::parallel_map;
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::{cli, render_table};
 use cim_mapping::{layer_costs, MappingOptions};
 use clsa_core::{
     cross_layer_schedule, determine_dependencies, determine_sets, gantt_text,
@@ -15,11 +15,7 @@ use clsa_core::{
 };
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    args.note_cache_dir_unused();
-    let runner = args.runner;
+    let runner = cli::parse(&[&[cli::JOBS]]).runner;
     let g = cim_models::fig5_example();
     println!("Fig. 5 — minimal example: two Conv2D layers with a non-base path");
     println!(

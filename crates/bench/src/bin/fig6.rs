@@ -32,8 +32,9 @@ use std::process::ExitCode;
 
 use cim_arch::Architecture;
 use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
+use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SWEEP};
+use cim_bench::render_table;
 use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
-use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs};
 use cim_ir::Graph;
 use cim_mapping::Solver;
 use clsa_core::{gantt_text, CoreError, RunConfig};
@@ -103,7 +104,7 @@ fn part_b(cs: &CaseStudy) {
 
 /// Returns the number of quarantined jobs, so `main` can exit loudly
 /// on a partial artifact.
-fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> Result<usize, CoreError> {
+fn part_c(g: &Graph, args: &Args, store: Option<&ResultStore>) -> Result<usize, CoreError> {
     println!("Fig. 6c — speedup and utilization (TinyYOLOv4)\n");
     let jobs = fig6c_jobs(g)?;
     let outcome = args.sweep(&jobs, store).run()?;
@@ -154,21 +155,13 @@ fn part_c(g: &Graph, args: &CommonArgs, store: Option<&ResultStore>) -> Result<u
 }
 
 fn main() -> ExitCode {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    let part = args
-        .rest
-        .iter()
-        .position(|a| a == "--part")
-        .and_then(|i| args.rest.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("all");
+    let args = cli::parse(&[&[Flag::value("--part", "a|b|c")], SWEEP]);
+    let part = args.value("--part");
 
     // Only part c runs a batch sweep; a/b alone must not create (or
     // silently ignore) a --cache-dir.
     match part {
-        "a" | "b" => {
+        Some(part @ ("a" | "b")) => {
             args.note_cache_dir_unused();
             if args.shard != ShardMode::All {
                 eprintln!("note: --shard ignored — parts a/b run no batch sweep");
@@ -181,11 +174,12 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "c" => {
+        Some("c") => {
             let store = args.open_store();
             sweep_exit_code(part_c(&case_study_graph(), &args, store.as_ref()))
         }
-        _ => {
+        Some(other) => args.fail(format!("invalid value {other:?} for --part <a|b|c>")),
+        None => {
             let store = args.open_store();
             let cs = CaseStudy::new();
             part_a(&cs);

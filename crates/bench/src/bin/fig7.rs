@@ -8,7 +8,7 @@
 //! large models; `xinf` up to 4.4× for large models; utilization decreasing
 //! with ResNet depth.
 //!
-//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--fault-seed S --fault-rate site=per_mille ...]`
+//! Usage: `cargo run --release -p cim-bench --bin fig7 [-- --json results/fig7.json] [--jobs N] [--cache-dir <path>] [--shard i/n|merge] [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]`
 //!
 //! With `--cache-dir`, the sweep's summaries persist across runs: a warm
 //! re-run replays from disk (byte-identical `--json` output), and a
@@ -26,20 +26,18 @@
 
 use std::process::ExitCode;
 
+use cim_bench::cli::{self, sweep_exit_code, Args, SWEEP};
 use cim_bench::runner::sweep_jobs_for_models;
-use cim_bench::{parse_common_args, render_table, sweep_exit_code, CommonArgs, SweepOptions};
+use cim_bench::{render_table, SweepOptions};
 use clsa_core::CoreError;
 
 fn main() -> ExitCode {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    sweep_exit_code(run(&args))
+    sweep_exit_code(run(&cli::parse(&[SWEEP])))
 }
 
 /// Runs the sweep and prints the figure; returns the number of
 /// quarantined jobs, so `main` can exit loudly on a partial artifact.
-fn run(args: &CommonArgs) -> Result<usize, CoreError> {
+fn run(args: &Args) -> Result<usize, CoreError> {
     let store = args.open_store();
     let opts = SweepOptions::default();
 

@@ -14,12 +14,14 @@
 //!   --gantt <width>    print a Gantt chart
 //!   --critical <n>     print the top-n critical-path layers
 //!   --json <path>      export the schedule rows as JSON
-//!   --jobs <n>         accepted for CLI uniformity with the other
-//!                      binaries (inspect evaluates one configuration)
 //! ```
+//!
+//! The model may come anywhere on the command line; an unknown one exits
+//! with status 2.
 
 use cim_arch::Architecture;
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::cli::{self, Flag, JSON};
+use cim_bench::render_table;
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
 use clsa_core::{
@@ -27,48 +29,34 @@ use clsa_core::{
     SetPolicy,
 };
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let common = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    common.note_seed_unused();
-    common.note_cache_dir_unused();
-    let (args, json) = (common.rest, common.json);
-    let model_name = args.first().cloned().unwrap_or_else(|| {
-        eprintln!(
-            "usage: inspect <model> [--x n] [--wdup] [--lbl] [--sets n] [--gantt w] [--critical n]"
-        );
-        std::process::exit(2);
-    });
-    let info = cim_models::all_models()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&model_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown model `{model_name}`; known:");
-            for m in cim_models::all_models() {
-                eprintln!("  {}", m.name);
-            }
-            std::process::exit(2);
-        });
+    let args = cli::parse(&[&[
+        Flag::positional("model"),
+        Flag::value("--x", "n"),
+        Flag::switch("--wdup"),
+        Flag::switch("--wdup-exact"),
+        Flag::switch("--lbl"),
+        Flag::value("--sets", "n"),
+        Flag::value("--gantt", "width"),
+        Flag::value("--critical", "n"),
+        JSON,
+    ]]);
+    let Some(model) = args.value("model") else {
+        args.fail("missing <model>");
+    };
+    let zoo = cim_models::all_models();
+    let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(model)) else {
+        let known = zoo.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
+        args.fail(format!("unknown model `{model}` (known: {known})"));
+    };
 
-    let x: usize = flag_value(&args, "--x")
-        .map(|v| v.parse().expect("--x takes a number"))
-        .unwrap_or(0);
-    let wdup = args.iter().any(|a| a == "--wdup");
-    let wdup_exact = args.iter().any(|a| a == "--wdup-exact");
-    let lbl = args.iter().any(|a| a == "--lbl");
-    let sets: Option<usize> =
-        flag_value(&args, "--sets").map(|v| v.parse().expect("--sets takes a number"));
-    let gantt: Option<usize> =
-        flag_value(&args, "--gantt").map(|v| v.parse().expect("--gantt takes a width"));
-    let critical: Option<usize> =
-        flag_value(&args, "--critical").map(|v| v.parse().expect("--critical takes a count"));
+    let x: usize = args.get("--x").unwrap_or(0);
+    let wdup = args.has("--wdup");
+    let wdup_exact = args.has("--wdup-exact");
+    let lbl = args.has("--lbl");
+    let sets: Option<usize> = args.get("--sets");
+    let gantt: Option<usize> = args.get("--gantt");
+    let critical: Option<usize> = args.get("--critical");
 
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
@@ -158,8 +146,8 @@ fn main() {
             );
         }
     }
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
+    if let Some(path) = &args.json {
+        cim_bench::write_json(path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
         println!("wrote {path}");
     }
 }

@@ -15,51 +15,40 @@
 //!   --json <path>      export the findings as JSON
 //! ```
 //!
-//! Exit status: 0 when no `error`-severity finding exists, 1 otherwise,
-//! 2 on usage errors.
+//! The model may come anywhere on the command line. Exit status: 0 when
+//! no `error`-severity finding exists, 1 otherwise, 2 on usage errors
+//! (including an unknown model).
 
 use cim_arch::Architecture;
-use cim_bench::parse_common_args;
+use cim_bench::cli::{self, Flag, JSON};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
 use clsa_core::{
     analyze_costed, capacity_diagnostics, run, RunConfig, ScheduleDiagnostic, SetPolicy, Severity,
 };
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    common.note_cache_dir_unused();
-    let (args, json) = (common.rest, common.json);
-    let model_name = args.first().cloned().unwrap_or_else(|| {
-        eprintln!("usage: lint-schedule <model> [--x n] [--wdup] [--lbl] [--sets n] [--json path]");
-        std::process::exit(2);
-    });
-    let info = cim_models::all_models()
-        .into_iter()
-        .find(|m| m.name.eq_ignore_ascii_case(&model_name))
-        .unwrap_or_else(|| {
-            eprintln!("unknown model `{model_name}`; known:");
-            for m in cim_models::all_models() {
-                eprintln!("  {}", m.name);
-            }
-            std::process::exit(2);
-        });
+    let args = cli::parse(&[&[
+        Flag::positional("model"),
+        Flag::value("--x", "n"),
+        Flag::switch("--wdup"),
+        Flag::switch("--lbl"),
+        Flag::value("--sets", "n"),
+        JSON,
+    ]]);
+    let Some(model) = args.value("model") else {
+        args.fail("missing <model>");
+    };
+    let zoo = cim_models::all_models();
+    let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(model)) else {
+        let known = zoo.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
+        args.fail(format!("unknown model `{model}` (known: {known})"));
+    };
 
-    let x: usize = flag_value(&args, "--x")
-        .map(|v| v.parse().expect("--x takes a number"))
-        .unwrap_or(0);
-    let wdup = args.iter().any(|a| a == "--wdup");
-    let lbl = args.iter().any(|a| a == "--lbl");
-    let sets: Option<usize> =
-        flag_value(&args, "--sets").map(|v| v.parse().expect("--sets takes a number"));
+    let x: usize = args.get("--x").unwrap_or(0);
+    let wdup = args.has("--wdup");
+    let lbl = args.has("--lbl");
+    let sets: Option<usize> = args.get("--sets");
 
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
@@ -101,9 +90,9 @@ fn main() {
         diags.len()
     );
 
-    if let Some(path) = json {
+    if let Some(path) = &args.json {
         let out = serde_json::to_string_pretty(&diags).expect("diagnostics serialize");
-        std::fs::write(&path, out).expect("JSON export path is writable");
+        std::fs::write(path, out).expect("JSON export path is writable");
     }
 
     if errors > 0 {

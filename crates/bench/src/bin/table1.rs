@@ -2,20 +2,16 @@
 //! TinyYOLOv4 — padded IFM shape, OFM shape, PE count (Eq. 1) and
 //! intra-layer latency `t_init` per convolution, on 256×256 crossbars.
 //!
-//! Usage: `cargo run -p cim-bench --bin table1 [-- --json results/table1.json] [--jobs N]`
+//! Usage: `cargo run -p cim-bench --bin table1 [-- --json results/table1.json]`
 
 use cim_bench::artifacts::table1_costs;
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::{cli, render_table};
 use cim_mapping::min_pes;
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    args.note_cache_dir_unused();
-    // One closed-form artifact (shared with the golden-file regression
-    // suite); `--jobs` is accepted for CLI uniformity but has no work to
-    // spread.
+    let args = cli::parse(&[&[cli::JSON]]);
+    // One closed-form artifact, shared with the golden-file regression
+    // suite.
     let costs = table1_costs();
 
     let rows: Vec<Vec<String>> = costs

@@ -4,13 +4,10 @@
 //! Usage: `cargo run -p cim-bench --bin table2 [-- --json results/table2.json] [--jobs N]`
 
 use cim_bench::artifacts::table2_rows;
-use cim_bench::{parse_common_args, render_table};
+use cim_bench::{cli, render_table};
 
 fn main() {
-    let args = parse_common_args();
-    // Nothing below consumes randomness; surface a stray --seed.
-    args.note_seed_unused();
-    args.note_cache_dir_unused();
+    let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
     // Row computation is shared with the golden-file regression suite.
     let rows = table2_rows(args.runner.jobs);
 

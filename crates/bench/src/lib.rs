@@ -16,18 +16,20 @@
 //! | Ablation: NoC hop cost (Sec. V-C) | `ablation_noc` |
 //! | Ablation: cell resolution / bit slicing | `ablation_bitslice` |
 //!
-//! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Every binary
-//! accepts `--json <path>` to additionally export its records and
-//! `--jobs <N>` to set the worker-thread count of the evaluation engine
-//! (default: one worker per hardware thread; `--jobs 1` is the sequential
-//! reference — results are bit-for-bit identical either way).
+//! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Each binary
+//! takes only the flags it reads, and `--help` lists them: typically
+//! `--json <path>` to export its records and `--jobs <N>` to set the
+//! worker-thread count of the evaluation engine (default: one worker per
+//! hardware thread; `--jobs 1` is the sequential reference — results are
+//! bit-for-bit identical either way). An unknown flag or a bad value
+//! exits with status 2 ([`cli`]).
 //!
 //! The library part hosts the parallel batched evaluation engine
 //! ([`runner`]: lane-based worker pool, concurrent schedule cache, and
 //! the one sweep entry point [`Sweep::run`](runner::Sweep::run) with its
 //! deterministic aggregation), the sweep options and row type
-//! ([`experiments`]), the text-table renderer ([`table`]), and JSON
-//! export ([`export`]).
+//! ([`experiments`]), the text-table renderer ([`table`]), JSON export
+//! ([`export`]), and the binaries' one flag parser ([`cli`]).
 //!
 //! # Examples
 //!
@@ -51,6 +53,7 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod cli;
 pub mod experiments;
 pub mod export;
 pub mod runner;
@@ -58,9 +61,5 @@ pub mod table;
 pub mod tune;
 
 pub use experiments::{ConfigResult, SweepOptions};
-pub use export::{
-    parse_args_json, parse_cache_dir_arg, parse_common_args, parse_fault_args, parse_jobs_arg,
-    parse_json_arg, parse_seed_arg, parse_shard_arg, sweep_exit_code, write_json, CommonArgs,
-    DEFAULT_SEED,
-};
+pub use export::write_json;
 pub use table::render_table;

@@ -34,10 +34,9 @@
 //! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo) →
 //! [`Sweep::run`] (sweep jobs → [`SweepOutcome`]). [`Sweep`] holds the
 //! job list, the worker count, the optional store, the [`ShardMode`], and
-//! the optional fault hook. The experiment binaries all sit on top and
-//! accept `--jobs N` (see [`parse_jobs_arg`](crate::parse_jobs_arg)) plus
-//! `--cache-dir <path>` and `--shard i/n|merge` (see
-//! [`parse_common_args`](crate::parse_common_args)).
+//! the optional fault hook. The sweep binaries sit on top: their
+//! `--jobs N`, `--cache-dir <dir>`, `--shard i/n|merge` and chaos flags
+//! build the [`Sweep`] through [`cli::Args::sweep`](crate::cli::Args::sweep).
 //!
 //! # Examples
 //!

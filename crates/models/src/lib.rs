@@ -54,4 +54,4 @@ pub use synthetic::conv_chain;
 pub use toys::{fig5_example, mlp, toy_cnn};
 pub use vgg::{vgg16, vgg16_with_classifier, vgg19};
 pub use yolo::{tiny_yolo_v3, tiny_yolo_v4};
-pub use zoo::{all_models, case_study_model, table2_models, ModelInfo};
+pub use zoo::{all_models, case_study_model, graph_by_name, model_names, table2_models, ModelInfo};

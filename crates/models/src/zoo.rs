@@ -95,6 +95,36 @@ pub fn all_models() -> Vec<ModelInfo> {
     v
 }
 
+/// Every name [`graph_by_name`] resolves, in registry order: the paper's
+/// Fig. 5 worked example (`fig5`), then [`all_models`].
+pub fn model_names() -> Vec<&'static str> {
+    let mut names = vec!["fig5"];
+    names.extend(all_models().iter().map(|info| info.name));
+    names
+}
+
+/// The raw (pre-canonicalization) graph of `fig5` or of the zoo entry
+/// named exactly `name`.
+///
+/// # Errors
+///
+/// An unknown name, with a message listing [`model_names`].
+pub fn graph_by_name(name: &str) -> Result<Graph, String> {
+    if name == "fig5" {
+        return Ok(crate::fig5_example());
+    }
+    all_models()
+        .into_iter()
+        .find(|info| info.name == name)
+        .map(|info| info.build())
+        .ok_or_else(|| {
+            format!(
+                "unknown model {name:?} (accepted: {})",
+                model_names().join(", ")
+            )
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +159,15 @@ mod tests {
             .unwrap();
             assert_eq!(min_pes(&costs), info.pe_min_256, "{} PE_min", info.name);
         }
+    }
+
+    #[test]
+    fn names_resolve_exactly() {
+        for name in model_names() {
+            assert!(graph_by_name(name).is_ok(), "{name}");
+        }
+        let err = graph_by_name("tinyyolov4").unwrap_err();
+        assert!(err.contains("(accepted: fig5, TinyYOLOv4"), "{err}");
     }
 
     #[test]

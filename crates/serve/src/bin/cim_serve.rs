@@ -30,60 +30,44 @@
 //! $ printf '%s\n' '{"id":"r1","model":"fig5","strategy":"xinf"}' | nc -U /tmp/cim.sock
 //! ```
 
-use cim_bench::parse_common_args;
+use cim_bench::cli::{self, Flag, CACHE_DIR, FAULTS, JOBS};
 use cim_serve::{Daemon, DaemonOptions, EngineOptions};
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    let rest = &common.rest;
-    if common.json.is_some() {
-        eprintln!("note: --json ignored — stats are served via the `stats` request");
+    let common = cli::parse(&[
+        &[
+            Flag::value("--socket", "path"),
+            Flag::value("--tcp", "addr"),
+            Flag::value("--max-queue", "n"),
+            Flag::value("--tenant-quota", "n"),
+            Flag::value("--read-timeout-ms", "ms"),
+            Flag::value("--max-line-bytes", "n"),
+            JOBS,
+            CACHE_DIR,
+        ],
+        FAULTS,
+    ]);
+    let socket = common.value("--socket").unwrap_or("/tmp/cim-serve.sock");
+    let max_queue: usize = common.get("--max-queue").unwrap_or(256);
+    let tenant_quota: Option<usize> = common.get("--tenant-quota");
+    if tenant_quota == Some(0) {
+        common.fail("--tenant-quota must be at least 1 (omit the flag to disable)");
     }
-
-    let socket = flag_value(rest, "--socket").unwrap_or_else(|| "/tmp/cim-serve.sock".into());
-    let tcp = flag_value(rest, "--tcp");
-    let parse_unsigned = |flag: &str, v: String| -> u64 {
-        v.parse::<u64>().unwrap_or_else(|_| {
-            eprintln!("{flag} expects an unsigned integer, got `{v}`");
-            std::process::exit(2);
-        })
-    };
-    let max_queue = flag_value(rest, "--max-queue")
-        .map(|v| parse_unsigned("--max-queue", v) as usize)
-        .unwrap_or(256);
-    let tenant_quota = flag_value(rest, "--tenant-quota").map(|v| {
-        let quota = parse_unsigned("--tenant-quota", v) as usize;
-        if quota == 0 {
-            eprintln!("--tenant-quota must be at least 1 (omit the flag to disable)");
-            std::process::exit(2);
-        }
-        quota
-    });
-    let read_timeout = match flag_value(rest, "--read-timeout-ms")
-        .map(|v| parse_unsigned("--read-timeout-ms", v))
-    {
+    let read_timeout = match common.get("--read-timeout-ms") {
         Some(0) => None, // explicit 0 = wait forever
         Some(ms) => Some(std::time::Duration::from_millis(ms)),
         None => Some(cim_serve::DEFAULT_READ_TIMEOUT),
     };
-    let max_line_bytes = flag_value(rest, "--max-line-bytes")
-        .map(|v| parse_unsigned("--max-line-bytes", v) as usize)
+    let max_line_bytes = common
+        .get("--max-line-bytes")
         .unwrap_or(cim_serve::DEFAULT_MAX_LINE_BYTES);
 
     if let Some(plan) = &common.faults {
         println!("cim-serve: fault plan seeded with {}", plan.seed());
     }
     let options = DaemonOptions {
-        socket: socket.clone().into(),
-        tcp: tcp.clone(),
+        socket: socket.into(),
+        tcp: common.value("--tcp").map(String::from),
         engine: EngineOptions {
             jobs: common.runner.jobs,
             max_queue,

@@ -27,23 +27,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cim_bench::parse_common_args;
+use cim_bench::cli::{self, Args, Flag, CACHE_DIR, JOBS, JSON};
 use cim_serve::{
     Client, Daemon, DaemonOptions, EngineOptions, Op, Request, RetryPolicy, StatsSnapshot,
 };
 use cim_tune::{Clock, SystemClock};
 use serde::Value;
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
-}
 
 /// The request list both generations replay: `n` requests cycling over
 /// the four strategies and two duplication budgets (8 distinct keys).
@@ -178,35 +167,34 @@ fn connect_with_retry(socket: &Path) -> io::Result<Client> {
 }
 
 fn main() {
-    if let Err(e) = run() {
+    let args = cli::parse(&[&[
+        Flag::value("--requests", "n"),
+        Flag::value("--model", "name"),
+        Flag::value("--connect", "socket"),
+        Flag::value("--replies", "path"),
+        Flag::switch("--shutdown"),
+        JOBS,
+        CACHE_DIR,
+        JSON,
+    ]]);
+    if let Err(e) = run(&args) {
         eprintln!("serve-bench: {e}");
         std::process::exit(1);
     }
 }
 
-fn run() -> io::Result<()> {
-    let common = parse_common_args();
-    common.note_seed_unused();
-    let rest = &common.rest;
-    let requests: usize = match flag_value(rest, "--requests") {
-        Some(v) => v.parse().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "--requests expects an unsigned integer",
-            )
-        })?,
-        None => 24,
-    };
-    let model = flag_value(rest, "--model").unwrap_or_else(|| "fig5".into());
-    let lines = request_lines(requests, &model);
+fn run(common: &Args) -> io::Result<()> {
+    let requests: usize = common.get("--requests").unwrap_or(24);
+    let model = common.value("--model").unwrap_or("fig5");
+    let lines = request_lines(requests, model);
 
-    if let Some(socket) = flag_value(rest, "--connect") {
+    if let Some(socket) = common.value("--connect") {
         // External mode: one pass against a running daemon. Retry the
         // connect — CI starts the daemon in the background and races it.
-        let mut client = connect_with_retry(&PathBuf::from(&socket))?;
-        let pass = drive(&mut client, &lines, has_flag(rest, "--shutdown"))?;
-        if let Some(path) = flag_value(rest, "--replies") {
-            std::fs::write(&path, pass.replies.join("\n") + "\n")
+        let mut client = connect_with_retry(&PathBuf::from(socket))?;
+        let pass = drive(&mut client, &lines, common.has("--shutdown"))?;
+        if let Some(path) = common.value("--replies") {
+            std::fs::write(path, pass.replies.join("\n") + "\n")
                 .map_err(|e| io::Error::other(format!("write {path}: {e}")))?;
         }
         assert_eq!(
@@ -253,7 +241,7 @@ fn run() -> io::Result<()> {
 
     let snapshot = Value::Map(vec![
         ("bench".into(), Value::Str("cim-serve".into())),
-        ("model".into(), Value::Str(model.clone())),
+        ("model".into(), Value::Str(model.to_string())),
         ("requests".into(), Value::U64(requests as u64)),
         ("distinct_keys".into(), Value::U64(distinct_keys(requests) as u64)),
         ("jobs".into(), Value::U64(jobs as u64)),

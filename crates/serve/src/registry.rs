@@ -50,23 +50,9 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// The raw (pre-canonicalization) graph for `name`, if the name is
-    /// known.
-    fn raw_graph(name: &str) -> Option<Graph> {
-        if name == "fig5" {
-            return Some(cim_models::fig5_example());
-        }
-        cim_models::all_models()
-            .into_iter()
-            .find(|m| m.name == name)
-            .map(|m| m.build())
-    }
-
     /// Every name the registry can resolve, in canonical order.
     pub fn known_names() -> Vec<String> {
-        let mut names = vec!["fig5".to_string()];
-        names.extend(cim_models::all_models().into_iter().map(|m| m.name.to_string()));
-        names
+        cim_models::model_names().into_iter().map(String::from).collect()
     }
 
     /// Resolves `name`, canonicalizing and probing `PE_min` on first use.
@@ -85,7 +71,7 @@ impl ModelRegistry {
         // requests for *different* models must not serialize on it. A
         // racing duplicate build of the same model is benign (identical
         // output; last insert wins).
-        let raw = Self::raw_graph(name).ok_or_else(|| {
+        let raw = cim_models::graph_by_name(name).map_err(|_| {
             ServeError::new(
                 ErrorCode::UnknownModel,
                 format!("unknown model `{name}` (known: {})", Self::known_names().join(", ")),

@@ -7,10 +7,12 @@
 //!   --interleave     run the exhaustive interleaving suite instead
 //!   --list-rules     print the rule table and exit
 //!   --json <path>    also export diagnostics (or interleave stats) as JSON
+//!   --help           print the usage line and exit
 //! ```
 //!
 //! Exit status: 0 when clean, 1 on any diagnostic (or interleaving
-//! violation), 2 on usage/I-O errors.
+//! violation), 2 on usage/I-O errors — any other argument prints one
+//! `error: …` line and the usage line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -20,28 +22,41 @@ use cim_verify::models::{CacheSlotProtocol, LanePoolProtocol, TwoLevelCacheProto
 use cim_verify::workspace::{find_workspace_root, lint_workspace};
 use cim_verify::RULES;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+const USAGE: &str = "usage: cim-lint [--root <path>] [--interleave] [--list-rules] [--json <path>]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut root, mut json, mut interleave, mut list_rules) = (None, None, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return ExitCode::SUCCESS;
+            }
+            "--interleave" => interleave = true,
+            "--list-rules" => list_rules = true,
+            "--root" | "--json" => match args.next().filter(|v| !v.starts_with('-')) {
+                Some(path) if arg == "--root" => root = Some(path),
+                Some(path) => json = Some(path),
+                None => return usage_error(format!("{arg} takes a value <path>")),
+            },
+            _ if arg.starts_with('-') => return usage_error(format!("unknown flag {arg}")),
+            _ => return usage_error(format!("unexpected argument {arg:?}")),
+        }
+    }
 
-    if args.iter().any(|a| a == "--list-rules") {
+    if list_rules {
         for r in RULES {
             println!("{:<16} {}", r.name, r.summary);
         }
         return ExitCode::SUCCESS;
     }
 
-    if args.iter().any(|a| a == "--interleave") {
-        return run_interleave_suite(flag_value(&args, "--json"));
+    if interleave {
+        return run_interleave_suite(json);
     }
 
-    let root = match flag_value(&args, "--root").map(PathBuf::from) {
+    let root = match root.map(PathBuf::from) {
         Some(r) => r,
         None => {
             let cwd = match std::env::current_dir() {
@@ -72,7 +87,7 @@ fn main() -> ExitCode {
     for d in &diags {
         println!("{d}");
     }
-    if let Some(path) = flag_value(&args, "--json") {
+    if let Some(path) = json {
         let json = serde_json::to_string_pretty(&diags).unwrap_or_else(|_| "[]".to_string());
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("cim-lint: writing {path} failed: {e}");
@@ -86,6 +101,12 @@ fn main() -> ExitCode {
         println!("cim-lint: {} diagnostic(s)", diags.len());
         ExitCode::FAILURE
     }
+}
+
+fn usage_error(msg: String) -> ExitCode {
+    eprintln!("error: {msg}");
+    eprintln!("{USAGE}");
+    ExitCode::from(2)
 }
 
 /// Runs every bounded interleaving model exhaustively, reporting the

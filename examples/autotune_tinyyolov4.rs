@@ -9,20 +9,15 @@
 //! the result is identical for every N; `--cache-dir <path>` to persist
 //! candidate evaluations, making re-runs and follow-up searches warm)
 
-use clsa_cim::bench::runner::ResultStore;
+use clsa_cim::bench::cli::{self, CACHE_DIR, JOBS, SEED};
 use clsa_cim::bench::tune::{autotune, measurement_of, TuneEvaluator};
-use clsa_cim::bench::{parse_cache_dir_arg, parse_jobs_arg, parse_seed_arg};
 use clsa_cim::tune::{
     strategy_by_name, Budget, Candidate, DesignSpace, Evaluator, TuneOptions,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, runner) = parse_jobs_arg(&raw);
-    let (rest, cache_dir) = parse_cache_dir_arg(&rest);
-    let (_, seed) = parse_seed_arg(&rest);
-    let seed = seed.unwrap_or(clsa_cim::bench::DEFAULT_SEED);
-    let store = cache_dir.as_deref().map(ResultStore::open).transpose()?;
+    let args = cli::parse(&[&[JOBS, CACHE_DIR, SEED]]);
+    let (runner, seed, store) = (args.runner, args.seed_or_default(), args.open_store());
 
     // 1. The model, canonicalized once (BN folding, partitioning).
     let graph = clsa_cim::bench::artifacts::case_study_graph();

@@ -7,16 +7,14 @@
 //! set the worker count — results are identical for every N; pass
 //! `--cache-dir <path>` to persist sweep summaries across runs)
 
-use clsa_cim::bench::runner::{sweep_jobs_for_models, ResultStore, Sweep};
-use clsa_cim::bench::{parse_cache_dir_arg, parse_jobs_arg, SweepOptions};
+use clsa_cim::bench::cli::{self, Flag, CACHE_DIR, JOBS};
+use clsa_cim::bench::runner::{sweep_jobs_for_models, Sweep};
+use clsa_cim::bench::SweepOptions;
 use clsa_cim::ir::Graph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (rest, runner) = parse_jobs_arg(&raw);
-    let (rest, cache_dir) = parse_cache_dir_arg(&rest);
-    let store = cache_dir.as_deref().map(ResultStore::open).transpose()?;
-    let filter = rest.first();
+    let args = cli::parse(&[&[Flag::positional("model"), JOBS, CACHE_DIR]]);
+    let (runner, store, filter) = (args.runner, args.open_store(), args.value("model"));
 
     let models: Vec<(String, Graph)> = clsa_cim::models::table2_models()
         .iter()
@@ -26,11 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|info| (info.name.to_string(), info.build()))
         .collect();
     if models.is_empty() {
-        eprintln!("no model matches the filter; known:");
-        for m in clsa_cim::models::table2_models() {
-            eprintln!("  {}", m.name);
-        }
-        std::process::exit(2);
+        let table2 = clsa_cim::models::table2_models();
+        let known = table2.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
+        let filter = filter.unwrap_or_default();
+        args.fail(format!("unknown model `{filter}` (known: {known})"));
     }
 
     // One flat job list over all models; the engine canonicalizes each
