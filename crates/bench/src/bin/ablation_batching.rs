@@ -11,7 +11,7 @@ use cim_arch::Architecture;
 use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
 use cim_bench::{cli, render_table};
 use cim_frontend::{canonicalize, CanonOptions};
-use clsa_core::{batched_cross_layer_schedule, EdgeCost, RunConfig};
+use clsa_core::{batched_cross_layer_schedule, run_prepared, EdgeCost, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -69,7 +69,10 @@ fn main() {
 
     let cache = ScheduleCache::new();
     let records: Vec<Record> = parallel_map(&jobs, runner.jobs, |_, job| {
-        let r = cache.run(job.fp, &job.graph, &job.cfg).expect("pipeline runs");
+        let r = cache
+            .prepared(job.fp, &job.graph, &job.cfg)
+            .and_then(|prepared| run_prepared(&prepared, &job.cfg))
+            .expect("pipeline runs");
         let work: u64 = r
             .layers
             .iter()

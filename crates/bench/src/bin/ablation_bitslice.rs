@@ -10,7 +10,7 @@ use cim_bench::runner::{fingerprint, parallel_map, pe_min_of, ScheduleCache};
 use cim_bench::{cli, render_table};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::MappingOptions;
-use clsa_core::RunConfig;
+use clsa_core::{run_prepared, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -68,10 +68,15 @@ fn main() {
         let arch = Architecture::paper_case_study(job.pe_min).unwrap();
         let mut lbl_cfg = RunConfig::baseline(arch.clone());
         lbl_cfg.mapping_options = mopts;
-        let lbl = cache.run(job.fp, &job.graph, &lbl_cfg).expect("baseline");
+        let run = |cfg: &RunConfig| {
+            cache
+                .prepared(job.fp, &job.graph, cfg)
+                .and_then(|prepared| run_prepared(&prepared, cfg))
+        };
+        let lbl = run(&lbl_cfg).expect("baseline");
         let mut xinf_cfg = RunConfig::baseline(arch).with_cross_layer();
         xinf_cfg.mapping_options = mopts;
-        let xinf = cache.run(job.fp, &job.graph, &xinf_cfg).expect("xinf");
+        let xinf = run(&xinf_cfg).expect("xinf");
         Record {
             model: job.model.clone(),
             weight_bits: job.bits,

@@ -12,7 +12,7 @@ use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
 use cim_bench::{cli, render_table};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
-use clsa_core::RunConfig;
+use clsa_core::{run_prepared, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -66,7 +66,10 @@ fn main() {
             let cfg = RunConfig::baseline(arch.clone())
                 .with_duplication(solver)
                 .with_cross_layer();
-            let r = cache.run(job.fp, &job.graph, &cfg).expect("pipeline runs");
+            let r = cache
+                .prepared(job.fp, &job.graph, &cfg)
+                .and_then(|prepared| run_prepared(&prepared, &cfg))
+                .expect("pipeline runs");
             let obj = r.plan.as_ref().expect("duplication").objective_cycles;
             results.push((obj, r.makespan()));
         }

@@ -9,7 +9,7 @@ use cim_bench::runner::{fingerprint, parallel_map, pe_min_of, ScheduleCache};
 use cim_bench::{cli, render_table};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::MappingOptions;
-use clsa_core::RunConfig;
+use clsa_core::{run_prepared, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -101,7 +101,10 @@ fn main() {
     // concurrently.
     let cache = ScheduleCache::new();
     let outcomes = parallel_map(&jobs, runner.jobs, |_, job| {
-        cache.run(job.fp, &job.graph, &job.config).expect("pipeline runs")
+        cache
+            .prepared(job.fp, &job.graph, &job.config)
+            .and_then(|prepared| run_prepared(&prepared, &job.config))
+            .expect("pipeline runs")
     });
 
     let mut records = Vec::new();

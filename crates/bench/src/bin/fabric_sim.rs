@@ -30,7 +30,7 @@
 //! inject faults into the `--mix-sweep` store's I/O.
 
 use cim_bench::cli::{self, Args, Flag, CACHE_DIR, FAULTS, JOBS, JSON, SEED};
-use cim_bench::runner::{fingerprint, parallel_map, CacheKey, ScheduleCache};
+use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
 use cim_bench::{render_table, write_json};
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
@@ -231,15 +231,10 @@ fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConf
             let graph = canonicalize(&graph, &CanonOptions::default())
                 .expect("registry models canonicalize")
                 .into_graph();
-            let fp = fingerprint(&graph);
             let run_config = RunConfig::baseline(config.arch.clone()).with_cross_layer();
-            let key = CacheKey::schedule(fp, &run_config);
-            if store.get(&key).is_none() {
-                let result = cache
-                    .run(fp, &graph, &run_config)
-                    .unwrap_or_else(|e| panic!("solo reference {model}: {e}"));
-                store.put(&key, &cim_bench::runner::RunSummary::of(&result));
-            }
+            cache
+                .summary(fingerprint(&graph), &graph, &run_config, Some(&store))
+                .unwrap_or_else(|e| panic!("solo reference {model}: {e}"));
         }
         let stats = store.stats();
         println!(

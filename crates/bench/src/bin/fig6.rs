@@ -37,9 +37,9 @@ use cim_bench::render_table;
 use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
 use cim_ir::Graph;
 use cim_mapping::Solver;
-use clsa_core::{gantt_text, CoreError, RunConfig};
+use clsa_core::{gantt_text, run_prepared, CoreError, RunConfig, RunResult};
 
-/// Parts a and b schedule the *same* `wdup+16` mapping two ways; routing
+/// Parts a and b schedule the *same* `wdup+16` mapping two ways; preparing
 /// both through one cache runs the mapping and Stage-I/II analyses once.
 struct CaseStudy {
     g: Graph,
@@ -58,8 +58,11 @@ impl CaseStudy {
         }
     }
 
-    fn run(&self, cfg: &RunConfig) -> std::sync::Arc<clsa_core::RunResult> {
-        self.cache.run(self.fp, &self.g, cfg).expect("pipeline runs")
+    fn run(&self, cfg: &RunConfig) -> RunResult {
+        self.cache
+            .prepared(self.fp, &self.g, cfg)
+            .and_then(|prepared| run_prepared(&prepared, cfg))
+            .expect("pipeline runs")
     }
 }
 

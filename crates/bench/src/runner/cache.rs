@@ -8,9 +8,17 @@
 //!    the same model and mapping share this entry, so `determine_sets` /
 //!    `determine_dependencies` run once per mapping, not once per
 //!    configuration.
-//! 2. **Schedule level** — full `RunResult`s keyed by `(model, arch, full
+//! 2. **Schedule level** — [`RunSummary`]s keyed by `(model, arch, full
 //!    strategy)`, so byte-identical configurations (retries, overlapping
-//!    sweeps) are never recomputed at all.
+//!    sweeps, a tuner revisiting a candidate) are never rescheduled. A
+//!    run is reduced to its summary the moment it completes; nothing
+//!    here keeps a schedule or a cost table alive. Callers that read a
+//!    full `RunResult` (the Gantt chart, the ablations) rebuild it with
+//!    `run_prepared` over [`prepared`](ScheduleCache::prepared).
+//!
+//! [`summary`](ScheduleCache::summary) is the one lookup in front of the
+//! persistent [`ResultStore`]: store row → memo → compute → `put`, so the
+//! decision to reduce a run and persist the summary lives here only.
 //!
 //! Each level stores `Arc<OnceLock<…>>` slots inside a mutex-guarded map:
 //! the map lock is held only to fetch-or-insert the slot, never during
@@ -23,14 +31,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cim_ir::Graph;
-use clsa_core::{
-    prepare, run_prepared, CoreError, Invalidation, PipelineStage, Prepared, RunConfig, RunResult,
-};
+use clsa_core::{prepare, run_prepared, CoreError, Prepared, RunConfig};
 use parking_lot::Mutex;
 
 use super::fingerprint::CacheKey;
+use super::store::{ResultStore, RunSummary};
 
-type Slot<T> = Arc<OnceLock<Result<Arc<T>, CoreError>>>;
+type Slot<T> = Arc<OnceLock<Result<T, CoreError>>>;
 
 /// Cumulative counters of one cache (or one cache level).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,8 +85,8 @@ impl std::fmt::Display for CacheStats {
 /// Concurrent two-level memo for pipeline runs. See the module docs.
 #[derive(Debug, Default)]
 pub struct ScheduleCache {
-    stages: Mutex<BTreeMap<CacheKey, Slot<Prepared>>>,
-    schedules: Mutex<BTreeMap<CacheKey, Slot<RunResult>>>,
+    stages: Mutex<BTreeMap<CacheKey, Slot<Arc<Prepared>>>>,
+    schedules: Mutex<BTreeMap<CacheKey, Slot<RunSummary>>>,
     stage_lookups: AtomicU64,
     stage_computes: AtomicU64,
     schedule_lookups: AtomicU64,
@@ -88,16 +95,16 @@ pub struct ScheduleCache {
 
 /// Fetches (or inserts) the key's slot, then resolves it at most once
 /// across all racing threads.
-fn get_or_compute<T>(
+fn get_or_compute<T: Clone>(
     map: &Mutex<BTreeMap<CacheKey, Slot<T>>>,
     key: CacheKey,
     computes: &AtomicU64,
     compute: impl FnOnce() -> Result<T, CoreError>,
-) -> Result<Arc<T>, CoreError> {
+) -> Result<T, CoreError> {
     let slot = Arc::clone(map.lock().entry(key).or_default());
     slot.get_or_init(|| {
         computes.fetch_add(1, Ordering::Relaxed);
-        compute().map(Arc::new)
+        compute()
     })
     .clone()
 }
@@ -124,12 +131,14 @@ impl ScheduleCache {
             &self.stages,
             CacheKey::stages(model_fp, config),
             &self.stage_computes,
-            || prepare(graph, config),
+            || prepare(graph, config).map(Arc::new),
         )
     }
 
-    /// Memoized full pipeline run: resolves the stage prefix through the
-    /// stage cache, then the schedule through the schedule cache.
+    /// The [`RunSummary`] of `config` on `graph`: a trustworthy `store`
+    /// row when there is one, else the memoized summary — computed on
+    /// first use through the stage level — which is then `put` into
+    /// `store`.
     ///
     /// `model_fp` must identify `graph` (use
     /// [`fingerprint`](super::fingerprint::fingerprint) on the
@@ -138,69 +147,53 @@ impl ScheduleCache {
     ///
     /// # Errors
     ///
-    /// Propagates (and caches) pipeline errors for the key.
-    pub fn run(
+    /// Propagates (and caches) pipeline errors for the key; store I/O
+    /// problems are never errors (see [`ResultStore`]).
+    pub fn summary(
         &self,
         model_fp: u64,
         graph: &Graph,
         config: &RunConfig,
-    ) -> Result<Arc<RunResult>, CoreError> {
-        self.schedule_lookups.fetch_add(1, Ordering::Relaxed);
-        get_or_compute(
-            &self.schedules,
-            CacheKey::schedule(model_fp, config),
-            &self.schedule_computes,
-            || {
-                let prepared = self.prepared(model_fp, graph, config)?;
-                run_prepared(&prepared, config)
-            },
-        )
+        store: Option<&ResultStore>,
+    ) -> Result<RunSummary, CoreError> {
+        let key = CacheKey::schedule(model_fp, config);
+        match store.and_then(|store| store.get(&key)) {
+            Some(summary) => Ok(summary),
+            None => self.summary_on_store_miss(key, model_fp, graph, config, store),
+        }
     }
 
-    /// Incremental re-evaluation through the cache: classifies the
-    /// mutation `old -> new` with the dirty-key protocol
-    /// ([`Invalidation::between`]) and resolves `new` through the normal
-    /// two-level lookup — by construction, a mutation whose `Prepare`
-    /// stage is *clean* maps to the same stage key, so the prepare
-    /// artifacts are served from the stage cache (a stage hit, `Arc`s
-    /// shared) instead of recomputed. The returned report says which
-    /// stages were dirty and why.
-    ///
-    /// Both configs must be for the `(model_fp, graph)` pair. In debug
-    /// builds the classification is cross-checked against the fingerprint
-    /// keys: `Prepare` clean ⟺ equal stage [`CacheKey`] — the two views
-    /// are built from the same `RunConfig` facets and must never drift.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and caches) pipeline errors for the new key.
-    pub fn run_incremental(
+    /// [`summary`](Self::summary) past its store probe, for a caller that
+    /// probed `store` itself: memo → compute → `put`. `key` must be
+    /// `CacheKey::schedule(model_fp, config)`.
+    pub(crate) fn summary_on_store_miss(
         &self,
+        key: CacheKey,
         model_fp: u64,
         graph: &Graph,
-        old: &RunConfig,
-        new: &RunConfig,
-    ) -> Result<(Arc<RunResult>, Invalidation), CoreError> {
-        let invalidation = Invalidation::between(old, new);
-        debug_assert_eq!(
-            !invalidation.is_dirty(PipelineStage::Prepare),
-            CacheKey::stages(model_fp, old) == CacheKey::stages(model_fp, new),
-            "dirty-key classification and stage fingerprints disagree: {invalidation}"
-        );
-        let result = self.run(model_fp, graph, new)?;
-        Ok((result, invalidation))
+        config: &RunConfig,
+        store: Option<&ResultStore>,
+    ) -> Result<RunSummary, CoreError> {
+        self.schedule_lookups.fetch_add(1, Ordering::Relaxed);
+        let summary = get_or_compute(&self.schedules, key, &self.schedule_computes, || {
+            let prepared = self.prepared(model_fp, graph, config)?;
+            run_prepared(&prepared, config).map(|result| RunSummary::of(&result))
+        })?;
+        if let Some(store) = store {
+            store.put(&key, &summary);
+        }
+        Ok(summary)
     }
 
     /// Non-blocking probe of the schedule level: returns the memoized
-    /// result for `key` if — and only if — a computation for it already
+    /// summary for `key` if — and only if — a computation for it already
     /// completed successfully. Never computes, never waits on an
     /// in-flight computation, and is counter-neutral (a probe is not a
     /// lookup the hit-rate accounting should see — callers like the
     /// serve daemon's warm path keep their own counters).
-    pub fn peek(&self, key: &CacheKey) -> Option<Arc<RunResult>> {
+    pub fn peek(&self, key: &CacheKey) -> Option<RunSummary> {
         let slot = Arc::clone(self.schedules.lock().get(key)?);
-        let resolved = slot.get()?;
-        resolved.as_ref().ok().cloned()
+        slot.get()?.as_ref().ok().cloned()
     }
 
     /// Snapshot of the lookup/compute counters.
@@ -219,6 +212,7 @@ mod tests {
     use super::*;
     use crate::runner::fingerprint::fingerprint;
     use cim_arch::{Architecture, TileSpec};
+    use clsa_core::{Invalidation, PipelineStage};
 
     fn cfg(pes: usize) -> RunConfig {
         RunConfig::baseline(Architecture::paper_case_study(pes).unwrap())
@@ -239,29 +233,33 @@ mod tests {
         };
         let mut old = RunConfig::baseline(arch_with_hop(0)).with_cross_layer();
         old.noc_cost = true;
-        let first = cache.run(fp, &g, &old).unwrap();
+        cache.summary(fp, &g, &old, None).unwrap();
 
         // Scheduling-side axis mutation (NoC hop latency): Prepare clean.
         let mut new = old.clone();
         new.arch = arch_with_hop(4);
-        let (second, inv) = cache.run_incremental(fp, &g, &old, &new).unwrap();
-        assert!(!inv.is_dirty(clsa_core::PipelineStage::Prepare), "{inv}");
-        assert!(inv.is_dirty(clsa_core::PipelineStage::Schedule));
+        let inv = Invalidation::between(&old, &new);
+        assert!(!inv.is_dirty(PipelineStage::Prepare), "{inv}");
+        assert!(inv.is_dirty(PipelineStage::Schedule));
+        cache.summary(fp, &g, &new, None).unwrap();
+        let stats = cache.stats();
+        assert_eq!(stats.stage_computes, 1, "prepare ran once");
+        assert_eq!(stats.stage_hits(), 1, "the mutated config hit the stage");
+        assert_eq!(stats.schedule_computes, 2, "the schedule itself was dirty");
+        let shared = cache.prepared(fp, &g, &new).unwrap();
         assert!(
-            Arc::ptr_eq(&first.mapped_graph, &second.mapped_graph),
+            Arc::ptr_eq(&cache.prepared(fp, &g, &old).unwrap(), &shared),
             "undirtied stage artifacts must be shared, not recomputed"
         );
-        let stats = cache.stats();
-        assert_eq!(stats.stage_computes, 1, "prepare ran once across the mutation");
-        assert_eq!(stats.stage_hits(), 1, "the mutated config hit the stage cache");
-        assert_eq!(stats.schedule_computes, 2, "the schedule itself was dirty");
 
         // Mapping-side axis mutation (set policy): Prepare dirty.
         let mut coarse = new.clone();
         coarse.set_policy = clsa_core::SetPolicy::coarse(1);
-        let (third, inv) = cache.run_incremental(fp, &g, &new, &coarse).unwrap();
-        assert!(inv.is_dirty(clsa_core::PipelineStage::Prepare), "{inv}");
-        assert!(!Arc::ptr_eq(&second.mapped_graph, &third.mapped_graph));
+        let inv = Invalidation::between(&new, &coarse);
+        assert!(inv.is_dirty(PipelineStage::Prepare), "{inv}");
+        cache.summary(fp, &g, &coarse, None).unwrap();
+        let remapped = cache.prepared(fp, &g, &coarse).unwrap();
+        assert!(!Arc::ptr_eq(&shared, &remapped));
         assert_eq!(cache.stats().stage_computes, 2, "dirty prepare recomputed");
     }
 
@@ -271,9 +269,10 @@ mod tests {
         let fp = fingerprint(&g);
         let cache = ScheduleCache::new();
 
-        let baseline = cache.run(fp, &g, &cfg(2)).unwrap();
-        let clsa = cache.run(fp, &g, &cfg(2).with_cross_layer()).unwrap();
-        assert!(clsa.makespan() < baseline.makespan());
+        let baseline = cache.summary(fp, &g, &cfg(2), None).unwrap();
+        let xinf = cfg(2).with_cross_layer();
+        let clsa = cache.summary(fp, &g, &xinf, None).unwrap();
+        assert!(clsa.makespan_cycles < baseline.makespan_cycles);
 
         let stats = cache.stats();
         // Two distinct schedules, but the stage prefix ran exactly once.
@@ -290,14 +289,36 @@ mod tests {
         let g = cim_models::fig5_example();
         let fp = fingerprint(&g);
         let cache = ScheduleCache::new();
-        let a = cache.run(fp, &g, &cfg(2)).unwrap();
-        let b = cache.run(fp, &g, &cfg(2)).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must reuse the result");
+        let a = cache.summary(fp, &g, &cfg(2), None).unwrap();
+        let b = cache.summary(fp, &g, &cfg(2), None).unwrap();
+        assert_eq!(a, b, "second lookup must reuse the summary");
         let stats = cache.stats();
         assert_eq!(stats.schedule_computes, 1);
         assert_eq!(stats.schedule_hits(), 1);
         // The stage cache is only consulted on the schedule-level miss.
         assert_eq!(stats.stage_lookups, 1);
+    }
+
+    #[test]
+    fn summary_reads_the_store_first_and_puts_what_it_computes() {
+        let dir = std::env::temp_dir().join(format!("cim_cache_store_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ResultStore::open(&dir).unwrap();
+        let g = cim_models::fig5_example();
+        let fp = fingerprint(&g);
+
+        // Cold: the store misses, the memo computes, the summary lands.
+        let cache = ScheduleCache::new();
+        let cold = cache.summary(fp, &g, &cfg(2), Some(&store)).unwrap();
+        assert_eq!((store.stats().lookups, store.stats().writes), (1, 1));
+        assert_eq!(cache.stats().schedule_computes, 1);
+
+        // Warm: a fresh cache is never consulted once the row is on disk.
+        let fresh = ScheduleCache::new();
+        assert_eq!(fresh.summary(fp, &g, &cfg(2), Some(&store)).unwrap(), cold);
+        assert_eq!(store.stats().hits, 1);
+        assert_eq!(fresh.stats(), CacheStats::default());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -308,9 +329,9 @@ mod tests {
         let key = CacheKey::schedule(fp, &cfg(2));
 
         assert!(cache.peek(&key).is_none(), "cold cache has nothing to peek");
-        let computed = cache.run(fp, &g, &cfg(2)).unwrap();
-        let peeked = cache.peek(&key).expect("warm cache serves the result");
-        assert!(Arc::ptr_eq(&computed, &peeked));
+        let computed = cache.summary(fp, &g, &cfg(2), None).unwrap();
+        let peeked = cache.peek(&key).expect("warm cache serves the summary");
+        assert_eq!(computed, peeked);
 
         // peek is counter-neutral and never computes.
         let stats = cache.stats();
@@ -319,7 +340,7 @@ mod tests {
 
         // A cached *error* is not served as a warm result.
         let bad = CacheKey::schedule(fp, &cfg(1));
-        assert!(cache.run(fp, &g, &cfg(1)).is_err());
+        assert!(cache.summary(fp, &g, &cfg(1), None).is_err());
         assert!(cache.peek(&bad).is_none(), "failed runs are not peekable");
     }
 
@@ -329,8 +350,8 @@ mod tests {
         let g = cim_models::fig5_example();
         let fp = fingerprint(&g);
         let cache = ScheduleCache::new();
-        assert!(cache.run(fp, &g, &cfg(1)).is_err());
-        assert!(cache.run(fp, &g, &cfg(1)).is_err());
+        assert!(cache.summary(fp, &g, &cfg(1), None).is_err());
+        assert!(cache.summary(fp, &g, &cfg(1), None).is_err());
         let stats = cache.stats();
         assert_eq!(stats.schedule_computes, 1, "failed run memoized");
     }
@@ -346,7 +367,7 @@ mod tests {
                 for config in &configs {
                     let cache = &cache;
                     let g = &g;
-                    scope.spawn(move || cache.run(fp, g, config).unwrap());
+                    scope.spawn(move || cache.summary(fp, g, config, None).unwrap());
                 }
             }
         });

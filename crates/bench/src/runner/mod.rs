@@ -10,9 +10,12 @@
 //!    slots; aggregation happens in job order after the pool drains.
 //! 2. **No recomputation** — a shared [`ScheduleCache`] memoizes both the
 //!    stage prefix (mapping + `determine_sets` + `determine_dependencies`,
-//!    keyed by `(model, arch, mapping strategy)` fingerprints) and full
-//!    schedules, so e.g. a layer-by-layer baseline and a CLSA run over the
-//!    same model perform the stage analyses exactly once.
+//!    keyed by `(model, arch, mapping strategy)` fingerprints) and each
+//!    configuration's [`RunSummary`], so e.g. a layer-by-layer baseline
+//!    and a CLSA run over the same model perform the stage analyses
+//!    exactly once. The cache keeps no full `RunResult`: callers that
+//!    need one call `clsa_core::run_prepared` over
+//!    [`ScheduleCache::prepared`].
 //! 3. **Full occupancy** — jobs are dealt round-robin onto per-worker
 //!    *lanes*; a worker that drains its lane steals from the others
 //!    ([`parallel_map`]), so one slow model (ResNet152) cannot idle the
@@ -31,8 +34,9 @@
 //!    down the sweep, and a seeded [`fault::FaultPlan`] injects
 //!    deterministic store/job faults for reproducible chaos tests.
 //!
-//! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo) →
-//! [`Sweep::run`] (sweep jobs → [`SweepOutcome`]). [`Sweep`] holds the
+//! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo, and
+//! the one lookup in front of the [`ResultStore`]) → [`Sweep::run`]
+//! (sweep jobs → [`SweepOutcome`]). [`Sweep`] holds the
 //! job list, the worker count, the optional store, the [`ShardMode`], and
 //! the optional fault hook. The sweep binaries sit on top: their
 //! `--jobs N`, `--cache-dir <dir>`, `--shard i/n|merge` and chaos flags

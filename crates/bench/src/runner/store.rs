@@ -7,12 +7,15 @@
 //! [`RunSummary`] the batch aggregator needs, so a
 //! re-run of `fig6`/`fig7` (or any [`Sweep`](super::Sweep)) after a
 //! code-irrelevant change replays from disk instead of re-scheduling.
+//! Callers reach it through
+//! [`ScheduleCache::summary`](super::ScheduleCache::summary): a row is
+//! read before the in-memory memo, and a freshly computed summary is
+//! `put` back.
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <cache-dir>/
-//!   index.json                                    # StoreIndex row
 //!   <model:016x>-<arch:016x>-<strategy:016x>.json # one StoreEntry row each
 //! ```
 //!
@@ -28,13 +31,10 @@
 //! carries a different format version, or names a different key than its
 //! file is *evicted* (deleted best-effort, counted in
 //! [`StoreStats::evictions`]) and the lookup reports a miss. The rows on
-//! disk are the ground truth; `index.json` is a write-only manifest
-//! (rewritten on [`open`] and on drop) — lookups probe the entry file
-//! derived from the key and the in-memory index is rebuilt by scan on
-//! every open, so a stale or corrupt `index.json` (crash, concurrent
-//! writer) affects nothing: a truncated or invalid manifest is reported
-//! with a warning ([`index_was_rebuilt`]) and rebuilt, never an open
-//! failure.
+//! disk are the ground truth: lookups probe the entry file derived from
+//! the key, and the in-memory index is rebuilt by a directory scan on
+//! every [`open`]. There is no manifest; an `index.json` left by an
+//! older version of the store is neither read nor counted as a row.
 //!
 //! # Chaos instrumentation
 //!
@@ -46,7 +46,6 @@
 //! contact), and failed renames (temp cleaned up, counted).
 //!
 //! [`open`]: ResultStore::open
-//! [`index_was_rebuilt`]: ResultStore::index_was_rebuilt
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -122,13 +121,6 @@ struct StoreEntry {
     summary: RunSummary,
 }
 
-/// The index row: format version plus the known entry file stems.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct StoreIndex {
-    version: u32,
-    entries: Vec<String>,
-}
-
 /// Cumulative counters of one store handle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -140,8 +132,8 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Rows successfully persisted.
     pub writes: u64,
-    /// Failed row or index writes (the run continues; the row is simply
-    /// not persisted).
+    /// Failed row writes (the run continues; the row is simply not
+    /// persisted).
     pub write_errors: u64,
 }
 
@@ -178,9 +170,6 @@ pub struct ResultStore {
     evictions: AtomicU64,
     writes: AtomicU64,
     write_errors: AtomicU64,
-    /// Whether `index.json` was present but unreadable at open time and
-    /// had to be rebuilt from the row scan.
-    index_rebuilt: bool,
     /// Deterministic chaos injection ([`FaultSite::StoreRead`] ..
     /// [`FaultSite::StoreRename`]); `None` outside chaos runs.
     faults: Option<Arc<dyn FaultHook>>,
@@ -193,8 +182,6 @@ fn fault_key(key: &CacheKey) -> u64 {
     key.model ^ key.arch.rotate_left(21) ^ key.strategy.rotate_left(42)
 }
 
-/// Fault-decision key used for `index.json` writes.
-const INDEX_FAULT_KEY: u64 = u64::MAX;
 /// Fault-decision key used by the writability probe.
 const PROBE_FAULT_KEY: u64 = u64::MAX - 1;
 
@@ -261,43 +248,22 @@ impl ResultStore {
     /// Opens (creating if needed) the store rooted at `dir`.
     ///
     /// The in-memory index is rebuilt from a directory scan — the rows
-    /// on disk are the ground truth, so an `index.json` left stale by a
-    /// concurrent writer or a killed process heals on every open (it is
-    /// a write-only manifest, never read back for correctness). Entry
-    /// rows themselves are validated lazily on [`get`](Self::get), so
-    /// the index never serves stale data.
+    /// on disk are the ground truth. Entry rows themselves are validated
+    /// lazily on [`get`](Self::get), so the index never serves stale
+    /// data.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors from directory creation or the scan; a corrupt
-    /// (truncated or invalid-JSON) `index.json` alone is **never** an
-    /// open failure — it is rebuilt from the row scan with a warning on
-    /// stderr, observable via [`index_was_rebuilt`](Self::index_was_rebuilt).
+    /// Returns I/O errors from directory creation or the scan.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
 
-        // The manifest is write-only for correctness, but a present-yet-
-        // unparseable one is evidence of a crash or concurrent-writer
-        // tear worth surfacing before it is silently overwritten below.
-        let index_path = dir.join("index.json");
-        let index_rebuilt = index_path.exists()
-            && fs::read_to_string(&index_path)
-                .ok()
-                .and_then(|text| serde_json::from_str::<StoreIndex>(&text).ok())
-                .is_none();
-        if index_rebuilt {
-            eprintln!(
-                "warning: result store {}: corrupt index.json (truncated or invalid JSON); \
-                 rebuilding the manifest from the row scan",
-                dir.display()
-            );
-        }
-
-        // Scan: every non-index .json file is a candidate row (validated
-        // on first contact). Temp files orphaned by a killed writer are
-        // swept here so a long-lived cache dir cannot accumulate them —
-        // but only *orphaned* ones: a daemon and a straggler batch binary
+        // Scan: every .json file except an older store's `index.json`
+        // manifest is a candidate row (validated on first contact). Temp
+        // files orphaned by a killed writer are swept here so a
+        // long-lived cache dir cannot accumulate them — but only
+        // *orphaned* ones: a daemon and a straggler batch binary
         // legitimately share one cache dir, and sweeping a live writer's
         // in-flight temp would fail its rename and drop the row.
         let mut entries = BTreeSet::new();
@@ -315,7 +281,7 @@ impl ResultStore {
             }
         }
 
-        let store = ResultStore {
+        Ok(ResultStore {
             dir,
             index: Mutex::new(entries),
             tmp_counter: AtomicU64::new(0),
@@ -324,11 +290,8 @@ impl ResultStore {
             evictions: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             write_errors: AtomicU64::new(0),
-            index_rebuilt,
             faults: None,
-        };
-        store.persist_index();
-        Ok(store)
+        })
     }
 
     /// Installs a deterministic fault hook on this handle (chaos runs
@@ -337,12 +300,6 @@ impl ResultStore {
     /// [`FaultSite::StoreRename`].
     pub fn set_fault_hook(&mut self, hook: Arc<dyn FaultHook>) {
         self.faults = Some(hook);
-    }
-
-    /// Whether `index.json` was present but corrupt at open time and the
-    /// manifest was rebuilt from the row scan.
-    pub fn index_was_rebuilt(&self) -> bool {
-        self.index_rebuilt
     }
 
     /// Whether the store directory currently accepts writes, checked by
@@ -478,25 +435,6 @@ impl ResultStore {
         self.index.lock().remove(&key_stem(key));
     }
 
-    /// Rewrites `index.json` from the in-memory set (temp + rename) —
-    /// called on open and on drop, not per row, so a batch of N puts
-    /// costs two index writes instead of N. Pure bookkeeping: failures
-    /// are counted but never propagated, and a manifest left stale by a
-    /// crash or a concurrent process is healed by the scan in `open`.
-    fn persist_index(&self) {
-        let index = StoreIndex {
-            version: STORE_FORMAT_VERSION,
-            entries: self.index.lock().iter().cloned().collect(),
-        };
-        let json = serde_json::to_string(&index).expect("store index serializes"); // cim-lint: allow(panic-unwrap) store rows are plain serializable data
-        if self
-            .write_atomic(&self.dir.join("index.json"), &json, INDEX_FAULT_KEY)
-            .is_err()
-        {
-            self.write_errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Writes `contents` to `path` via a uniquely-named temp file in the
     /// same directory and an atomic rename. `fk` keys the injected
     /// rename-failure site for chaos runs.
@@ -522,14 +460,6 @@ impl ResultStore {
         fs::rename(&tmp, path).inspect_err(|_| {
             let _ = fs::remove_file(&tmp);
         })
-    }
-}
-
-impl Drop for ResultStore {
-    /// Persists the manifest once per handle lifetime (end of process
-    /// for the binaries' stores) instead of once per row.
-    fn drop(&mut self) {
-        self.persist_index();
     }
 }
 
@@ -588,43 +518,25 @@ mod tests {
     }
 
     #[test]
-    fn index_corruption_is_healed_by_scan() {
-        let dir = tmp_dir("badindex");
+    fn leftover_index_json_is_neither_read_nor_counted() {
+        let dir = tmp_dir("leftover-index");
         let store = ResultStore::open(&dir).unwrap();
         store.put(&key(7), &summary(7));
         drop(store);
+        // Older stores wrote an `index.json` manifest; even a garbage one
+        // changes nothing, and the store never writes one itself.
+        assert!(!dir.join("index.json").exists());
         fs::write(dir.join("index.json"), "{ not json").unwrap();
         let store = ResultStore::open(&dir).unwrap();
-        assert!(store.index_was_rebuilt(), "invalid JSON flagged");
-        assert_eq!(store.len(), 1, "scan recovers the row");
+        assert_eq!(store.len(), 1, "the manifest is not a row");
         assert_eq!(store.get(&key(7)), Some(summary(7)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn truncated_index_is_rebuilt_with_warning_never_an_open_failure() {
-        let dir = tmp_dir("tornindex");
-        let store = ResultStore::open(&dir).unwrap();
-        store.put(&key(7), &summary(7));
-        store.put(&key(8), &summary(8));
+        assert_eq!(store.stats().write_errors, 0);
         drop(store);
-
-        // Tear the manifest mid-document (the shape a SIGKILL during the
-        // drop-time rewrite would leave behind without the atomic rename).
-        let index_path = dir.join("index.json");
-        let text = fs::read_to_string(&index_path).unwrap();
-        fs::write(&index_path, &text[..text.len() / 2]).unwrap();
-
-        let store = ResultStore::open(&dir).expect("corrupt index is never an open failure");
-        assert!(store.index_was_rebuilt());
-        assert_eq!(store.len(), 2, "manifest rebuilt from the row scan");
-        assert_eq!(store.get(&key(7)), Some(summary(7)));
-        assert_eq!(store.get(&key(8)), Some(summary(8)));
-        drop(store);
-
-        // The rebuilt manifest is valid again: a third open is clean.
-        let healed = ResultStore::open(&dir).unwrap();
-        assert!(!healed.index_was_rebuilt());
+        assert_eq!(
+            fs::read_to_string(dir.join("index.json")).unwrap(),
+            "{ not json",
+            "the leftover manifest is left alone"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -684,7 +596,7 @@ mod tests {
         store.set_fault_hook(full_rate_plan(FaultSite::StoreTornWrite));
         store.put(&key(1), &summary(1));
         // The torn row *landed*: counted as a write, present on disk and
-        // in the manifest — silent corruption.
+        // in the index — silent corruption.
         assert_eq!(store.stats().writes, 1);
         assert!(store.entry_path(&key(1)).exists());
         assert_eq!(store.len(), 1);

@@ -295,16 +295,11 @@ impl<'a> Sweep<'a> {
                 if injected {
                     panic!("injected fault: job panic (key {fault_key:016x}, attempt {attempt})");
                 }
-                cache.run(job.model_fp, &job.graph, &job.config)
+                let store = self.store;
+                cache.summary_on_store_miss(key, job.model_fp, &job.graph, &job.config, store)
             }));
             match caught {
-                Ok(Ok(result)) => {
-                    let summary = RunSummary::of(&result);
-                    if let Some(store) = self.store {
-                        store.put(&key, &summary);
-                    }
-                    return JobOutcome::Done(summary);
-                }
+                Ok(Ok(summary)) => return JobOutcome::Done(summary),
                 Ok(Err(e)) => return JobOutcome::Failed(e),
                 Err(payload) => message = panic_message(payload.as_ref()),
             }

@@ -4,11 +4,12 @@
 //! `cim-tune` owns the *search* (design space, strategies, Pareto
 //! archive, budgeted loop) behind its `Evaluator` trait; this module owns
 //! the *evaluation*: [`TuneEvaluator`] fans each proposal batch over the
-//! lane pool ([`parallel_map`]), memoizes pipeline work in the in-memory
-//! [`ScheduleCache`] (stage prefixes shared across candidates that differ
-//! only scheduling-side), and reads/writes the persistent [`ResultStore`]
-//! so a re-run of the same search — or a different strategy crossing the
-//! same candidates — replays measurements from disk.
+//! lane pool ([`parallel_map`]) and resolves each candidate through one
+//! [`ScheduleCache::summary`] lookup: the persistent [`ResultStore`]
+//! first, so a re-run of the same search — or a different strategy
+//! crossing the same candidates — replays measurements from disk, then
+//! the in-memory memo (stage prefixes shared across candidates that
+//! differ only scheduling-side).
 //!
 //! Determinism: the measurement of a candidate is a pure function of the
 //! candidate (summaries round-trip bit-exactly through the store), batch
@@ -104,17 +105,9 @@ impl<'a> TuneEvaluator<'a> {
         // agreement between the two rests on it.
         let pe_min = self.pe_min.pe_min(self.graph, candidate)?;
         let config = candidate.run_config(pe_min)?;
-        let key = CacheKey::schedule(self.model_fp, &config);
-        if let Some(store) = self.store {
-            if let Some(summary) = store.get(&key) {
-                return Ok(measurement_of(&summary));
-            }
-        }
-        let result = self.cache.run(self.model_fp, self.graph, &config)?;
-        let summary = RunSummary::of(&result);
-        if let Some(store) = self.store {
-            store.put(&key, &summary);
-        }
+        let summary = self
+            .cache
+            .summary(self.model_fp, self.graph, &config, self.store)?;
         Ok(measurement_of(&summary))
     }
 }

@@ -2,8 +2,9 @@
 //! per-stage inputs.
 //!
 //! The pipeline already splits into a reusable front half
-//! ([`prepare`]: mapping + Stages I & II) and a cheap back half
-//! ([`run_prepared`]: cost model + Stages III & IV). What was missing is
+//! ([`prepare`](crate::prepare): mapping + Stages I & II) and a cheap
+//! back half ([`run_prepared`](crate::run_prepared): cost model + Stages
+//! III & IV). What was missing is
 //! the *classification*: given an old configuration and a mutated one,
 //! which stages must recompute and which artifacts can be reused
 //! verbatim? [`Invalidation::between`] answers that question from the
@@ -11,7 +12,8 @@
 //! ([`RunConfig::prepare_arch_facet`], [`RunConfig::mapping_facet`],
 //! [`RunConfig::scheduling_facet`]), so a stage reported *clean* here is
 //! exactly a stage whose cache key is unchanged — the invariant
-//! `cim-bench`'s stage cache asserts in debug builds.
+//! `tests/incremental_differential.rs` checks against `cim-bench`'s stage
+//! keys on every case.
 //!
 //! The report is deliberately conservative in one direction only: a
 //! *clean* verdict is a guarantee (recomputing would reproduce the
@@ -46,10 +48,7 @@
 
 use std::fmt;
 
-use cim_ir::Graph;
-
-use crate::error::Result;
-use crate::pipeline::{prepare, run_prepared, Prepared, RunConfig, RunResult};
+use crate::pipeline::RunConfig;
 
 /// The recomputation granules of one pipeline run, in dataflow order.
 ///
@@ -60,7 +59,8 @@ use crate::pipeline::{prepare, run_prepared, Prepared, RunConfig, RunResult};
 /// all of the above plus the scheduling choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineStage {
-    /// Mapping + Stages I & II ([`prepare`]): the expensive front half.
+    /// Mapping + Stages I & II ([`prepare`](crate::prepare)): the
+    /// expensive front half.
     Prepare,
     /// The precomputed per-edge cost table ([`crate::CostedDeps`]).
     CostTable,
@@ -214,60 +214,12 @@ impl fmt::Display for Invalidation {
     }
 }
 
-/// The outcome of [`run_incremental`]: the result, the dirty-key report
-/// that drove it, and whether the previous stage artifacts were reused.
-#[derive(Debug, Clone)]
-pub struct IncrementalRun {
-    /// The completed (validated) pipeline run under the new config.
-    pub result: RunResult,
-    /// The stage-by-stage classification of the mutation.
-    pub invalidation: Invalidation,
-    /// `true` iff `Prepare` was clean and the previous [`Prepared`] was
-    /// reused — in that case `result.mapped_graph`/`layers`/`deps` are
-    /// the *same* `Arc`s as the previous run's.
-    pub reused_prepare: bool,
-}
-
-/// Re-evaluates a mutated configuration, reusing the previous run's
-/// stage artifacts wherever the dirty-key report allows.
-///
-/// `prev` must be the [`Prepared`] built from `old` on this `graph` —
-/// the classification is computed from the configs alone, so handing in
-/// artifacts from a different config silently reuses the wrong mapping.
-/// The result is bit-identical to a from-scratch
-/// [`run`](crate::run)`(graph, new)` (differential-tested in
-/// `tests/incremental_differential.rs`).
-///
-/// # Errors
-///
-/// Propagates mapping, placement, scheduling, and validation failures,
-/// exactly as a from-scratch run would.
-pub fn run_incremental(
-    graph: &Graph,
-    prev: &Prepared,
-    old: &RunConfig,
-    new: &RunConfig,
-) -> Result<IncrementalRun> {
-    let invalidation = Invalidation::between(old, new);
-    let reused_prepare = !invalidation.is_dirty(PipelineStage::Prepare);
-    let result = if reused_prepare {
-        run_prepared(prev, new)?
-    } else {
-        run_prepared(&prepare(graph, new)?, new)?
-    };
-    Ok(IncrementalRun {
-        result,
-        invalidation,
-        reused_prepare,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run;
+    use crate::pipeline::{prepare, run, run_prepared};
     use cim_arch::{Architecture, PlacementStrategy, TileSpec};
-    use cim_ir::{Conv2dAttrs, FeatureShape, Op, Padding};
+    use cim_ir::{Conv2dAttrs, FeatureShape, Graph, Op, Padding};
     use std::sync::Arc;
 
     /// A 2-conv chain, PE_min = 2.
@@ -412,14 +364,16 @@ mod tests {
         let mut new = old.clone();
         new.arch = arch_with_hops(2, 7);
 
-        let inc = run_incremental(&g, &prev, &old, &new).unwrap();
-        assert!(inc.reused_prepare);
-        assert!(Arc::ptr_eq(&inc.result.mapped_graph, &prev.mapped_graph));
-        assert!(Arc::ptr_eq(&inc.result.layers, &prev.layers));
+        // A clean Prepare verdict lets the old artifacts serve the new
+        // config, and the result is the from-scratch one.
+        assert!(!Invalidation::between(&old, &new).is_dirty(PipelineStage::Prepare));
+        let inc = run_prepared(&prev, &new).unwrap();
+        assert!(Arc::ptr_eq(&inc.mapped_graph, &prev.mapped_graph));
+        assert!(Arc::ptr_eq(&inc.layers, &prev.layers));
 
         let scratch = run(&g, &new).unwrap();
-        assert_eq!(inc.result.schedule, scratch.schedule);
-        assert_eq!(inc.result.report, scratch.report);
+        assert_eq!(inc.schedule, scratch.schedule);
+        assert_eq!(inc.report, scratch.report);
     }
 
     #[test]
@@ -430,11 +384,12 @@ mod tests {
         let mut new = old.clone();
         new.arch = arch_with_hops(4, 2);
 
-        let inc = run_incremental(&g, &prev, &old, &new).unwrap();
-        assert!(!inc.reused_prepare);
-        assert!(!Arc::ptr_eq(&inc.result.mapped_graph, &prev.mapped_graph));
+        // A dirty Prepare verdict (the PE budget moved) means re-preparing.
+        assert!(Invalidation::between(&old, &new).is_dirty(PipelineStage::Prepare));
+        let inc = run_prepared(&prepare(&g, &new).unwrap(), &new).unwrap();
+        assert!(!Arc::ptr_eq(&inc.mapped_graph, &prev.mapped_graph));
         let scratch = run(&g, &new).unwrap();
-        assert_eq!(inc.result.schedule, scratch.schedule);
-        assert_eq!(inc.result.report, scratch.report);
+        assert_eq!(inc.schedule, scratch.schedule);
+        assert_eq!(inc.report, scratch.report);
     }
 }

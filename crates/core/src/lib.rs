@@ -85,7 +85,7 @@ pub use diagnose::{
 };
 pub use error::{CoreError, Result};
 pub use gantt::{gantt_csv, gantt_rows, gantt_text, GanttRow};
-pub use incremental::{run_incremental, IncrementalRun, Invalidation, PipelineStage, StageStatus};
+pub use incremental::{Invalidation, PipelineStage, StageStatus};
 pub use metrics::{
     eq3_predicted_from_utilization, eq3_predicted_speedup, speedup, utilization, UtilizationReport,
 };

@@ -149,8 +149,6 @@ struct EngineState {
     registered: BTreeSet<String>,
     /// Ids whose requests finished (ok or error).
     completed: BTreeSet<String>,
-    /// Finish order of ids — what the happens-after tests assert on.
-    completion_log: Vec<String>,
     next_seq: u64,
     next_ticket: Ticket,
     /// Per-tenant lifetime counters, keyed by resolved model name.
@@ -318,9 +316,9 @@ impl ServeEngine {
             let warm = if let Some(summary) = self.store.as_ref().and_then(|s| s.get(&key)) {
                 self.warm_store.fetch_add(1, Ordering::Relaxed);
                 Some(summary)
-            } else if let Some(result) = self.cache.peek(&key) {
+            } else if let Some(summary) = self.cache.peek(&key) {
                 self.warm_cache.fetch_add(1, Ordering::Relaxed);
-                Some(RunSummary::of(&result))
+                Some(summary)
             } else {
                 None
             };
@@ -328,7 +326,6 @@ impl ServeEngine {
                 st.tenants.entry(entry.name.clone()).or_default().ok += 1;
                 st.registered.insert(req.id.clone());
                 st.completed.insert(req.id.clone());
-                st.completion_log.push(req.id.clone());
                 drop(st);
                 self.ok.fetch_add(1, Ordering::Relaxed);
                 self.completed.fetch_add(1, Ordering::Relaxed);
@@ -456,18 +453,19 @@ impl ServeEngine {
         Submission::Enqueued(ticket)
     }
 
-    /// Resolves one entry: store → cache → compute → store.
+    /// Resolves one entry through [`ScheduleCache::summary`]: store →
+    /// cache → compute → store.
     fn compute(&self, entry: &PendingEntry) -> Result<RunSummary, ServeError> {
-        if let Some(store) = &self.store {
-            if let Some(summary) = store.get(&entry.key) {
-                return Ok(summary);
-            }
-        }
         // Contain a panicking pipeline (a bug on one configuration, or an
         // injected chaos fault) to this entry: its subscribers get a
         // typed `schedule_failed`, the daemon and its queue live on.
-        let result = match catch_unwind(AssertUnwindSafe(|| {
-            self.cache.run(entry.model_fp, &entry.graph, &entry.config)
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.cache.summary(
+                entry.model_fp,
+                &entry.graph,
+                &entry.config,
+                self.store.as_ref(),
+            )
         })) {
             Ok(outcome) => outcome.map_err(|e| {
                 ServeError::new(
@@ -484,12 +482,7 @@ impl ServeEngine {
                     panic_message(payload.as_ref())
                 ),
             )),
-        }?;
-        let summary = RunSummary::of(&result);
-        if let Some(store) = &self.store {
-            store.put(&entry.key, &summary);
         }
-        Ok(summary)
     }
 
     fn record_latency(&self, arrival: Duration) {
@@ -601,7 +594,6 @@ impl ServeEngine {
                         .lock()
                         .push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
                     st.completed.insert(sub.id.clone());
-                    st.completion_log.push(sub.id.clone());
                     out.push((sub.ticket, response));
                 }
             }
@@ -625,11 +617,6 @@ impl ServeEngine {
     pub fn is_idle(&self) -> bool {
         let st = self.state.lock();
         st.queue.is_empty() && st.parked.is_empty()
-    }
-
-    /// The ids of finished requests, in finish order.
-    pub fn completion_order(&self) -> Vec<String> {
-        self.state.lock().completion_log.clone()
     }
 
     /// A point-in-time statistics snapshot.

@@ -14,8 +14,8 @@
 //!   once, ever), **no lost update** (every thread observes the published
 //!   value), deadlock freedom, and interleaving-independent results.
 //! * [`TwoLevelCacheProtocol`] stacks two such levels the way
-//!   `ScheduleCache::run` resolves the stage prefix inside the schedule
-//!   compute: distinct schedule keys sharing one stage key must still
+//!   `ScheduleCache::summary` resolves the stage prefix inside the
+//!   schedule compute: distinct schedule keys sharing one stage key must still
 //!   compute the stage exactly once, and the two mutexes (never held
 //!   simultaneously) must not deadlock.
 //! * [`LanePoolProtocol`] models `runner::parallel_map`'s per-lane atomic
@@ -223,7 +223,7 @@ impl Protocol for CacheSlotProtocol {
 // Two-level (stage + schedule) protocol.
 // ---------------------------------------------------------------------------
 
-/// Model of `ScheduleCache::run`: a schedule-level slot whose compute
+/// Model of `ScheduleCache::summary`: a schedule-level slot whose compute
 /// closure resolves a stage-level slot first — two locks, two `OnceLock`
 /// families, never held simultaneously.
 #[derive(Debug, Clone)]

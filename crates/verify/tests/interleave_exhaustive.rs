@@ -44,7 +44,7 @@ fn mixed_contention_three_threads_two_keys() {
 #[test]
 fn two_level_cache_never_computes_a_shared_stage_twice() {
     // Two schedule-level misses whose schedule computes resolve the SAME
-    // stage entry — the `ScheduleCache::run` → `prepared` nesting. The
+    // stage entry — the `ScheduleCache::summary` → `prepared` nesting. The
     // invariant under every interleaving: the stage computes once.
     let stats = explore(&TwoLevelCacheProtocol::shared_stage_pair()).expect("no violations");
     assert_eq!(stats.schedules, 13_442);

@@ -4,7 +4,9 @@
 //! handles; these tests pin the sharing topology with `Arc::ptr_eq` /
 //! `Arc::strong_count`, so a future change that silently reintroduces a
 //! deep clone (dropping batch memory sharing back to O(configs × graph))
-//! fails loudly instead of just slowing down.
+//! fails loudly instead of just slowing down. The schedule cache keeps
+//! summaries, not runs: the counts also pin that no memoized schedule
+//! holds a `Prepared`'s artifacts alive.
 
 use std::sync::Arc;
 
@@ -83,21 +85,25 @@ fn cached_runs_of_one_mapping_share_one_prepared() {
     let fp = fingerprint(&g);
     let cache = ScheduleCache::new();
 
-    let baseline = cache.run(fp, &g, &cfg(2)).unwrap();
-    let clsa = cache.run(fp, &g, &cfg(2).with_cross_layer()).unwrap();
+    let baseline = cache.summary(fp, &g, &cfg(2), None).unwrap();
+    let clsa = cache.summary(fp, &g, &cfg(2).with_cross_layer(), None).unwrap();
     assert_eq!(cache.stats().stage_computes, 1, "one stage computation");
+    assert!(clsa.makespan_cycles < baseline.makespan_cycles);
 
-    // Different schedules, same stage artifacts, one underlying copy.
-    assert!(!Arc::ptr_eq(&baseline, &clsa));
-    assert!(Arc::ptr_eq(&baseline.mapped_graph, &clsa.mapped_graph));
-    assert!(Arc::ptr_eq(&baseline.layers, &clsa.layers));
-    assert!(Arc::ptr_eq(&baseline.deps, &clsa.deps));
-    // Holders: the cached Prepared + the two cached RunResults. Handing
-    // out more Arc<RunResult> clones must not grow this.
-    assert_eq!(Arc::strong_count(&baseline.layers), 3);
-    let again = cache.run(fp, &g, &cfg(2)).unwrap();
-    assert!(Arc::ptr_eq(&again, &baseline), "schedule-level hit");
-    assert_eq!(Arc::strong_count(&baseline.layers), 3);
+    // Different schedules, one cached Prepared — and the memoized
+    // schedules hold none of its artifacts: the Prepared is the only
+    // holder.
+    let prepared = cache.prepared(fp, &g, &cfg(2)).unwrap();
+    let clsa_prepared = cache.prepared(fp, &g, &cfg(2).with_cross_layer()).unwrap();
+    assert!(Arc::ptr_eq(&prepared, &clsa_prepared));
+    assert_eq!(Arc::strong_count(&prepared.layers), 1);
+    assert_eq!(Arc::strong_count(&prepared.deps), 1);
+    assert_eq!(Arc::strong_count(&prepared.mapped_graph), 1);
+    // A schedule-level hit must not grow this.
+    assert_eq!(cache.summary(fp, &g, &cfg(2), None).unwrap(), baseline);
+    assert_eq!(cache.stats().schedule_hits(), 1, "schedule-level hit");
+    assert_eq!(Arc::strong_count(&prepared.layers), 1);
+    assert_eq!(Arc::strong_count(&prepared.deps), 1);
 }
 
 #[test]
@@ -105,12 +111,18 @@ fn identical_configs_in_a_cache_share_one_run_result() {
     let g = cim_models::fig5_example();
     let fp = fingerprint(&g);
     let cache = ScheduleCache::new();
-    let handles: Vec<_> = (0..8).map(|_| cache.run(fp, &g, &cfg(2)).unwrap()).collect();
-    assert!(handles.windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
-    // 8 handles + the cache's slot = 9; any re-compute or deep clone
-    // would break the pointer equality above and this count.
-    assert_eq!(Arc::strong_count(&handles[0]), 9);
-    assert_eq!(cache.stats().schedule_computes, 1);
+    let summaries: Vec<_> = (0..8)
+        .map(|_| cache.summary(fp, &g, &cfg(2), None).unwrap())
+        .collect();
+    assert!(summaries.windows(2).all(|w| w[0] == w[1]));
+    let stats = cache.stats();
+    assert_eq!(stats.schedule_computes, 1);
+    assert_eq!(stats.schedule_hits(), 7);
+    assert_eq!(stats.stage_lookups, 1, "hits never reach the stage level");
+    // The cache's slot + this handle; any re-prepare would break it.
+    let prepared = cache.prepared(fp, &g, &cfg(2)).unwrap();
+    assert_eq!(Arc::strong_count(&prepared), 2);
+    assert_eq!(Arc::strong_count(&prepared.layers), 1);
 }
 
 #[test]

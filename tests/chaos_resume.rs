@@ -27,8 +27,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Persisted rows in a store directory: every file but the manifest and
-/// the dot-prefixed in-flight temps.
+/// Persisted rows in a store directory: every `.json` file but the
+/// dot-prefixed in-flight temps.
 fn rows_on_disk(dir: &Path) -> usize {
     fs::read_dir(dir)
         .map(|entries| {
@@ -37,7 +37,7 @@ fn rows_on_disk(dir: &Path) -> usize {
                 .filter(|e| {
                     let name = e.file_name();
                     let name = name.to_string_lossy();
-                    name.ends_with(".json") && name != "index.json" && !name.starts_with('.')
+                    name.ends_with(".json") && !name.starts_with('.')
                 })
                 .count()
         })

@@ -1,10 +1,12 @@
 //! Differential property for the incremental dirty-key protocol: after a
-//! random *single-axis* mutation of a design-space candidate, re-running
-//! through [`ScheduleCache::run_incremental`] must be **byte-identical**
-//! to a from-scratch evaluation of the mutated configuration — and when
-//! the protocol classifies the `Prepare` stage as clean, the mapping /
-//! Stage-I/II artifacts must be *shared* (`Arc` identity), not merely
-//! recomputed to equal values.
+//! random *single-axis* mutation of a design-space candidate, resolving
+//! the mutated configuration through the cache that already evaluated
+//! the original must be **byte-identical** to a from-scratch evaluation
+//! — and when [`Invalidation::between`] classifies the `Prepare` stage as
+//! clean, the two configurations must share one cached `Prepared` (`Arc`
+//! identity), not merely recompute equal values. The classification and
+//! the stage [`CacheKey`]s are built from the same `RunConfig` facets, so
+//! on every case `Prepare` clean ⟺ equal stage keys.
 //!
 //! The mutation model mirrors what an ask/tell tuner does between
 //! generations: pick a candidate from [`DesignSpace::case_study`]
@@ -13,11 +15,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cim_bench::runner::{fingerprint, RunSummary, ScheduleCache};
+use cim_bench::runner::{fingerprint, CacheKey, ScheduleCache};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_tune::{Coords, DesignSpace, PeMinMemo};
-use clsa_core::PipelineStage;
+use clsa_core::{Invalidation, PipelineStage};
 use proptest::prelude::*;
 
 /// Canonicalized fig. 5 graph + fingerprint, built once per process.
@@ -62,34 +64,43 @@ proptest! {
         // Candidates infeasible for fig5 (pe_min exceeds what the axis
         // grants) have no run to differentiate; the tuner skips them too.
         if let (Ok(old_cfg), Ok(new_cfg)) = (old_cfg, new_cfg) {
+            let inv = Invalidation::between(&old_cfg, &new_cfg);
+            let same_stage_key =
+                CacheKey::stages(*fp, &old_cfg) == CacheKey::stages(*fp, &new_cfg);
+            prop_assert!(
+                inv.is_dirty(PipelineStage::Prepare) != same_stage_key,
+                "dirty-key classification and stage fingerprints disagree: {}",
+                inv
+            );
+
             // The tuner's long-lived cache: evaluate old, then mutate.
             let cache = ScheduleCache::new();
-            let old_run = cache.run(*fp, g, &old_cfg);
-            let incremental = cache.run_incremental(*fp, g, &old_cfg, &new_cfg);
+            let old_run = cache.summary(*fp, g, &old_cfg, None);
+            let incremental = cache.summary(*fp, g, &new_cfg, None);
             // The from-scratch reference: a cold cache, new config only.
-            let scratch = ScheduleCache::new().run(*fp, g, &new_cfg);
+            let scratch = ScheduleCache::new().summary(*fp, g, &new_cfg, None);
 
             match (incremental, scratch) {
-                (Ok((inc, inv)), Ok(fresh)) => {
+                (Ok(inc), Ok(fresh)) => {
                     // Byte-identical through serialization, not just eq.
-                    let inc_row = serde_json::to_string(&RunSummary::of(&inc))
-                        .expect("summary serializes");
-                    let fresh_row = serde_json::to_string(&RunSummary::of(&fresh))
-                        .expect("summary serializes");
-                    prop_assert_eq!(inc_row, fresh_row);
+                    let inc_row = serde_json::to_string(&inc).expect("summary serializes");
+                    let fresh_row = serde_json::to_string(&fresh).expect("summary serializes");
+                    prop_assert_eq!(&inc_row, &fresh_row);
 
                     if let Ok(old_run) = &old_run {
                         let stats = cache.stats();
+                        let prepared = |cfg| cache.prepared(*fp, g, cfg).expect("cached prepare");
+                        let shared = Arc::ptr_eq(&prepared(&old_cfg), &prepared(&new_cfg));
                         if !inv.is_dirty(PipelineStage::Prepare) {
                             prop_assert!(
-                                Arc::ptr_eq(&old_run.mapped_graph, &inc.mapped_graph),
+                                shared,
                                 "clean Prepare must share stage artifacts: {}",
                                 inv
                             );
                             prop_assert_eq!(stats.stage_computes, 1);
                         } else {
                             prop_assert!(
-                                !Arc::ptr_eq(&old_run.mapped_graph, &inc.mapped_graph),
+                                !shared,
                                 "dirty Prepare produced a distinct mapping: {}",
                                 inv
                             );
@@ -101,11 +112,9 @@ proptest! {
                         // (the cache may still key the two separately —
                         // clean means *reproducible*, not same-key).
                         if !inv.is_dirty(PipelineStage::Schedule) {
-                            let old_row = serde_json::to_string(&RunSummary::of(old_run))
-                                .expect("summary serializes");
-                            let new_row = serde_json::to_string(&RunSummary::of(&inc))
-                                .expect("summary serializes");
-                            prop_assert_eq!(old_row, new_row);
+                            let old_row =
+                                serde_json::to_string(old_run).expect("summary serializes");
+                            prop_assert_eq!(old_row, inc_row);
                         }
                     }
                 }

@@ -106,7 +106,7 @@ fn concurrent_cache_never_duplicates_schedule_computation() {
         .collect();
 
     // 32 lookups over 2 distinct configurations, hammered by 8 workers.
-    let results = parallel_map(&configs, 8, |_, cfg| cache.run(fp, &g, cfg).unwrap());
+    let results = parallel_map(&configs, 8, |_, cfg| cache.summary(fp, &g, cfg, None).unwrap());
     let stats = cache.stats();
     assert_eq!(stats.schedule_lookups, 32);
     assert_eq!(stats.schedule_computes, 2, "one compute per distinct config");
@@ -115,7 +115,7 @@ fn concurrent_cache_never_duplicates_schedule_computation() {
 
     // And every duplicate lookup observed the same memoized result.
     for pair in results.chunks(2) {
-        assert_eq!(pair[0].makespan(), results[0].makespan());
-        assert_eq!(pair[1].makespan(), results[1].makespan());
+        assert_eq!(pair[0], results[0]);
+        assert_eq!(pair[1], results[1]);
     }
 }

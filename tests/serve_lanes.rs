@@ -56,7 +56,8 @@ fn after_in_flight_dependency_orders_completion() {
     assert_eq!(responses.len(), 2);
     assert_eq!(responses[0].0, t0);
     assert_eq!(responses[1].0, t1);
-    assert_eq!(engine.completion_order(), vec!["r0", "r1"]);
+    let ids: Vec<&str> = responses.iter().map(|(_, r)| r.id.as_str()).collect();
+    assert_eq!(ids, ["r0", "r1"]);
     let reply = responses[1].1.as_schedule().expect("r1 succeeds");
     assert_eq!(reply.observed, vec!["r0".to_string()]);
     assert!(engine.is_idle(), "nothing may stay parked");
@@ -137,7 +138,7 @@ fn chains_and_diamonds_resolve_in_topological_order() {
     let responses = engine.dispatch();
     assert_eq!(responses.len(), 6);
     assert!(engine.is_idle());
-    let order = engine.completion_order();
+    let order: Vec<String> = responses.iter().map(|(_, r)| r.id.clone()).collect();
     let pos = |id: &str| {
         order
             .iter()
@@ -172,6 +173,9 @@ proptest! {
         let engine = engine(jobs);
         let n = masks.len();
         let mut tickets = Vec::with_capacity(n);
+        // Finish order: warm replies finish at submit, the rest in the
+        // order dispatch answers them.
+        let mut order: Vec<String> = Vec::with_capacity(n);
         for (i, mask) in masks.iter().enumerate() {
             let deps: Vec<String> = (0..i).filter(|j| mask & (1 << j) != 0)
                 .map(|j| format!("n{j}"))
@@ -190,6 +194,7 @@ proptest! {
                 // otherwise) — that still counts as completed.
                 Submission::Immediate(r) => {
                     prop_assert!(r.as_schedule().is_some(), "unexpected rejection: {r:?}");
+                    order.push(r.id.clone());
                     tickets.push(None);
                 }
             }
@@ -204,7 +209,7 @@ proptest! {
         );
         prop_assert!(engine.is_idle(), "no entry may remain parked");
 
-        let order = engine.completion_order();
+        order.extend(responses.iter().map(|(_, r)| r.id.clone()));
         prop_assert!(
             order.len() == n,
             "each id completes exactly once: {:?}", order

@@ -75,8 +75,17 @@ fn expired_deadline_is_a_typed_error() {
     assert_eq!(stats.expired, 1);
     assert_eq!(stats.errors, 1);
     assert_eq!(stats.ok, 0);
-    // The expired id still completes, so dependents would unpark.
-    assert_eq!(engine.completion_order(), vec!["late".to_string()]);
+    // The expired id still completes, so a dependent is admitted to the
+    // queue instead of parking forever.
+    assert_eq!(responses[0].1.id, "late");
+    let t_dep = ticket(engine.submit(&Request {
+        after: vec!["late".into()],
+        ..Request::schedule("dep", "fig5", "xinf", 0)
+    }));
+    let responses = engine.dispatch();
+    assert_eq!(responses.len(), 1);
+    assert_eq!(responses[0].0, t_dep);
+    assert!(engine.is_idle());
 }
 
 /// A deadline that has *not* lapsed under the virtual clock succeeds even
@@ -128,10 +137,8 @@ fn dispatch_order_is_earliest_deadline_first() {
         vec![t_tight, t_mid, t_slack, t_none],
         "EDF: 10ms, 100ms, 1000ms, then no-deadline"
     );
-    assert_eq!(
-        engine.completion_order(),
-        vec!["tight", "mid", "slack", "free"]
-    );
+    let ids: Vec<&str> = responses.iter().map(|(_, r)| r.id.as_str()).collect();
+    assert_eq!(ids, ["tight", "mid", "slack", "free"]);
     assert!(responses.iter().all(|(_, r)| r.as_schedule().is_some()));
 }
 
@@ -257,14 +264,13 @@ fn response_stream_is_identical_across_jobs_counts() {
         lines.push(serde_json::to_string(&warm).expect("responses serialize"));
         let stats = engine.stats();
         let counters = format!(
-            "submitted={} completed={} ok={} errors={} expired={} warm_cache={} order={:?}",
+            "submitted={} completed={} ok={} errors={} expired={} warm_cache={}",
             stats.submitted,
             stats.completed,
             stats.ok,
             stats.errors,
             stats.expired,
             stats.warm_cache,
-            engine.completion_order(),
         );
         (lines, counters)
     };
