@@ -1,12 +1,15 @@
 //! Criterion benchmarks over the scheduling core on the fig6 model set
-//! (the paper's TinyYOLOv4 case study) — the repository's tracked perf
-//! trajectory.
+//! (the paper's TinyYOLOv4 case study): one number per layer, for
+//! locating a bottleneck.
 //!
-//! Run with `CIM_BENCH_JSON=BENCH_schedule.json cargo bench -p cim-bench
-//! --bench schedule_core` to (re)generate the `BENCH_schedule.json`
-//! snapshot at the repo root; CI runs the same command in smoke mode
-//! (`CIM_BENCH_SAMPLES=3`) and re-runs the golden suite afterwards so the
-//! numbers always describe output-neutral code.
+//! Run with `cargo bench -p cim-bench --bench schedule_core`
+//! (`CIM_BENCH_SAMPLES=N` sets the timed samples per bench, default 10);
+//! each bench prints its median with the p10 … p90 range. CI runs the
+//! same command in smoke mode (`CIM_BENCH_SAMPLES=3`), checks that every
+//! tracked bench prints a timing line, and re-runs the golden suite
+//! afterwards. Wall-clock claims go through the repository benchmark
+//! (`BENCHMARK.json`, run from `perfbench/`), which times the same
+//! layers end to end.
 //!
 //! Covered surfaces:
 //!
@@ -20,17 +23,17 @@
 //!   `NocAndGpeu` cost model at batch 32, both the optimized (costs
 //!   precomputed once per batch) and the retained naive reference
 //!   implementation (`clsa_core::reference`, cost model re-evaluated per
-//!   edge per instance) — the pair whose ratio is the PR-gating ≥ 2×
-//!   speedup;
+//!   edge per instance) — the ratio of this pair tracks the cost-table
+//!   precomputation;
 //! * `warm_sweep` — the fig6c sweep replayed from a warm persistent
 //!   store (the cross-run caching hot path);
 //! * `tuner_throughput` — design-space-exploration speed: a 32-candidate
 //!   grid prefix of the `case-study` tuning space on the lane-pool
-//!   evaluator, reported as configs evaluated/sec (the number the
-//!   autotuner's budget is spent against). Two points: a cold evaluator
+//!   evaluator, timed per exploration (the rate the autotuner's budget
+//!   is spent at). Two points: a cold evaluator
 //!   per exploration (`grid32_case_study`) and a long-lived warm one
 //!   (`grid32_case_study_warm`) whose schedule cache survives across
-//!   explorations — their ratio is the tracked incremental-reuse speedup;
+//!   explorations — their ratio is the incremental-reuse speedup;
 //! * `fabric_shared` — the shared-fabric event core: one `run_mix` of a
 //!   fixed 8-stream mix (every zoo model once plus a second TinyYOLOv4
 //!   stream, the shape of the `fabric-contended` benchmark's 8-stream
@@ -206,8 +209,8 @@ fn bench_tuner_throughput(c: &mut Criterion) {
     // schedule cache survives across explorations (the ask/tell tuner's
     // steady state after the dirty-key work — only mutated axes
     // recompute, everything else is served from the warm cache). The
-    // cold/warm ratio of the two `tuner_throughput` points is the PR's
-    // tracked incremental-reuse speedup.
+    // cold/warm ratio of the two `tuner_throughput` points is the
+    // incremental-reuse speedup.
     let warm = TuneEvaluator::new(&g, &RunnerOptions::sequential(), None);
     tune(
         &space,

@@ -8,26 +8,27 @@
 //!     [--tenants model:streams,model:streams] [--stagger N] [--seed S] \
 //!     [--policy shared|partitioned] [--bandwidth B] [--capacity-pes C] \
 //!     [--reload R] [--extra-pes E] [--jobs N] [--json <path>] \
-//!     [--bench] [--mix-sweep [--cache-dir <path>]] \
+//!     [--mix-sweep [--cache-dir <path>]] \
 //!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
 //! ```
 //!
 //! Default mode runs the given mix once and prints per-tenant slowdown
-//! and the fairness aggregates. `--bench` scales one model from solo to
-//! a 4-stream mix and exports the `BENCH_fabric.json` shape (including a
-//! `--jobs 1` vs `--jobs 4` byte-identity check). `--mix-sweep`
-//! enumerates the tenant-mix knob space ([`MixSpace::tiny`]) over the
-//! lane pool and reports the Pareto front over (worst-tenant slowdown ↓,
-//! aggregate utilization ↑, evictions ↓); with `--cache-dir`, the
-//! single-tenant reference summaries warm the persistent result store.
+//! and the fairness aggregates. `--mix-sweep` enumerates the tenant-mix
+//! knob space ([`MixSpace::tiny`]) over the lane pool and reports the
+//! Pareto front over (worst-tenant slowdown ↓, aggregate utilization ↑,
+//! evictions ↓); with `--cache-dir`, the single-tenant reference
+//! summaries warm the persistent result store.
 //!
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
-//! value and any tenant insertion order at a fixed `--seed`.
+//! value and any tenant insertion order at a fixed `--seed`
+//! (`tests/fabric_differential.rs` pins both, and a golden pins fig5
+//! scaled from one to four streams).
 //!
 //! Bad input — an unknown flag or model, a malformed `--tenants` list, an
-//! unknown `--policy`, a non-numeric count — prints one `error: …` line
-//! and the usage line, and exits with status 2. The `--fault-*` flags
-//! inject faults into the `--mix-sweep` store's I/O.
+//! unknown `--policy`, a non-numeric count, a `--stagger` or `--reload`
+//! cycle count above `u32::MAX` — prints one `error: …` line and the
+//! usage line, and exits with status 2. The `--fault-*` flags inject
+//! faults into the `--mix-sweep` store's I/O.
 
 use cim_bench::cli::{self, Args, Flag, CACHE_DIR, FAULTS, JOBS, JSON, SEED};
 use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
@@ -97,96 +98,6 @@ fn print_result(result: &FabricResult) {
         result.utilization() * 100.0,
         result.reloads,
     );
-}
-
-/// One scaling point of the `--bench` export.
-#[derive(Serialize)]
-struct BenchPoint {
-    tenants: usize,
-    makespan_cycles: u64,
-    worst_slowdown_milli: u64,
-    jain_fairness_milli: u64,
-    utilization_milli: u64,
-    evictions: u64,
-}
-
-/// The `BENCH_fabric.json` shape.
-#[derive(Serialize)]
-struct BenchReport {
-    model: String,
-    seed: u64,
-    policy: String,
-    points: Vec<BenchPoint>,
-    byte_identical: bool,
-}
-
-fn bench_mode(model: &str, config: &FabricConfig, seed: u64, json: Option<&str>) {
-    let mut points = Vec::new();
-    let mut byte_identical = true;
-    for streams in [1usize, 2, 4] {
-        let spec = TenantSpec {
-            model: model.to_string(),
-            streams,
-        };
-        let instances = instances_of(std::slice::from_ref(&spec)).unwrap_or_else(|e| panic!("{e}"));
-        let mut cfg = config.clone();
-        cfg.arch = arch_for_mix(&instances, 0).unwrap_or_else(|e| panic!("architecture: {e}"));
-        let result = run_mix(&instances, &cfg).unwrap_or_else(|e| panic!("mix runs: {e}"));
-        // The determinism contract, checked live: more workers and a
-        // shuffled insertion order must not move a single byte.
-        let mut shuffled = instances.clone();
-        shuffled.reverse();
-        cfg.jobs = if cfg.jobs == 1 { 4 } else { 1 };
-        let again = run_mix(&shuffled, &cfg).unwrap_or_else(|e| panic!("mix runs: {e}"));
-        byte_identical &= serde_json::to_string(&result)
-            .expect("results serialize")
-            == serde_json::to_string(&again).expect("results serialize");
-        points.push(BenchPoint {
-            tenants: streams,
-            makespan_cycles: result.makespan_cycles,
-            worst_slowdown_milli: result.worst_slowdown_milli,
-            jain_fairness_milli: result.jain_fairness_milli,
-            utilization_milli: result.utilization_milli,
-            evictions: result.evictions,
-        });
-    }
-    let report = BenchReport {
-        model: model.to_string(),
-        seed,
-        policy: config.policy.to_string(),
-        points,
-        byte_identical,
-    };
-    let rows: Vec<Vec<String>> = report
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.tenants.to_string(),
-                p.makespan_cycles.to_string(),
-                format!("{:.3}", p.worst_slowdown_milli as f64 / 1000.0),
-                format!("{:.3}", p.jain_fairness_milli as f64 / 1000.0),
-                format!("{:.1}%", p.utilization_milli as f64 / 10.0),
-                p.evictions.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["tenants", "makespan", "worst slowdown", "Jain fairness", "utilization", "evictions"],
-            &rows
-        )
-    );
-    println!(
-        "byte-identical across jobs and insertion order: {}",
-        report.byte_identical
-    );
-    assert!(report.byte_identical, "fabric results must be deterministic");
-    if let Some(path) = json {
-        write_json(path, &report).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
 }
 
 /// One evaluated point of the `--mix-sweep` export.
@@ -306,7 +217,6 @@ fn main() {
             Flag::value("--capacity-pes", "C"),
             Flag::value("--reload", "R"),
             Flag::value("--extra-pes", "E"),
-            Flag::switch("--bench"),
             Flag::switch("--mix-sweep"),
             JOBS,
             JSON,
@@ -333,10 +243,10 @@ fn run(args: &Args) -> Result<(), String> {
     let fabric = FabricSpec {
         link_bandwidth_bytes_per_cycle: args.get("--bandwidth").unwrap_or(0),
         capacity_pes: args.get("--capacity-pes").unwrap_or(0),
-        reload_cycles_per_pe: args.get("--reload").unwrap_or(50),
+        reload_cycles_per_pe: args.get::<u32>("--reload").map_or(50, u64::from),
     };
     let extra_pes = args.get("--extra-pes").unwrap_or(0);
-    let stagger = args.get("--stagger").unwrap_or(0);
+    let stagger = args.get::<u32>("--stagger").map_or(0, u64::from);
     let instances = instances_of(&specs)?;
     let seed = args.seed_or_default();
     println!("seed: {seed}");
@@ -350,12 +260,6 @@ fn run(args: &Args) -> Result<(), String> {
         jobs: args.runner.jobs,
     };
 
-    if args.has("--bench") {
-        args.note_cache_dir_unused();
-        let model = specs.first().map(|s| s.model.clone()).unwrap_or_default();
-        bench_mode(&model, &config, seed, args.json.as_deref());
-        return Ok(());
-    }
     if args.has("--mix-sweep") {
         mix_sweep_mode(args, &instances, &config);
         return Ok(());

@@ -54,6 +54,16 @@ fn bad_input_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_fabric-sim"),
             &["--frobnicate", "3"],
         ),
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--stagger", "4294967296"],
+        ),
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--reload", "4294967296"],
+        ),
     ];
     for (name, bin, args) in cases {
         let out = run(bin, args);

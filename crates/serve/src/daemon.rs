@@ -618,6 +618,33 @@ mod tests {
     }
 
     #[test]
+    fn a_line_of_exactly_the_bound_is_parsed_and_one_byte_more_is_not() {
+        let line = |model_len: usize| {
+            format!(
+                "{{\"id\":\"edge\",\"model\":\"{}\",\"strategy\":\"xinf\"}}",
+                "m".repeat(model_len)
+            )
+        };
+        let pad = DEFAULT_MAX_LINE_BYTES - line(0).len();
+        let at_bound = line(pad);
+        assert_eq!(at_bound.len(), DEFAULT_MAX_LINE_BYTES);
+        let input = format!(
+            "{at_bound}\n{}\n{{\"id\":\"p\",\"op\":\"ping\"}}\n",
+            line(pad + 1)
+        );
+        let shared = test_shared(DEFAULT_MAX_LINE_BYTES, None);
+        let mut out = Vec::new();
+        serve_connection(&shared, BufReader::new(Cursor::new(input)), &mut out).unwrap();
+        let responses = response_lines(&out);
+        assert_eq!(responses.len(), 3, "every frame answered");
+        let code = |r: &Response| r.as_error().expect("typed error").code;
+        assert_eq!(responses[0].id, "edge");
+        assert_eq!(code(&responses[0]), ErrorCode::UnknownModel);
+        assert_eq!(code(&responses[1]), ErrorCode::LineTooLong);
+        assert!(matches!(responses[2].body, ResponseBody::Pong));
+    }
+
+    #[test]
     fn injected_connection_drop_closes_before_answering() {
         let plan = Arc::new(FaultPlan::new(11).with_rate(FaultSite::ConnDrop, 1000));
         let shared = test_shared(DEFAULT_MAX_LINE_BYTES, Some(plan.clone()));

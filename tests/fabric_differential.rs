@@ -190,6 +190,45 @@ fn contended_mixes_match_golden() {
     common::check_golden("fabric_contended.json", &json);
 }
 
+/// fig5 scaled from solo to 4 streams on a chip sized for the mix (shared
+/// policy, no stagger, seed 0, unbounded links and capacity, 50 reload
+/// cycles per PE): the three results must reproduce
+/// `tests/golden/fabric_scaling.json` byte-for-byte, the worst slowdown
+/// must not fall as streams are added, and each mix must come out
+/// byte-identical at `jobs` 4 with its insertion order reversed.
+#[test]
+fn fig5_scaling_matches_golden() {
+    let mut mixes = BTreeMap::new();
+    let mut worst = Vec::new();
+    for streams in [1, 2, 4] {
+        let instances = fig5().streams_of(&TenantSpec {
+            model: "fig5".into(),
+            streams,
+        });
+        let mut config = FabricConfig::new(arch_for_mix(&instances, 0).expect("arch fits"));
+        config.fabric.reload_cycles_per_pe = 50;
+        let result = run_mix(&instances, &config).expect("mix runs");
+        let json = serde_json::to_string(&result).expect("serializes");
+
+        let mut reversed = instances.clone();
+        reversed.reverse();
+        config.jobs = 4;
+        let again = run_mix(&reversed, &config).expect("mix runs");
+        assert_eq!(
+            serde_json::to_string(&again).expect("serializes"),
+            json,
+            "fig5:{streams}"
+        );
+
+        check_invariants(&result, streams, config.arch.num_tiles() as u128);
+        worst.push(result.worst_slowdown_milli);
+        mixes.insert(format!("fig5:{streams}"), result);
+    }
+    assert!(worst.windows(2).all(|w| w[0] <= w[1]), "{worst:?}");
+    let json = serde_json::to_string_pretty(&mixes).expect("results serialize");
+    common::check_golden("fabric_scaling.json", &json);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
