@@ -19,6 +19,10 @@
 //!   buffer, flat arena, row-band lookup) on the case-study mapping,
 //!   beside the retained naive reference (per-set `HashSet`, full scan of
 //!   every producer layer) — the ratio of this pair tracks Stage II;
+//! * `cost_table_build` — `CostedDeps::build` on the case-study mapping,
+//!   under the peak model (`free`: byte counts and the consumer-side CSR)
+//!   and under `NocAndGpeu` (`noc_gpeu`: plus per-edge latencies). Neither
+//!   builds the fan-out CSR, which only the event engine reads;
 //! * `batched_noc_gpeu_b32` — `batched_cross_layer_schedule` under the
 //!   `NocAndGpeu` cost model at batch 32, both the optimized (costs
 //!   precomputed once per batch) and the retained naive reference
@@ -46,8 +50,8 @@ use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
 use cim_bench::artifacts::{case_study_graph, fig6c_results};
 use cim_bench::runner::{ResultStore, RunnerOptions};
 use clsa_core::{
-    batched_cross_layer_schedule, prepare, reference, run, Dependencies, EdgeCost, LayerSets,
-    RunConfig,
+    batched_cross_layer_schedule, prepare, reference, run, CostedDeps, Dependencies, EdgeCost,
+    LayerSets, RunConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -126,6 +130,21 @@ fn bench_stage2(c: &mut Criterion) {
             })
         },
     );
+    group.finish();
+}
+
+fn bench_cost_table(c: &mut Criterion) {
+    let (layers, deps) = case_study_stages();
+    let noc_gpeu = noc_gpeu_cost(&layers);
+    let mut group = c.benchmark_group("schedule_core");
+    group.throughput(Throughput::Elements(deps.num_edges() as u64));
+    for (name, cost) in [("free", &EdgeCost::Free), ("noc_gpeu", &noc_gpeu)] {
+        group.bench_with_input(
+            BenchmarkId::new("cost_table_build", name),
+            &(&layers, &deps),
+            |b, (layers, deps)| b.iter(|| CostedDeps::build(layers, deps, cost).expect("table")),
+        );
+    }
     group.finish();
 }
 
@@ -289,6 +308,7 @@ criterion_group!(
     benches,
     bench_cold_pipeline,
     bench_stage2,
+    bench_cost_table,
     bench_batched,
     bench_warm_sweep,
     bench_tuner_throughput,

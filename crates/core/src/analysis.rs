@@ -52,9 +52,8 @@ pub fn critical_path(
             detail: "analysis inputs cover different layer counts".into(),
         });
     }
-    // Edge latencies, precomputed once for the whole walk (consumer side
-    // only — the walk never needs the fan-out view).
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    // Edge latencies, precomputed once for the whole walk.
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     // Find the set finishing last.
     let mut cur: Option<SetRef> = None;
     let mut best_finish = 0u64;

@@ -9,15 +9,28 @@
 //! `set_bytes` + the model branch) for every edge of every batch instance:
 //! `O(batch × edges)` redundant work in the hottest loop of every sweep.
 //!
-//! [`CostedDeps::build`] hoists all of it: one pass over the CSR edge
-//! arena yields flat `u64` latency tables on both the consumer side (for
-//! the forward longest-path sweep and the validator) and the producer
-//! side (a fan-out CSR for the event engine), plus per-set byte counts and
-//! per-edge hop counts for traffic/energy accounting. The [`EdgeCost::Free`]
-//! model degenerates to branch-free all-zeros tables. The consumers of the
-//! tables never touch [`EdgeCost`] again.
+//! [`CostedDeps::build`] hoists all of it, and builds up front only what
+//! the schedulers, the validator and the metrics read: per-set byte
+//! counts and the consumer-side CSR (each set's producer indices with
+//! per-edge `u64` latencies). The consumers of the tables never touch
+//! [`EdgeCost`] again. Two things are deliberately not stored per edge:
+//!
+//! * latencies under [`EdgeCost::Free`], where every edge costs 0 — each
+//!   latency slice is a prefix of one zero buffer as long as the widest
+//!   row;
+//! * hop counts, which depend only on the two layers of an edge — the
+//!   table keeps each layer's home-tile position and
+//!   [`CostedDeps::hops_between`] measures the XY distance.
+//!
+//! The producer-side fan-out CSR ([`FanOut`]) is read only by the event
+//! engine, so it is built on the first [`CostedDeps::fanout`] call and
+//! kept inside the table; a table that is only scheduled and validated
+//! never holds one.
 
-use serde::{Deserialize, Serialize};
+use std::ops::Range;
+use std::sync::OnceLock;
+
+use cim_arch::TileCoord;
 
 use crate::deps::{Dependencies, SetRef};
 use crate::error::{CoreError, Result};
@@ -29,9 +42,9 @@ use crate::space::SetSpace;
 ///
 /// Indexing follows the [`SetSpace`] of the [`Dependencies`] it was built
 /// from; the consumer-side arrays (`dep_*`) are aligned edge-for-edge with
-/// [`Dependencies::of`] / [`Dependencies::csr`], the producer-side arrays
-/// (`out_*`) form an independent fan-out CSR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// [`Dependencies::of`] / [`Dependencies::csr`]. Equality ignores whether
+/// the fan-out has been built, since it is derived from the other fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostedDeps {
     space: SetSpace,
     /// Bytes forwarded when the set with global index `i` is consumed
@@ -42,23 +55,86 @@ pub struct CostedDeps {
     dep_offsets: Vec<usize>,
     /// Per consumer edge: the producer's global set index.
     dep_producer: Vec<usize>,
-    /// Per consumer edge: precomputed latency in cycles.
-    dep_latency: Vec<u64>,
+    /// Per consumer edge: precomputed latency in cycles. Stored per edge
+    /// exactly when the model moves data, i.e. not under
+    /// [`EdgeCost::Free`].
+    dep_latency: Latencies,
+    /// Mesh position of each layer's home tile, the two ends of every hop
+    /// count; empty under [`EdgeCost::Free`].
+    homes: Vec<TileCoord>,
+    /// The producer-side fan-out CSR, built on first use.
+    fanout: LazyFanOut,
+}
+
+/// Per-edge latencies of one CSR side.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Latencies {
+    /// [`EdgeCost::Free`]: every edge costs 0. Holds as many zeros as the
+    /// widest row has edges; each row's slice is a prefix.
+    Zero(Vec<u64>),
+    /// One latency per edge, in edge order.
+    PerEdge(Vec<u64>),
+}
+
+impl Latencies {
+    /// The latencies of the edges in `r`.
+    #[inline]
+    fn of(&self, r: Range<usize>) -> &[u64] {
+        match self {
+            Latencies::Zero(zeros) => &zeros[..r.len()],
+            Latencies::PerEdge(latency) => &latency[r],
+        }
+    }
+}
+
+/// The producer-side view of a [`CostedDeps`] table: for each producer
+/// set, the consumer sets it feeds and the latency of each edge. Obtained
+/// from [`CostedDeps::fanout`].
+#[derive(Debug, Clone)]
+pub struct FanOut {
     /// Fan-out CSR offsets, per producer global index.
-    out_offsets: Vec<usize>,
+    offsets: Vec<usize>,
     /// Per fan-out edge: the consumer set.
-    out_consumers: Vec<SetRef>,
-    /// Per fan-out edge: precomputed latency in cycles.
-    out_latency: Vec<u64>,
-    /// Per fan-out edge: NoC hop count (energy accounting).
-    out_hops: Vec<u64>,
-    /// Whether the producer-side fan-out CSR was materialized (the
-    /// forward schedulers and the validator only read the consumer side;
-    /// the event engine needs the fan-out).
-    has_fanout: bool,
-    /// Whether the cost model moves data over the NoC (energy/transfer
-    /// accounting applies — false for [`EdgeCost::Free`]).
-    tracks_transfers: bool,
+    consumers: Vec<SetRef>,
+    /// Per fan-out edge: the latency of the consumer-side edge it mirrors.
+    latency: Latencies,
+}
+
+impl FanOut {
+    /// The consumer sets fed by the set with global index `i`, with the
+    /// latency of each edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn outgoing(&self, i: usize) -> (&[SetRef], &[u64]) {
+        let r = self.offsets[i]..self.offsets[i + 1];
+        (&self.consumers[r.clone()], self.latency.of(r))
+    }
+}
+
+/// A fan-out slot filled on first use. The fan-out is a function of the
+/// rest of the table, so it never makes two tables differ.
+#[derive(Debug, Clone, Default)]
+struct LazyFanOut(OnceLock<FanOut>);
+
+impl PartialEq for LazyFanOut {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for LazyFanOut {}
+
+/// XY hop count between two mesh positions.
+fn hops(a: TileCoord, b: TileCoord) -> u64 {
+    (a.row.abs_diff(b.row) + a.col.abs_diff(b.col)) as u64
+}
+
+/// The number of edges in the widest row of a CSR `offsets` table.
+fn widest_row(offsets: &[usize]) -> usize {
+    offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
 }
 
 impl CostedDeps {
@@ -81,27 +157,6 @@ impl CostedDeps {
         deps: &Dependencies,
         edge_cost: &EdgeCost,
     ) -> Result<Self> {
-        Self::build_inner(layers, deps, edge_cost, true)
-    }
-
-    /// [`build`](Self::build) without the producer-side fan-out CSR — for
-    /// the one-shot forward schedulers and the validator, which only walk
-    /// the consumer side (skips one counting-sort pass and three edge
-    /// arrays). [`outgoing`](Self::outgoing) panics on such a table.
-    pub(crate) fn build_consumer_only(
-        layers: &[LayerSets],
-        deps: &Dependencies,
-        edge_cost: &EdgeCost,
-    ) -> Result<Self> {
-        Self::build_inner(layers, deps, edge_cost, false)
-    }
-
-    fn build_inner(
-        layers: &[LayerSets],
-        deps: &Dependencies,
-        edge_cost: &EdgeCost,
-        with_fanout: bool,
-    ) -> Result<Self> {
         let space = SetSpace::of_layers(layers);
         if !space.same_shape(deps.space()) {
             return Err(CoreError::StageMismatch {
@@ -112,10 +167,9 @@ impl CostedDeps {
                 ),
             });
         }
-        let total = space.total_sets();
 
         // Per-set forwarding bytes (mapping-invariant).
-        let mut bytes = Vec::with_capacity(total);
+        let mut bytes = Vec::with_capacity(space.total_sets());
         for l in layers {
             for s in 0..l.sets.len() {
                 bytes.push(set_bytes(l, s));
@@ -124,91 +178,47 @@ impl CostedDeps {
 
         // Consumer-side tables, aligned with the dependency CSR.
         let (offsets, producers) = deps.csr();
-        let dep_offsets = offsets.to_vec();
-        let mut dep_producer = Vec::with_capacity(producers.len());
-        let mut dep_latency = Vec::with_capacity(producers.len());
-        let mut dep_hops = vec![0u64; producers.len()];
-        match edge_cost {
-            // Branch-free all-zeros tables: the paper's peak model.
-            EdgeCost::Free => {
-                for p in producers {
-                    dep_producer.push(space.index(p.layer, p.set));
-                }
-                dep_latency.resize(producers.len(), 0);
-            }
+        let dep_producer: Vec<usize> = producers
+            .iter()
+            .map(|p| space.index(p.layer, p.set))
+            .collect();
+        let (dep_latency, homes) = match edge_cost {
+            EdgeCost::Free => (Latencies::Zero(vec![0; widest_row(offsets)]), Vec::new()),
             EdgeCost::NocHops { arch, placement } | EdgeCost::NocAndGpeu { arch, placement } => {
-                let hop_latency = arch.noc().hop_latency_cycles;
+                let noc = arch.noc();
+                let homes = (0..space.num_layers())
+                    .map(|l| noc.coord(placement.home_tile(l)))
+                    .collect::<cim_arch::Result<Vec<_>>>()?;
                 let gpeu = match edge_cost {
                     EdgeCost::NocAndGpeu { .. } => Some(arch.tile().gpeu_ops_per_cycle as u64),
                     _ => None,
                 };
                 // Walk consumers in arena order so each edge knows its
                 // consumer layer without searching the offset table.
-                let mut k = 0usize;
+                let mut latency = Vec::with_capacity(producers.len());
                 for c_layer in 0..space.num_layers() {
-                    for s in 0..space.sets_in(c_layer) {
-                        let i = space.index(c_layer, s);
-                        for p in &producers[offsets[i]..offsets[i + 1]] {
-                            let pi = space.index(p.layer, p.set);
-                            let hops = placement.hops_between(arch, p.layer, c_layer)? as u64;
-                            let mut lat = hops * hop_latency;
-                            if let Some(g) = gpeu {
-                                lat += bytes[pi].div_ceil(g);
-                            }
-                            dep_producer.push(pi);
-                            dep_latency.push(lat);
-                            dep_hops[k] = hops;
-                            k += 1;
+                    let sets = space.layer_range(c_layer);
+                    let r = offsets[sets.start]..offsets[sets.end];
+                    for (p, &pi) in producers[r.clone()].iter().zip(&dep_producer[r]) {
+                        let mut lat = hops(homes[p.layer], homes[c_layer]) * noc.hop_latency_cycles;
+                        if let Some(g) = gpeu {
+                            lat += bytes[pi].div_ceil(g);
                         }
+                        latency.push(lat);
                     }
                 }
+                (Latencies::PerEdge(latency), homes)
             }
-        }
-
-        // Producer-side fan-out CSR (counting sort by producer index),
-        // materialized only when the caller needs the producer view.
-        let (out_offsets, out_consumers, out_latency, out_hops) = if with_fanout {
-            let mut counts = vec![0usize; total + 1];
-            for &pi in &dep_producer {
-                counts[pi + 1] += 1;
-            }
-            for i in 0..total {
-                counts[i + 1] += counts[i];
-            }
-            let out_offsets = counts.clone();
-            let mut cursor = counts;
-            let mut out_consumers = vec![SetRef { layer: 0, set: 0 }; dep_producer.len()];
-            let mut out_latency = vec![0u64; dep_producer.len()];
-            let mut out_hops = vec![0u64; dep_producer.len()];
-            for l in 0..space.num_layers() {
-                for s in 0..space.sets_in(l) {
-                    let i = space.index(l, s);
-                    for k in dep_offsets[i]..dep_offsets[i + 1] {
-                        let slot = cursor[dep_producer[k]];
-                        cursor[dep_producer[k]] += 1;
-                        out_consumers[slot] = SetRef { layer: l, set: s };
-                        out_latency[slot] = dep_latency[k];
-                        out_hops[slot] = dep_hops[k];
-                    }
-                }
-            }
-            (out_offsets, out_consumers, out_latency, out_hops)
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
         };
 
         Ok(Self {
             space,
             bytes,
-            dep_offsets,
+            dep_offsets: offsets.to_vec(),
             dep_producer,
             dep_latency,
-            out_offsets,
-            out_consumers,
-            out_latency,
-            out_hops,
-            has_fanout: with_fanout,
-            tracks_transfers: !matches!(edge_cost, EdgeCost::Free),
+            homes,
+            fanout: LazyFanOut::default(),
         })
     }
 
@@ -245,7 +255,7 @@ impl CostedDeps {
     #[inline]
     pub fn incoming(&self, i: usize) -> (&[usize], &[u64]) {
         let r = self.dep_offsets[i]..self.dep_offsets[i + 1];
-        (&self.dep_producer[r.clone()], &self.dep_latency[r])
+        (&self.dep_producer[r.clone()], self.dep_latency.of(r))
     }
 
     /// Latencies of the edges into set `s` of layer `l`, aligned with
@@ -257,13 +267,22 @@ impl CostedDeps {
     #[inline]
     pub fn latencies_of(&self, l: usize, s: usize) -> &[u64] {
         let i = self.space.index(l, s);
-        &self.dep_latency[self.dep_offsets[i]..self.dep_offsets[i + 1]]
+        self.dep_latency.of(self.dep_offsets[i]..self.dep_offsets[i + 1])
     }
 
-    /// Whether the producer-side fan-out CSR was materialized (true for
-    /// [`build`](Self::build); the event engine requires it).
-    pub fn has_fanout(&self) -> bool {
-        self.has_fanout
+    /// NoC hop count of an edge from layer `from` to layer `to`: the XY
+    /// distance between the two layers' home tiles, or 0 when the model
+    /// moves no data ([`EdgeCost::Free`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer index is out of range of a NoC-model table.
+    #[inline]
+    pub fn hops_between(&self, from: usize, to: usize) -> u64 {
+        if self.homes.is_empty() {
+            return 0;
+        }
+        hops(self.homes[from], self.homes[to])
     }
 
     /// Whether this table was built from exactly `deps` — same set space
@@ -286,35 +305,68 @@ impl CostedDeps {
                 .all(|(&pi, p)| pi == self.space.index(p.layer, p.set))
     }
 
-    /// Producer-side view of the set with global index `i`: the consumer
-    /// sets it feeds, with per-edge latency and hop count.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a consumer-only table (see [`has_fanout`](Self::has_fanout)).
-    #[inline]
-    pub fn outgoing(&self, i: usize) -> (&[SetRef], &[u64], &[u64]) {
-        assert!(
-            self.has_fanout,
-            "outgoing() requires a table built with the fan-out CSR"
-        );
-        let r = self.out_offsets[i]..self.out_offsets[i + 1];
-        (
-            &self.out_consumers[r.clone()],
-            &self.out_latency[r.clone()],
-            &self.out_hops[r],
-        )
+    /// The producer-side fan-out CSR. Only the event engine reads it, so
+    /// the first call builds it (one counting sort over the consumer side)
+    /// and later calls, from any thread, share that copy.
+    pub fn fanout(&self) -> &FanOut {
+        self.fanout.0.get_or_init(|| self.build_fanout())
+    }
+
+    /// Counting-sorts the consumer-side edges by producer.
+    fn build_fanout(&self) -> FanOut {
+        let total = self.space.total_sets();
+        let edges = self.dep_producer.len();
+        let mut counts = vec![0usize; total + 1];
+        for &pi in &self.dep_producer {
+            counts[pi + 1] += 1;
+        }
+        for i in 0..total {
+            counts[i + 1] += counts[i];
+        }
+        let offsets = counts.clone();
+        let mut cursor = counts;
+        let mut consumers = vec![SetRef { layer: 0, set: 0 }; edges];
+        let mut latency = match &self.dep_latency {
+            Latencies::Zero(_) => Latencies::Zero(vec![0; widest_row(&offsets)]),
+            Latencies::PerEdge(_) => Latencies::PerEdge(vec![0; edges]),
+        };
+        for l in 0..self.space.num_layers() {
+            for s in 0..self.space.sets_in(l) {
+                let i = self.space.index(l, s);
+                for k in self.dep_offsets[i]..self.dep_offsets[i + 1] {
+                    let slot = cursor[self.dep_producer[k]];
+                    cursor[self.dep_producer[k]] += 1;
+                    consumers[slot] = SetRef { layer: l, set: s };
+                    if let (Latencies::PerEdge(out), Latencies::PerEdge(dep)) =
+                        (&mut latency, &self.dep_latency)
+                    {
+                        out[slot] = dep[k];
+                    }
+                }
+            }
+        }
+        FanOut {
+            offsets,
+            consumers,
+            latency,
+        }
+    }
+
+    /// Whether the fan-out has been built (see [`fanout`](Self::fanout)).
+    #[cfg(test)]
+    pub(crate) fn fanout_built(&self) -> bool {
+        self.fanout.0.get().is_some()
     }
 
     /// Whether the underlying model moves data over the NoC (false for
     /// [`EdgeCost::Free`] — no traffic, no transfer energy).
     pub fn tracks_transfers(&self) -> bool {
-        self.tracks_transfers
+        matches!(self.dep_latency, Latencies::PerEdge(_))
     }
 
     /// Total number of edges covered.
     pub fn num_edges(&self) -> usize {
-        self.dep_latency.len()
+        self.dep_producer.len()
     }
 
     /// Total bytes forwarded over all cross-layer dependency edges per
@@ -367,6 +419,23 @@ mod tests {
         (layers, deps)
     }
 
+    /// A `NocAndGpeu` table over `workload()`: two one-PE groups on
+    /// one-PE tiles, 5-cycle hops, a 2-op/cycle GPEU.
+    fn noc_gpeu_cost() -> EdgeCost {
+        let arch = Architecture::builder()
+            .tile(TileSpec {
+                pes_per_tile: 1,
+                gpeu_ops_per_cycle: 2,
+                ..TileSpec::isaac_like()
+            })
+            .noc_hop_latency(5)
+            .pes(2)
+            .build()
+            .unwrap();
+        let placement = place_groups(&arch, &[1, 1], PlacementStrategy::Contiguous).unwrap();
+        EdgeCost::NocAndGpeu { arch, placement }
+    }
+
     #[test]
     fn free_model_is_all_zeros() {
         let (layers, deps) = workload();
@@ -388,18 +457,7 @@ mod tests {
     #[test]
     fn latencies_match_the_edge_cost_model() {
         let (layers, deps) = workload();
-        let arch = Architecture::builder()
-            .tile(TileSpec {
-                pes_per_tile: 1,
-                gpeu_ops_per_cycle: 2,
-                ..TileSpec::isaac_like()
-            })
-            .noc_hop_latency(5)
-            .pes(2)
-            .build()
-            .unwrap();
-        let placement = place_groups(&arch, &[1, 1], PlacementStrategy::Contiguous).unwrap();
-        let cost = EdgeCost::NocAndGpeu { arch, placement };
+        let cost = noc_gpeu_cost();
         let c = CostedDeps::build(&layers, &deps, &cost).unwrap();
         assert!(c.tracks_transfers());
         // Every edge goes layer 0 → layer 1: hops(0,1) × 5 + 4 bytes / 2.
@@ -416,48 +474,93 @@ mod tests {
     #[test]
     fn fanout_mirrors_the_consumer_side() {
         let (layers, deps) = workload();
-        let c = CostedDeps::free(&layers, &deps).unwrap();
+        let free = CostedDeps::free(&layers, &deps).unwrap();
+        let fanout = free.fanout();
+        let index = |l, s| free.space().index(l, s);
         // Set (0,0) feeds (1,0) and (1,1); set (0,1) feeds (1,1).
-        let (consumers, lat, hops) = c.outgoing(c.space().index(0, 0));
+        let (consumers, lat) = fanout.outgoing(index(0, 0));
         assert_eq!(
             consumers,
             &[SetRef { layer: 1, set: 0 }, SetRef { layer: 1, set: 1 }]
         );
         assert_eq!(lat, &[0, 0]);
-        assert_eq!(hops, &[0, 0]);
-        let (consumers, _, _) = c.outgoing(c.space().index(0, 1));
-        assert_eq!(consumers, &[SetRef { layer: 1, set: 1 }]);
+        assert_eq!(
+            fanout.outgoing(index(0, 1)).0,
+            &[SetRef { layer: 1, set: 1 }]
+        );
         // Consumers have no fan-out.
-        assert!(c.outgoing(c.space().index(1, 0)).0.is_empty());
-        // Totals agree across both views.
-        let total_out: usize = (0..c.space().total_sets())
-            .map(|i| c.outgoing(i).0.len())
-            .sum();
-        assert_eq!(total_out, c.num_edges());
-    }
+        assert!(fanout.outgoing(index(1, 0)).0.is_empty());
 
-    #[test]
-    fn consumer_only_tables_skip_the_fanout() {
-        let (layers, deps) = workload();
-        let full = CostedDeps::build(&layers, &deps, &EdgeCost::Free).unwrap();
-        let lean = CostedDeps::build_consumer_only(&layers, &deps, &EdgeCost::Free).unwrap();
-        assert!(full.has_fanout());
-        assert!(!lean.has_fanout());
-        // Consumer sides are identical.
-        for l in 0..2 {
-            for s in 0..2 {
-                assert_eq!(lean.latencies_of(l, s), full.latencies_of(l, s));
-                assert_eq!(lean.set_bytes(l, s), full.set_bytes(l, s));
+        // Under a NoC model every fan-out edge carries the latency and
+        // the hop count of the consumer-side edge it mirrors, and the two
+        // views hold the same edges.
+        let cost = noc_gpeu_cost();
+        let EdgeCost::NocAndGpeu { arch, placement } = &cost else {
+            unreachable!()
+        };
+        for c in [free, CostedDeps::build(&layers, &deps, &cost).unwrap()] {
+            let mut from_fanout = Vec::new();
+            for p in 0..c.space().num_layers() {
+                for ps in 0..c.space().sets_in(p) {
+                    let (consumers, lat) = c.fanout().outgoing(c.space().index(p, ps));
+                    assert_eq!(consumers.len(), lat.len());
+                    for (con, &lat) in consumers.iter().zip(lat) {
+                        from_fanout.push((SetRef { layer: p, set: ps }, *con, lat));
+                    }
+                }
             }
+            let mut from_consumers = Vec::new();
+            for l in 0..c.space().num_layers() {
+                for s in 0..c.space().sets_in(l) {
+                    let (producers, lat) = c.incoming(c.space().index(l, s));
+                    assert_eq!(lat, c.latencies_of(l, s));
+                    for (p, (&pi, &lat)) in deps.of(l, s).iter().zip(producers.iter().zip(lat)) {
+                        assert_eq!(pi, c.space().index(p.layer, p.set));
+                        from_consumers.push((*p, SetRef { layer: l, set: s }, lat));
+                        let want = if c.tracks_transfers() {
+                            placement.hops_between(arch, p.layer, l).unwrap() as u64
+                        } else {
+                            0
+                        };
+                        assert_eq!(c.hops_between(p.layer, l), want);
+                    }
+                }
+            }
+            from_fanout.sort();
+            from_consumers.sort();
+            assert_eq!(from_fanout, from_consumers);
+            assert_eq!(from_fanout.len(), c.num_edges());
         }
     }
 
     #[test]
-    #[should_panic(expected = "fan-out")]
-    fn outgoing_panics_on_consumer_only_tables() {
+    fn free_tables_store_no_per_edge_latency() {
         let (layers, deps) = workload();
-        let lean = CostedDeps::build_consumer_only(&layers, &deps, &EdgeCost::Free).unwrap();
-        let _ = lean.outgoing(0);
+        let free = CostedDeps::free(&layers, &deps).unwrap();
+        // Three edges, but set (1,1) has the widest fan-in (2) and set
+        // (0,0) the widest fan-out (2).
+        assert_eq!(free.dep_latency, Latencies::Zero(vec![0; 2]));
+        assert!(free.homes.is_empty());
+        assert_eq!(free.fanout().latency, Latencies::Zero(vec![0; 2]));
+        let noc = CostedDeps::build(&layers, &deps, &noc_gpeu_cost()).unwrap();
+        assert!(matches!(&noc.dep_latency, Latencies::PerEdge(l) if l.len() == 3));
+        assert_eq!(noc.homes.len(), 2);
+    }
+
+    #[test]
+    fn fanout_is_built_on_first_use_and_ignored_by_equality() {
+        let (layers, deps) = workload();
+        for cost in [EdgeCost::Free, noc_gpeu_cost()] {
+            let c = CostedDeps::build(&layers, &deps, &cost).unwrap();
+            let fresh = c.clone();
+            assert!(!c.fanout_built());
+            let _ = c.fanout();
+            assert!(c.fanout_built());
+            assert!(!fresh.fanout_built());
+            assert_eq!(c, fresh);
+            // A clone after the build carries the fan-out along.
+            assert!(c.clone().fanout_built());
+        }
     }
 
     #[test]

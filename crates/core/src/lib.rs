@@ -78,7 +78,7 @@ pub mod space;
 pub mod validate;
 
 pub use analysis::{critical_cycles_per_layer, critical_path, CriticalStep};
-pub use cost::CostedDeps;
+pub use cost::{CostedDeps, FanOut};
 pub use deps::{determine_dependencies, Dependencies, SetRef};
 pub use diagnose::{
     analyze_costed, capacity_diagnostics, is_validation_code, ScheduleDiagnostic, Severity,

@@ -159,10 +159,12 @@ pub struct Prepared {
     /// Stage-II dependencies.
     pub deps: Deps,
     /// Precomputed zero-cost edge tables for the paper's peak model
-    /// ([`EdgeCost::Free`]): byte counts, fan-out CSR, all-zeros
-    /// latencies. Cached here — like the other stage artifacts — because
-    /// it depends only on the mapping side; every `Free`-model schedule,
-    /// validation, and simulation over this mapping shares the one table.
+    /// ([`EdgeCost::Free`]): per-set byte counts and the consumer-side
+    /// CSR, with no per-edge latency or hop array. Cached here — like the
+    /// other stage artifacts — because it depends only on the mapping
+    /// side; every `Free`-model schedule, validation, and simulation over
+    /// this mapping shares the one table. Its fan-out CSR is built only if
+    /// something simulates it ([`CostedDeps::fanout`]).
     pub costed_free: Costs,
     /// `PE_min` of the *original* graph (weights stored once).
     pub pe_min: usize,
@@ -204,7 +206,9 @@ pub struct RunResult {
     /// The precomputed edge-cost table the schedule was built and
     /// validated with. For the paper's peak model this *is* the
     /// [`Prepared::costed_free`] `Arc` (shared, never rebuilt); cost-model
-    /// runs carry their own table.
+    /// runs carry their own table. Scheduling and validation read only
+    /// its consumer side: the fan-out CSR is built on the first
+    /// simulation of the result, if any.
     pub costed: Costs,
     /// The schedule (Stage IV or the baseline).
     pub schedule: Schedule,
@@ -395,7 +399,8 @@ fn schedule_prepared(
 }
 
 // The sweep runner shares graphs, configs, and stage outputs across worker
-// threads; keep the whole hot path free of interior mutability.
+// threads; keep the whole hot path free of interior mutability (the cost
+// table's lazily built fan-out is a `OnceLock`, which is `Sync`).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Graph>();
@@ -583,6 +588,34 @@ mod tests {
         cfg.noc_cost = true;
         let costly = run(&g, &cfg).unwrap();
         assert!(costly.makespan() > free.makespan());
+    }
+
+    #[test]
+    fn scheduling_and_validation_build_no_fanout() {
+        // Only a simulation reads the producer-side fan-out, so neither a
+        // cached free table nor a run's own NoC table should hold one.
+        let g = small_cnn();
+        let arch = Architecture::builder()
+            .tile(cim_arch::TileSpec {
+                pes_per_tile: 1,
+                ..cim_arch::TileSpec::isaac_like()
+            })
+            .noc_hop_latency(10)
+            .pes(3)
+            .build()
+            .unwrap();
+        let free_cfg = RunConfig::baseline(arch).with_cross_layer();
+        let noc_cfg = RunConfig {
+            noc_cost: true,
+            ..free_cfg.clone()
+        };
+        let prepared = prepare(&g, &free_cfg).unwrap();
+        for cfg in [&free_cfg, &noc_cfg] {
+            let result = run_prepared(&prepared, cfg).unwrap();
+            assert_eq!(result.costed.tracks_transfers(), cfg.noc_cost);
+            assert!(!result.costed.fanout_built());
+            assert!(!prepared.costed_free.fanout_built());
+        }
     }
 
     #[test]

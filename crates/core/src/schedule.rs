@@ -305,7 +305,7 @@ pub fn cross_layer_schedule(
 ) -> Result<Schedule> {
     check_layer_count(layers, deps)?;
     // Freshly built from `deps` — no need to re-verify the table matches.
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     deps.ensure_backward()?;
     Ok(sweep_single(layers, &costed))
 }
@@ -407,7 +407,7 @@ pub fn batched_cross_layer_schedule(
     check_batch(batch)?;
     check_layer_count(layers, deps)?;
     // Freshly built from `deps` — no need to re-verify the table matches.
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost)?;
+    let costed = CostedDeps::build(layers, deps, edge_cost)?;
     deps.ensure_backward()?;
     Ok(sweep_batched(layers, &costed, batch))
 }

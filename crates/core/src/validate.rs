@@ -36,7 +36,7 @@ pub fn validate_schedule(
     edge_cost: &EdgeCost,
 ) -> Result<()> {
     check_shape(layers, schedule)?;
-    let costed = CostedDeps::build_consumer_only(layers, deps, edge_cost).map_err(invalidate)?;
+    let costed = CostedDeps::build(layers, deps, edge_cost).map_err(invalidate)?;
     validate_schedule_costed(layers, deps, schedule, &costed)
 }
 

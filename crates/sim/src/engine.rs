@@ -68,9 +68,11 @@ impl<'a> Simulator<'a> {
     }
 
     /// [`run`](Self::run) on a prebuilt [`CostedDeps`] table: every edge
-    /// delivery reads a precomputed `u64` latency (and hop count, for
-    /// energy accounting) from the fan-out CSR instead of re-deriving the
-    /// cost model per message.
+    /// delivery reads a precomputed `u64` latency from the table's fan-out
+    /// CSR, and its hop count (for energy accounting) from the layers'
+    /// home tiles, instead of re-deriving the cost model per message. The
+    /// first run on a table builds its fan-out ([`CostedDeps::fanout`]);
+    /// later runs on the same table reuse it.
     ///
     /// # Errors
     ///

@@ -43,7 +43,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use cim_arch::{EnergyLog, FabricSpec, NocSpec, TileCoord, TileId};
-use clsa_core::{CostedDeps, Dependencies, LayerSets, Schedule, SetTime};
+use clsa_core::{CostedDeps, Dependencies, FanOut, LayerSets, Schedule, SetTime};
 
 use crate::engine::SimResult;
 use crate::error::{Result, SimError};
@@ -57,8 +57,8 @@ pub struct TenantWorkload<'a> {
     pub layers: &'a [LayerSets],
     /// Stage-II dependencies over those sets.
     pub deps: &'a Dependencies,
-    /// Precomputed edge-cost tables (must match `deps` and carry the
-    /// fan-out CSR).
+    /// Precomputed edge-cost tables (must match `deps`). The run builds
+    /// the table's fan-out CSR if no earlier run has.
     pub costed: &'a CostedDeps,
     /// Cycle at which this tenant's first set may start.
     pub arrival: u64,
@@ -469,9 +469,9 @@ fn try_start(
 /// # Errors
 ///
 /// Returns [`SimError::BadWorkload`] when any tenant's inputs disagree
-/// (shapes, mismatched cost tables, missing fan-out CSR, wrong home-tile
-/// count) and [`SimError::Deadlock`] when unfinished sets remain after the
-/// event heap drains.
+/// (shapes, mismatched cost tables, wrong home-tile count) and
+/// [`SimError::Deadlock`] when unfinished sets remain after the event heap
+/// drains.
 pub fn run_shared(
     workloads: &[TenantWorkload<'_>],
     fabric: &FabricContention,
@@ -489,14 +489,6 @@ pub fn run_shared(
         if !w.costed.matches(w.deps) {
             return Err(SimError::BadWorkload {
                 detail: format!("tenant {k}: cost table was built from different dependencies"),
-            });
-        }
-        if !w.costed.has_fanout() {
-            return Err(SimError::BadWorkload {
-                detail: format!(
-                    "tenant {k}: event engine needs a cost table built with the fan-out CSR \
-                     (use CostedDeps::build, not a consumer-only table)"
-                ),
             });
         }
         if let Some(tiles) = &w.home_tiles {
@@ -538,6 +530,8 @@ pub fn run_shared(
             ..Block::default()
         }));
     }
+    // Each tenant's fan-out CSR, built here on a table's first run.
+    let fanouts: Vec<&FanOut> = workloads.iter().map(|w| w.costed.fanout()).collect();
     // Event heap: Reverse ordering on (finish, tenant, layer, set).
     let mut heap: BinaryHeap<Reverse<(u64, usize, usize, usize)>> = BinaryHeap::new();
 
@@ -564,19 +558,19 @@ pub fn run_shared(
         }
         try_start(workloads, &mut states, &mut fs, &mut heap, spec, k, l);
 
-        // Data edges: deliver this set to its consumers — latency, byte
-        // count, and hop count all precomputed; link serialization is the
-        // only run-time addition.
+        // Data edges: deliver this set to its consumers — latency and
+        // byte count precomputed, hop count read off the layers' home
+        // tiles; link serialization is the only run-time addition.
         let produced = w.costed.space().index(l, s);
         let bytes = w.costed.set_bytes(l, s);
-        let (consumers, latencies, hops) = w.costed.outgoing(produced);
+        let (consumers, latencies) = fanouts[k].outgoing(produced);
         if !consumers.is_empty() {
             let st = &mut states[k];
             st.pending_consumers[produced] = consumers.len() as u32;
             st.live_bytes += bytes;
             st.peak_live_bytes = st.peak_live_bytes.max(st.live_bytes);
         }
-        for ((c, &delay), &edge_hops) in consumers.iter().zip(latencies).zip(hops) {
+        for (c, &delay) in consumers.iter().zip(latencies) {
             let mut arrival = t + delay;
             if let (Some(noc), Some(homes)) = (link_noc, &states[k].homes) {
                 let (from, to) = (&homes[l], &homes[c.layer]);
@@ -594,7 +588,8 @@ pub fn run_shared(
             st.stats.messages += 1;
             st.stats.bytes_moved += bytes;
             if w.costed.tracks_transfers() {
-                st.energy.record_transfer(bytes, edge_hops);
+                st.energy
+                    .record_transfer(bytes, w.costed.hops_between(l, c.layer));
             }
             try_start(workloads, &mut states, &mut fs, &mut heap, spec, k, c.layer);
         }

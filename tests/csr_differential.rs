@@ -13,9 +13,9 @@ use clsa_cim::arch::{
 };
 use clsa_cim::core::{
     batched_cross_layer_schedule, batched_cross_layer_schedule_costed, cross_layer_schedule,
-    cross_layer_schedule_costed, determine_dependencies, prepare, reference, validate_schedule,
-    validate_schedule_costed, CostedDeps, Dependencies, EdgeCost, LayerSets, OfmSet, RunConfig,
-    SetPolicy, SetRef,
+    cross_layer_schedule_costed, determine_dependencies, prepare, reference, run_prepared,
+    validate_schedule, validate_schedule_costed, CostedDeps, Dependencies, EdgeCost, LayerSets,
+    OfmSet, RunConfig, SetPolicy, SetRef,
 };
 use clsa_cim::frontend::{canonicalize, CanonOptions};
 use clsa_cim::mapping::{layer_costs, min_pes, MappingOptions, Solver};
@@ -219,5 +219,63 @@ proptest! {
         // 0 stands for the finest policy.
         let policy = SetPolicy { max_sets_per_layer: (max_sets > 0).then_some(max_sets) };
         assert_stage2_matches_reference(&format!("random_cnn({seed}, {n})"), &g, policy, wdup);
+    }
+}
+
+/// The cost table a pipeline run keeps (`RunResult::costed`, the cached
+/// `Prepared::costed_free` under the peak model) simulates exactly like a
+/// table built fresh for the same `(mapping, EdgeCost)` pair, on its first
+/// simulation (which builds its fan-out) and on later ones.
+#[test]
+fn pipeline_tables_simulate_like_fresh_ones() {
+    let canonical = |g: Graph| {
+        canonicalize(&g, &CanonOptions::default())
+            .expect("model canonicalizes")
+            .into_graph()
+    };
+    let models: Vec<(&str, Graph)> = vec![
+        ("fig5", clsa_cim::models::fig5_example()),
+        ("TinyYOLOv4", canonical(clsa_cim::models::tiny_yolo_v4())),
+    ];
+    for (name, g) in &models {
+        let costs = layer_costs(
+            g,
+            &CrossbarSpec::wan_nature_2022(),
+            &MappingOptions::default(),
+        )
+        .expect("model has base layers");
+        let arch = Architecture::paper_case_study(min_pes(&costs) + 24).expect("arch");
+        let base = RunConfig::baseline(arch)
+            .with_cross_layer()
+            .with_duplication(Solver::Greedy);
+        let prepared = prepare(g, &base).expect("prepare");
+        for (noc_cost, gpeu_cost) in [(false, false), (true, false), (true, true)] {
+            let cfg = RunConfig {
+                noc_cost,
+                gpeu_cost,
+                ..base.clone()
+            };
+            let result = run_prepared(&prepared, &cfg).expect("pipeline runs");
+            let edge_cost = if noc_cost {
+                let sizes: Vec<usize> = result.layers.iter().map(|l| l.pes).collect();
+                let arch = cfg.arch.clone();
+                let placement = place_groups(&arch, &sizes, cfg.placement).expect("placement");
+                if gpeu_cost {
+                    EdgeCost::NocAndGpeu { arch, placement }
+                } else {
+                    EdgeCost::NocHops { arch, placement }
+                }
+            } else {
+                EdgeCost::Free
+            };
+            let label = format!("{name} noc {noc_cost} gpeu {gpeu_cost}");
+            let fresh = CostedDeps::build(&result.layers, &result.deps, &edge_cost).unwrap();
+            assert_eq!(*result.costed, fresh, "{label}");
+            let sim = Simulator::new(&result.layers, &result.deps);
+            let want = sim.run_costed(&fresh).unwrap();
+            assert_eq!(sim.run_costed(&result.costed).unwrap(), want, "{label}");
+            assert_eq!(sim.run_costed(&result.costed).unwrap(), want, "{label}, again");
+            assert_eq!(want.schedule, result.schedule, "{label}");
+        }
     }
 }
