@@ -104,21 +104,6 @@ impl Architecture {
     pub fn cycles_to_ns(&self, cycles: u64) -> u64 {
         cycles * self.crossbar.t_mvm_ns
     }
-
-    /// Returns a copy with a different total PE count (used by the
-    /// benchmark sweeps that vary `x` extra PEs).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchError::InvalidSpec`] if `pes` is zero.
-    pub fn with_pes(&self, pes: usize) -> Result<Self> {
-        Self::builder()
-            .crossbar(self.crossbar)
-            .tile(self.tile)
-            .noc_hop_latency(self.noc.hop_latency_cycles)
-            .pes(pes)
-            .build()
-    }
 }
 
 /// Builder for [`Architecture`].
@@ -249,19 +234,6 @@ mod tests {
             err,
             Err(ArchError::InvalidSpec { what: "noc", .. })
         ));
-    }
-
-    #[test]
-    fn with_pes_preserves_specs() {
-        let a = Architecture::builder()
-            .noc_hop_latency(5)
-            .pes(117)
-            .build()
-            .unwrap();
-        let b = a.with_pes(149).unwrap();
-        assert_eq!(b.total_pes(), 149);
-        assert_eq!(b.noc().hop_latency_cycles, 5);
-        assert_eq!(b.crossbar(), a.crossbar());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use cim_mapping::{layer_costs, min_pes, LayerCost, MappingOptions};
 use clsa_core::CoreError;
 use serde::Serialize;
 
-use crate::experiments::{ConfigResult, SweepOptions};
+use crate::experiments::ConfigResult;
 use crate::runner::{parallel_map, sweep_jobs, ResultStore, RunnerOptions, Sweep, SweepJob};
 
 /// The canonicalized TinyYOLOv4 graph of the paper's case study
@@ -61,11 +61,7 @@ pub fn fig6c_results(
 ///
 /// Propagates job-construction (canonicalization, architecture) errors.
 pub fn fig6c_jobs(graph: &Graph) -> Result<Vec<SweepJob>, CoreError> {
-    let opts = SweepOptions {
-        xs: vec![16, 32],
-        ..SweepOptions::default()
-    };
-    sweep_jobs("TinyYOLOv4", graph, &opts)
+    sweep_jobs("TinyYOLOv4", graph, &[16, 32])
 }
 
 /// The per-layer cost rows of **Table I** — TinyYOLOv4's base-layer

@@ -7,17 +7,14 @@
 //! cargo run --release -p cim-bench --bin fabric-sim -- \
 //!     [--tenants model:streams,model:streams] [--stagger N] [--seed S] \
 //!     [--policy shared|partitioned] [--bandwidth B] [--capacity-pes C] \
-//!     [--reload R] [--extra-pes E] [--jobs N] [--json <path>] \
-//!     [--mix-sweep [--cache-dir <path>]] \
-//!     [--fault-seed S --fault-rate site=per_mille ... --fault-delay-ms MS]
+//!     [--reload R] [--extra-pes E] [--jobs N] [--json <path>] [--mix-sweep]
 //! ```
 //!
 //! Default mode runs the given mix once and prints per-tenant slowdown
 //! and the fairness aggregates. `--mix-sweep` enumerates the tenant-mix
 //! knob space ([`MixSpace::tiny`]) over the lane pool and reports the
 //! Pareto front over (worst-tenant slowdown ↓, aggregate utilization ↑,
-//! evictions ↓); with `--cache-dir`, the single-tenant reference
-//! summaries warm the persistent result store.
+//! evictions ↓).
 //!
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
 //! value and any tenant insertion order at a fixed `--seed`
@@ -26,20 +23,18 @@
 //!
 //! Bad input — an unknown flag or model, a malformed `--tenants` list, an
 //! unknown `--policy`, a non-numeric count, a `--stagger` or `--reload`
-//! cycle count above `u32::MAX` — prints one `error: …` line and the
-//! usage line, and exits with status 2. The `--fault-*` flags inject
-//! faults into the `--mix-sweep` store's I/O.
+//! cycle count above `u32::MAX`, an `--extra-pes` that overflows the PE
+//! count — prints one `error: …` line and the usage line, and exits with
+//! status 2.
 
-use cim_bench::cli::{self, Args, Flag, CACHE_DIR, FAULTS, JOBS, JSON, SEED};
-use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
+use cim_bench::cli::{self, Args, Flag, JOBS, JSON, SEED};
+use cim_bench::runner::parallel_map;
 use cim_bench::{render_table, write_json};
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
     TenantInstance, TenantSpec,
 };
-use cim_frontend::{canonicalize, CanonOptions};
 use cim_tune::{mix_measurement, MixSpace, ParetoArchive};
-use clsa_core::RunConfig;
 use serde::Serialize;
 
 /// Prepares the instances of a tenant list, fanning prepared models out
@@ -129,33 +124,6 @@ fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConf
         (point, result)
     });
 
-    // Warm the persistent store with the single-tenant reference
-    // summaries: one row per distinct model, keyed like every other
-    // sweep so later autotune/serve runs replay them from disk.
-    if let Some(store) = args.open_store() {
-        let cache = ScheduleCache::new();
-        let mut models: Vec<&str> = instances.iter().map(|t| t.model.as_str()).collect();
-        models.sort_unstable();
-        models.dedup();
-        for model in models {
-            let graph = cim_models::graph_by_name(model).unwrap_or_else(|e| panic!("{e}"));
-            let graph = canonicalize(&graph, &CanonOptions::default())
-                .expect("registry models canonicalize")
-                .into_graph();
-            let run_config = RunConfig::baseline(config.arch.clone()).with_cross_layer();
-            cache
-                .summary(fingerprint(&graph), &graph, &run_config, Some(&store))
-                .unwrap_or_else(|e| panic!("solo reference {model}: {e}"));
-        }
-        let stats = store.stats();
-        println!(
-            "store: {} rows, {} hits / {} misses this run",
-            store.len(),
-            stats.hits,
-            stats.misses()
-        );
-    }
-
     let mut archive = ParetoArchive::new();
     for (point, result) in &results {
         archive.insert(
@@ -208,24 +176,19 @@ fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConf
 }
 
 fn main() {
-    let args = cli::parse(&[
-        &[
-            Flag::value("--tenants", "model:streams,..."),
-            Flag::value("--stagger", "N"),
-            Flag::value("--policy", "shared|partitioned"),
-            Flag::value("--bandwidth", "B"),
-            Flag::value("--capacity-pes", "C"),
-            Flag::value("--reload", "R"),
-            Flag::value("--extra-pes", "E"),
-            Flag::switch("--mix-sweep"),
-            JOBS,
-            JSON,
-            CACHE_DIR,
-            SEED,
-        ],
-        FAULTS,
-    ]);
-    args.report_faults();
+    let args = cli::parse(&[&[
+        Flag::value("--tenants", "model:streams,..."),
+        Flag::value("--stagger", "N"),
+        Flag::value("--policy", "shared|partitioned"),
+        Flag::value("--bandwidth", "B"),
+        Flag::value("--capacity-pes", "C"),
+        Flag::value("--reload", "R"),
+        Flag::value("--extra-pes", "E"),
+        Flag::switch("--mix-sweep"),
+        JOBS,
+        JSON,
+        SEED,
+    ]]);
     if let Err(e) = run(&args) {
         args.fail(e);
     }
@@ -248,9 +211,9 @@ fn run(args: &Args) -> Result<(), String> {
     let extra_pes = args.get("--extra-pes").unwrap_or(0);
     let stagger = args.get::<u32>("--stagger").map_or(0, u64::from);
     let instances = instances_of(&specs)?;
+    let arch = arch_for_mix(&instances, extra_pes).map_err(|e| format!("architecture: {e}"))?;
     let seed = args.seed_or_default();
     println!("seed: {seed}");
-    let arch = arch_for_mix(&instances, extra_pes).map_err(|e| format!("architecture: {e}"))?;
     let config = FabricConfig {
         arch,
         policy,
@@ -264,9 +227,8 @@ fn run(args: &Args) -> Result<(), String> {
         mix_sweep_mode(args, &instances, &config);
         return Ok(());
     }
-    args.note_cache_dir_unused();
 
-    let result = run_mix(&instances, &config).unwrap_or_else(|e| panic!("mix runs: {e}"));
+    let result = run_mix(&instances, &config).map_err(|e| format!("mix runs: {e}"))?;
     print_result(&result);
     if let Some(path) = &args.json {
         write_json(path, &result).unwrap_or_else(|e| panic!("writing {path}: {e}"));

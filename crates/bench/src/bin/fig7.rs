@@ -28,7 +28,7 @@ use std::process::ExitCode;
 
 use cim_bench::cli::{self, sweep_exit_code, Args, SWEEP};
 use cim_bench::runner::sweep_jobs_for_models;
-use cim_bench::{render_table, SweepOptions};
+use cim_bench::{render_table, PAPER_XS};
 use clsa_core::CoreError;
 
 fn main() -> ExitCode {
@@ -39,7 +39,6 @@ fn main() -> ExitCode {
 /// quarantined jobs, so `main` can exit loudly on a partial artifact.
 fn run(args: &Args) -> Result<usize, CoreError> {
     let store = args.open_store();
-    let opts = SweepOptions::default();
 
     // All models × all configurations as one flat job list: the pool keeps
     // every worker busy across model boundaries instead of sweeping the
@@ -48,7 +47,7 @@ fn run(args: &Args) -> Result<usize, CoreError> {
         .iter()
         .map(|info| (info.name.to_string(), info.build()))
         .collect();
-    let jobs = sweep_jobs_for_models(&models, &opts)?;
+    let jobs = sweep_jobs_for_models(&models, &PAPER_XS)?;
     eprintln!("running {} configurations on {} workers...", jobs.len(), args.runner.jobs);
     let outcome = args.sweep(&jobs, store.as_ref()).run()?;
     args.report_faults();
@@ -63,10 +62,10 @@ fn run(args: &Args) -> Result<usize, CoreError> {
 
     let labels: Vec<String> = {
         let mut v = vec!["layer-by-layer".to_string(), "xinf".to_string()];
-        for &x in &opts.xs {
+        for x in PAPER_XS {
             v.push(format!("wdup+{x}"));
         }
-        for &x in &opts.xs {
+        for x in PAPER_XS {
             v.push(format!("wdup+{x}+xinf"));
         }
         v

@@ -16,8 +16,9 @@
 //!   --json <path>      export the schedule rows as JSON
 //! ```
 //!
-//! The model may come anywhere on the command line; an unknown one exits
-//! with status 2.
+//! The model may come anywhere on the command line. An unknown one, an
+//! `--x` that overflows the PE count, or a configuration the pipeline
+//! rejects (e.g. `--sets 0`) exits with status 2.
 
 use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag, JSON};
@@ -61,7 +62,10 @@ fn main() {
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
         .into_graph();
-    let arch = Architecture::paper_case_study(info.pe_min_256 + x).expect("arch");
+    let Some(pes) = info.pe_min_256.checked_add(x) else {
+        args.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
+    };
+    let arch = Architecture::paper_case_study(pes).expect("arch");
     let mut cfg = RunConfig::baseline(arch);
     if !lbl {
         cfg = cfg.with_cross_layer();
@@ -74,7 +78,7 @@ fn main() {
     if let Some(n) = sets {
         cfg.set_policy = SetPolicy::coarse(n);
     }
-    let r = run(&g, &cfg).expect("pipeline runs");
+    let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
 
     println!(
         "{} — PE_min {}, architecture {} PEs, {} base-layer groups, {} sets",

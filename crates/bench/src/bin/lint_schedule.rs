@@ -17,7 +17,8 @@
 //!
 //! The model may come anywhere on the command line. Exit status: 0 when
 //! no `error`-severity finding exists, 1 otherwise, 2 on usage errors
-//! (including an unknown model).
+//! (including an unknown model, an `--x` that overflows the PE count, and
+//! a configuration the pipeline rejects, e.g. `--sets 0`).
 
 use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag, JSON};
@@ -53,7 +54,10 @@ fn main() {
     let g = canonicalize(&info.build(), &CanonOptions::default())
         .expect("model canonicalizes")
         .into_graph();
-    let arch = Architecture::paper_case_study(info.pe_min_256 + x).expect("arch");
+    let Some(pes) = info.pe_min_256.checked_add(x) else {
+        args.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
+    };
+    let arch = Architecture::paper_case_study(pes).expect("arch");
     let mut cfg = RunConfig::baseline(arch.clone());
     if !lbl {
         cfg = cfg.with_cross_layer();
@@ -64,7 +68,7 @@ fn main() {
     if let Some(n) = sets {
         cfg.set_policy = SetPolicy::coarse(n);
     }
-    let r = run(&g, &cfg).expect("pipeline runs");
+    let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
 
     let mut diags: Vec<ScheduleDiagnostic> =
         analyze_costed(&r.layers, &r.deps, &r.schedule, &r.costed);

@@ -1,12 +1,9 @@
-//! The paper sweep's vocabulary: the options that pick its four mapping
-//! × scheduling configurations over a range of extra-PE budgets
-//! ([`SweepOptions`], turned into jobs by
+//! The paper sweep's vocabulary: the extra-PE budgets of Fig. 7
+//! ([`PAPER_XS`], turned into jobs by
 //! [`sweep_jobs`](crate::runner::sweep_jobs)), and the row each job
 //! aggregates into ([`ConfigResult`], produced by
 //! [`Sweep::run`](crate::runner::Sweep::run)).
 
-use cim_mapping::Solver;
-use clsa_core::SetPolicy;
 use serde::{Deserialize, Serialize};
 
 /// One configuration's outcome — one bar of Fig. 6c / Fig. 7.
@@ -41,26 +38,8 @@ pub struct ConfigResult {
     pub duplicated_layers: usize,
 }
 
-/// Options of the paper sweep ([`sweep_jobs`](crate::runner::sweep_jobs)).
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Extra-PE budgets to evaluate (the paper uses `{4, 8, 16, 32}`).
-    pub xs: Vec<usize>,
-    /// Stage-I granularity.
-    pub set_policy: SetPolicy,
-    /// Duplication solver.
-    pub solver: Solver,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        Self {
-            xs: vec![4, 8, 16, 32],
-            set_policy: SetPolicy::finest(),
-            solver: Solver::Greedy,
-        }
-    }
-}
+/// The extra-PE budgets `x` of the paper's Fig. 7 sweep.
+pub const PAPER_XS: [usize; 4] = [4, 8, 16, 32];
 
 #[cfg(test)]
 mod tests {
@@ -70,22 +49,18 @@ mod tests {
     fn sweep_rows(
         name: &str,
         graph: &cim_ir::Graph,
-        opts: &SweepOptions,
+        xs: &[usize],
         runner: RunnerOptions,
     ) -> Vec<ConfigResult> {
-        let jobs = sweep_jobs(name, graph, opts).unwrap();
+        let jobs = sweep_jobs(name, graph, xs).unwrap();
         Sweep::new(&jobs, runner).run().unwrap().results
     }
 
     #[test]
     fn sweep_order_and_determinism_on_fig5() {
         let g = cim_models::fig5_example();
-        let opts = SweepOptions {
-            xs: vec![1, 2],
-            ..SweepOptions::default()
-        };
-        let a = sweep_rows("fig5", &g, &opts, RunnerOptions::default());
-        let b = sweep_rows("fig5", &g, &opts, RunnerOptions::default());
+        let a = sweep_rows("fig5", &g, &[1, 2], RunnerOptions::default());
+        let b = sweep_rows("fig5", &g, &[1, 2], RunnerOptions::default());
         assert_eq!(a, b, "parallel sweep must be deterministic");
         let labels: Vec<&str> = a.iter().map(|r| r.label.as_str()).collect();
         assert_eq!(
@@ -109,12 +84,9 @@ mod tests {
     #[test]
     fn parallel_and_sequential_sweeps_agree_bit_for_bit() {
         let g = cim_models::fig5_example();
-        let opts = SweepOptions {
-            xs: vec![1, 2, 3],
-            ..SweepOptions::default()
-        };
-        let parallel = sweep_rows("fig5", &g, &opts, RunnerOptions::with_jobs(4));
-        let sequential = sweep_rows("fig5", &g, &opts, RunnerOptions::sequential());
+        let xs = [1, 2, 3];
+        let parallel = sweep_rows("fig5", &g, &xs, RunnerOptions::with_jobs(4));
+        let sequential = sweep_rows("fig5", &g, &xs, RunnerOptions::sequential());
         assert_eq!(parallel, sequential);
         // Byte-identical through serialization, not just PartialEq.
         assert_eq!(
@@ -126,11 +98,7 @@ mod tests {
     #[test]
     fn sweep_on_case_study_model_matches_paper_shape() {
         let g = cim_models::tiny_yolo_v4();
-        let opts = SweepOptions {
-            xs: vec![16, 32],
-            ..SweepOptions::default()
-        };
-        let results = sweep_rows("TinyYOLOv4", &g, &opts, RunnerOptions::default());
+        let results = sweep_rows("TinyYOLOv4", &g, &[16, 32], RunnerOptions::default());
         assert_eq!(results.len(), 1 + 1 + 2 * 2);
         let by = |l: &str| results.iter().find(|r| r.label == l).unwrap();
 

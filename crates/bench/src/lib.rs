@@ -27,8 +27,8 @@
 //! The library part hosts the parallel batched evaluation engine
 //! ([`runner`]: lane-based worker pool, concurrent schedule cache, and
 //! the one sweep entry point [`Sweep::run`](runner::Sweep::run) with its
-//! deterministic aggregation), the sweep options and row type
-//! ([`experiments`]), the text-table renderer ([`table`]), JSON export
+//! deterministic aggregation), the paper's extra-PE budgets and the row
+//! type ([`experiments`]), the text-table renderer ([`table`]), JSON export
 //! ([`export`]), and the binaries' one flag parser ([`cli`]).
 //!
 //! # Examples
@@ -37,11 +37,9 @@
 //!
 //! ```
 //! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
-//! use cim_bench::SweepOptions;
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
-//! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
-//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
+//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
 //! let rows = Sweep::new(&jobs, RunnerOptions::default()).run()?.results;
 //! assert_eq!(rows.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 //! assert!(rows.iter().all(|r| r.speedup >= 1.0));
@@ -60,6 +58,6 @@ pub mod runner;
 pub mod table;
 pub mod tune;
 
-pub use experiments::{ConfigResult, SweepOptions};
+pub use experiments::{ConfigResult, PAPER_XS};
 pub use export::write_json;
 pub use table::render_table;

@@ -212,7 +212,6 @@ mod tests {
     use super::*;
     use crate::runner::fingerprint::fingerprint;
     use cim_arch::{Architecture, TileSpec};
-    use clsa_core::{Invalidation, PipelineStage};
 
     fn cfg(pes: usize) -> RunConfig {
         RunConfig::baseline(Architecture::paper_case_study(pes).unwrap())
@@ -235,12 +234,12 @@ mod tests {
         old.noc_cost = true;
         cache.summary(fp, &g, &old, None).unwrap();
 
-        // Scheduling-side axis mutation (NoC hop latency): Prepare clean.
+        // Scheduling-side axis mutation (NoC hop latency): same stage
+        // key, new schedule key.
         let mut new = old.clone();
         new.arch = arch_with_hop(4);
-        let inv = Invalidation::between(&old, &new);
-        assert!(!inv.is_dirty(PipelineStage::Prepare), "{inv}");
-        assert!(inv.is_dirty(PipelineStage::Schedule));
+        assert_eq!(CacheKey::stages(fp, &old), CacheKey::stages(fp, &new));
+        assert_ne!(CacheKey::schedule(fp, &old), CacheKey::schedule(fp, &new));
         cache.summary(fp, &g, &new, None).unwrap();
         let stats = cache.stats();
         assert_eq!(stats.stage_computes, 1, "prepare ran once");
@@ -252,11 +251,10 @@ mod tests {
             "undirtied stage artifacts must be shared, not recomputed"
         );
 
-        // Mapping-side axis mutation (set policy): Prepare dirty.
+        // Mapping-side axis mutation (set policy): a new stage key.
         let mut coarse = new.clone();
         coarse.set_policy = clsa_core::SetPolicy::coarse(1);
-        let inv = Invalidation::between(&new, &coarse);
-        assert!(inv.is_dirty(PipelineStage::Prepare), "{inv}");
+        assert_ne!(CacheKey::stages(fp, &new), CacheKey::stages(fp, &coarse));
         cache.summary(fp, &g, &coarse, None).unwrap();
         let remapped = cache.prepared(fp, &g, &coarse).unwrap();
         assert!(!Arc::ptr_eq(&shared, &remapped));

@@ -46,11 +46,9 @@
 //!
 //! ```
 //! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
-//! use cim_bench::SweepOptions;
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
-//! let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
-//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
+//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
 //! let parallel = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run()?;
 //! let sequential = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
 //! assert_eq!(parallel.results, sequential.results); // bit-for-bit

@@ -31,10 +31,10 @@
 //! carries a different format version, or names a different key than its
 //! file is *evicted* (deleted best-effort, counted in
 //! [`StoreStats::evictions`]) and the lookup reports a miss. The rows on
-//! disk are the ground truth: lookups probe the entry file derived from
-//! the key, and the in-memory index is rebuilt by a directory scan on
-//! every [`open`]. There is no manifest; an `index.json` left by an
-//! older version of the store is neither read nor counted as a row.
+//! disk are the only state: lookups probe the entry file derived from
+//! the key, so rows other processes write are found. There is no
+//! manifest; an `index.json` left by an older version of the store is
+//! never read.
 //!
 //! # Chaos instrumentation
 //!
@@ -44,10 +44,7 @@
 //! [`fault`](super::fault): read errors (plain miss), failed writes
 //! (counted, swallowed), torn-but-landed writes (evicted on first
 //! contact), and failed renames (temp cleaned up, counted).
-//!
-//! [`open`]: ResultStore::open
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -56,7 +53,6 @@ use std::sync::Arc;
 use std::time::{Duration, SystemTime};
 
 use clsa_core::RunResult;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use super::fault::{FaultHook, FaultSite};
@@ -137,13 +133,6 @@ pub struct StoreStats {
     pub write_errors: u64,
 }
 
-impl StoreStats {
-    /// Lookups that had to be recomputed.
-    pub fn misses(&self) -> u64 {
-        self.lookups - self.hits
-    }
-}
-
 impl std::fmt::Display for StoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -159,11 +148,10 @@ impl std::fmt::Display for StoreStats {
 }
 
 /// A handle on one `--cache-dir`. Cheap to share by reference across the
-/// worker pool (all state is atomics plus a mutex-guarded index set).
+/// worker pool (all state is atomics).
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    index: Mutex<BTreeSet<String>>,
     tmp_counter: AtomicU64,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -236,21 +224,15 @@ fn temp_age(path: &Path) -> Option<Duration> {
     SystemTime::now().duration_since(modified).ok() // cim-lint: allow(wall-clock) orphan aging compares on-disk mtimes; no schedule-visible time
 }
 
-/// File stem of a key's row: three fixed-width hex fingerprints.
-fn key_stem(key: &CacheKey) -> String {
-    format!(
-        "{:016x}-{:016x}-{:016x}",
-        key.model, key.arch, key.strategy
-    )
-}
-
 impl ResultStore {
-    /// Opens (creating if needed) the store rooted at `dir`.
+    /// Opens (creating if needed) the store rooted at `dir`. Rows are
+    /// validated lazily on [`get`](Self::get).
     ///
-    /// The in-memory index is rebuilt from a directory scan — the rows
-    /// on disk are the ground truth. Entry rows themselves are validated
-    /// lazily on [`get`](Self::get), so the index never serves stale
-    /// data.
+    /// The directory scan sweeps temp files orphaned by a killed writer,
+    /// so a long-lived cache dir cannot accumulate them — but only
+    /// *orphaned* ones: a daemon and a straggler batch binary
+    /// legitimately share one cache dir, and sweeping a live writer's
+    /// in-flight temp would fail its rename and drop the row.
     ///
     /// # Errors
     ///
@@ -258,32 +240,16 @@ impl ResultStore {
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-
-        // Scan: every .json file except an older store's `index.json`
-        // manifest is a candidate row (validated on first contact). Temp
-        // files orphaned by a killed writer are swept here so a
-        // long-lived cache dir cannot accumulate them — but only
-        // *orphaned* ones: a daemon and a straggler batch binary
-        // legitimately share one cache dir, and sweeping a live writer's
-        // in-flight temp would fail its rename and drop the row.
-        let mut entries = BTreeSet::new();
         for dirent in fs::read_dir(&dir)? {
             let path = dirent?.path();
             let name = path.file_name().unwrap_or_default().to_string_lossy();
-            if name.starts_with(".tmp-") {
-                if temp_is_orphaned(&name, &path) {
-                    let _ = fs::remove_file(&path);
-                }
-            } else if let Some(stem) = name.strip_suffix(".json") {
-                if stem != "index" && !name.starts_with('.') {
-                    entries.insert(stem.to_string());
-                }
+            if name.starts_with(".tmp-") && temp_is_orphaned(&name, &path) {
+                let _ = fs::remove_file(&path);
             }
         }
 
         Ok(ResultStore {
             dir,
-            index: Mutex::new(entries),
             tmp_counter: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -326,28 +292,22 @@ impl ResultStore {
         &self.dir
     }
 
-    /// Number of rows the index currently knows about.
-    pub fn len(&self) -> usize {
-        self.index.lock().len()
-    }
-
-    /// Whether the index currently knows no rows.
-    pub fn is_empty(&self) -> bool {
-        self.index.lock().is_empty()
-    }
-
+    /// A key's row file: three fixed-width hex fingerprints.
     fn entry_path(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!("{}.json", key_stem(key)))
+        self.dir.join(format!(
+            "{:016x}-{:016x}-{:016x}.json",
+            key.model, key.arch, key.strategy
+        ))
     }
 
     /// Looks up `key`, returning its persisted summary if a trustworthy
     /// row exists.
     ///
-    /// The entry file is probed directly (the index is not consulted), so
-    /// rows written by a concurrent process are found. A row that cannot
-    /// be parsed, has a different [`STORE_FORMAT_VERSION`], or carries a
-    /// different key than its file name is deleted (best-effort), counted
-    /// as an eviction, and reported as a miss.
+    /// The entry file is probed directly, so rows written by a concurrent
+    /// process are found. A row that cannot be parsed, has a different
+    /// [`STORE_FORMAT_VERSION`], or carries a different key than its file
+    /// name is deleted (best-effort), counted as an eviction, and reported
+    /// as a miss.
     pub fn get(&self, key: &CacheKey) -> Option<RunSummary> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let path = self.entry_path(key);
@@ -374,16 +334,16 @@ impl ResultStore {
                 Some(row.summary)
             }
             None => {
-                self.evict(key, &path);
+                self.evict(&path);
                 None
             }
         }
     }
 
-    /// Persists `summary` under `key` (temp file + atomic rename), then
-    /// updates the index. Failures are counted in
-    /// [`StoreStats::write_errors`] and otherwise ignored — the sweep's
-    /// results never depend on the store accepting a row.
+    /// Persists `summary` under `key` (temp file + atomic rename).
+    /// Failures are counted in [`StoreStats::write_errors`] and otherwise
+    /// ignored — the sweep's results never depend on the store accepting
+    /// a row.
     pub fn put(&self, key: &CacheKey, summary: &RunSummary) {
         let row = StoreEntry {
             version: STORE_FORMAT_VERSION,
@@ -414,7 +374,6 @@ impl ResultStore {
             return;
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        self.index.lock().insert(key_stem(key));
     }
 
     /// Snapshot of this handle's counters.
@@ -428,11 +387,10 @@ impl ResultStore {
         }
     }
 
-    /// Drops an untrustworthy row: best-effort delete + index removal.
-    fn evict(&self, key: &CacheKey, path: &Path) {
+    /// Drops an untrustworthy row: best-effort delete.
+    fn evict(&self, path: &Path) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         let _ = fs::remove_file(path);
-        self.index.lock().remove(&key_stem(key));
     }
 
     /// Writes `contents` to `path` via a uniquely-named temp file in the
@@ -498,7 +456,6 @@ mod tests {
     fn put_get_round_trip_within_and_across_handles() {
         let dir = tmp_dir("roundtrip");
         let store = ResultStore::open(&dir).unwrap();
-        assert!(store.is_empty());
         assert_eq!(store.get(&key(1)), None, "empty store misses");
 
         store.put(&key(1), &summary(1));
@@ -507,7 +464,6 @@ mod tests {
 
         // A fresh handle (new process in spirit) sees the persisted row.
         let reopened = ResultStore::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.get(&key(1)), Some(summary(1)));
 
         let stats = store.stats();
@@ -528,8 +484,8 @@ mod tests {
         assert!(!dir.join("index.json").exists());
         fs::write(dir.join("index.json"), "{ not json").unwrap();
         let store = ResultStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1, "the manifest is not a row");
         assert_eq!(store.get(&key(7)), Some(summary(7)));
+        assert_eq!(store.stats().evictions, 0, "the manifest is not a row");
         assert_eq!(store.stats().write_errors, 0);
         drop(store);
         assert_eq!(
@@ -595,11 +551,10 @@ mod tests {
         let mut store = ResultStore::open(&dir).unwrap();
         store.set_fault_hook(full_rate_plan(FaultSite::StoreTornWrite));
         store.put(&key(1), &summary(1));
-        // The torn row *landed*: counted as a write, present on disk and
-        // in the index — silent corruption.
+        // The torn row *landed*: counted as a write and present on disk
+        // — silent corruption.
         assert_eq!(store.stats().writes, 1);
         assert!(store.entry_path(&key(1)).exists());
-        assert_eq!(store.len(), 1);
         // First contact detects and evicts it.
         assert_eq!(store.get(&key(1)), None);
         assert_eq!(store.stats().evictions, 1);
@@ -612,8 +567,7 @@ mod tests {
         let dir = tmp_dir("probe");
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.probe_writable());
-        assert!(!dir.join(".probe.json").exists(), "probe cleans up");
-        assert!(store.is_empty(), "probe is not a row");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "probe cleans up");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -680,14 +634,11 @@ mod tests {
             fs::write(p, "{}").unwrap();
         }
 
-        let store = ResultStore::open(&dir).unwrap();
+        ResultStore::open(&dir).unwrap();
         assert!(live.exists(), "live writer's temp must be kept");
         assert!(!dead.exists(), "dead writer's temp must be swept");
         assert!(!garbage.exists(), "unparseable temp must be swept");
         assert!(!own.exists(), "own-pid temp predates this open");
-        // Temps are never mistaken for rows.
-        assert!(store.is_empty());
-        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -709,14 +660,12 @@ mod tests {
             .set_modified(long_ago)
             .unwrap();
 
-        let store = ResultStore::open(&dir).unwrap();
+        ResultStore::open(&dir).unwrap();
         assert!(fresh.exists(), "recent temp with a live pid is kept");
         assert!(
             !stale.exists(),
             "a temp older than any in-flight write is orphaned even if its pid looks alive"
         );
-        assert!(store.is_empty());
-        drop(store);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use cim_arch::Architecture;
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
-use cim_mapping::{layer_costs, min_pes, MappingOptions};
+use cim_mapping::{layer_costs, min_pes, MappingOptions, Solver};
 use clsa_core::{eq3_predicted_from_utilization, CoreError, RunConfig};
 
 use super::cache::{CacheStats, ScheduleCache};
@@ -26,7 +26,7 @@ use super::lane::parallel_map;
 use super::shard::ShardMode;
 use super::store::{ResultStore, RunSummary, StoreStats};
 use super::RunnerOptions;
-use crate::experiments::{ConfigResult, SweepOptions};
+use crate::experiments::ConfigResult;
 
 /// Label of the reference configuration every speedup is measured against.
 pub const BASELINE_LABEL: &str = "layer-by-layer";
@@ -78,11 +78,9 @@ pub struct SweepJob {
 ///
 /// ```
 /// use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
-/// use cim_bench::SweepOptions;
 ///
 /// # fn main() -> Result<(), clsa_core::CoreError> {
-/// let opts = SweepOptions { xs: vec![1], ..SweepOptions::default() };
-/// let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &opts)?;
+/// let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
 /// let outcome = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
 /// assert_eq!(outcome.results.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 /// assert_eq!(outcome.owned, jobs.len());
@@ -313,14 +311,15 @@ impl<'a> Sweep<'a> {
 
 /// Builds the paper's standard job list for one model: the layer-by-layer
 /// baseline and `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for
-/// every `x` in `opts.xs`, in that order.
+/// every `x` in `xs`, in that order. Every job uses the finest Stage-I
+/// sets and the greedy duplication solver.
 ///
 /// # Errors
 ///
 /// Propagates frontend canonicalization and architecture construction
 /// errors (raw TF-style models are accepted; the graph is canonicalized
 /// here, once, and shared by every job).
-pub fn sweep_jobs(name: &str, graph: &Graph, opts: &SweepOptions) -> Result<Vec<SweepJob>, CoreError> {
+pub fn sweep_jobs(name: &str, graph: &Graph, xs: &[usize]) -> Result<Vec<SweepJob>, CoreError> {
     let canon =
         canonicalize(graph, &CanonOptions::default()).map_err(|e| CoreError::StageMismatch {
             detail: e.to_string(),
@@ -331,10 +330,7 @@ pub fn sweep_jobs(name: &str, graph: &Graph, opts: &SweepOptions) -> Result<Vec<
     let pe_min = pe_min_of(&g, &MappingOptions::default())?;
 
     let base_cfg = |pes: usize| -> Result<RunConfig, CoreError> {
-        let arch = Architecture::paper_case_study(pes)?;
-        let mut cfg = RunConfig::baseline(arch);
-        cfg.set_policy = opts.set_policy;
-        Ok(cfg)
+        Ok(RunConfig::baseline(Architecture::paper_case_study(pes)?))
     };
     let job = |label: String, x: usize, config: RunConfig| SweepJob {
         model: name.to_string(),
@@ -350,19 +346,10 @@ pub fn sweep_jobs(name: &str, graph: &Graph, opts: &SweepOptions) -> Result<Vec<
         job(BASELINE_LABEL.into(), 0, base_cfg(pe_min)?),
         job("xinf".into(), 0, base_cfg(pe_min)?.with_cross_layer()),
     ];
-    for &x in &opts.xs {
-        jobs.push(job(
-            format!("wdup+{x}"),
-            x,
-            base_cfg(pe_min + x)?.with_duplication(opts.solver),
-        ));
-        jobs.push(job(
-            format!("wdup+{x}+xinf"),
-            x,
-            base_cfg(pe_min + x)?
-                .with_duplication(opts.solver)
-                .with_cross_layer(),
-        ));
+    for &x in xs {
+        let wdup = base_cfg(pe_min + x)?.with_duplication(Solver::Greedy);
+        jobs.push(job(format!("wdup+{x}"), x, wdup.clone()));
+        jobs.push(job(format!("wdup+{x}+xinf"), x, wdup.with_cross_layer()));
     }
     Ok(jobs)
 }
@@ -374,11 +361,11 @@ pub fn sweep_jobs(name: &str, graph: &Graph, opts: &SweepOptions) -> Result<Vec<
 /// Propagates the first per-model job-construction error.
 pub fn sweep_jobs_for_models(
     models: &[(String, Graph)],
-    opts: &SweepOptions,
+    xs: &[usize],
 ) -> Result<Vec<SweepJob>, CoreError> {
     let mut jobs = Vec::new();
     for (name, graph) in models {
-        jobs.extend(sweep_jobs(name, graph, opts)?);
+        jobs.extend(sweep_jobs(name, graph, xs)?);
     }
     Ok(jobs)
 }
@@ -478,11 +465,7 @@ mod tests {
     #[test]
     fn job_list_covers_the_grid_in_order() {
         let g = cim_models::fig5_example();
-        let opts = SweepOptions {
-            xs: vec![1, 2],
-            ..SweepOptions::default()
-        };
-        let jobs = sweep_jobs("fig5", &g, &opts).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[1, 2]).unwrap();
         let labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -503,7 +486,7 @@ mod tests {
     #[test]
     fn batch_reuses_stage_work_across_the_baseline_pair() {
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         let batch = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
         assert_eq!(batch.results.len(), 2);
         // baseline + xinf share the (model, arch, mapping) stage prefix.
@@ -516,7 +499,7 @@ mod tests {
     #[test]
     fn missing_baseline_is_reported() {
         let g = cim_models::fig5_example();
-        let mut jobs = sweep_jobs("fig5", &g, &SweepOptions::default()).unwrap();
+        let mut jobs = sweep_jobs("fig5", &g, &crate::PAPER_XS).unwrap();
         jobs.remove(0);
         let err = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap_err();
         assert!(matches!(err, CoreError::StageMismatch { .. }));
@@ -532,7 +515,7 @@ mod tests {
     fn slices_plus_merge_reproduce_the_unsharded_batch() {
         use crate::runner::ShardSpec;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
         let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("merge");
@@ -571,7 +554,7 @@ mod tests {
     #[test]
     fn merge_on_a_cold_store_names_the_missing_job() {
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         let dir = shard_tmp_dir("cold");
         let store = ResultStore::open(&dir).unwrap();
         let err = Sweep {
@@ -591,7 +574,7 @@ mod tests {
     fn slice_and_merge_modes_require_a_store() {
         use crate::runner::ShardSpec;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         for shard in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
             let err = Sweep { shard, ..Sweep::new(&jobs, RunnerOptions::sequential()) }
                 .run()
@@ -604,7 +587,7 @@ mod tests {
     fn zero_fault_plan_is_byte_identical_to_a_plain_sweep() {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
         let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("zerofault");
@@ -623,7 +606,7 @@ mod tests {
             serde_json::to_string(&batch.results).unwrap(),
             serde_json::to_string(&reference.results).unwrap()
         );
-        assert_eq!(store.len(), jobs.len());
+        assert_eq!(store.stats().writes, jobs.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -631,7 +614,7 @@ mod tests {
     fn persistent_panics_are_quarantined_not_propagated() {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         let plan = FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000);
         let batch = Sweep { faults: Some(&plan), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
             .run()
@@ -653,7 +636,7 @@ mod tests {
     fn transient_panics_retry_to_success() {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         let keys: Vec<u64> = jobs
             .iter()
             .map(|j| job_fault_key(&CacheKey::schedule(j.model_fp, &j.config)))
@@ -690,7 +673,7 @@ mod tests {
     fn quarantined_baseline_reports_dependents_instead_of_erroring() {
         use crate::runner::fault::FaultPlan;
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
         assert_eq!(jobs[0].label, BASELINE_LABEL);
         let keys: Vec<u64> = jobs
             .iter()
@@ -723,7 +706,7 @@ mod tests {
     #[test]
     fn resumed_batch_replays_warm_and_stays_byte_identical() {
         let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &SweepOptions { xs: vec![1], ..Default::default() }).unwrap();
+        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
         let dir = shard_tmp_dir("resume");
         let store = ResultStore::open(&dir).unwrap();
         let first = Sweep { store: Some(&store), ..Sweep::new(&jobs, RunnerOptions::sequential()) }

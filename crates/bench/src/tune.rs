@@ -445,7 +445,7 @@ mod tests {
             owned += report.owned;
         }
         assert_eq!(owned, space.len(), "slices partition the space exactly");
-        assert_eq!(store.len(), space.len());
+        assert_eq!(store.stats().writes, space.len() as u64);
 
         // Phase 2: merge — the strategy run replays every measurement
         // from the warm store and exports the byte-identical front.

@@ -64,6 +64,44 @@ fn bad_input_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_fabric-sim"),
             &["--reload", "4294967296"],
         ),
+        // A zero set cap the pipeline rejects, and extra PEs that
+        // overflow `PE_min + x`.
+        (
+            "inspect",
+            env!("CARGO_BIN_EXE_inspect"),
+            &["VGG16", "--sets", "0"],
+        ),
+        (
+            "lint-schedule",
+            env!("CARGO_BIN_EXE_lint-schedule"),
+            &["VGG16", "--sets", "0"],
+        ),
+        (
+            "inspect",
+            env!("CARGO_BIN_EXE_inspect"),
+            &["TinyYOLOv3", "--x", "18446744073709551615"],
+        ),
+        (
+            "lint-schedule",
+            env!("CARGO_BIN_EXE_lint-schedule"),
+            &["TinyYOLOv3", "--x", "18446744073709551615"],
+        ),
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--extra-pes", "18446744073709551615"],
+        ),
+        // fabric-sim keeps no result store.
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--cache-dir", "d"],
+        ),
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--fault-seed", "1"],
+        ),
     ];
     for (name, bin, args) in cases {
         let out = run(bin, args);

@@ -68,7 +68,8 @@ pub mod deps;
 pub mod diagnose;
 pub mod error;
 pub mod gantt;
-pub mod incremental;
+#[cfg(test)]
+mod incremental;
 pub mod metrics;
 pub mod pipeline;
 pub mod reference;
@@ -85,7 +86,6 @@ pub use diagnose::{
 };
 pub use error::{CoreError, Result};
 pub use gantt::{gantt_csv, gantt_rows, gantt_text, GanttRow};
-pub use incremental::{Invalidation, PipelineStage, StageStatus};
 pub use metrics::{
     eq3_predicted_from_utilization, eq3_predicted_speedup, speedup, utilization, UtilizationReport,
 };

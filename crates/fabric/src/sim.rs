@@ -255,10 +255,18 @@ pub fn run_mix(instances: &[TenantInstance], config: &FabricConfig) -> Result<Fa
 ///
 /// # Errors
 ///
-/// Propagates architecture-builder failures.
+/// [`ArchError::InvalidSpec`](cim_arch::ArchError::InvalidSpec) when
+/// `pe_min + extra_pes` overflows; otherwise propagates
+/// architecture-builder failures.
 pub fn arch_for_mix(instances: &[TenantInstance], extra_pes: usize) -> Result<Architecture> {
     let pe_min = instances.iter().map(|i| i.pe_min).max().unwrap_or(1);
-    Ok(Architecture::paper_case_study(pe_min + extra_pes)?)
+    let pes = pe_min
+        .checked_add(extra_pes)
+        .ok_or_else(|| cim_arch::ArchError::InvalidSpec {
+            what: "architecture",
+            detail: format!("PE_min {pe_min} + {extra_pes} extra PEs overflows"),
+        })?;
+    Ok(Architecture::paper_case_study(pes)?)
 }
 
 /// Index-parallel map with deterministic output order: slot `i` always

@@ -20,7 +20,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cim_bench::runner::mix64;
+use cim_bench::runner::{mix64, FnvWriter};
 
 use crate::protocol::{Request, Response};
 
@@ -95,12 +95,9 @@ fn is_transient(kind: io::ErrorKind) -> bool {
 /// FNV-1a of the request id — the jitter key, so distinct requests
 /// spread their retry schedules apart.
 fn request_key(request: &Request) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in request.id.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let mut h = FnvWriter::new();
+    h.write_bytes(request.id.as_bytes());
+    h.finish()
 }
 
 /// A blocking connection to a running daemon.

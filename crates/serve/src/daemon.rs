@@ -32,7 +32,7 @@ use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
-use cim_bench::runner::{FaultHook, FaultSite, ResultStore};
+use cim_bench::runner::{FaultHook, FaultSite, FnvWriter, ResultStore};
 use cim_tune::{Clock, SystemClock};
 use parking_lot::Mutex;
 
@@ -347,12 +347,9 @@ fn serve_tcp_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
 /// decisions (the same line always hashes to the same key, so a fault
 /// schedule over a request stream is reproducible).
 fn line_key(line: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in line.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let mut h = FnvWriter::new();
+    h.write_bytes(line.as_bytes());
+    h.finish()
 }
 
 /// One framed request line, read with an explicit bound.

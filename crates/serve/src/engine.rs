@@ -99,6 +99,36 @@ struct Subscriber {
     deadline: Option<Duration>,
 }
 
+/// What a schedule reply echoes of its request besides the summary.
+#[derive(Debug, Clone)]
+struct ReplyHead {
+    model: String,
+    label: String,
+    x: usize,
+    pe_min: usize,
+    t_mvm_ns: u64,
+}
+
+impl ReplyHead {
+    /// The reply for `summary`. Warm and cold replies are both built
+    /// here, so a warm reply is byte-identical to the cold one.
+    fn reply(self, summary: &RunSummary, observed: Vec<String>) -> ScheduleReply {
+        ScheduleReply {
+            model: self.model,
+            label: self.label,
+            x: self.x,
+            pe_min: self.pe_min,
+            total_pes: summary.total_pes,
+            makespan_cycles: summary.makespan_cycles,
+            makespan_ns: summary.makespan_cycles * self.t_mvm_ns,
+            utilization: summary.utilization,
+            noc_bytes: summary.noc_bytes,
+            duplicated_layers: summary.duplicated_layers,
+            observed,
+        }
+    }
+}
+
 /// One admitted computation: a `(model, arch, strategy)` key plus the
 /// subscribers awaiting its result.
 #[derive(Debug, Clone)]
@@ -106,11 +136,7 @@ struct PendingEntry {
     /// Admission sequence number — the EDF tie-breaker.
     seq: u64,
     key: CacheKey,
-    model: String,
-    label: String,
-    x: usize,
-    pe_min: usize,
-    t_mvm_ns: u64,
+    head: ReplyHead,
     model_fp: u64,
     graph: Arc<Graph>,
     config: RunConfig,
@@ -279,7 +305,13 @@ impl ServeEngine {
             Err(err) => return self.reject(&req.id, err),
         };
         let key = CacheKey::schedule(entry.fingerprint, &config);
-        let t_mvm_ns = config.arch.crossbar().t_mvm_ns;
+        let head = ReplyHead {
+            model: entry.name.clone(),
+            label,
+            x: req.x,
+            pe_min: entry.pe_min,
+            t_mvm_ns: config.arch.crossbar().t_mvm_ns,
+        };
         let deadline = req.deadline_ms.map(|ms| arrival + Duration::from_millis(ms));
 
         let mut st = self.state.lock();
@@ -330,19 +362,7 @@ impl ServeEngine {
                 self.ok.fetch_add(1, Ordering::Relaxed);
                 self.completed.fetch_add(1, Ordering::Relaxed);
                 self.record_latency(arrival);
-                let reply = ScheduleReply {
-                    model: entry.name.clone(),
-                    label,
-                    x: req.x,
-                    pe_min: entry.pe_min,
-                    total_pes: summary.total_pes,
-                    makespan_cycles: summary.makespan_cycles,
-                    makespan_ns: summary.makespan_cycles * t_mvm_ns,
-                    utilization: summary.utilization,
-                    noc_bytes: summary.noc_bytes,
-                    duplicated_layers: summary.duplicated_layers,
-                    observed: Vec::new(),
-                };
+                let reply = head.reply(&summary, Vec::new());
                 return Submission::Immediate(Response::ok(&req.id, reply));
             }
 
@@ -382,7 +402,7 @@ impl ServeEngine {
                 .queue
                 .iter()
                 .chain(st.parked.iter())
-                .filter(|e| e.model == entry.name)
+                .filter(|e| e.head.model == entry.name)
                 .count();
             if held >= quota {
                 st.tenants.entry(entry.name.clone()).or_default().quota_shed += 1;
@@ -426,11 +446,7 @@ impl ServeEngine {
         let pending = PendingEntry {
             seq,
             key,
-            model: entry.name.clone(),
-            label,
-            x: req.x,
-            pe_min: entry.pe_min,
-            t_mvm_ns,
+            head,
             model_fp: entry.fingerprint,
             graph: Arc::clone(&entry.graph),
             config,
@@ -470,15 +486,18 @@ impl ServeEngine {
             Ok(outcome) => outcome.map_err(|e| {
                 ServeError::new(
                     ErrorCode::ScheduleFailed,
-                    format!("scheduling `{}` ({}) failed: {e}", entry.model, entry.label),
+                    format!(
+                        "scheduling `{}` ({}) failed: {e}",
+                        entry.head.model, entry.head.label
+                    ),
                 )
             }),
             Err(payload) => Err(ServeError::new(
                 ErrorCode::ScheduleFailed,
                 format!(
                     "scheduling `{}` ({}) panicked (contained): {}",
-                    entry.model,
-                    entry.label,
+                    entry.head.model,
+                    entry.head.label,
                     panic_message(payload.as_ref())
                 ),
             )),
@@ -557,22 +576,8 @@ impl ServeEngine {
                         }
                         (Ok(summary), _) => {
                             self.ok.fetch_add(1, Ordering::Relaxed);
-                            Response::ok(
-                                &sub.id,
-                                ScheduleReply {
-                                    model: entry.model.clone(),
-                                    label: entry.label.clone(),
-                                    x: entry.x,
-                                    pe_min: entry.pe_min,
-                                    total_pes: summary.total_pes,
-                                    makespan_cycles: summary.makespan_cycles,
-                                    makespan_ns: summary.makespan_cycles * entry.t_mvm_ns,
-                                    utilization: summary.utilization,
-                                    noc_bytes: summary.noc_bytes,
-                                    duplicated_layers: summary.duplicated_layers,
-                                    observed: sub.after.clone(),
-                                },
-                            )
+                            let reply = entry.head.clone().reply(summary, sub.after.clone());
+                            Response::ok(&sub.id, reply)
                         }
                         (Err(err), _) => {
                             if err.code == ErrorCode::DeadlineExpired {
@@ -583,7 +588,7 @@ impl ServeEngine {
                         }
                     };
                     self.completed.fetch_add(1, Ordering::Relaxed);
-                    let tenant = st.tenants.entry(entry.model.clone()).or_default();
+                    let tenant = st.tenants.entry(entry.head.model.clone()).or_default();
                     if response.as_error().is_some() {
                         tenant.errors += 1;
                     } else {
@@ -625,7 +630,7 @@ impl ServeEngine {
             let st = self.state.lock();
             let mut queued_by_model: BTreeMap<&str, u64> = BTreeMap::new();
             for e in st.queue.iter().chain(st.parked.iter()) {
-                *queued_by_model.entry(e.model.as_str()).or_default() += 1;
+                *queued_by_model.entry(e.head.model.as_str()).or_default() += 1;
             }
             let tenants: Vec<TenantStat> = st
                 .tenants

@@ -24,12 +24,6 @@ impl Budget {
         }
     }
 
-    /// Caps this budget by a wall-clock limit as well.
-    pub fn with_wall(mut self, wall: Duration) -> Self {
-        self.max_wall = Some(wall);
-        self
-    }
-
     /// Evaluations still allowed after `evaluated` so far (`usize::MAX`
     /// when unbounded by count).
     pub fn remaining(&self, evaluated: usize) -> usize {

@@ -9,7 +9,7 @@
 
 use clsa_cim::bench::cli::{self, Flag, CACHE_DIR, JOBS};
 use clsa_cim::bench::runner::{sweep_jobs_for_models, Sweep};
-use clsa_cim::bench::SweepOptions;
+use clsa_cim::bench::PAPER_XS;
 use clsa_cim::ir::Graph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,8 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One flat job list over all models; the engine canonicalizes each
     // graph once, shares Stage-I/II work between the baseline and xinf
     // rows of a model, and spreads the jobs over the worker lanes.
-    let opts = SweepOptions::default();
-    let jobs = sweep_jobs_for_models(&models, &opts)?;
+    let jobs = sweep_jobs_for_models(&models, &PAPER_XS)?;
     eprintln!(
         "running {} configurations on {} workers...",
         jobs.len(),

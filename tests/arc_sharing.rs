@@ -11,7 +11,6 @@
 use std::sync::Arc;
 
 use cim_bench::runner::{fingerprint, sweep_jobs, RunnerOptions, ScheduleCache, Sweep};
-use cim_bench::SweepOptions;
 use clsa_cim::arch::Architecture;
 use clsa_cim::core::{prepare, run_prepared, RunConfig};
 
@@ -132,11 +131,7 @@ fn batched_sweep_peaks_at_one_prepared_per_mapping() {
     // though several jobs consume each Prepared, and the results are
     // unaffected (golden tests pin the bytes; here we pin the sharing).
     let g = cim_models::fig5_example();
-    let opts = SweepOptions {
-        xs: vec![1, 2],
-        ..SweepOptions::default()
-    };
-    let jobs = sweep_jobs("fig5", &g, &opts).unwrap();
+    let jobs = sweep_jobs("fig5", &g, &[1, 2]).unwrap();
     assert_eq!(jobs.len(), 6);
     // All six jobs share one canonicalized graph allocation.
     assert!(jobs[1..].iter().all(|j| Arc::ptr_eq(&j.graph, &jobs[0].graph)));

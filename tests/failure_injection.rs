@@ -13,7 +13,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use clsa_cim::arch::{ArchError, Architecture, CrossbarSpec, NocSpec};
-use clsa_cim::bench::runner::{CacheKey, FaultHook, FaultPlan, FaultSite, ResultStore, RunSummary};
+use clsa_cim::bench::runner::{
+    CacheKey, FaultHook, FaultPlan, FaultSite, FnvWriter, ResultStore, RunSummary,
+};
 use clsa_cim::serve::{
     Client, Daemon, DaemonOptions, EngineOptions, ErrorCode, Op as ServeOp, Request, ResponseBody,
     RetryPolicy,
@@ -273,10 +275,10 @@ fn store_torn_write_mid_rename_is_swept_and_recomputable() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A partially-written row that the open-time scan still lists (a crash
-/// mid-write without the atomic rename, or plain bit rot) must be
-/// evicted on first contact and reported as a miss — the index is never
-/// trusted over the row bytes.
+/// A partially-written row (a crash mid-write without the atomic
+/// rename, or plain bit rot) must be evicted on first contact and
+/// reported as a miss — a row file's presence is never trusted over its
+/// bytes.
 #[test]
 fn store_partial_row_behind_valid_index_is_evicted_not_served() {
     let dir = scratch_dir("partial_row");
@@ -295,7 +297,6 @@ fn store_partial_row_behind_valid_index_is_evicted_not_served() {
     fs::write(&row8, &text[..text.len() / 2]).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
-    assert_eq!(store.len(), 2, "the scan still lists the torn row");
     assert_eq!(store.get(&store_key(8)), None, "torn row is a miss");
     assert_eq!(store.stats().evictions, 1, "…and was evicted on contact");
     assert!(!row8.exists(), "the torn bytes are gone");
@@ -319,15 +320,12 @@ fn connect_with_patience(socket: &Path) -> Client {
     panic!("daemon at {} never became connectable", socket.display());
 }
 
-/// FNV-1a of a request line — mirrors the daemon's connection-fault
-/// keying so the test can seed-search a fault plan offline.
+/// FNV-1a of a request line — the daemon's connection-fault key, so the
+/// test can seed-search a fault plan offline.
 fn wire_key(line: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in line.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
+    let mut h = FnvWriter::new();
+    h.write_bytes(line.as_bytes());
+    h.finish()
 }
 
 /// Malformed and oversized frames get typed errors and the connection

@@ -1,12 +1,20 @@
-//! Differential property for the incremental dirty-key protocol: after a
-//! random *single-axis* mutation of a design-space candidate, resolving
-//! the mutated configuration through the cache that already evaluated
-//! the original must be **byte-identical** to a from-scratch evaluation
-//! — and when [`Invalidation::between`] classifies the `Prepare` stage as
-//! clean, the two configurations must share one cached `Prepared` (`Arc`
-//! identity), not merely recompute equal values. The classification and
-//! the stage [`CacheKey`]s are built from the same `RunConfig` facets, so
-//! on every case `Prepare` clean ⟺ equal stage keys.
+//! The reuse rule of the staged pipeline, checked on configs and keys.
+//!
+//! `prepare` (mapping + Stages I & II) reads only the prepare facets of a
+//! `RunConfig` ([`RunConfig::prepare_arch_facet`] and
+//! [`RunConfig::mapping_facet`]), and the stage [`CacheKey`] is built from
+//! exactly those facets — so the key alone decides when stage work is
+//! reused. After a random *single-axis* mutation of a design-space
+//! candidate:
+//!
+//! 1. the prepare facets are equal exactly when the stage keys are;
+//! 2. the two configs share one cached `Prepared` (`Arc` identity, not
+//!    merely equal values) exactly when their stage keys are equal;
+//! 3. resolving the mutated config through the cache that already
+//!    evaluated the original is byte-identical to a from-scratch run;
+//! 4. under the free cost model, a change to the tile shape or the NoC
+//!    hop latency alone leaves the summary bytes unchanged: nothing the
+//!    free model schedules with reads either.
 //!
 //! The mutation model mirrors what an ask/tell tuner does between
 //! generations: pick a candidate from [`DesignSpace::case_study`]
@@ -15,11 +23,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use cim_bench::runner::{fingerprint, CacheKey, ScheduleCache};
+use cim_bench::runner::{fingerprint, CacheKey, RunSummary, ScheduleCache};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
-use cim_tune::{Coords, DesignSpace, PeMinMemo};
-use clsa_core::{Invalidation, PipelineStage};
+use cim_tune::{Coords, CostModelAxis, DesignSpace, PeMinMemo};
+use clsa_core::{CoreError, RunConfig};
 use proptest::prelude::*;
 
 /// Canonicalized fig. 5 graph + fingerprint, built once per process.
@@ -40,98 +48,114 @@ fn mutation() -> impl Strategy<Value = (usize, usize, usize)> {
     (0usize..len, 0usize..7, 1usize..8)
 }
 
+/// The run configs of two case-study candidates, or `None` when either is
+/// infeasible for fig5 (`pe_min` exceeds what the axis grants); the tuner
+/// skips those too.
+fn configs(old: Coords, new: Coords) -> Option<(RunConfig, RunConfig)> {
+    let space = DesignSpace::case_study();
+    let memo = PeMinMemo::new();
+    let config = |coords: &Coords| {
+        let cand = space.candidate(space.index_of(coords));
+        memo.pe_min(&graph().0, &cand)
+            .and_then(|pe| cand.run_config(pe))
+            .ok()
+    };
+    Some((config(&old)?, config(&new)?))
+}
+
+/// Candidate `index` and the same candidate with `axis` bumped by `step`,
+/// wrapping within the axis. A wrap back onto the same value (axis of
+/// length 1, or `step % len == 0`) is the identity mutation — kept on
+/// purpose: the two configs must then share everything.
+fn mutated_pair(index: usize, axis: usize, step: usize) -> Option<(RunConfig, RunConfig)> {
+    let space = DesignSpace::case_study();
+    let old = space.coords(index);
+    let mut coords = old.as_array();
+    coords[axis] = (coords[axis] + step) % space.axis_lens()[axis];
+    configs(old, Coords::from_array(coords))
+}
+
+fn stage_keys_equal(old: &RunConfig, new: &RunConfig) -> bool {
+    let fp = graph().1;
+    CacheKey::stages(fp, old) == CacheKey::stages(fp, new)
+}
+
+/// One evaluation in comparable form: the summary's serialized bytes, or
+/// the error's text.
+fn bytes(summary: Result<RunSummary, CoreError>) -> Result<String, String> {
+    summary
+        .map(|s| serde_json::to_string(&s).expect("summary serializes"))
+        .map_err(|e| e.to_string())
+}
+
 proptest! {
+    #[test]
+    fn equal_prepare_facets_iff_equal_stage_keys(m in mutation()) {
+        let (index, axis, step) = m;
+        if let Some((old, new)) = mutated_pair(index, axis, step) {
+            let same_facets = old.prepare_arch_facet() == new.prepare_arch_facet()
+                && old.mapping_facet() == new.mapping_facet();
+            prop_assert_eq!(same_facets, stage_keys_equal(&old, &new));
+        }
+    }
+
+    #[test]
+    fn configs_share_one_prepared_iff_equal_stage_keys(m in mutation()) {
+        let (index, axis, step) = m;
+        if let Some((old, new)) = mutated_pair(index, axis, step) {
+            let (g, fp) = graph();
+            let cache = ScheduleCache::new();
+            if let (Ok(a), Ok(b)) = (cache.prepared(*fp, g, &old), cache.prepared(*fp, g, &new)) {
+                let same_key = stage_keys_equal(&old, &new);
+                prop_assert_eq!(Arc::ptr_eq(&a, &b), same_key);
+                prop_assert_eq!(cache.stats().stage_computes, if same_key { 1 } else { 2 });
+            }
+        }
+    }
+
     #[test]
     fn incremental_rerun_matches_from_scratch(m in mutation()) {
         let (index, axis, step) = m;
-        let space = DesignSpace::case_study();
-        let lens = space.axis_lens();
-        let (g, fp) = graph();
-
-        // Single-axis bump, wrapping within the axis. A wrap back onto
-        // the same value (axis of length 1, or step % len == 0) is the
-        // identity mutation — kept on purpose: the protocol must then
-        // report *everything* clean and serve a pure cache hit.
-        let mut coords = space.coords(index).as_array();
-        coords[axis] = (coords[axis] + step) % lens[axis];
-        let mutated = space.index_of(&Coords::from_array(coords));
-
-        let memo = PeMinMemo::new();
-        let old_cand = space.candidate(index);
-        let new_cand = space.candidate(mutated);
-        let old_cfg = memo.pe_min(g, &old_cand).and_then(|pe| old_cand.run_config(pe));
-        let new_cfg = memo.pe_min(g, &new_cand).and_then(|pe| new_cand.run_config(pe));
-        // Candidates infeasible for fig5 (pe_min exceeds what the axis
-        // grants) have no run to differentiate; the tuner skips them too.
-        if let (Ok(old_cfg), Ok(new_cfg)) = (old_cfg, new_cfg) {
-            let inv = Invalidation::between(&old_cfg, &new_cfg);
-            let same_stage_key =
-                CacheKey::stages(*fp, &old_cfg) == CacheKey::stages(*fp, &new_cfg);
-            prop_assert!(
-                inv.is_dirty(PipelineStage::Prepare) != same_stage_key,
-                "dirty-key classification and stage fingerprints disagree: {}",
-                inv
-            );
-
+        if let Some((old, new)) = mutated_pair(index, axis, step) {
+            let (g, fp) = graph();
             // The tuner's long-lived cache: evaluate old, then mutate.
             let cache = ScheduleCache::new();
-            let old_run = cache.summary(*fp, g, &old_cfg, None);
-            let incremental = cache.summary(*fp, g, &new_cfg, None);
+            let _ = cache.summary(*fp, g, &old, None);
+            let warm = cache.summary(*fp, g, &new, None);
             // The from-scratch reference: a cold cache, new config only.
-            let scratch = ScheduleCache::new().summary(*fp, g, &new_cfg, None);
+            let scratch = ScheduleCache::new().summary(*fp, g, &new, None);
+            // Byte-identical through serialization; an infeasible config
+            // fails on both paths with the same diagnostic.
+            prop_assert_eq!(bytes(warm), bytes(scratch));
+        }
+    }
 
-            match (incremental, scratch) {
-                (Ok(inc), Ok(fresh)) => {
-                    // Byte-identical through serialization, not just eq.
-                    let inc_row = serde_json::to_string(&inc).expect("summary serializes");
-                    let fresh_row = serde_json::to_string(&fresh).expect("summary serializes");
-                    prop_assert_eq!(&inc_row, &fresh_row);
-
-                    if let Ok(old_run) = &old_run {
-                        let stats = cache.stats();
-                        let prepared = |cfg| cache.prepared(*fp, g, cfg).expect("cached prepare");
-                        let shared = Arc::ptr_eq(&prepared(&old_cfg), &prepared(&new_cfg));
-                        if !inv.is_dirty(PipelineStage::Prepare) {
-                            prop_assert!(
-                                shared,
-                                "clean Prepare must share stage artifacts: {}",
-                                inv
-                            );
-                            prop_assert_eq!(stats.stage_computes, 1);
-                        } else {
-                            prop_assert!(
-                                !shared,
-                                "dirty Prepare produced a distinct mapping: {}",
-                                inv
-                            );
-                            prop_assert_eq!(stats.stage_computes, 2);
-                        }
-                        // A clean Schedule verdict is the protocol's
-                        // strongest guarantee: recomputing under the new
-                        // config reproduces the old run's output bytes
-                        // (the cache may still key the two separately —
-                        // clean means *reproducible*, not same-key).
-                        if !inv.is_dirty(PipelineStage::Schedule) {
-                            let old_row =
-                                serde_json::to_string(old_run).expect("summary serializes");
-                            prop_assert_eq!(old_row, inc_row);
-                        }
-                    }
-                }
-                // Both paths must agree on infeasibility, with the same
-                // diagnostic.
-                (Err(e_inc), Err(e_scratch)) => {
-                    prop_assert_eq!(e_inc.to_string(), e_scratch.to_string());
-                }
-                (inc, scratch) => {
-                    prop_assert!(
-                        false,
-                        "paths disagree on feasibility: incremental ok={} scratch ok={}",
-                        inc.is_ok(),
-                        scratch.is_ok()
-                    );
-                }
-            }
+    #[test]
+    fn free_cost_ignores_tile_shape_and_hop_latency(
+        index in 0usize..DesignSpace::case_study().len(),
+        flip_tile in proptest::bool::ANY,
+    ) {
+        let space = DesignSpace::case_study();
+        let free = space.cost_models.iter().position(|c| *c == CostModelAxis::Free);
+        let old = Coords {
+            cost: free.expect("the case-study space has the free model"),
+            ..space.coords(index)
+        };
+        // Both axes have two options: flip one of them, nothing else.
+        let new = if flip_tile {
+            Coords { tile: 1 - old.tile, ..old }
+        } else {
+            Coords { hop: 1 - old.hop, ..old }
+        };
+        if let Some((old, new)) = configs(old, new) {
+            prop_assert!(!old.noc_cost && !old.gpeu_cost);
+            prop_assert!(old.arch != new.arch, "the mutation changes the architecture");
+            let (g, fp) = graph();
+            let cache = ScheduleCache::new();
+            prop_assert_eq!(
+                bytes(cache.summary(*fp, g, &old, None)),
+                bytes(cache.summary(*fp, g, &new, None))
+            );
         }
     }
 }

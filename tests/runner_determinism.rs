@@ -9,31 +9,25 @@
 
 use clsa_cim::bench::runner::{
     fingerprint, parallel_map, sweep_jobs, sweep_jobs_for_models, RunnerOptions, ScheduleCache,
-    Sweep,
+    Sweep, SweepJob,
 };
-use clsa_cim::bench::SweepOptions;
 use clsa_cim::core::RunConfig;
 use clsa_cim::ir::Graph;
 
 /// Three models × (PE_min and PE_min + 2 architectures) × strategies:
 /// 4 configurations each, 12 jobs total.
-fn three_by_two_sweep() -> (Vec<(String, Graph)>, SweepOptions) {
-    let models = vec![
+fn three_by_two_sweep() -> Vec<SweepJob> {
+    let models: Vec<(String, Graph)> = vec![
         ("fig5".to_string(), clsa_cim::models::fig5_example()),
         ("toy_cnn".to_string(), clsa_cim::models::toy_cnn(None)),
         ("mlp".to_string(), clsa_cim::models::mlp(None)),
     ];
-    let opts = SweepOptions {
-        xs: vec![2],
-        ..SweepOptions::default()
-    };
-    (models, opts)
+    sweep_jobs_for_models(&models, &[2]).unwrap()
 }
 
 #[test]
 fn parallel_batch_is_byte_identical_to_sequential() {
-    let (models, opts) = three_by_two_sweep();
-    let jobs = sweep_jobs_for_models(&models, &opts).unwrap();
+    let jobs = three_by_two_sweep();
     assert!(jobs.len() >= 12, "acceptance demands a ≥ 12-config sweep");
 
     let parallel = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run().unwrap();
@@ -57,8 +51,7 @@ fn parallel_batch_is_byte_identical_to_sequential() {
 
 #[test]
 fn every_worker_count_agrees() {
-    let (models, opts) = three_by_two_sweep();
-    let jobs = sweep_jobs_for_models(&models, &opts).unwrap();
+    let jobs = three_by_two_sweep();
     let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
     for workers in [2, 3, 8, 64] {
         let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(workers)).run().unwrap();
@@ -69,12 +62,8 @@ fn every_worker_count_agrees() {
 #[test]
 fn cache_hits_on_baseline_vs_clsa_pair() {
     let g = clsa_cim::models::fig5_example();
-    let opts = SweepOptions {
-        xs: vec![],
-        ..SweepOptions::default()
-    };
     // Two jobs: layer-by-layer and xinf over the same model and arch.
-    let jobs = sweep_jobs("fig5", &g, &opts).unwrap();
+    let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
     assert_eq!(jobs.len(), 2);
     let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(2)).run().unwrap();
     assert!(

@@ -5,7 +5,8 @@
 //! The central property: replaying the same request stream against a
 //! cold daemon and then a fresh warm daemon sharing the same
 //! `--cache-dir` produces **byte-identical** reply lines, with the warm
-//! generation answering from the persistent store.
+//! generation answering from the persistent store. One in-process daemon
+//! listening on both transports checks that TCP answers like Unix.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -222,5 +223,53 @@ fn daemon_answers_typed_errors_and_ping_over_the_wire() {
     assert!(matches!(ack.body, ResponseBody::Shutdown));
     let status = child.wait().expect("child waited");
     assert!(status.success(), "daemon process failed: {status:?}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The TCP transport answers like the Unix one: a daemon listening on
+/// both, a ping and a reconnect over TCP, a `fig5 xinf` reply over TCP
+/// byte-equal (up to its id) to the same request's reply over the Unix
+/// socket, and a shutdown over TCP that ends `run`.
+#[test]
+fn tcp_transport_answers_like_the_unix_socket() {
+    let dir = tmp_dir("tcp");
+    let socket = dir.join("daemon.sock");
+    let daemon = Daemon::bind(DaemonOptions {
+        tcp: Some("127.0.0.1:0".into()),
+        ..DaemonOptions::at(&socket)
+    })
+    .expect("daemon binds");
+    let addr = daemon.tcp_addr().expect("TCP listener bound");
+    let server = std::thread::spawn(move || daemon.run());
+
+    let mut tcp = Client::connect_tcp(addr).expect("TCP connects");
+    let pong = tcp
+        .request(&Request::bare("p1", Op::Ping))
+        .expect("answered");
+    assert!(matches!(pong.body, ResponseBody::Pong), "got {pong:?}");
+    tcp.reconnect().expect("TCP reconnects");
+
+    let line = |id| {
+        serde_json::to_string(&Request::schedule(id, "fig5", "xinf", 0))
+            .expect("request serializes")
+    };
+    let via_unix = connect(&socket)
+        .request_line(&line("via-unix"))
+        .expect("Unix answers");
+    let via_tcp = tcp.request_line(&line("via-tcp")).expect("TCP answers");
+    assert!(via_tcp.contains("\"status\":\"ok\""), "{via_tcp}");
+    assert_eq!(
+        via_tcp,
+        via_unix.replacen("\"id\":\"via-unix\"", "\"id\":\"via-tcp\"", 1)
+    );
+
+    let ack = tcp
+        .request(&Request::bare("bye", Op::Shutdown))
+        .expect("answered");
+    assert!(matches!(ack.body, ResponseBody::Shutdown));
+    server
+        .join()
+        .expect("daemon thread")
+        .expect("daemon runs to shutdown");
     let _ = fs::remove_dir_all(&dir);
 }
