@@ -43,8 +43,8 @@
 //!   stream, the shape of the `fabric-contended` benchmark's 8-stream
 //!   mixes) with 4-byte/cycle links and a weight capacity of 8 % of the
 //!   working set, so link reservation, tile windows and LRU residency all
-//!   do work. Throughput is in simulated sets (the solo baselines plus
-//!   the shared run).
+//!   do work. Throughput is in simulated sets (the shared run plus one
+//!   solo baseline per distinct model).
 
 use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
 use cim_bench::artifacts::{case_study_graph, fig6c_results};
@@ -264,9 +264,14 @@ fn bench_fabric_shared(c: &mut Criterion) {
         arch_for_mix, run_mix, CoResidency, FabricConfig, FabricSpec, TenantInstance, TenantSpec,
     };
 
+    let sets_of = |i: &TenantInstance| i.layers.iter().map(|l| l.sets.len()).sum::<usize>();
     let mut instances = Vec::new();
+    // The shared run simulates every stream; under `Shared` the streams of
+    // one model share one solo run.
+    let mut solo_sets = 0;
     for info in cim_models::all_models() {
         let base = TenantInstance::prepare(info.name, &info.build()).expect("zoo model prepares");
+        solo_sets += sets_of(&base);
         instances.extend(base.streams_of(&TenantSpec {
             model: info.name.into(),
             streams: if info.name == "TinyYOLOv4" { 2 } else { 1 },
@@ -284,18 +289,14 @@ fn bench_fabric_shared(c: &mut Criterion) {
         seed: 7,
         ..FabricConfig::new(arch_for_mix(&instances, 0).expect("arch fits"))
     };
-    let sets: usize = instances
-        .iter()
-        .flat_map(|i| i.layers.iter())
-        .map(|l| l.sets.len())
-        .sum();
+    let shared_sets: usize = instances.iter().map(sets_of).sum();
     // The mix must keep every contention point busy, or the bench would
     // time an idle fabric.
     let probe = run_mix(&instances, &config).expect("mix runs");
     let occupancy: u64 = probe.tenants.iter().map(|t| t.occupancy_stall_cycles).sum();
     assert!(probe.link_stall_cycles > 0 && occupancy > 0 && probe.reloads > 0);
     let mut group = c.benchmark_group("schedule_core");
-    group.throughput(Throughput::Elements(2 * sets as u64));
+    group.throughput(Throughput::Elements((shared_sets + solo_sets) as u64));
     group.bench_with_input(
         BenchmarkId::new("fabric_shared", "contended_mix"),
         &instances,

@@ -26,7 +26,7 @@ struct Record {
 
 fn main() {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let (runner, json) = (args.runner, args.json);
+    let runner = args.runner;
 
     // One job per (model, config); the four batch depths inside a job
     // reuse that job's single pipeline run.
@@ -132,8 +132,5 @@ fn main() {
     println!("pipelining compounds the gain (amortizing the fill/drain bubbles).");
     eprintln!("schedule cache: {}", cache.stats());
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &records).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&records);
 }

@@ -23,7 +23,7 @@ struct Record {
 
 fn main() {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let (runner, json) = (args.runner, args.json);
+    let runner = args.runner;
 
     // One job per (model, precision): both scheduling variants resolve
     // through the shared cache inside the job, so the lbl/xinf pair still
@@ -106,8 +106,5 @@ fn main() {
     println!("inflate column demand (P_H) and with it the PE budget.");
     eprintln!("schedule cache: {}", cache.stats());
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &records).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&records);
 }

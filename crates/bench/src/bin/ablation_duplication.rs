@@ -28,7 +28,7 @@ struct Record {
 
 fn main() {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let (runner, json) = (args.runner, args.json);
+    let runner = args.runner;
 
     // One job per (model, x); the two solver runs inside a job share
     // nothing (different mappings), but across jobs the grid of
@@ -125,8 +125,5 @@ fn main() {
     );
     eprintln!("schedule cache: {}", cache.stats());
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &records).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&records);
 }

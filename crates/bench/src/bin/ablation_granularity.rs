@@ -26,7 +26,7 @@ struct Record {
 
 fn main() {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let (runner, json) = (args.runner, args.json);
+    let runner = args.runner;
     let models: Vec<(&str, cim_ir::Graph)> = vec![
         ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
         ("VGG16", cim_models::vgg16()),
@@ -132,8 +132,5 @@ fn main() {
     println!("at the quantum limit; coarse(1) degenerates to layer-by-layer on chains.");
     eprintln!("schedule cache: {}", cache.stats());
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &records).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&records);
 }

@@ -31,7 +31,7 @@ enum Kind {
 
 fn main() {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let (runner, json) = (args.runner, args.json);
+    let runner = args.runner;
 
     struct Job {
         model: String,
@@ -167,8 +167,5 @@ fn main() {
     println!("keeps producer-consumer pairs near and degrades more slowly.");
     eprintln!("schedule cache: {}", cache.stats());
 
-    if let Some(path) = json {
-        cim_bench::write_json(&path, &records).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&records);
 }

@@ -174,19 +174,15 @@ fn run(args: &Args) -> Result<(), CoreError> {
     }
     args.report_faults();
 
-    if let Some(path) = &args.json {
-        let report = AutotuneReport {
-            model: model.to_string(),
-            space: space_name.to_string(),
-            strategy: strategy.name().to_string(),
-            seed,
-            budget: budget.max_candidates,
-            evaluated: result.stats.evaluated,
-            infeasible: result.stats.infeasible,
-            front: rows,
-        };
-        cim_bench::write_json(path, &report).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&AutotuneReport {
+        model: model.to_string(),
+        space: space_name.to_string(),
+        strategy: strategy.name().to_string(),
+        seed,
+        budget: budget.max_candidates,
+        evaluated: result.stats.evaluated,
+        infeasible: result.stats.infeasible,
+        front: rows,
+    });
     Ok(())
 }

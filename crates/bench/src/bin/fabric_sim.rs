@@ -24,12 +24,12 @@
 //! Bad input — an unknown flag or model, a malformed `--tenants` list, an
 //! unknown `--policy`, a non-numeric count, a `--stagger` or `--reload`
 //! cycle count above `u32::MAX`, an `--extra-pes` that overflows the PE
-//! count — prints one `error: …` line and the usage line, and exits with
-//! status 2.
+//! count, a `--json` path that cannot be written — prints one `error: …`
+//! line and the usage line, and exits with status 2.
 
 use cim_bench::cli::{self, Args, Flag, JOBS, JSON, SEED};
 use cim_bench::runner::parallel_map;
-use cim_bench::{render_table, write_json};
+use cim_bench::render_table;
 use cim_fabric::{
     arch_for_mix, parse_tenant_list, run_mix, CoResidency, FabricConfig, FabricResult, FabricSpec,
     TenantInstance, TenantSpec,
@@ -107,7 +107,11 @@ struct SweepRow {
     on_front: bool,
 }
 
-fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConfig) {
+fn mix_sweep_mode(
+    args: &Args,
+    instances: &[TenantInstance],
+    config: &FabricConfig,
+) -> Result<(), String> {
     let space = MixSpace::tiny();
     space.validate().unwrap_or_else(|e| panic!("mix space: {e}"));
     let points: Vec<usize> = (0..space.len()).collect();
@@ -120,9 +124,11 @@ fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConf
         cfg.policy = point.policy;
         cfg.fabric = point.fabric_spec();
         cfg.jobs = 1;
-        let result = run_mix(instances, &cfg).unwrap_or_else(|e| panic!("mix point {i}: {e}"));
-        (point, result)
-    });
+        let result = run_mix(instances, &cfg).map_err(|e| format!("mix point {i}: {e}"))?;
+        Ok((point, result))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, String>>()?;
 
     let mut archive = ParetoArchive::new();
     for (point, result) in &results {
@@ -169,10 +175,8 @@ fn mix_sweep_mode(args: &Args, instances: &[TenantInstance], config: &FabricConf
         )
     );
     println!("{} of {} mix points on the Pareto front", front.len(), rows.len());
-    if let Some(path) = &args.json {
-        write_json(path, &rows).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
+    args.write_json(&rows);
+    Ok(())
 }
 
 fn main() {
@@ -224,15 +228,11 @@ fn run(args: &Args) -> Result<(), String> {
     };
 
     if args.has("--mix-sweep") {
-        mix_sweep_mode(args, &instances, &config);
-        return Ok(());
+        return mix_sweep_mode(args, &instances, &config);
     }
 
     let result = run_mix(&instances, &config).map_err(|e| format!("mix runs: {e}"))?;
     print_result(&result);
-    if let Some(path) = &args.json {
-        write_json(path, &result).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
+    args.write_json(&result);
     Ok(())
 }

@@ -150,10 +150,7 @@ fn part_c(g: &Graph, args: &Args, store: Option<&ResultStore>) -> Result<usize, 
     if let Some(store) = store {
         println!("persistent store: {}", store.stats());
     }
-    if let Some(path) = &args.json {
-        cim_bench::write_json(path, &results).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&results);
     Ok(quarantined)
 }
 

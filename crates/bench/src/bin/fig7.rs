@@ -138,9 +138,6 @@ fn run(args: &Args) -> Result<usize, CoreError> {
         println!("persistent store: {stats}");
     }
 
-    if let Some(path) = &args.json {
-        cim_bench::write_json(path, all).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(all);
     Ok(quarantined)
 }

@@ -150,8 +150,7 @@ fn main() {
             );
         }
     }
-    if let Some(path) = &args.json {
-        cim_bench::write_json(path, &gantt_rows(&r.layers, &r.schedule)).expect("write json");
-        println!("wrote {path}");
+    if args.json.is_some() {
+        args.write_json(&gantt_rows(&r.layers, &r.schedule));
     }
 }

@@ -44,8 +44,5 @@ fn main() {
     println!("PE_min (all weights stored once): {}", min_pes(&costs));
     println!("Paper reference: PE_min = 117");
 
-    if let Some(path) = &args.json {
-        cim_bench::write_json(path, &costs).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&costs);
 }

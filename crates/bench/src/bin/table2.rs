@@ -42,8 +42,5 @@ fn main() {
         )
     );
 
-    if let Some(path) = &args.json {
-        cim_bench::write_json(path, &rows).expect("write json");
-        println!("wrote {path}");
-    }
+    args.write_json(&rows);
 }

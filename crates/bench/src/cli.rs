@@ -13,8 +13,9 @@
 //! value, a repeated flag (except the per-site `--fault-rate`), a second
 //! positional argument, `--jobs 0`, a bad `--shard` or `--fault-rate`.
 //! Checks only a binary can make go through [`Args::fail`], so they end
-//! the same way. `--help` (or `-h`) prints the usage line to stdout and
-//! exits 0.
+//! the same way, as does a `--json` export that cannot be written
+//! ([`Args::write_json`]). `--help` (or `-h`) prints the usage line to
+//! stdout and exits 0.
 
 use std::fmt::Display;
 use std::path::Path;
@@ -24,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use clsa_core::CoreError;
+use serde::Serialize;
 
 use crate::runner::{
     parse_rate_spec, FaultHook, FaultPlan, ResultStore, RunnerOptions, ShardMode, ShardSpec, Sweep,
@@ -312,6 +314,16 @@ impl Args {
     /// line to stderr and exits with status 2.
     pub fn fail(&self, msg: impl Display) -> ! {
         exit_usage(&self.usage, msg)
+    }
+
+    /// Writes `records` as JSON to the `--json` path, if one was given,
+    /// and prints `wrote <path>`. A failed write [`fail`](Self::fail)s.
+    pub fn write_json(&self, records: &impl Serialize) {
+        if let Some(path) = &self.json {
+            crate::write_json(path, records)
+                .unwrap_or_else(|e| self.fail(format!("--json {path}: {e}")));
+            println!("wrote {path}");
+        }
     }
 
     /// Opens the persistent [`ResultStore`] named by `--cache-dir` (with

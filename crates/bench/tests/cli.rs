@@ -1,6 +1,7 @@
 //! The command-line contract of the experiment binaries: bad input exits
 //! with status 2 and one `error: …` line before any work, never with a
-//! panic, and `--help` prints the usage line and runs nothing.
+//! panic, and `--help` prints the usage line and runs nothing. A `--json`
+//! export that cannot be written ends the same way, after the work.
 
 use std::process::{Command, Output};
 
@@ -118,6 +119,31 @@ fn unread_json_flag_writes_no_file() {
     let out = run(env!("CARGO_BIN_EXE_fig5_minimal"), &["--json", path]);
     assert_usage_error("fig5_minimal --json", &out);
     assert!(!dir.exists(), "fig5_minimal wrote {path}");
+}
+
+#[test]
+fn unwritable_json_path_exits_2_without_a_panic() {
+    let dir = std::env::temp_dir().join(format!("cim-cli-json-dir-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.to_str().expect("temp path is UTF-8");
+    let cases: &[(&str, &str, &[&str])] = &[
+        ("table1", env!("CARGO_BIN_EXE_table1"), &[]),
+        (
+            "fabric-sim",
+            env!("CARGO_BIN_EXE_fabric-sim"),
+            &["--tenants", "fig5:2"],
+        ),
+    ];
+    for (name, bin, args) in cases {
+        let out = run(bin, &[args, &["--json", path][..]].concat());
+        let case = format!("{name} --json <directory>");
+        let first = assert_usage_error(&case, &out);
+        assert!(first.contains(&format!("--json {path}")), "{case}: {first}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let errors = stderr.lines().filter(|l| l.starts_with("error:")).count();
+        assert_eq!(errors, 1, "{case}: stderr {stderr}");
+    }
+    std::fs::remove_dir(&dir).expect("temp dir stays empty");
 }
 
 #[test]

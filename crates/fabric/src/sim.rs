@@ -20,7 +20,9 @@ use crate::tenant::TenantSpec;
 
 /// One tenant of a mix: a named inference stream of a prepared model.
 /// Streams of the same model share the Stage-I/II artifacts through the
-/// `Arc`s — preparing a model once serves any number of streams.
+/// `Arc`s — preparing a model once serves any number of streams. In
+/// [`run_mix`], streams that share both `Arc`s and one placement offset
+/// also share one NoC cost table and one solo baseline.
 #[derive(Debug, Clone)]
 pub struct TenantInstance {
     /// Unique instance name (`model#stream`).
@@ -85,8 +87,8 @@ pub struct FabricConfig {
     pub stagger: u64,
     /// Seed for the arrival jitter.
     pub seed: u64,
-    /// Worker threads for the solo-baseline runs (≥ 1; the shared run
-    /// itself is single-threaded and inherently deterministic).
+    /// Worker threads over the mix's distinct solo workloads (≥ 1; the
+    /// shared run itself is single-threaded and inherently deterministic).
     pub jobs: usize,
 }
 
@@ -104,12 +106,90 @@ impl FabricConfig {
     }
 }
 
-/// Everything `run_shared` needs for one tenant, in canonical order.
-struct PreparedTenant<'a> {
+/// One distinct solo run of a mix: a prepared model at one placement
+/// offset, with the NoC cost table every tenant mapped to it shares.
+struct SoloWorkload<'a> {
+    /// The first tenant, in canonical order, mapped to this workload.
     instance: &'a TenantInstance,
     costed: CostedDeps,
     home_tiles: Vec<cim_arch::TileId>,
+}
+
+impl<'a> SoloWorkload<'a> {
+    /// Places `instance` at PE `offset` of `arch` and builds its NoC cost
+    /// table.
+    fn new(instance: &'a TenantInstance, offset: usize, arch: &Architecture) -> Result<Self> {
+        let sizes: Vec<usize> = instance.layers.iter().map(|l| l.pes).collect();
+        let placement = place_groups_at(arch, &sizes, PlacementStrategy::Contiguous, offset)?;
+        let home_tiles = (0..sizes.len()).map(|g| placement.home_tile(g)).collect();
+        let costed = CostedDeps::build(
+            &instance.layers,
+            &instance.deps,
+            &EdgeCost::NocHops {
+                arch: arch.clone(),
+                placement,
+            },
+        )?;
+        Ok(SoloWorkload {
+            instance,
+            costed,
+            home_tiles,
+        })
+    }
+
+    /// This workload as one `run_shared` tenant arriving at `arrival`.
+    fn at(&self, arrival: u64) -> TenantWorkload<'_> {
+        TenantWorkload {
+            layers: &self.instance.layers,
+            deps: &self.instance.deps,
+            costed: &self.costed,
+            arrival,
+            home_tiles: Some(self.home_tiles.clone()),
+        }
+    }
+}
+
+/// One tenant of the shared run, in canonical order.
+struct PreparedTenant<'a> {
+    instance: &'a TenantInstance,
+    /// Index of its [`SoloWorkload`].
+    solo: usize,
     arrival: u64,
+}
+
+/// Maps each tenant of `order` to a distinct solo workload. Two tenants
+/// share one when they share the `layers` and `deps` `Arc`s and `policy`
+/// places them at the same PE offset. Returns the solo index of every
+/// tenant and, per solo workload in order of first use, its first tenant
+/// and its offset.
+fn solo_workloads(
+    order: &[&TenantInstance],
+    policy: CoResidency,
+    total_pes: usize,
+) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let n = order.len();
+    let mut keys: Vec<(usize, usize)> = Vec::new();
+    let solo_of = order
+        .iter()
+        .enumerate()
+        .map(|(k, t)| {
+            let offset = match policy {
+                CoResidency::Shared => 0,
+                CoResidency::Partitioned => k * total_pes / n,
+            };
+            let same = |&(j, o): &(usize, usize)| {
+                let first = order[j];
+                o == offset
+                    && Arc::ptr_eq(&first.layers, &t.layers)
+                    && Arc::ptr_eq(&first.deps, &t.deps)
+            };
+            keys.iter().position(same).unwrap_or_else(|| {
+                keys.push((k, offset));
+                keys.len() - 1
+            })
+        })
+        .collect();
+    (solo_of, keys)
 }
 
 /// Runs `instances` together on one chip and reports per-tenant slowdown
@@ -120,12 +200,15 @@ struct PreparedTenant<'a> {
 /// does not matter, and the result is byte-identical for any `jobs`.
 /// Per-tenant solo baselines run on the same fabric (same placement, same
 /// capacity and bandwidth limits) so the reported slowdown isolates
-/// cross-tenant contention.
+/// cross-tenant contention. Tenants that share a solo workload (the same
+/// `layers` and `deps` `Arc`s at the same placement offset) share one NoC
+/// cost table and one solo run.
 ///
 /// # Errors
 ///
 /// Returns [`FabricError::BadMix`] on an empty mix or duplicate instance
-/// names, and propagates placement and simulation failures.
+/// names, and propagates placement and simulation failures: a failing
+/// shared run first, then the first failing solo run in canonical order.
 pub fn run_mix(instances: &[TenantInstance], config: &FabricConfig) -> Result<FabricResult> {
     if instances.is_empty() {
         return Err(FabricError::BadMix {
@@ -141,83 +224,57 @@ pub fn run_mix(instances: &[TenantInstance], config: &FabricConfig) -> Result<Fa
         });
     }
 
-    let n = order.len();
-    let total_pes = config.arch.total_pes();
+    let (solo_of, keys) = solo_workloads(&order, config.policy, config.arch.total_pes());
+    let solos = keys
+        .iter()
+        .map(|&(k, offset)| SoloWorkload::new(order[k], offset, &config.arch))
+        .collect::<Result<Vec<_>>>()?;
+
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut prepared = Vec::with_capacity(n);
-    for (k, instance) in order.iter().enumerate() {
-        let sizes: Vec<usize> = instance.layers.iter().map(|l| l.pes).collect();
-        let offset = match config.policy {
-            CoResidency::Shared => 0,
-            CoResidency::Partitioned => k * total_pes / n,
-        };
-        let placement = place_groups_at(
-            &config.arch,
-            &sizes,
-            PlacementStrategy::Contiguous,
-            offset,
-        )?;
-        let home_tiles = (0..sizes.len()).map(|g| placement.home_tile(g)).collect();
-        let costed = CostedDeps::build(
-            &instance.layers,
-            &instance.deps,
-            &EdgeCost::NocHops {
-                arch: config.arch.clone(),
-                placement,
-            },
-        )?;
-        // Jitter keeps arrivals inside the tenant's stagger slot, so the
-        // arrival order always matches the canonical order.
-        let jitter = if config.stagger > 0 {
-            rng.random_range(0..config.stagger)
-        } else {
-            0
-        };
-        prepared.push(PreparedTenant {
-            instance,
-            costed,
-            home_tiles,
-            arrival: k as u64 * config.stagger + jitter,
-        });
-    }
+    let prepared: Vec<PreparedTenant<'_>> = order
+        .iter()
+        .zip(solo_of)
+        .enumerate()
+        .map(|(k, (&instance, solo))| {
+            // Jitter keeps arrivals inside the tenant's stagger slot, so the
+            // arrival order always matches the canonical order.
+            let jitter = if config.stagger > 0 {
+                rng.random_range(0..config.stagger)
+            } else {
+                0
+            };
+            PreparedTenant {
+                instance,
+                solo,
+                arrival: k as u64 * config.stagger + jitter,
+            }
+        })
+        .collect();
 
     let contention = FabricContention {
         noc: Some(*config.arch.noc()),
         spec: config.fabric,
     };
 
-    // Solo baselines: each tenant alone, arrival 0, same fabric limits.
-    let solo = parallel_indexed(n, config.jobs, |k| -> Result<u64> {
-        let p = &prepared[k];
-        let workload = TenantWorkload {
-            layers: &p.instance.layers,
-            deps: &p.instance.deps,
-            costed: &p.costed,
-            arrival: 0,
-            home_tiles: Some(p.home_tiles.clone()),
-        };
-        let outcome = run_shared(std::slice::from_ref(&workload), &contention)?;
+    // Solo baselines: each distinct workload alone, arrival 0, same
+    // fabric limits.
+    let solo_runs = parallel_indexed(solos.len(), config.jobs, |s| -> Result<u64> {
+        let outcome = run_shared(&[solos[s].at(0)], &contention)?;
         Ok(outcome.makespan)
     });
 
     // The shared run: all tenants, one event heap.
     let workloads: Vec<TenantWorkload<'_>> = prepared
         .iter()
-        .map(|p| TenantWorkload {
-            layers: &p.instance.layers,
-            deps: &p.instance.deps,
-            costed: &p.costed,
-            arrival: p.arrival,
-            home_tiles: Some(p.home_tiles.clone()),
-        })
+        .map(|p| solos[p.solo].at(p.arrival))
         .collect();
     let outcome = run_shared(&workloads, &contention)?;
 
-    let mut tenants = Vec::with_capacity(n);
-    let mut speeds = Vec::with_capacity(n);
+    let mut tenants = Vec::with_capacity(prepared.len());
+    let mut speeds = Vec::with_capacity(prepared.len());
     let mut busy_total: u128 = 0;
-    for ((p, t), solo_cycles) in prepared.iter().zip(&outcome.tenants).zip(solo) {
-        let solo_cycles = solo_cycles?;
+    for (p, t) in prepared.iter().zip(&outcome.tenants) {
+        let solo_cycles = *solo_runs[p.solo].as_ref().map_err(FabricError::clone)?;
         let slowdown = slowdown_milli(t.span_cycles, solo_cycles);
         speeds.push(milli_ratio(solo_cycles as u128, t.span_cycles.max(1) as u128));
         busy_total += t.busy_cycles as u128;
@@ -454,6 +511,53 @@ mod tests {
         let tiles = config.arch.num_tiles() as u128;
         assert!(busy <= tiles * result.makespan_cycles as u128);
         assert!(result.utilization_milli <= 1000);
+    }
+
+    #[test]
+    fn streams_sharing_arcs_and_offset_share_one_solo_workload() {
+        let spec = TenantSpec {
+            model: "fig5".into(),
+            streams: 4,
+        };
+        let streams = fig5_instance("fig5#0").streams_of(&spec);
+        // Room for one partition per stream.
+        let total_pes = 4 * streams[0].pe_min;
+        let resolve = |instances: &[TenantInstance], policy, total_pes| {
+            let order: Vec<&TenantInstance> = instances.iter().collect();
+            solo_workloads(&order, policy, total_pes)
+        };
+        assert_eq!(
+            resolve(&streams, CoResidency::Shared, total_pes),
+            (vec![0; 4], vec![(0, 0)])
+        );
+        assert_eq!(
+            resolve(&streams, CoResidency::Partitioned, total_pes)
+                .1
+                .len(),
+            4
+        );
+        // Streams prepared one by one own their `Arc`s.
+        let separate: Vec<TenantInstance> = spec
+            .instance_names()
+            .iter()
+            .map(|name| fig5_instance(name))
+            .collect();
+        assert_eq!(
+            resolve(&separate, CoResidency::Shared, total_pes).1.len(),
+            4
+        );
+        // Sharing `layers` alone is not enough.
+        let mut own_deps = streams.clone();
+        own_deps[1].deps = Arc::new(own_deps[1].deps.as_ref().clone());
+        assert_eq!(
+            resolve(&own_deps, CoResidency::Shared, total_pes).0,
+            vec![0, 1, 0, 0]
+        );
+        // On a chip of two PEs the four partitions start at PEs 0, 0, 1, 1.
+        assert_eq!(
+            resolve(&streams, CoResidency::Partitioned, 2),
+            (vec![0, 0, 1, 1], vec![(0, 0), (2, 1)])
+        );
     }
 
     #[test]

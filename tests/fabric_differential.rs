@@ -30,7 +30,7 @@ use clsa_cim::fabric::{
 use clsa_cim::sim::{run_shared, FabricContention, Simulator, TenantWorkload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Stage-I/II artifacts are model-dependent but case-independent —
 /// prepare each model once for the whole suite.
@@ -233,8 +233,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random ≤ 4-tenant mixes across both policies and all three
-    /// contention knobs: the result is byte-identical for `jobs` 1 vs 4
-    /// and for any insertion order, and every invariant holds.
+    /// contention knobs: the result is byte-identical for `jobs` 1 vs 4,
+    /// for any insertion order and with or without streams sharing their
+    /// Stage-I/II `Arc`s, and every invariant holds.
     #[test]
     fn prop_mixes_are_deterministic_and_fair(
         fig5_streams in 1usize..3,
@@ -294,6 +295,24 @@ proptest! {
         config.jobs = 4;
         let alt = run_mix(&rotated, &config).expect("mix runs");
         prop_assert_eq!(serde_json::to_string(&alt).expect("serializes"), baseline_json);
+
+        // Deep copies own their `Arc`s, so no two streams share a solo
+        // workload: the result must not depend on that sharing.
+        let owned: Vec<TenantInstance> = instances
+            .iter()
+            .map(|i| TenantInstance {
+                layers: Arc::new(i.layers.as_ref().clone()),
+                deps: Arc::new(i.deps.as_ref().clone()),
+                ..i.clone()
+            })
+            .collect();
+        for policy in [CoResidency::Shared, CoResidency::Partitioned] {
+            let config = FabricConfig { policy, ..config.clone() };
+            let json = |mix: &[TenantInstance]| {
+                serde_json::to_string(&run_mix(mix, &config).expect("mix runs")).expect("serializes")
+            };
+            prop_assert_eq!(json(&owned), json(&instances));
+        }
 
         check_invariants(&baseline, n, config.arch.num_tiles() as u128);
     }
