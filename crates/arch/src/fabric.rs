@@ -80,8 +80,12 @@ pub enum CoResidency {
     /// whole chip available to each tenant's duplication).
     #[default]
     Shared,
-    /// Tenant `k` of `n` starts at PE `k·total/n` — tenants mostly land
-    /// on disjoint tiles, trading interference for locality.
+    /// Tenant `k` of `n` starts at PE `k·total/n`, trading interference
+    /// for locality. The ranges are disjoint only when every tenant fits
+    /// in `total/n` PEs, and tenants stop contending for a tile only when
+    /// their ranges also fall on different tiles. On a chip sized to the
+    /// largest `PE_min` they overlap: fig5 × 2 there lands both streams on
+    /// one tile and runs exactly as under [`Shared`](Self::Shared).
     Partitioned,
 }
 

@@ -139,10 +139,12 @@ pub fn place_groups(
 /// [`place_groups`] with the PE visiting order rotated left by `start_pe`
 /// (modulo the PE count): the first group's first PE lands on
 /// `start_pe` instead of PE 0, wrapping around the chip. This is how
-/// co-resident fabric tenants get *disjoint* starting regions
+/// co-resident fabric tenants get distinct starting points
 /// ([`CoResidency::Partitioned`](crate::CoResidency::Partitioned)) without
 /// changing the placement semantics within a tenant — `start_pe == 0` is
-/// exactly [`place_groups`].
+/// exactly [`place_groups`]. Tenants' ranges are disjoint only if the chip
+/// has room for all of them from their starting points; on a chip sized
+/// to one tenant they overlap.
 ///
 /// # Errors
 ///

@@ -15,10 +15,16 @@
 //!
 //! * `cold_pipeline` — a full `clsa_core::run` (mapping + Stages I–IV +
 //!   validation) from scratch;
-//! * `stage2_dependencies` — the CSR `determine_dependencies` (scratch
-//!   buffer, flat arena, row-band lookup) on the case-study mapping,
-//!   beside the retained naive reference (per-set `HashSet`, full scan of
-//!   every producer layer) — the ratio of this pair tracks Stage II;
+//! * `stage2_dependencies` — the CSR `determine_dependencies` (backward
+//!   walk compiled once per call, flat arena, row-band lookup) on the
+//!   case-study mapping, beside the retained naive reference (per-set
+//!   `HashSet`, full scan of every producer layer) — the ratio of this
+//!   pair tracks Stage II. Two more points time the walk where it does the
+//!   most: `TinyYOLOv4_wdup100`, the case study under Greedy duplication
+//!   at `PE_min + 100` (the middle of serve's first-time keys), whose
+//!   concat trees most rectangles miss, and `ResNet152` at `PE_min` under
+//!   cross-layer scheduling, whose long residual chains fold into wide
+//!   fans of producer layers;
 //! * `cost_table_build` — `CostedDeps::build` on the case-study mapping,
 //!   under the peak model (`free`: byte counts and the consumer-side CSR)
 //!   and under `NocAndGpeu` (`noc_gpeu`: plus per-edge latencies). Neither
@@ -48,10 +54,12 @@
 
 use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
 use cim_bench::artifacts::{case_study_graph, fig6c_results};
-use cim_bench::runner::{ResultStore, RunnerOptions};
+use cim_bench::runner::{pe_min_of, ResultStore, RunnerOptions};
+use cim_frontend::{canonicalize, CanonOptions};
+use cim_mapping::{MappingOptions, Solver};
 use clsa_core::{
     batched_cross_layer_schedule, prepare, reference, run, CostedDeps, Dependencies, EdgeCost,
-    LayerSets, RunConfig,
+    LayerSets, Prepared, RunConfig,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -109,16 +117,31 @@ fn bench_cold_pipeline(c: &mut Criterion) {
 fn bench_stage2(c: &mut Criterion) {
     let g = case_study_graph();
     let prepared = prepare(&g, &xinf_config()).expect("prepare");
+    let wdup_arch = Architecture::paper_case_study(PE_MIN + 100).expect("wdup arch");
+    let wdup = prepare(
+        &g,
+        &RunConfig::baseline(wdup_arch).with_duplication(Solver::Greedy),
+    )
+    .expect("prepare wdup");
+    let resnet = canonicalize(&cim_models::resnet152(), &CanonOptions::default())
+        .expect("ResNet152 canonicalizes")
+        .into_graph();
+    let resnet_pe_min = pe_min_of(&resnet, &MappingOptions::default()).expect("PE_min");
+    let resnet_arch = Architecture::paper_case_study(resnet_pe_min).expect("ResNet152 arch");
+    let resnet = prepare(
+        &resnet,
+        &RunConfig::baseline(resnet_arch).with_cross_layer(),
+    )
+    .expect("prepare");
     let mut group = c.benchmark_group("schedule_core");
+    let stage2 = |p: &Prepared| {
+        clsa_core::determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II")
+    };
     group.throughput(Throughput::Elements(prepared.deps.num_edges() as u64));
     group.bench_with_input(
         BenchmarkId::new("stage2_dependencies", "TinyYOLOv4"),
         &prepared,
-        |b, p| {
-            b.iter(|| {
-                clsa_core::determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II")
-            })
-        },
+        |b, p| b.iter(|| stage2(p)),
     );
     group.bench_with_input(
         BenchmarkId::new("stage2_dependencies", "naive_reference"),
@@ -130,6 +153,12 @@ fn bench_stage2(c: &mut Criterion) {
             })
         },
     );
+    for (id, p) in [("TinyYOLOv4_wdup100", &wdup), ("ResNet152", &resnet)] {
+        group.throughput(Throughput::Elements(p.deps.num_edges() as u64));
+        group.bench_with_input(BenchmarkId::new("stage2_dependencies", id), p, |b, p| {
+            b.iter(|| stage2(p))
+        });
+    }
     group.finish();
 }
 

@@ -4,13 +4,24 @@
 //! base layers whose data it needs. The set's rectangle is propagated
 //! backward along the non-base layer path (bias, activation, pooling,
 //! padding, slice, concat, …) using the receptive-field arithmetic of
-//! [`cim_ir::input_region`]; a producer set is a dependency iff the
-//! propagated rectangle intersects it.
+//! [`cim_ir::RegionStep`] (the steps behind [`cim_ir::input_region`]); a
+//! producer set is a dependency iff the propagated rectangle intersects it.
 //!
 //! One producer set can influence multiple consumer sets (the paper's `Q`
 //! relation) and one consumer set can require multiple producer sets (`P`).
 //!
 //! # Lookup
+//!
+//! Each call compiles the backward walk once and then runs it for every
+//! set. Compiling resolves every graph node a walk can reach to the
+//! [`RegionStep`] of each of its inputs, with padding, offsets and concat
+//! spans worked out from the shapes. Identity ops (bias, batch norm,
+//! activation, softmax, quantize, add, channel concat) are folded away:
+//! each input leads to a *fan*, the base layers and rectangle-changing
+//! nodes reachable from it through identity ops alone, so a residual chain
+//! becomes one fan of producer layers. A row or column concat keeps its
+//! branches in span order and finds the ones a rectangle meets by binary
+//! search instead of trying every input.
 //!
 //! Stage I emits every layer's sets as strictly ordered, disjoint row bands
 //! (each set's last row lies above the next set's first row). For such a
@@ -19,8 +30,7 @@
 //! below it, so one consumer set costs `O(log S + k)` per producer layer
 //! it reaches (`S` sets, `k` of them intersected) instead of `O(S)`. Layers
 //! built by hand with any other set shape (reversed, overlapping or
-//! column-split) are checked once per call and then scanned in full. Each
-//! node's input shapes are also gathered once per call, not once per set.
+//! column-split) are checked once per call and then scanned in full.
 //!
 //! # Representation
 //!
@@ -33,7 +43,9 @@
 //! `fan_in`, `fan_out`) and the serde format (the nested `deps` array) are
 //! unchanged.
 
-use cim_ir::{input_region, FeatureShape, Graph, NodeId, Op, Rect};
+use std::ops::Range;
+
+use cim_ir::{Axis, FeatureShape, Graph, Node, NodeId, Op, Rect, RegionStep};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
@@ -300,7 +312,7 @@ impl Deserialize for Dependencies {
 ///
 /// See the crate-level documentation for the worked Fig. 5 example.
 pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dependencies> {
-    let walk = Walk::new(graph, layers)?;
+    let program = Program::compile(graph, layers)?;
     let space = SetSpace::of_layers(layers);
     let mut offsets = Vec::with_capacity(space.total_sets() + 1);
     let mut producers: Vec<SetRef> = Vec::new();
@@ -310,16 +322,15 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     // per-set `HashSet` allocation.
     let mut scratch: Vec<SetRef> = Vec::new();
 
-    for layer in layers {
-        let node = graph.node(layer.node)?;
-        let in_shapes = walk.in_shapes(layer.node);
+    for (li, layer) in layers.iter().enumerate() {
+        let entry = &program.branches[program.entries[li].clone()];
         for set in &layer.sets {
-            // The IFM region this conv/dense set needs.
+            // The IFM region this conv/dense set needs, walked back.
             scratch.clear();
-            for (idx, &inp) in node.inputs.iter().enumerate() {
-                if let Some(r) = input_region(&node.op, set.rect, in_shapes, idx, node.out_shape) {
-                    walk.back_propagate(inp, r, &mut scratch)?;
-                }
+            for branch in entry {
+                program
+                    .step(branch, set.rect, &mut scratch)
+                    .map_err(|node| program.unset(node))?;
             }
             scratch.sort_unstable();
             scratch.dedup();
@@ -334,25 +345,65 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     })
 }
 
-/// What the backward walk of one Stage-II call looks up, computed once per
-/// call rather than once per set.
-struct Walk<'a> {
+/// Stage II's backward walk, compiled once per call: every graph node the
+/// walk can reach is resolved to the [`RegionStep`]s of its inputs, so
+/// running it for a set only applies steps and searches producer sets.
+struct Program<'a> {
     graph: &'a Graph,
     layers: &'a [LayerSets],
-    /// Node index → index of its entry in `layers` (`usize::MAX` if none).
-    layer_of: Vec<usize>,
-    /// `shapes[shape_offsets[n]..shape_offsets[n + 1]]` are the output
-    /// shapes of node `n`'s inputs, in positional order.
-    shape_offsets: Vec<usize>,
-    shapes: Vec<FeatureShape>,
     /// Per layer: whether its sets are strictly ordered, disjoint row bands
     /// (`y1` of each set below `y0` of the next), as `determine_sets`
     /// always emits them.
     banded: Vec<bool>,
+    /// Per layer: its branches in `branches`, which step from the layer's
+    /// output into its inputs.
+    entries: Vec<Range<usize>>,
+    /// The non-identity nodes a walk can reach.
+    hops: Vec<Hop>,
+    branches: Vec<Branch>,
+    /// The fans that branches slice.
+    dests: Vec<Dest>,
 }
 
-impl<'a> Walk<'a> {
-    fn new(graph: &'a Graph, layers: &'a [LayerSets]) -> Result<Self> {
+/// A node that changes the rectangle: pooling, padding, slice, upsample,
+/// a global op, or a row or column concat.
+struct Hop {
+    /// Its inputs' branches in `Program::branches`, ordered by span.
+    branches: Range<usize>,
+    /// Whether the spans are rows (a row concat) or columns.
+    rows: bool,
+}
+
+/// One input of a node: the step into it and where the stepped rectangle
+/// goes from there.
+struct Branch {
+    step: RegionStep,
+    /// The output rows (row concat) or columns (column concat) this input
+    /// fills; everything on any other node.
+    span: (usize, usize),
+    /// Its fan in `Program::dests`: every base layer and hop reachable
+    /// from the input through identity ops, which leave the rectangle
+    /// unchanged. Inputs with an empty fan get no branch.
+    fan: Range<usize>,
+}
+
+/// A walk's outcome: `Err` names the base node without Stage-I sets that
+/// it reached.
+type Walked = std::result::Result<(), NodeId>;
+
+/// Where a stepped rectangle goes.
+#[derive(Clone, Copy)]
+enum Dest {
+    /// Record the intersected sets of this layer.
+    Layer(usize),
+    /// A base node without Stage-I sets: reaching it is an error.
+    Unset(NodeId),
+    /// Continue through this hop.
+    Hop(usize),
+}
+
+impl<'a> Program<'a> {
+    fn compile(graph: &'a Graph, layers: &'a [LayerSets]) -> Result<Self> {
         let mut layer_of = vec![usize::MAX; graph.len()];
         for (i, l) in layers.iter().enumerate() {
             let node = graph.node(l.node)?;
@@ -363,58 +414,76 @@ impl<'a> Walk<'a> {
             }
             layer_of[l.node.index()] = i;
         }
-        let mut shape_offsets = Vec::with_capacity(graph.len() + 1);
-        let mut shapes = Vec::new();
-        shape_offsets.push(0);
-        for n in graph.iter() {
-            for &i in &n.inputs {
-                shapes.push(graph.node(i)?.out_shape);
-            }
-            shape_offsets.push(shapes.len());
-        }
         let banded = layers
             .iter()
             .map(|l| l.sets.windows(2).all(|w| w[0].rect.y1 < w[1].rect.y0))
             .collect();
-        Ok(Self {
-            graph,
-            layers,
+        let mut c = Compiler {
+            program: Program {
+                graph,
+                layers,
+                banded,
+                entries: Vec::with_capacity(layers.len()),
+                hops: Vec::new(),
+                branches: Vec::new(),
+                dests: Vec::new(),
+            },
             layer_of,
-            shape_offsets,
-            shapes,
-            banded,
-        })
+            fan_of: vec![None; graph.len()],
+            shapes: Vec::new(),
+        };
+        for l in layers {
+            let n = graph.node(l.node)?;
+            c.load_inputs(n)?;
+            let branches = c.branches(n)?;
+            c.program.entries.push(branches);
+        }
+        Ok(c.program)
     }
 
-    fn in_shapes(&self, node: NodeId) -> &[FeatureShape] {
-        let n = node.index();
-        &self.shapes[self.shape_offsets[n]..self.shape_offsets[n + 1]]
+    /// Steps `rect` (a region of the branch's node's output) into the
+    /// branch's input and on through its fan, recording intersecting
+    /// producer sets (possibly with duplicates — the caller sort-dedups the
+    /// scratch buffer). Fails with the first base node without Stage-I sets
+    /// that the rectangle reaches.
+    fn step(&self, branch: &Branch, rect: Rect, found: &mut Vec<SetRef>) -> Walked {
+        let Some(rect) = branch.step.apply(rect) else {
+            return Ok(());
+        };
+        for &dest in &self.dests[branch.fan.clone()] {
+            match dest {
+                Dest::Layer(li) => self.push_intersecting(li, rect, found),
+                Dest::Hop(h) => self.hop(h, rect, found)?,
+                Dest::Unset(node) => return Err(node),
+            }
+        }
+        Ok(())
     }
 
-    /// Propagates `rect` (a region of `node`'s output) backwards until base
-    /// layers or graph inputs are reached, recording intersecting producer
-    /// sets (possibly with duplicates — the caller sort-dedups the scratch
-    /// buffer).
-    fn back_propagate(&self, node: NodeId, rect: Rect, found: &mut Vec<SetRef>) -> Result<()> {
-        let n = self.graph.node(node)?;
-        if n.op.is_base() {
-            let li = self.layer_of[node.index()];
-            if li == usize::MAX {
-                return Err(CoreError::StageMismatch {
-                    detail: format!("base layer `{}` has no Stage-I sets", n.name),
-                });
-            }
-            self.push_intersecting(li, rect, found);
-            return Ok(());
+    /// The error for a walk that reached base node `node`, which has no
+    /// Stage-I sets.
+    fn unset(&self, node: NodeId) -> CoreError {
+        match self.graph.node(node) {
+            Ok(n) => CoreError::StageMismatch {
+                detail: format!("base layer `{}` has no Stage-I sets", n.name),
+            },
+            Err(e) => e.into(),
         }
-        if matches!(n.op, Op::Input { .. }) {
-            return Ok(());
-        }
-        let in_shapes = self.in_shapes(node);
-        for (idx, &inp) in n.inputs.iter().enumerate() {
-            if let Some(r) = input_region(&n.op, rect, in_shapes, idx, n.out_shape) {
-                self.back_propagate(inp, r, found)?;
-            }
+    }
+
+    /// Steps `rect` into the inputs of hop `h` whose spans it meets: the
+    /// first by binary search, stopping at the first span past `rect`.
+    fn hop(&self, h: usize, rect: Rect, found: &mut Vec<SetRef>) -> Walked {
+        let hop = &self.hops[h];
+        let (lo, hi) = if hop.rows {
+            (rect.y0, rect.y1)
+        } else {
+            (rect.x0, rect.x1)
+        };
+        let branches = &self.branches[hop.branches.clone()];
+        let first = branches.partition_point(|b| b.span.1 < lo);
+        for branch in branches[first..].iter().take_while(|b| b.span.0 <= hi) {
+            self.step(branch, rect, found)?;
         }
         Ok(())
     }
@@ -439,6 +508,120 @@ impl<'a> Walk<'a> {
                 found.push(SetRef { layer: li, set: si });
             }
         }
+    }
+}
+
+/// Builds a [`Program`], resolving each graph node at most once.
+struct Compiler<'a> {
+    program: Program<'a>,
+    /// Node index → index of its entry in `layers` (`usize::MAX` if none).
+    layer_of: Vec<usize>,
+    /// Node index → its fan in `program.dests`, once resolved.
+    fan_of: Vec<Option<Range<usize>>>,
+    /// The input shapes of the node whose branches are being built.
+    shapes: Vec<FeatureShape>,
+}
+
+impl Compiler<'_> {
+    /// Pushes the branches of `n`'s inputs onto `program.branches`, in input
+    /// order, leaving out inputs with an empty fan, and returns their range.
+    /// `n` must have been through [`load_inputs`](Self::load_inputs).
+    fn branches(&mut self, n: &Node) -> Result<Range<usize>> {
+        let start = self.program.branches.len();
+        for (idx, &inp) in n.inputs.iter().enumerate() {
+            let Some(step) = RegionStep::of(&n.op, &self.shapes, idx, n.out_shape) else {
+                continue;
+            };
+            let fan = self.fan(inp)?;
+            if fan.is_empty() {
+                continue;
+            }
+            let span = match (step, &n.op) {
+                (RegionStep::Crop(data), Op::Concat(Axis::H)) => (data.y0, data.y1),
+                (RegionStep::Crop(data), Op::Concat(Axis::W)) => (data.x0, data.x1),
+                _ => (0, usize::MAX),
+            };
+            self.program.branches.push(Branch { step, span, fan });
+        }
+        Ok(start..self.program.branches.len())
+    }
+
+    /// Resolves the fan of every input of `n`, then loads their shapes into
+    /// `shapes` (after the recursion, which reuses it), so the fans are
+    /// memo hits and the shapes are `n`'s while its branches are built.
+    fn load_inputs(&mut self, n: &Node) -> Result<()> {
+        for &inp in &n.inputs {
+            self.fan(inp)?;
+        }
+        self.shapes.clear();
+        for &inp in &n.inputs {
+            self.shapes.push(self.program.graph.node(inp)?.out_shape);
+        }
+        Ok(())
+    }
+
+    /// The fan of `node`'s output: where a rectangle of it goes before any
+    /// step changes it. A base layer is its own fan. A node whose every
+    /// input step is the identity (a graph input has none) joins its
+    /// inputs' fans. Any other node is a hop, or nothing if no input of it
+    /// leads anywhere.
+    fn fan(&mut self, node: NodeId) -> Result<Range<usize>> {
+        if let Some(fan) = &self.fan_of[node.index()] {
+            return Ok(fan.clone());
+        }
+        let graph = self.program.graph;
+        let n = graph.node(node)?;
+        let fan = if n.op.is_base() {
+            let li = self.layer_of[node.index()];
+            self.push_dest(if li == usize::MAX {
+                Dest::Unset(node)
+            } else {
+                Dest::Layer(li)
+            })
+        } else {
+            self.load_inputs(n)?;
+            let identity = (0..n.inputs.len()).all(|idx| {
+                RegionStep::of(&n.op, &self.shapes, idx, n.out_shape) == Some(RegionStep::Identity)
+            });
+            if identity {
+                self.join(&n.inputs)?
+            } else {
+                let branches = self.branches(n)?;
+                if branches.is_empty() {
+                    0..0
+                } else {
+                    let rows = matches!(n.op, Op::Concat(Axis::H));
+                    self.program.hops.push(Hop { branches, rows });
+                    self.push_dest(Dest::Hop(self.program.hops.len() - 1))
+                }
+            }
+        };
+        self.fan_of[node.index()] = Some(fan.clone());
+        Ok(fan)
+    }
+
+    /// The (resolved) fans of `inputs` concatenated in input order. A
+    /// single non-empty fan is shared, not copied.
+    fn join(&mut self, inputs: &[NodeId]) -> Result<Range<usize>> {
+        let mut joined = 0..0;
+        for &inp in inputs {
+            let fan = self.fan(inp)?;
+            if joined.is_empty() {
+                joined = fan;
+            } else if !fan.is_empty() {
+                let dests = &mut self.program.dests;
+                let start = dests.len();
+                dests.extend_from_within(joined);
+                dests.extend_from_within(fan);
+                joined = start..dests.len();
+            }
+        }
+        Ok(joined)
+    }
+
+    fn push_dest(&mut self, dest: Dest) -> Range<usize> {
+        self.program.dests.push(dest);
+        self.program.dests.len() - 1..self.program.dests.len()
     }
 }
 
@@ -808,6 +991,71 @@ mod tests {
             let fast = determine_dependencies(&g, &layers).unwrap();
             let naive = crate::reference::determine_dependencies_naive(&g, &layers).unwrap();
             assert_eq!(fast, naive, "{:?}", layers[0].sets);
+            assert!(fast.num_edges() > 0);
+        }
+    }
+
+    /// A walk that reaches a base layer without a Stage-I entry fails with
+    /// the reference's error; a missing layer no walk reaches is no error.
+    #[test]
+    fn missing_producer_sets_fail_only_when_reached() {
+        let g = fig5_graph();
+        let (layers, _) = stages(&g, &SetPolicy::finest());
+        let without_conv1 = &layers[1..];
+        let err = determine_dependencies(&g, without_conv1).unwrap_err();
+        assert!(matches!(err, CoreError::StageMismatch { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "stage input mismatch: base layer `conv1` has no Stage-I sets"
+        );
+        let naive = crate::reference::determine_dependencies_naive(&g, without_conv1);
+        assert_eq!(naive.unwrap_err().to_string(), err.to_string());
+        // conv2 is a consumer only: walking back from conv1 never meets it.
+        let deps = determine_dependencies(&g, &layers[..1]).unwrap();
+        assert_eq!(deps.num_edges(), 0);
+    }
+
+    /// A layer duplicated more times than its OFM has rows is cut into
+    /// column bands joined by a `Concat(W)`; the walk through it matches
+    /// the reference.
+    #[test]
+    fn column_cut_duplicates_match_the_reference() {
+        use cim_mapping::{apply_duplication, DuplicationPlan};
+
+        let mut g = Graph::new("wide");
+        let x = g
+            .add(
+                "input",
+                Op::Input {
+                    shape: FeatureShape::new(6, 16, 3),
+                },
+                &[],
+            )
+            .unwrap();
+        let c1 = g.add("c1", conv_op(4, 3, 1), &[x]).unwrap(); // 4×14
+        let a = g.add("act", Op::Activation(ActFn::Relu), &[c1]).unwrap();
+        let c2 = g.add("c2", conv_op(4, 3, 1), &[a]).unwrap(); // 2×12
+        g.add("c3", conv_op(4, 1, 1), &[c2]).unwrap(); // 2×12
+        let xbar = CrossbarSpec::wan_nature_2022();
+        let costs = layer_costs(&g, &xbar, &MappingOptions::default()).unwrap();
+        let plan = DuplicationPlan {
+            duplicates: vec![6, 5, 1],
+            pes_used: 0,
+            objective_cycles: 0.0,
+        };
+        let dup = apply_duplication(&g, &costs, &plan).unwrap();
+        let column_concats = dup
+            .iter()
+            .filter(|n| matches!(n.op, Op::Concat(cim_ir::Axis::W)))
+            .count();
+        assert_eq!(column_concats, 2);
+        let dup_costs = layer_costs(&dup, &xbar, &MappingOptions::default()).unwrap();
+        for policy in [SetPolicy::finest(), SetPolicy::coarse(1)] {
+            let layers = determine_sets(&dup, &dup_costs, &policy).unwrap();
+            assert_eq!(layers.len(), 12);
+            let fast = determine_dependencies(&dup, &layers).unwrap();
+            let naive = crate::reference::determine_dependencies_naive(&dup, &layers).unwrap();
+            assert_eq!(fast, naive, "{policy:?}");
             assert!(fast.num_edges() > 0);
         }
     }

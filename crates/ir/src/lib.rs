@@ -14,8 +14,9 @@
 //!   *non-base layers* (executed on per-tile GPEUs) ([`ops`]).
 //! * [`Graph`] — an append-only DAG with shape inference and validation
 //!   ([`graph`]).
-//! * [`Rect`], [`input_region`], [`output_region`] — the rectangle
-//!   propagation machinery behind CLSA-CIM's Stage II ([`region`]).
+//! * [`Rect`], [`RegionStep`], [`input_region`], [`output_region`] — the
+//!   rectangle propagation machinery behind CLSA-CIM's Stage II
+//!   ([`region`]).
 //! * [`Tensor`] and [`Executor`] — a dense `f32` tensor plus a reference CPU
 //!   executor used to prove that graph rewrites (batch-norm folding, weight
 //!   duplication) preserve numerics ([`tensor`], [`exec`]).
@@ -65,6 +66,6 @@ pub use graph::{BnParams, Graph, Node, NodeId, Params};
 pub use ops::{
     ActFn, Axis, BatchNormAttrs, Conv2dAttrs, DenseAttrs, Op, PoolAttrs, QuantAttrs, SliceAttrs,
 };
-pub use region::{input_region, output_region, Rect};
+pub use region::{input_region, output_region, Rect, RegionStep};
 pub use shape::{window_out_extent, FeatureShape, PadSpec, Padding};
 pub use tensor::Tensor;

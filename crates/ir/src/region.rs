@@ -10,7 +10,9 @@
 //! Two directions are provided for every op:
 //!
 //! * [`input_region`] — *backward*: the input region required to compute a
-//!   given output region (receptive-field arithmetic). This is exact.
+//!   given output region (receptive-field arithmetic). This is exact. It
+//!   applies one [`RegionStep`], the per-(op, input) form of the same
+//!   arithmetic that Stage II resolves once per graph edge.
 //! * [`output_region`] — *forward*: the output region that a given input
 //!   region can influence. Used for soundness checks and buffer-lifetime
 //!   analysis.
@@ -21,7 +23,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ops::{Axis, Op};
-use crate::shape::FeatureShape;
+use crate::shape::{FeatureShape, PadSpec};
 
 /// An inclusive spatial rectangle `[y0..=y1] × [x0..=x1]` in H/W
 /// coordinates of a feature map (channels always span the full depth — the
@@ -88,7 +90,7 @@ impl Rect {
 
     /// Returns `true` if the rectangles share at least one position.
     pub fn intersects(&self, other: &Rect) -> bool {
-        self.intersect(other).is_some()
+        self.y0 <= other.y1 && other.y0 <= self.y1 && self.x0 <= other.x1 && other.x0 <= self.x1
     }
 
     /// Returns `true` if `other` lies fully inside `self`.
@@ -160,8 +162,156 @@ fn window_fwd(
     Some((lo, hi.min(out_extent - 1)))
 }
 
+/// How one input of one operation maps a region of the operation's output
+/// back to the region of that input it needs, with every shape-dependent
+/// quantity (resolved padding, concat offsets, input extents) worked out.
+///
+/// [`input_region`] builds one per call. Stage II builds one per graph edge
+/// and applies it to every set, so both run the same arithmetic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegionStep {
+    /// The region passes through unchanged: element-wise ops (bias, batch
+    /// norm, activation, softmax, quantize, add) and channel concat.
+    Identity,
+    /// A sliding window (convolution, pooling): output rows `[o0, o1]` need
+    /// input rows `[o0·s − p, o1·s − p + k − 1]`, clamped to the input, and
+    /// likewise for columns.
+    Window {
+        /// Window size `(kh, kw)`.
+        kernel: (usize, usize),
+        /// Window step `(sh, sw)`.
+        stride: (usize, usize),
+        /// Leading padding `(top, left)`, resolved for the input shape.
+        pad: (usize, usize),
+        /// Input extent `(h, w)`.
+        extent: (usize, usize),
+    },
+    /// The input fills this rectangle of the output (zero padding, row or
+    /// column concat): the region is clipped to it and moved to its origin.
+    Crop(Rect),
+    /// Nearest-neighbour upsampling by `(fh, fw)`: coordinates are divided.
+    Upsample((usize, usize)),
+    /// A slice starting at `(dy, dx)` of its input: coordinates are shifted
+    /// by that offset.
+    Shift((usize, usize)),
+    /// Every output position needs this whole input (dense, flatten, global
+    /// average pooling).
+    Full(Rect),
+}
+
+impl RegionStep {
+    /// The step of input `input_idx` of `op`, or `None` for a graph input,
+    /// which has no input to step into.
+    ///
+    /// `in_shapes` are the producer shapes and `out_shape` the node's output
+    /// shape (used to resolve `same` padding and concat offsets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_idx` is out of range for the operation.
+    pub fn of(
+        op: &Op,
+        in_shapes: &[FeatureShape],
+        input_idx: usize,
+        out_shape: FeatureShape,
+    ) -> Option<Self> {
+        let ishape = in_shapes[input_idx];
+        let window = |kernel: (usize, usize), stride, pad: PadSpec| RegionStep::Window {
+            kernel,
+            stride,
+            pad: (pad.top, pad.left),
+            extent: (ishape.h, ishape.w),
+        };
+        Some(match op {
+            Op::Input { .. } => return None,
+            Op::Bias
+            | Op::BatchNorm(_)
+            | Op::Activation(_)
+            | Op::Softmax
+            | Op::Quantize(_)
+            | Op::Add
+            | Op::Concat(Axis::C) => RegionStep::Identity,
+            Op::Conv2d(a) => {
+                let pad = a
+                    .padding
+                    .resolve((ishape.h, ishape.w), a.kernel, a.stride)
+                    .expect("validated conv attrs"); // cim-lint: allow(panic-unwrap) attrs validated at graph construction
+                window(a.kernel, a.stride, pad)
+            }
+            Op::MaxPool2d(a) | Op::AvgPool2d(a) => {
+                let pad = a
+                    .padding
+                    .resolve((ishape.h, ishape.w), a.window, a.stride)
+                    .expect("validated pool attrs"); // cim-lint: allow(panic-unwrap) attrs validated at graph construction
+                window(a.window, a.stride, pad)
+            }
+            // Input occupies rows [p.top, p.top + ih) of the output.
+            Op::ZeroPad2d(p) => RegionStep::Crop(Rect::new(
+                p.top,
+                p.left,
+                p.top + ishape.h - 1,
+                p.left + ishape.w - 1,
+            )),
+            // Branch `input_idx` owns a contiguous span along the axis.
+            Op::Concat(Axis::H) => {
+                let off: usize = in_shapes[..input_idx].iter().map(|s| s.h).sum();
+                RegionStep::Crop(Rect::new(off, 0, off + ishape.h - 1, out_shape.w - 1))
+            }
+            Op::Concat(Axis::W) => {
+                let off: usize = in_shapes[..input_idx].iter().map(|s| s.w).sum();
+                RegionStep::Crop(Rect::new(0, off, out_shape.h - 1, off + ishape.w - 1))
+            }
+            Op::Upsample2d { factor } => RegionStep::Upsample(*factor),
+            Op::Slice(a) => RegionStep::Shift((a.offset.0, a.offset.1)),
+            Op::Dense(_) | Op::Flatten | Op::GlobalAvgPool => RegionStep::Full(Rect::full(ishape)),
+        })
+    }
+
+    /// The region of the input needed to compute `out`, or `None` when the
+    /// input does not contribute to it (a disjoint concat branch, or a
+    /// region entirely inside zero padding).
+    #[inline]
+    pub fn apply(self, out: Rect) -> Option<Rect> {
+        match self {
+            RegionStep::Identity => Some(out),
+            RegionStep::Window {
+                kernel,
+                stride,
+                pad,
+                extent,
+            } => {
+                let (y0, y1) = window_back(out.y0, out.y1, kernel.0, stride.0, pad.0, extent.0)?;
+                let (x0, x1) = window_back(out.x0, out.x1, kernel.1, stride.1, pad.1, extent.1)?;
+                Some(Rect::new(y0, x0, y1, x1))
+            }
+            RegionStep::Crop(data) => {
+                let hit = out.intersect(&data)?;
+                Some(Rect::new(
+                    hit.y0 - data.y0,
+                    hit.x0 - data.x0,
+                    hit.y1 - data.y0,
+                    hit.x1 - data.x0,
+                ))
+            }
+            RegionStep::Upsample((fh, fw)) => Some(Rect::new(
+                out.y0 / fh,
+                out.x0 / fw,
+                out.y1 / fh,
+                out.x1 / fw,
+            )),
+            RegionStep::Shift((dy, dx)) => Some(Rect::new(
+                out.y0 + dy,
+                out.x0 + dx,
+                out.y1 + dy,
+                out.x1 + dx,
+            )),
+            RegionStep::Full(all) => Some(all),
+        }
+    }
+}
+
 /// Computes the input region of input `input_idx` required to produce
-/// `out` for operation `op`.
+/// `out` for operation `op`: the [`RegionStep`] of that input, applied.
 ///
 /// `in_shapes` are the producer shapes and `out_shape` the node's output
 /// shape (used to resolve `same` padding and concat offsets).
@@ -185,82 +335,7 @@ pub fn input_region(
         out.y1 < out_shape.h && out.x1 < out_shape.w,
         "rect {out} outside {out_shape}"
     );
-    let ishape = in_shapes[input_idx];
-    match op {
-        Op::Input { .. } => None,
-        Op::Bias
-        | Op::BatchNorm(_)
-        | Op::Activation(_)
-        | Op::Softmax
-        | Op::Quantize(_)
-        | Op::Add => Some(out),
-        Op::Conv2d(a) => {
-            let pad = a
-                .padding
-                .resolve((ishape.h, ishape.w), a.kernel, a.stride)
-                .expect("validated conv attrs"); // cim-lint: allow(panic-unwrap) attrs validated at graph construction
-            let (y0, y1) = window_back(out.y0, out.y1, a.kernel.0, a.stride.0, pad.top, ishape.h)?;
-            let (x0, x1) = window_back(out.x0, out.x1, a.kernel.1, a.stride.1, pad.left, ishape.w)?;
-            Some(Rect::new(y0, x0, y1, x1))
-        }
-        Op::MaxPool2d(a) | Op::AvgPool2d(a) => {
-            let pad = a
-                .padding
-                .resolve((ishape.h, ishape.w), a.window, a.stride)
-                .expect("validated pool attrs"); // cim-lint: allow(panic-unwrap) attrs validated at graph construction
-            let (y0, y1) = window_back(out.y0, out.y1, a.window.0, a.stride.0, pad.top, ishape.h)?;
-            let (x0, x1) = window_back(out.x0, out.x1, a.window.1, a.stride.1, pad.left, ishape.w)?;
-            Some(Rect::new(y0, x0, y1, x1))
-        }
-        Op::ZeroPad2d(p) => {
-            // Input occupies rows [p.top, p.top + ih) of the output.
-            let data = Rect::new(p.top, p.left, p.top + ishape.h - 1, p.left + ishape.w - 1);
-            let hit = out.intersect(&data)?;
-            Some(Rect::new(
-                hit.y0 - p.top,
-                hit.x0 - p.left,
-                hit.y1 - p.top,
-                hit.x1 - p.left,
-            ))
-        }
-        Op::Concat(axis) => {
-            // Branch `input_idx` owns a contiguous span along `axis`.
-            let mut off = 0usize;
-            for s in &in_shapes[..input_idx] {
-                off += match axis {
-                    Axis::H => s.h,
-                    Axis::W => s.w,
-                    Axis::C => s.c,
-                };
-            }
-            match axis {
-                Axis::C => Some(out), // channels always fully consumed
-                Axis::H => {
-                    let span = Rect::new(off, 0, off + ishape.h - 1, out_shape.w - 1);
-                    let hit = out.intersect(&span)?;
-                    Some(Rect::new(hit.y0 - off, hit.x0, hit.y1 - off, hit.x1))
-                }
-                Axis::W => {
-                    let span = Rect::new(0, off, out_shape.h - 1, off + ishape.w - 1);
-                    let hit = out.intersect(&span)?;
-                    Some(Rect::new(hit.y0, hit.x0 - off, hit.y1, hit.x1 - off))
-                }
-            }
-        }
-        Op::Upsample2d { factor } => Some(Rect::new(
-            out.y0 / factor.0,
-            out.x0 / factor.1,
-            out.y1 / factor.0,
-            out.x1 / factor.1,
-        )),
-        Op::Slice(a) => Some(Rect::new(
-            out.y0 + a.offset.0,
-            out.x0 + a.offset.1,
-            out.y1 + a.offset.0,
-            out.x1 + a.offset.1,
-        )),
-        Op::Dense(_) | Op::Flatten | Op::GlobalAvgPool => Some(Rect::full(ishape)),
-    }
+    RegionStep::of(op, in_shapes, input_idx, out_shape)?.apply(out)
 }
 
 /// Computes the output region that input region `inp` of input `input_idx`

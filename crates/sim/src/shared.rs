@@ -486,7 +486,12 @@ pub fn run_shared(
                 ),
             });
         }
-        if !w.costed.matches(w.deps) {
+        // Streams of one model share one table: a pair already checked for
+        // an earlier tenant is not walked again.
+        let checked = workloads[..k]
+            .iter()
+            .any(|e| std::ptr::eq(e.costed, w.costed) && std::ptr::eq(e.deps, w.deps));
+        if !checked && !w.costed.matches(w.deps) {
             return Err(SimError::BadWorkload {
                 detail: format!("tenant {k}: cost table was built from different dependencies"),
             });
@@ -839,6 +844,40 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, SimError::BadWorkload { .. }));
+    }
+
+    /// Tenants sharing one table are checked once; a later tenant whose
+    /// table was built from other dependencies is still refused by index.
+    #[test]
+    fn a_mismatched_table_after_shared_ones_names_its_tenant() {
+        let (layers, deps) = chain_workload();
+        let costed = free_costed(&layers, &deps);
+        let other_deps = Dependencies::from_edges(
+            &[2, 2],
+            &[(SetRef { layer: 1, set: 1 }, SetRef { layer: 0, set: 0 })],
+        )
+        .unwrap();
+        let other = free_costed(&layers, &other_deps);
+        let tenant = |costed| TenantWorkload {
+            layers: &layers,
+            deps: &deps,
+            costed,
+            arrival: 0,
+            home_tiles: None,
+        };
+        let workloads = [
+            tenant(&costed),
+            tenant(&costed),
+            tenant(&costed),
+            tenant(&other),
+        ];
+        let err = run_shared(&workloads, &FabricContention::uncontended()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::BadWorkload { detail }
+                if detail == "tenant 3: cost table was built from different dependencies"),
+            "{err}"
+        );
+        assert!(run_shared(&workloads[..3], &FabricContention::uncontended()).is_ok());
     }
 
     #[test]

@@ -143,27 +143,35 @@ proptest! {
 }
 
 /// Stage II through [`prepare`]'s mapping and Stage I: the mapped graph is
-/// `graph` once-each, or (`wdup`) with Greedy weight duplication at
-/// `PE_min + 64`. Asserts the scratch-buffer CSR analysis equals the
-/// reference (`HashSet`-per-set) relation, by value and by serde bytes.
-fn assert_stage2_matches_reference(name: &str, graph: &Graph, policy: SetPolicy, wdup: bool) {
+/// `graph` once-each, or, with `wdup_extra = Some(x)`, with Greedy weight
+/// duplication at `PE_min + x`. Asserts the compiled-walk CSR analysis
+/// equals the reference (`HashSet`-per-set) relation, by value and by
+/// serde bytes.
+fn assert_stage2_matches_reference(
+    name: &str,
+    graph: &Graph,
+    policy: SetPolicy,
+    wdup_extra: Option<usize>,
+) {
     let costs = layer_costs(
         graph,
         &CrossbarSpec::wan_nature_2022(),
         &MappingOptions::default(),
     )
     .expect("model has base layers");
-    let arch = Architecture::paper_case_study(min_pes(&costs) + 64).expect("arch");
+    let arch =
+        Architecture::paper_case_study(min_pes(&costs) + wdup_extra.unwrap_or(0)).expect("arch");
     let mut cfg = RunConfig::baseline(arch);
     cfg.set_policy = policy;
-    if wdup {
+    if wdup_extra.is_some() {
         cfg = cfg.with_duplication(Solver::Greedy);
     }
     let p = prepare(graph, &cfg).expect("prepare");
     let fast = determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II");
     let naive = reference::determine_dependencies_naive(&p.mapped_graph, &p.layers)
         .expect("reference stage II");
-    let label = format!("{name} (wdup {wdup}) under {policy:?}");
+    let mapping = wdup_extra.map_or("once-each".to_string(), |x| format!("wdup at PE_min + {x}"));
+    let label = format!("{name} ({mapping}) under {policy:?}");
     assert_eq!(fast, naive, "{label}");
     assert_eq!(
         serde_json::to_string(&fast).unwrap(),
@@ -172,9 +180,10 @@ fn assert_stage2_matches_reference(name: &str, graph: &Graph, policy: SetPolicy,
     );
 }
 
-/// Stage II on real models, across Stage-I policies and duplication:
-/// concat and upsample routes (TinyYOLOv4), residual adds (ResNet50) and a
-/// plain chain (VGG16).
+/// Stage II on real models, across Stage-I policies and two duplication
+/// budgets: concat and upsample routes (TinyYOLOv3/v4, whose duplication
+/// concat trees most rectangles miss), residual adds (ResNet50, and
+/// ResNet152's longest chains), and a plain chain (VGG16).
 #[test]
 fn stage2_matches_reference_on_models_and_policies() {
     let canonical = |g: Graph| {
@@ -186,7 +195,9 @@ fn stage2_matches_reference_on_models_and_policies() {
         ("fig5", clsa_cim::models::fig5_example()),
         ("toy_cnn", clsa_cim::models::toy_cnn(None)),
         ("TinyYOLOv4", canonical(clsa_cim::models::tiny_yolo_v4())),
+        ("TinyYOLOv3", canonical(clsa_cim::models::tiny_yolo_v3())),
         ("ResNet50", canonical(clsa_cim::models::resnet50())),
+        ("ResNet152", canonical(clsa_cim::models::resnet152())),
         ("VGG16", canonical(clsa_cim::models::vgg16())),
     ];
     for (name, g) in &models {
@@ -194,8 +205,9 @@ fn stage2_matches_reference_on_models_and_policies() {
             let policy = SetPolicy {
                 max_sets_per_layer: max_sets,
             };
-            for wdup in [false, true] {
-                assert_stage2_matches_reference(name, g, policy, wdup);
+            // Once-each, then PE_min + 64 and serve's largest cold budget.
+            for wdup_extra in [None, Some(64), Some(173)] {
+                assert_stage2_matches_reference(name, g, policy, wdup_extra);
             }
         }
     }
@@ -218,7 +230,8 @@ proptest! {
             .into_graph();
         // 0 stands for the finest policy.
         let policy = SetPolicy { max_sets_per_layer: (max_sets > 0).then_some(max_sets) };
-        assert_stage2_matches_reference(&format!("random_cnn({seed}, {n})"), &g, policy, wdup);
+        let label = format!("random_cnn({seed}, {n})");
+        assert_stage2_matches_reference(&label, &g, policy, wdup.then_some(64));
     }
 }
 

@@ -229,6 +229,42 @@ fn fig5_scaling_matches_golden() {
     common::check_golden("fabric_scaling.json", &json);
 }
 
+/// `Partitioned` separates tenants only when the chip has room for it:
+/// fig5 × 2 (stagger 5, seed 9) on `arch_for_mix(.., 14)`, 16 PEs in two
+/// 8-PE tiles, puts the second stream on its own tile, so neither stream
+/// slows down, while under `Shared` both sit on tile 0. On the default
+/// chip (`arch_for_mix(.., 0)`, 2 PEs) the two policies give the same
+/// result.
+#[test]
+fn partitioned_separates_fig5_streams_given_headroom() {
+    let instances = fig5().streams_of(&TenantSpec {
+        model: "fig5".into(),
+        streams: 2,
+    });
+    let run = |extra_pes, policy| {
+        let config = FabricConfig {
+            policy,
+            stagger: 5,
+            seed: 9,
+            ..FabricConfig::new(arch_for_mix(&instances, extra_pes).expect("arch fits"))
+        };
+        run_mix(&instances, &config).expect("mix runs")
+    };
+    let partitioned = run(14, CoResidency::Partitioned);
+    let shared = run(14, CoResidency::Shared);
+    assert_eq!(partitioned.worst_slowdown_milli, 1000);
+    assert!(
+        shared.worst_slowdown_milli > 1000,
+        "{}",
+        shared.worst_slowdown_milli
+    );
+    let json = |r: &FabricResult| serde_json::to_string(r).expect("serializes");
+    assert_eq!(
+        json(&run(0, CoResidency::Partitioned)),
+        json(&run(0, CoResidency::Shared))
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
