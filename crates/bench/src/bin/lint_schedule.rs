@@ -17,8 +17,9 @@
 //!
 //! The model may come anywhere on the command line. Exit status: 0 when
 //! no `error`-severity finding exists, 1 otherwise, 2 on usage errors
-//! (including an unknown model, an `--x` that overflows the PE count, and
-//! a configuration the pipeline rejects, e.g. `--sets 0`).
+//! (including an unknown model, an `--x` that overflows the PE count, a
+//! configuration the pipeline rejects, e.g. `--sets 0`, and a `--json`
+//! path that cannot be written).
 
 use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag, JSON};
@@ -94,10 +95,7 @@ fn main() {
         diags.len()
     );
 
-    if let Some(path) = &args.json {
-        let out = serde_json::to_string_pretty(&diags).expect("diagnostics serialize");
-        std::fs::write(path, out).expect("JSON export path is writable");
-    }
+    args.write_json(&diags);
 
     if errors > 0 {
         std::process::exit(1);

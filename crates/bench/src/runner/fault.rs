@@ -4,7 +4,7 @@
 //! [`FaultHook`] trait) into the layers that touch the outside world:
 //!
 //! * **store I/O** — injected read errors, failed writes, torn writes
-//!   (truncated row lands on disk), and failed renames
+//!   (truncated row lands on disk), and failed appends
 //!   ([`FaultSite::StoreRead`] .. [`FaultSite::StoreRename`]);
 //! * **lane-pool job execution** — injected panics exercising the
 //!   quarantine path, and injected per-job delays used to widen the
@@ -34,18 +34,21 @@ use std::time::Duration;
 /// each site instruments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultSite {
-    /// `ResultStore::get` pretends the row file is unreadable (plain
+    /// `ResultStore::get` pretends the row log is unreadable (plain
     /// cache miss; the row is left on disk).
     StoreRead,
     /// `ResultStore::put` fails before anything reaches disk (counted
     /// as a write error, as a full disk or EACCES would be).
     StoreWrite,
-    /// `ResultStore::put` writes a truncated row that *lands* via a
-    /// successful rename — silent corruption that only a later read
-    /// detects (and heals by eviction + recompute).
+    /// `ResultStore::put` appends a truncated row that *lands* as a
+    /// whole line — silent corruption that only a later read detects
+    /// (and heals by eviction + recompute).
     StoreTornWrite,
-    /// The temp-file rename inside the store's atomic write fails; the
-    /// temp file is cleaned up and the write is counted as an error.
+    /// The append of a row to the store's log fails after the log
+    /// opened: nothing lands, and the write is counted as an error. (The
+    /// name is from the store's older temp-file-and-rename writes; it
+    /// keeps its place in [`FAULT_SITES`], whose order keys every
+    /// site's fault schedule.)
     StoreRename,
     /// A sweep job panics mid-execution (caught, retried, and
     /// quarantined by the batch runner).

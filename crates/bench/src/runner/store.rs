@@ -16,25 +16,36 @@
 //!
 //! ```text
 //! <cache-dir>/
-//!   <model:016x>-<arch:016x>-<strategy:016x>.json # one StoreEntry row each
+//!   rows.jsonl   # one StoreEntry row per line, in append order
 //! ```
 //!
-//! Every row is a single serde_json document carrying
-//! [`STORE_FORMAT_VERSION`]. Writes go through a temp file in the same
-//! directory followed by an atomic rename, so concurrent readers (and a
-//! second process sharing the directory) never observe a half-written
-//! row — at worst they observe the previous row or none.
+//! Every row is a single-line serde_json document carrying
+//! [`STORE_FORMAT_VERSION`] and the key it answers. A handle opens the log
+//! once for append (`O_APPEND`) and writes each row with its newline in
+//! one `write`, so on a local file system rows from concurrent writers —
+//! threads of one handle, or processes sharing the directory — land
+//! whole and never interleave. Nothing is fsynced: a crash can lose the
+//! last rows, and a torn one is never trusted.
+//!
+//! A handle answers lookups from an in-memory map of the rows it has
+//! read. A lookup the map misses first reads the complete lines appended
+//! since the handle's last read, so rows other processes write are found;
+//! a hit opens no file. A line still without its newline waits for a
+//! later read.
+//!
+//! Files other than the log — the one-file-per-row layout, temp files and
+//! `index.json` of older stores — are neither read nor deleted, so a
+//! cache dir written by an older version recomputes once.
 //!
 //! # Corruption policy
 //!
-//! Entries are **recomputed, never trusted**: a row that fails to parse,
-//! carries a different format version, or names a different key than its
-//! file is *evicted* (deleted best-effort, counted in
-//! [`StoreStats::evictions`]) and the lookup reports a miss. The rows on
-//! disk are the only state: lookups probe the entry file derived from
-//! the key, so rows other processes write are found. There is no
-//! manifest; an `index.json` left by an older version of the store is
-//! never read.
+//! Entries are **recomputed, never trusted**: a line that fails to parse
+//! or carries a different format version is *evicted* — skipped when
+//! read and counted in [`StoreStats::evictions`], never deleted — and its
+//! key misses until a good row for it is appended. A handle that finds
+//! the log ending mid-line (a writer killed mid-append) starts its first
+//! append with a newline, so the torn tail becomes one skipped line
+//! instead of swallowing the next row.
 //!
 //! # Chaos instrumentation
 //!
@@ -42,17 +53,19 @@
 //! injectable deterministically — see
 //! [`set_fault_hook`](ResultStore::set_fault_hook) and
 //! [`fault`](super::fault): read errors (plain miss), failed writes
-//! (counted, swallowed), torn-but-landed writes (evicted on first
-//! contact), and failed renames (temp cleaned up, counted).
+//! (counted, swallowed), torn-but-landed writes (evicted when read), and
+//! failed appends (counted; [`FaultSite::StoreRename`] keeps the name of
+//! the rename the per-row layout used to fail).
 
-use std::fs;
-use std::io;
+use std::collections::BTreeMap;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, SystemTime};
 
 use clsa_core::RunResult;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use super::fault::{FaultHook, FaultSite};
@@ -70,6 +83,9 @@ use super::fingerprint::CacheKey;
 /// History: 2 — [`RunSummary`] gained `noc_bytes` (the autotuner's
 /// traffic objective); version-1 rows lack the field and are evicted.
 pub const STORE_FORMAT_VERSION: u32 = 2;
+
+/// The row log's file name inside a cache dir.
+const LOG_FILE: &str = "rows.jsonl";
 
 /// The serializable reduction of a [`RunResult`] the store's consumers
 /// need — the fields `Sweep::run` aggregates into sweep rows plus the
@@ -106,8 +122,8 @@ impl RunSummary {
     }
 }
 
-/// One persisted row: the format version, the full key (so a misfiled or
-/// colliding row is detected), and the payload.
+/// One persisted row: the format version, the full key it answers, and
+/// the payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct StoreEntry {
     version: u32,
@@ -124,7 +140,7 @@ pub struct StoreStats {
     pub lookups: u64,
     /// Lookups served from disk.
     pub hits: u64,
-    /// Corrupt / version-mismatched rows deleted on contact.
+    /// Corrupt / version-mismatched rows skipped when read.
     pub evictions: u64,
     /// Rows successfully persisted.
     pub writes: u64,
@@ -147,12 +163,115 @@ impl std::fmt::Display for StoreStats {
     }
 }
 
+/// Opens the log for append, creating it if missing.
+fn open_for_append(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
+}
+
+/// One handle's view of the log: the rows it has read, and the files it
+/// reads and appends through.
+#[derive(Debug, Default)]
+struct Log {
+    /// Every trusted row read so far; a later row for a key replaces an
+    /// earlier one (both carry the same deterministic summary).
+    rows: BTreeMap<CacheKey, RunSummary>,
+    /// Read handle, opened by the first read that finds the log.
+    reader: Option<File>,
+    /// Log bytes read so far: always the end of a complete line.
+    read_to: u64,
+    /// Append handle, opened by the first `put` that reaches the log.
+    appender: Option<File>,
+    /// The log may end mid-line — it did when the appender opened it, or
+    /// a write failed part-way — so the next append starts with a newline.
+    torn_tail: bool,
+}
+
+impl Log {
+    /// Reads the complete lines appended since the last read into `rows`
+    /// and returns how many of them were evicted.
+    fn catch_up(&mut self, path: &Path) -> io::Result<u64> {
+        let file = match &mut self.reader {
+            Some(file) => file,
+            None => self.reader.insert(File::open(path)?),
+        };
+        let mut appended = Vec::new();
+        file.seek(SeekFrom::Start(self.read_to))?;
+        file.read_to_end(&mut appended)?;
+        let Some(end) = appended.iter().rposition(|&b| b == b'\n') else {
+            return Ok(0);
+        };
+        self.read_to += end as u64 + 1;
+        let mut evicted = 0;
+        for line in appended[..end]
+            .split(|&b| b == b'\n')
+            .filter(|l| !l.is_empty())
+        {
+            let row = std::str::from_utf8(line)
+                .ok()
+                .and_then(|line| serde_json::from_str::<StoreEntry>(line).ok())
+                .filter(|row| row.version == STORE_FORMAT_VERSION);
+            match row {
+                Some(row) => {
+                    let key = CacheKey {
+                        model: row.model,
+                        arch: row.arch,
+                        strategy: row.strategy,
+                    };
+                    self.rows.insert(key, row.summary);
+                }
+                None => evicted += 1,
+            }
+        }
+        Ok(evicted)
+    }
+
+    /// Appends `line` (newline included) in one write, opening the log on
+    /// first use; `injected` is asked, once the log is open, whether a
+    /// chaos fault fails the append instead.
+    fn append(
+        &mut self,
+        path: &Path,
+        line: &str,
+        injected: impl FnOnce() -> bool,
+    ) -> io::Result<()> {
+        let file = match &mut self.appender {
+            Some(file) => file,
+            None => {
+                let mut file = open_for_append(path)?;
+                let mut last = [b'\n'];
+                if file.metadata()?.len() > 0 {
+                    file.seek(SeekFrom::End(-1))?;
+                    file.read_exact(&mut last)?;
+                }
+                self.torn_tail = last[0] != b'\n';
+                self.appender.insert(file)
+            }
+        };
+        if injected() {
+            return Err(io::Error::other("injected fault: store append failure"));
+        }
+        let written = if self.torn_tail {
+            file.write_all(format!("\n{line}").as_bytes())
+        } else {
+            file.write_all(line.as_bytes())
+        };
+        self.torn_tail = written.is_err();
+        written
+    }
+}
+
 /// A handle on one `--cache-dir`. Cheap to share by reference across the
-/// worker pool (all state is atomics).
+/// worker pool: the counters are atomics, and the log state sits behind
+/// one lock.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
-    tmp_counter: AtomicU64,
+    path: PathBuf,
+    log: Mutex<Log>,
     lookups: AtomicU64,
     hits: AtomicU64,
     evictions: AtomicU64,
@@ -173,84 +292,21 @@ fn fault_key(key: &CacheKey) -> u64 {
 /// Fault-decision key used by the writability probe.
 const PROBE_FAULT_KEY: u64 = u64::MAX - 1;
 
-/// Whether a `.tmp-<pid>-<nonce>-<file>` temp file belongs to no living
-/// writer and can be swept on open.
-///
-/// Temps older than this are orphans no matter what `/proc` says: no
-/// in-flight atomic write lives this long, and pid liveness alone cannot
-/// tell the original writer from an unrelated process that recycled its
-/// pid after it died.
-const ORPHAN_TEMP_MAX_AGE: Duration = Duration::from_secs(60 * 60);
-
-/// Decision table, conservative toward *keeping* (a kept orphan costs a
-/// few stale bytes; a swept live temp costs a concurrent writer its
-/// rename):
-///
-/// * unparseable name → orphan (not written by this code; sweep);
-/// * our own pid → orphan (a previous process with the recycled pid —
-///   *this* process has written nothing yet at open time);
-/// * mtime older than [`ORPHAN_TEMP_MAX_AGE`] → orphan (even a pid that
-///   looks alive in `/proc` may be a recycled pid, under which the dead
-///   writer's temp would otherwise be immortal);
-/// * on Linux, `/proc/<pid>` absent → orphan (the writer is gone);
-/// * otherwise → live (keep).
-fn temp_is_orphaned(name: &str, path: &Path) -> bool {
-    let Some(pid) = name
-        .strip_prefix(".tmp-")
-        .and_then(|rest| rest.split('-').next())
-        .and_then(|pid| pid.parse::<u32>().ok())
-    else {
-        return true;
-    };
-    if pid == std::process::id() {
-        return true;
-    }
-    if temp_age(path).is_some_and(|age| age > ORPHAN_TEMP_MAX_AGE) {
-        return true;
-    }
-    let proc_root = Path::new("/proc");
-    if proc_root.is_dir() {
-        return !proc_root.join(pid.to_string()).exists();
-    }
-    // No /proc (non-Linux): liveness is unknowable; keep the temp.
-    false
-}
-
-/// Age of a temp file by its mtime; `None` when the metadata is
-/// unreadable or the mtime sits in the future (then pid liveness alone
-/// decides — still conservative toward keeping).
-fn temp_age(path: &Path) -> Option<Duration> {
-    let modified = fs::metadata(path).ok()?.modified().ok()?;
-    SystemTime::now().duration_since(modified).ok() // cim-lint: allow(wall-clock) orphan aging compares on-disk mtimes; no schedule-visible time
-}
-
 impl ResultStore {
-    /// Opens (creating if needed) the store rooted at `dir`. Rows are
-    /// validated lazily on [`get`](Self::get).
-    ///
-    /// The directory scan sweeps temp files orphaned by a killed writer,
-    /// so a long-lived cache dir cannot accumulate them — but only
-    /// *orphaned* ones: a daemon and a straggler batch binary
-    /// legitimately share one cache dir, and sweeping a live writer's
-    /// in-flight temp would fail its rename and drop the row.
+    /// Opens (creating if needed) the store rooted at `dir`. The log is
+    /// read by the first [`get`](Self::get) that misses and opened for
+    /// append by the first [`put`](Self::put).
     ///
     /// # Errors
     ///
-    /// Returns I/O errors from directory creation or the scan.
+    /// Returns the I/O error of creating the directory.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        for dirent in fs::read_dir(&dir)? {
-            let path = dirent?.path();
-            let name = path.file_name().unwrap_or_default().to_string_lossy();
-            if name.starts_with(".tmp-") && temp_is_orphaned(&name, &path) {
-                let _ = fs::remove_file(&path);
-            }
-        }
-
         Ok(ResultStore {
+            path: dir.join(LOG_FILE),
             dir,
-            tmp_counter: AtomicU64::new(0),
+            log: Mutex::default(),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -268,23 +324,19 @@ impl ResultStore {
         self.faults = Some(hook);
     }
 
-    /// Whether the store directory currently accepts writes, checked by
-    /// round-tripping a dot-prefixed probe file through the same atomic
-    /// write path rows use (so injected write/rename faults are seen
-    /// too). `cim-serve` polls this to surface degraded (cache-only)
-    /// mode; the probe file is invisible to the row scan.
+    /// Whether the store currently accepts writes: the log opens for
+    /// append (created if missing), and no injected write or append
+    /// fault fires for the probe. `cim-serve` polls this to surface
+    /// degraded (cache-only) mode.
     pub fn probe_writable(&self) -> bool {
-        if let Some(h) = &self.faults {
-            if h.decide(FaultSite::StoreWrite, PROBE_FAULT_KEY, 0) {
-                return false;
-            }
-        }
-        let path = self.dir.join(".probe.json");
-        let ok = self.write_atomic(&path, "{}", PROBE_FAULT_KEY).is_ok();
-        if ok {
-            let _ = fs::remove_file(&path);
-        }
-        ok
+        !self.injected(FaultSite::StoreWrite, PROBE_FAULT_KEY)
+            && open_for_append(&self.path).is_ok()
+            && !self.injected(FaultSite::StoreRename, PROBE_FAULT_KEY)
+    }
+
+    /// Whether the chaos plan, if any, fires `site` for fault key `fk`.
+    fn injected(&self, site: FaultSite, fk: u64) -> bool {
+        self.faults.as_ref().is_some_and(|h| h.decide(site, fk, 0))
     }
 
     /// The store's root directory.
@@ -292,55 +344,37 @@ impl ResultStore {
         &self.dir
     }
 
-    /// A key's row file: three fixed-width hex fingerprints.
-    fn entry_path(&self, key: &CacheKey) -> PathBuf {
-        self.dir.join(format!(
-            "{:016x}-{:016x}-{:016x}.json",
-            key.model, key.arch, key.strategy
-        ))
-    }
-
     /// Looks up `key`, returning its persisted summary if a trustworthy
     /// row exists.
     ///
-    /// The entry file is probed directly, so rows written by a concurrent
-    /// process are found. A row that cannot be parsed, has a different
-    /// [`STORE_FORMAT_VERSION`], or carries a different key than its file
-    /// name is deleted (best-effort), counted as an eviction, and reported
-    /// as a miss.
+    /// A key the handle has not read yet reads the lines appended to the
+    /// log since its last read, so rows written by a concurrent process
+    /// are found. Lines that cannot be parsed or carry a different
+    /// [`STORE_FORMAT_VERSION`] are skipped and counted as evictions; an
+    /// unreadable log is a plain miss.
     pub fn get(&self, key: &CacheKey) -> Option<RunSummary> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let path = self.entry_path(key);
-        if let Some(h) = &self.faults {
-            // Injected read error: the row looks unreadable (EIO), which
-            // is a plain miss — the file stays on disk, like the real
-            // `fs::read_to_string` error path below.
-            if h.decide(FaultSite::StoreRead, fault_key(key), 0) {
-                return None;
-            }
+        // Injected read error: the log looks unreadable (EIO), which is a
+        // plain miss — like the real read error path below.
+        if self.injected(FaultSite::StoreRead, fault_key(key)) {
+            return None;
         }
-        let text = fs::read_to_string(&path).ok()?;
-        let trusted = serde_json::from_str::<StoreEntry>(&text)
-            .ok()
-            .filter(|row| {
-                row.version == STORE_FORMAT_VERSION
-                    && row.model == key.model
-                    && row.arch == key.arch
-                    && row.strategy == key.strategy
-            });
-        match trusted {
-            Some(row) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(row.summary)
-            }
+        let mut log = self.log.lock();
+        let found = match log.rows.get(key) {
+            Some(summary) => Some(summary.clone()),
             None => {
-                self.evict(&path);
-                None
+                let evicted = log.catch_up(&self.path).unwrap_or(0);
+                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+                log.rows.get(key).cloned()
             }
+        };
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
-    /// Persists `summary` under `key` (temp file + atomic rename).
+    /// Persists `summary` under `key` by appending one line to the log.
     /// Failures are counted in [`StoreStats::write_errors`] and otherwise
     /// ignored — the sweep's results never depend on the store accepting
     /// a row.
@@ -352,28 +386,28 @@ impl ResultStore {
             strategy: key.strategy,
             summary: summary.clone(),
         };
-        let json = serde_json::to_string(&row).expect("store rows serialize"); // cim-lint: allow(panic-unwrap) store rows are plain serializable data
+        let mut line = serde_json::to_string(&row).expect("store rows serialize"); // cim-lint: allow(panic-unwrap) store rows are plain serializable data
         let fk = fault_key(key);
-        let mut body = json.as_str();
-        if let Some(h) = &self.faults {
-            // Injected write failure: nothing reaches disk (a full disk /
-            // EACCES stand-in).
-            if h.decide(FaultSite::StoreWrite, fk, 0) {
-                self.write_errors.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            // Injected torn write: a truncated row *lands* through a
-            // successful rename — silent corruption that only a later
-            // `get` detects (and heals by eviction + recompute).
-            if h.decide(FaultSite::StoreTornWrite, fk, 0) {
-                body = &json[..json.len() / 2];
-            }
-        }
-        if self.write_atomic(&self.entry_path(key), body, fk).is_err() {
+        // Injected write failure: nothing reaches disk (a full disk /
+        // EACCES stand-in).
+        if self.injected(FaultSite::StoreWrite, fk) {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        // Injected torn write: half a row *lands* as a whole line — silent
+        // corruption that only a later read detects (and skips as an
+        // eviction).
+        if self.injected(FaultSite::StoreTornWrite, fk) {
+            line.truncate(line.len() / 2);
+        }
+        line.push('\n');
+        // Injected append failure: the log is open, nothing lands.
+        let injected = || self.injected(FaultSite::StoreRename, fk);
+        let counter = match self.log.lock().append(&self.path, &line, injected) {
+            Ok(()) => &self.writes,
+            Err(_) => &self.write_errors,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Snapshot of this handle's counters.
@@ -385,39 +419,6 @@ impl ResultStore {
             writes: self.writes.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
         }
-    }
-
-    /// Drops an untrustworthy row: best-effort delete.
-    fn evict(&self, path: &Path) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        let _ = fs::remove_file(path);
-    }
-
-    /// Writes `contents` to `path` via a uniquely-named temp file in the
-    /// same directory and an atomic rename. `fk` keys the injected
-    /// rename-failure site for chaos runs.
-    fn write_atomic(&self, path: &Path, contents: &str, fk: u64) -> io::Result<()> {
-        let nonce = self.tmp_counter.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".tmp-{}-{}-{}",
-            std::process::id(),
-            nonce,
-            path.file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default()
-        ));
-        fs::write(&tmp, contents)?;
-        if let Some(h) = &self.faults {
-            // Injected rename failure: the temp was written but never
-            // promoted — cleaned up exactly like a real failed rename.
-            if h.decide(FaultSite::StoreRename, fk, 0) {
-                let _ = fs::remove_file(&tmp);
-                return Err(io::Error::other("injected fault: store rename failure"));
-            }
-        }
-        fs::rename(&tmp, path).inspect_err(|_| {
-            let _ = fs::remove_file(&tmp);
-        })
     }
 }
 
@@ -452,6 +453,20 @@ mod tests {
         }
     }
 
+    fn log_text(dir: &Path) -> String {
+        fs::read_to_string(dir.join(LOG_FILE)).unwrap()
+    }
+
+    /// Names of the files in `dir`, sorted.
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn put_get_round_trip_within_and_across_handles() {
         let dir = tmp_dir("roundtrip");
@@ -470,6 +485,61 @@ mod tests {
         assert_eq!(stats.lookups, 3);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.writes, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn puts_append_lines_to_one_log_file() {
+        let dir = tmp_dir("one-log");
+        let store = ResultStore::open(&dir).unwrap();
+        for n in 0..25 {
+            store.put(&key(n), &summary(n));
+        }
+        assert_eq!(files_in(&dir), [LOG_FILE], "one file, however many rows");
+        let text = log_text(&dir);
+        assert_eq!(text.lines().count(), 25);
+        assert!(text.ends_with('\n'));
+        let reopened = ResultStore::open(&dir).unwrap();
+        for n in 0..25 {
+            assert_eq!(reopened.get(&key(n)), Some(summary(n)));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_tail_is_ended_before_the_next_row() {
+        let dir = tmp_dir("torn-tail");
+        let store = ResultStore::open(&dir).unwrap();
+        store.put(&key(1), &summary(1));
+        store.put(&key(2), &summary(2));
+        drop(store);
+        // A writer SIGKILLed mid-append leaves half a row, no newline.
+        let text = log_text(&dir);
+        let cut = text.len() - text.lines().last().unwrap().len() / 2 - 1;
+        fs::write(dir.join(LOG_FILE), &text[..cut]).unwrap();
+
+        let store = ResultStore::open(&dir).unwrap();
+        assert_eq!(store.get(&key(2)), None, "half a row is no row");
+        assert_eq!(
+            store.stats().evictions,
+            0,
+            "an unended line is not read yet"
+        );
+        store.put(&key(2), &summary(2));
+        assert_eq!(store.stats().writes, 1);
+
+        let fresh = ResultStore::open(&dir).unwrap();
+        assert_eq!(fresh.get(&key(1)), Some(summary(1)));
+        assert_eq!(
+            fresh.get(&key(2)),
+            Some(summary(2)),
+            "the next row landed whole"
+        );
+        assert_eq!(
+            fresh.stats().evictions,
+            1,
+            "the torn tail is one skipped line"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -508,9 +578,11 @@ mod tests {
         let plan = full_rate_plan(FaultSite::StoreRead);
         store.set_fault_hook(plan.clone());
         assert_eq!(store.get(&key(1)), None, "unreadable row is a miss");
-        assert!(store.entry_path(&key(1)).exists(), "row stays on disk");
+        assert_eq!(log_text(&dir).lines().count(), 1, "row stays on disk");
         assert_eq!(store.stats().evictions, 0, "a read error is not corruption");
         assert_eq!(plan.fired(FaultSite::StoreRead), 1);
+        let reopened = ResultStore::open(&dir).unwrap();
+        assert_eq!(reopened.get(&key(1)), Some(summary(1)));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -522,7 +594,7 @@ mod tests {
         store.put(&key(1), &summary(1));
         assert_eq!(store.stats().write_errors, 1);
         assert_eq!(store.stats().writes, 0);
-        assert!(!store.entry_path(&key(1)).exists());
+        assert!(!dir.join(LOG_FILE).exists(), "nothing reached disk");
         assert!(!store.probe_writable(), "probe sees the same failure");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -534,13 +606,8 @@ mod tests {
         store.set_fault_hook(full_rate_plan(FaultSite::StoreRename));
         store.put(&key(1), &summary(1));
         assert_eq!(store.stats().write_errors, 1);
-        assert!(!store.entry_path(&key(1)).exists());
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().starts_with(".tmp-"))
-            .collect();
-        assert!(leftovers.is_empty(), "failed rename cleans its temp");
+        assert_eq!(store.stats().writes, 0);
+        assert_eq!(log_text(&dir), "", "the failed append landed nothing");
         assert!(!store.probe_writable());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -552,13 +619,16 @@ mod tests {
         store.set_fault_hook(full_rate_plan(FaultSite::StoreTornWrite));
         store.put(&key(1), &summary(1));
         // The torn row *landed*: counted as a write and present on disk
-        // — silent corruption.
+        // as a whole line — silent corruption.
         assert_eq!(store.stats().writes, 1);
-        assert!(store.entry_path(&key(1)).exists());
-        // First contact detects and evicts it.
+        assert_eq!(log_text(&dir).lines().count(), 1);
+        // The first read detects and skips it.
         assert_eq!(store.get(&key(1)), None);
         assert_eq!(store.stats().evictions, 1);
-        assert!(!store.entry_path(&key(1)).exists());
+        // A recomputed row heals the key; the torn line is not re-read.
+        ResultStore::open(&dir).unwrap().put(&key(1), &summary(1));
+        assert_eq!(store.get(&key(1)), Some(summary(1)));
+        assert_eq!(store.stats().evictions, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -567,7 +637,8 @@ mod tests {
         let dir = tmp_dir("probe");
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.probe_writable());
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0, "probe cleans up");
+        assert_eq!(files_in(&dir), [LOG_FILE], "the probe leaves only the log");
+        assert_eq!(log_text(&dir), "", "…and writes nothing to it");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -577,95 +648,34 @@ mod tests {
         let store = ResultStore::open(&dir).unwrap();
         store.put(&key(1), &summary(1));
         store.put(&key(2), &summary(2));
+        drop(store);
 
         // Bump the version of row 1, truncate row 2.
-        let p1 = store.entry_path(&key(1));
-        let futuristic = fs::read_to_string(&p1)
-            .unwrap()
-            .replace(
-                &format!("\"version\":{STORE_FORMAT_VERSION}"),
-                "\"version\":999999",
-            );
+        let text = log_text(&dir);
+        let lines: Vec<&str> = text.lines().collect();
+        let futuristic = lines[0].replace(
+            &format!("\"version\":{STORE_FORMAT_VERSION}"),
+            "\"version\":999999",
+        );
         assert!(futuristic.contains("999999"), "version field rewritten");
-        fs::write(&p1, futuristic).unwrap();
-        let p2 = store.entry_path(&key(2));
-        let text = fs::read_to_string(&p2).unwrap();
-        fs::write(&p2, &text[..text.len() / 2]).unwrap();
+        let torn = &lines[1][..lines[1].len() / 2];
+        let rewritten = format!("{futuristic}\n{torn}\n");
+        fs::write(dir.join(LOG_FILE), &rewritten).unwrap();
 
+        let store = ResultStore::open(&dir).unwrap();
         assert_eq!(store.get(&key(1)), None, "future version distrusted");
         assert_eq!(store.get(&key(2)), None, "truncated row distrusted");
-        assert!(!p1.exists() && !p2.exists(), "bad rows deleted");
         assert_eq!(store.stats().evictions, 2);
+        assert_eq!(
+            log_text(&dir),
+            rewritten,
+            "bad rows are skipped, not deleted"
+        );
 
         // The keys are recomputable and storable again.
         store.put(&key(1), &summary(1));
         assert_eq!(store.get(&key(1)), Some(summary(1)));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn misfiled_row_is_distrusted() {
-        let dir = tmp_dir("misfiled");
-        let store = ResultStore::open(&dir).unwrap();
-        store.put(&key(3), &summary(3));
-        // Copy row 3's bytes over row 4's file name: parses, right
-        // version, wrong key — must be evicted, not served.
-        fs::copy(store.entry_path(&key(3)), store.entry_path(&key(4))).unwrap();
-        assert_eq!(store.get(&key(4)), None);
-        assert_eq!(store.stats().evictions, 1);
-        assert_eq!(store.get(&key(3)), Some(summary(3)), "original intact");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn open_sweeps_only_orphaned_temp_files() {
-        let dir = tmp_dir("orphans");
-        fs::create_dir_all(&dir).unwrap();
-        // pid 1 is init — always alive on Linux, so this temp belongs to
-        // a (conceptually) live concurrent writer and must survive.
-        let live = dir.join(".tmp-1-0-live.json");
-        // A pid far beyond any real pid space: its writer is dead.
-        let dead = dir.join(".tmp-4000000001-0-dead.json");
-        // Not our naming scheme at all.
-        let garbage = dir.join(".tmp-garbage");
-        // Our own pid at open time means a *previous* incarnation.
-        let own = dir.join(format!(".tmp-{}-7-own.json", std::process::id()));
-        for p in [&live, &dead, &garbage, &own] {
-            fs::write(p, "{}").unwrap();
-        }
-
-        ResultStore::open(&dir).unwrap();
-        assert!(live.exists(), "live writer's temp must be kept");
-        assert!(!dead.exists(), "dead writer's temp must be swept");
-        assert!(!garbage.exists(), "unparseable temp must be swept");
-        assert!(!own.exists(), "own-pid temp predates this open");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn aged_temp_is_swept_despite_a_live_looking_pid() {
-        let dir = tmp_dir("aged-orphans");
-        fs::create_dir_all(&dir).unwrap();
-        // Both temps name pid 1 (always alive on Linux) — standing in
-        // for an unrelated process that recycled a dead writer's pid.
-        let fresh = dir.join(".tmp-1-0-fresh.json");
-        let stale = dir.join(".tmp-1-1-stale.json");
-        fs::write(&fresh, "{}").unwrap();
-        fs::write(&stale, "{}").unwrap();
-        let long_ago = SystemTime::now() - 2 * ORPHAN_TEMP_MAX_AGE; // cim-lint: allow(wall-clock) backdates an mtime fixture
-        fs::File::options()
-            .write(true)
-            .open(&stale)
-            .unwrap()
-            .set_modified(long_ago)
-            .unwrap();
-
-        ResultStore::open(&dir).unwrap();
-        assert!(fresh.exists(), "recent temp with a live pid is kept");
-        assert!(
-            !stale.exists(),
-            "a temp older than any in-flight write is orphaned even if its pid looks alive"
-        );
+        assert_eq!(store.stats().evictions, 2, "each bad line counts once");
         let _ = fs::remove_dir_all(&dir);
     }
 

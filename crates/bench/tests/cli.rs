@@ -133,6 +133,11 @@ fn unwritable_json_path_exits_2_without_a_panic() {
             env!("CARGO_BIN_EXE_fabric-sim"),
             &["--tenants", "fig5:2"],
         ),
+        (
+            "lint-schedule",
+            env!("CARGO_BIN_EXE_lint-schedule"),
+            &["TinyYOLOv3"],
+        ),
     ];
     for (name, bin, args) in cases {
         let out = run(bin, &[args, &["--json", path][..]].concat());

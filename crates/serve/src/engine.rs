@@ -6,9 +6,9 @@
 //! a [`ManualClock`](cim_tune::ManualClock) and zero I/O. A request moves
 //! through four gates:
 //!
-//! 1. **Validate** — unknown models/strategies/dependencies and duplicate
-//!    or missing ids are rejected with typed errors before they cost
-//!    anything.
+//! 1. **Validate** — unknown models/strategies/dependencies, duplicate
+//!    or missing ids, and an `x` whose `PE_min + x` overflows are
+//!    rejected with typed errors before they cost anything.
 //! 2. **Warm path** — a request without happens-after tags whose
 //!    `(model, arch, strategy)` fingerprint key already has a persisted
 //!    [`RunSummary`] (or a completed in-memory cache slot) is answered
@@ -688,8 +688,9 @@ impl ServeEngine {
 
     /// Whether the engine is in cache-only degraded mode: a persistent
     /// store is configured but its directory currently rejects writes
-    /// (probed through the store's own atomic write path, so injected
-    /// chaos faults and a read-only directory look the same). With no
+    /// (probed by opening the store's row log for append, through the
+    /// same fault sites as a row write, so injected chaos faults and a
+    /// read-only directory look the same). With no
     /// store configured there is nothing to degrade.
     fn store_degraded(&self) -> bool {
         self.store
@@ -805,6 +806,26 @@ mod tests {
             &engine,
         );
         assert_eq!(dup.as_error().unwrap().code, ErrorCode::BadRequest);
+    }
+
+    #[test]
+    fn overflowing_x_is_a_bad_request_naming_x() {
+        let (engine, _) = engine(1, 16);
+        for strategy in ["wdup", "wdup+xinf"] {
+            let req = Request::schedule("a", "fig5", strategy, usize::MAX);
+            let resp = match engine.submit(&req) {
+                Submission::Immediate(resp) => resp,
+                Submission::Enqueued(_) => panic!("{strategy}: an overflowing x must not queue"),
+            };
+            let err = resp.as_error().expect("typed rejection");
+            assert_eq!(err.code, ErrorCode::BadRequest, "{strategy}");
+            assert!(
+                err.detail.contains(&format!("`x` {}", usize::MAX)),
+                "{strategy}: {}",
+                err.detail
+            );
+        }
+        assert_eq!(engine.stats().errors, 2);
     }
 
     #[test]

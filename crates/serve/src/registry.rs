@@ -111,12 +111,21 @@ impl ModelRegistry {
 /// # Errors
 ///
 /// [`ErrorCode::UnknownStrategy`] for names outside [`STRATEGIES`];
+/// [`ErrorCode::BadRequest`] if `PE_min + x` overflows;
 /// [`ErrorCode::ScheduleFailed`] if the architecture cannot be built.
 pub fn build_config(
     entry: &ModelEntry,
     strategy: &str,
     x: usize,
 ) -> Result<(RunConfig, String), ServeError> {
+    let with_x = || {
+        entry.pe_min.checked_add(x).ok_or_else(|| {
+            ServeError::new(
+                ErrorCode::BadRequest,
+                format!("`x` {x}: PE_min {} + x overflows", entry.pe_min),
+            )
+        })
+    };
     let base = |pes: usize| -> Result<RunConfig, ServeError> {
         let arch = Architecture::paper_case_study(pes).map_err(|e| {
             ServeError::new(
@@ -132,11 +141,11 @@ pub fn build_config(
         "layer-by-layer" | "baseline" => Ok((base(entry.pe_min)?, "layer-by-layer".into())),
         "xinf" => Ok((base(entry.pe_min)?.with_cross_layer(), "xinf".into())),
         "wdup" => Ok((
-            base(entry.pe_min + x)?.with_duplication(Solver::Greedy),
+            base(with_x()?)?.with_duplication(Solver::Greedy),
             format!("wdup+{x}"),
         )),
         "wdup+xinf" => Ok((
-            base(entry.pe_min + x)?
+            base(with_x()?)?
                 .with_duplication(Solver::Greedy)
                 .with_cross_layer(),
             format!("wdup+{x}+xinf"),

@@ -27,20 +27,11 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Persisted rows in a store directory: every `.json` file but the
-/// dot-prefixed in-flight temps.
+/// Persisted rows in a store directory: the complete lines of its log
+/// (a row still being appended has no newline yet).
 fn rows_on_disk(dir: &Path) -> usize {
-    fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .filter(|e| {
-                    let name = e.file_name();
-                    let name = name.to_string_lossy();
-                    name.ends_with(".json") && !name.starts_with('.')
-                })
-                .count()
-        })
+    fs::read(dir.join("rows.jsonl"))
+        .map(|log| log.iter().filter(|&&b| b == b'\n').count())
         .unwrap_or(0)
 }
 

@@ -2,8 +2,8 @@
 //! errors at API boundaries — never panics, never silent corruption.
 //!
 //! The second half exercises the PR-9 fault model end to end: store
-//! corruption classes (torn write mid-rename, a partial row the open-time
-//! scan still lists) and the serve path under malformed, oversized, and
+//! corruption classes (a writer killed mid-append, a partial row inside
+//! the log) and the serve path under malformed, oversized, and
 //! chaos-dropped frames — all driven deterministically through
 //! [`FaultPlan`](clsa_cim::bench::runner::FaultPlan).
 
@@ -246,24 +246,31 @@ fn store_summary(n: u64) -> RunSummary {
     }
 }
 
-/// A writer SIGKILLed between the temp-file write and the rename leaves
-/// a dead-pid temp and no row. The next open must sweep the orphan, miss
-/// the key, and accept a fresh recompute — never serve the torn bytes.
+/// The store's row log inside its cache dir.
+const STORE_LOG: &str = "rows.jsonl";
+
+/// A writer SIGKILLed mid-append leaves half a row at the end of the log,
+/// without its newline (under the older one-file-per-row layout, a kill
+/// between temp write and rename left a dead-pid temp instead). The next
+/// handle must miss the key and accept a fresh recompute — never serve
+/// the torn bytes — and leave files of the older layout alone.
 #[test]
 fn store_torn_write_mid_rename_is_swept_and_recomputable() {
     let dir = scratch_dir("torn_rename");
     let store = ResultStore::open(&dir).unwrap();
     store.put(&store_key(1), &store_summary(1));
+    store.put(&store_key(2), &store_summary(2));
     drop(store);
 
-    // The shape a kill mid-`write_atomic` leaves behind: half a row in a
-    // temp named by a pid that no longer exists, nothing at the row path.
-    let row = serde_json::to_string(&store_summary(2)).unwrap();
-    let torn = dir.join(".tmp-4000000001-0-deadbeef.json");
-    fs::write(&torn, &row[..row.len() / 2]).unwrap();
+    // Cut the log inside row 2.
+    let log = dir.join(STORE_LOG);
+    let text = fs::read_to_string(&log).unwrap();
+    let row2 = text.lines().nth(1).unwrap();
+    fs::write(&log, &text[..text.len() - 1 - row2.len() / 2]).unwrap();
+    let old_temp = dir.join(".tmp-4000000001-0-deadbeef.json");
+    fs::write(&old_temp, &row2[..row2.len() / 2]).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
-    assert!(!torn.exists(), "dead writer's temp is swept on open");
     assert_eq!(store.get(&store_key(2)), None, "the torn row never landed");
     assert_eq!(
         store.get(&store_key(1)),
@@ -272,12 +279,22 @@ fn store_torn_write_mid_rename_is_swept_and_recomputable() {
     );
     store.put(&store_key(2), &store_summary(2));
     assert_eq!(store.get(&store_key(2)), Some(store_summary(2)));
+    assert!(
+        old_temp.exists(),
+        "an older layout's temp is neither read nor deleted"
+    );
+
+    // The torn tail became one skipped line; the rows around it serve.
+    let fresh = ResultStore::open(&dir).unwrap();
+    assert_eq!(fresh.get(&store_key(1)), Some(store_summary(1)));
+    assert_eq!(fresh.get(&store_key(2)), Some(store_summary(2)));
+    assert_eq!(fresh.stats().evictions, 1);
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A partially-written row (a crash mid-write without the atomic
-/// rename, or plain bit rot) must be evicted on first contact and
-/// reported as a miss — a row file's presence is never trusted over its
+/// A partially-written row inside the log (plain bit rot, or a torn
+/// append another writer has since ended) must be evicted when read and
+/// reported as a miss — a line's presence is never trusted over its
 /// bytes.
 #[test]
 fn store_partial_row_behind_valid_index_is_evicted_not_served() {
@@ -287,19 +304,20 @@ fn store_partial_row_behind_valid_index_is_evicted_not_served() {
     store.put(&store_key(8), &store_summary(8));
     drop(store);
 
-    let row8 = dir.join(format!(
-        "{:016x}-{:016x}-{:016x}.json",
-        store_key(8).model,
-        store_key(8).arch,
-        store_key(8).strategy
-    ));
-    let text = fs::read_to_string(&row8).unwrap();
-    fs::write(&row8, &text[..text.len() / 2]).unwrap();
+    let log = dir.join(STORE_LOG);
+    let text = fs::read_to_string(&log).unwrap();
+    let (row7, row8) = text.trim_end().split_once('\n').unwrap();
+    let torn = format!("{row7}\n{}\n", &row8[..row8.len() / 2]);
+    fs::write(&log, &torn).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
     assert_eq!(store.get(&store_key(8)), None, "torn row is a miss");
-    assert_eq!(store.stats().evictions, 1, "…and was evicted on contact");
-    assert!(!row8.exists(), "the torn bytes are gone");
+    assert_eq!(store.stats().evictions, 1, "…and was evicted when read");
+    assert_eq!(
+        fs::read_to_string(&log).unwrap(),
+        torn,
+        "skipped, not deleted"
+    );
     assert_eq!(store.get(&store_key(7)), Some(store_summary(7)));
     store.put(&store_key(8), &store_summary(8));
     assert_eq!(store.get(&store_key(8)), Some(store_summary(8)));

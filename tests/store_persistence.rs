@@ -11,6 +11,9 @@ use cim_bench::runner::{
     STORE_FORMAT_VERSION,
 };
 
+/// The store's row log inside its cache dir.
+const LOG: &str = "rows.jsonl";
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("cim_store_it_{tag}_{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -66,11 +69,14 @@ fn truncated_rows_are_evicted_and_recomputed() {
     let reference = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
 
     // Truncate every persisted row mid-document.
-    for dirent in fs::read_dir(&dir).unwrap() {
-        let path = dirent.unwrap().path();
-        let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, &text[..text.len() / 3]).unwrap();
-    }
+    let log = dir.join(LOG);
+    let truncated: String = fs::read_to_string(&log)
+        .unwrap()
+        .lines()
+        .map(|row| format!("{}\n", &row[..row.len() / 3]))
+        .collect();
+    assert_eq!(truncated.lines().count(), jobs.len(), "one row per job");
+    fs::write(&log, truncated).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
     let recovered = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
@@ -96,17 +102,15 @@ fn version_mismatched_rows_are_evicted_and_recomputed() {
     let reference = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
 
     // Stamp one row as written by a future format version.
-    let victim = fs::read_dir(&dir)
-        .unwrap()
-        .map(|d| d.unwrap().path())
-        .next()
-        .expect("at least one row");
-    let text = fs::read_to_string(&victim).unwrap().replace(
+    let log = dir.join(LOG);
+    let text = fs::read_to_string(&log).unwrap();
+    let (victim, rest) = text.split_once('\n').expect("at least one row");
+    let victim = victim.replace(
         &format!("\"version\":{STORE_FORMAT_VERSION}"),
         "\"version\":999999",
     );
-    assert!(text.contains("999999"), "version field rewritten");
-    fs::write(&victim, text).unwrap();
+    assert!(victim.contains("999999"), "version field rewritten");
+    fs::write(&log, format!("{victim}\n{rest}")).unwrap();
 
     let store = ResultStore::open(&dir).unwrap();
     let recovered = sweep(&jobs, RunnerOptions::sequential(), Some(&store));
@@ -143,8 +147,8 @@ fn hammer_summary(n: u64) -> RunSummary {
 }
 
 /// Interleaves puts and gets against `dir`. The invariant: a get may miss
-/// (the row not written yet, or evicted by the peer) but a *hit* must
-/// deliver exactly the key's summary — never a torn or mixed row.
+/// (the row not written yet) but a *hit* must deliver exactly the key's
+/// summary — never a torn or mixed row.
 fn hammer(dir: &std::path::Path) {
     let store = ResultStore::open(dir).expect("store opens");
     for round in 0..HAMMER_ROUNDS {
@@ -198,95 +202,9 @@ fn two_processes_share_one_cache_dir() {
             "key {n} lost or corrupted after concurrent access"
         );
     }
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The daemon-vs-straggler scenario: one process (say `cim-serve`) is
-/// mid-write — its `.tmp-{pid}-…` file sits in the cache dir — when a
-/// second process (a straggler CLI run) opens the same `--cache-dir`.
-/// The second open must sweep only *orphaned* temp files (writer pid no
-/// longer alive), never a live peer's in-flight write; a later open by
-/// the original process reclaims its own leftovers.
-#[test]
-fn concurrent_open_spares_live_writers_in_flight_temps() {
-    let dir = tmp_dir("liveorphan");
-    fs::create_dir_all(&dir).unwrap();
-
-    // This process's in-flight write, interrupted mid-stream…
-    let live = dir.join(format!(".tmp-{}-999-inflight.json", std::process::id()));
-    fs::write(&live, "{\"version\":").unwrap();
-    // …and a leftover from a long-dead writer (pid far above any real one).
-    let orphan = dir.join(".tmp-4000000001-0-orphan.json");
-    fs::write(&orphan, "{}").unwrap();
-
-    // A *different* process opens the same directory and works in it.
-    let status = Command::new(std::env::current_exe().expect("own path"))
-        .args(["child_store_hammer", "--exact", "--test-threads=1"])
-        .env(HAMMER_ENV, &dir)
-        .stdout(std::process::Stdio::null())
-        .stderr(std::process::Stdio::null())
-        .status()
-        .expect("child runs");
-    assert!(status.success(), "child process hammer failed: {status:?}");
-
-    assert!(
-        live.exists(),
-        "a live peer's in-flight temp must survive a concurrent open"
-    );
-    assert!(!orphan.exists(), "a dead writer's temp must be swept");
-
-    // The child's rows all landed despite the stray temps.
-    let store = ResultStore::open(&dir).unwrap();
-    for n in 0..HAMMER_KEYS {
-        assert_eq!(
-            store.get(&hammer_key(n)),
-            Some(hammer_summary(n)),
-            "key {n} lost alongside the temp sweep"
-        );
-    }
-    // The re-open above ran in *this* process — the same pid that owns
-    // the "live" temp — so the store treats it as its own leftover and
-    // reclaims it.
-    assert!(
-        !live.exists(),
-        "an open by the owning pid reclaims its own stale temp"
-    );
-    let _ = fs::remove_dir_all(&dir);
-}
-
-/// The pid-reuse scenario: a writer dies mid-write, its pid is recycled
-/// by an unrelated long-lived process, and every later open sees "the
-/// writer" alive in `/proc` — without an age fallback the dead writer's
-/// temp would be immortal. A temp far older than any in-flight write is
-/// swept regardless of pid liveness; a recent temp under the same live
-/// pid survives.
-#[test]
-fn pid_reuse_cannot_make_a_dead_writers_temp_immortal() {
-    let dir = tmp_dir("pidreuse");
-    fs::create_dir_all(&dir).unwrap();
-
-    // Pid 1 is always alive on Linux — the stand-in for a recycled pid.
-    let recent = dir.join(".tmp-1-0-recent.json");
-    let ancient = dir.join(".tmp-1-1-ancient.json");
-    fs::write(&recent, "{}").unwrap();
-    fs::write(&ancient, "{}").unwrap();
-    let two_hours_ago =
-        std::time::SystemTime::now() - std::time::Duration::from_secs(2 * 60 * 60); // cim-lint: allow(wall-clock) backdates an mtime fixture
-    fs::File::options()
-        .write(true)
-        .open(&ancient)
-        .unwrap()
-        .set_modified(two_hours_ago)
-        .unwrap();
-
-    ResultStore::open(&dir).unwrap();
-    assert!(
-        recent.exists(),
-        "a recent temp under a live pid is still treated as in-flight"
-    );
-    assert!(
-        !ancient.exists(),
-        "an hours-old temp is orphaned even though its (recycled) pid is alive"
-    );
+    // Every append of both processes landed as its own whole line.
+    let log = fs::read_to_string(dir.join(LOG)).unwrap();
+    assert_eq!(log.lines().count() as u64, 2 * HAMMER_ROUNDS);
+    assert_eq!(store.stats().evictions, 0, "no torn or interleaved line");
     let _ = fs::remove_dir_all(&dir);
 }
