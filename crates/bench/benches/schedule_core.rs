@@ -25,6 +25,11 @@
 //!   concat trees most rectangles miss, and `ResNet152` at `PE_min` under
 //!   cross-layer scheduling, whose long residual chains fold into wide
 //!   fans of producer layers;
+//! * `run_prepared` — one cross-layer `run_prepared` (cost-table lookup,
+//!   topological check, Stage IV sweep, validation, metrics) over the
+//!   cached `prepare` of `TinyYOLOv4_wdup100`, serve's first-time key
+//!   shape: the back half of the pipeline that every first-time key pays
+//!   once its mapping is cached;
 //! * `cost_table_build` — `CostedDeps::build` on the case-study mapping,
 //!   under the peak model (`free`: byte counts and the consumer-side CSR)
 //!   and under `NocAndGpeu` (`noc_gpeu`: plus per-edge latencies). Neither
@@ -118,11 +123,10 @@ fn bench_stage2(c: &mut Criterion) {
     let g = case_study_graph();
     let prepared = prepare(&g, &xinf_config()).expect("prepare");
     let wdup_arch = Architecture::paper_case_study(PE_MIN + 100).expect("wdup arch");
-    let wdup = prepare(
-        &g,
-        &RunConfig::baseline(wdup_arch).with_duplication(Solver::Greedy),
-    )
-    .expect("prepare wdup");
+    let wdup_config = RunConfig::baseline(wdup_arch)
+        .with_duplication(Solver::Greedy)
+        .with_cross_layer();
+    let wdup = prepare(&g, &wdup_config).expect("prepare wdup");
     let resnet = canonicalize(&cim_models::resnet152(), &CanonOptions::default())
         .expect("ResNet152 canonicalizes")
         .into_graph();
@@ -159,6 +163,12 @@ fn bench_stage2(c: &mut Criterion) {
             b.iter(|| stage2(p))
         });
     }
+    group.throughput(Throughput::Elements(wdup.deps.num_edges() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("run_prepared", "TinyYOLOv4_wdup100"),
+        &wdup,
+        |b, p| b.iter(|| clsa_core::run_prepared(p, &wdup_config).expect("run_prepared")),
+    );
     group.finish();
 }
 

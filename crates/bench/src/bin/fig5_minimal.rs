@@ -47,18 +47,13 @@ fn main() {
     println!("\nStage II — determine dependencies (P = producers per consumer set)");
     for (li, l) in layers.iter().enumerate() {
         for si in 0..l.sets.len() {
-            let d = deps.of(li, si);
-            if !d.is_empty() {
-                let names: Vec<String> = d
-                    .iter()
+            let p = deps.fan_in(li, si);
+            if p > 0 {
+                let names: Vec<String> = deps
+                    .of(li, si)
                     .map(|r| format!("{}.set{}", layers[r.layer].name, r.set))
                     .collect();
-                println!(
-                    "  {}.set{si}  <-  {} (P = {})",
-                    l.name,
-                    names.join(", "),
-                    d.len()
-                );
+                println!("  {}.set{si}  <-  {} (P = {p})", l.name, names.join(", "));
             }
         }
     }

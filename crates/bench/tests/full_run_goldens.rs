@@ -1,6 +1,8 @@
 //! Golden outputs of the binaries that read a full pipeline run rather
 //! than a `RunSummary`: the five `ablation_*` sweeps (their `--json`
-//! export) and the `fig6 --part a|b` Gantt charts (their stdout).
+//! export), the `fig6 --part a|b` Gantt charts and the `fig5_minimal`
+//! worked example (their stdout: Stage I sets, every consumer's `P`
+//! producers, every producer's `Q` count, the schedules).
 //!
 //! Each binary runs at `--jobs 2` and its bytes are compared with the
 //! committed file under `tests/golden/`. To re-bless after an
@@ -53,16 +55,38 @@ fn stdout_of(bin: &str, args: &[&str]) -> Vec<u8> {
     out.stdout
 }
 
+/// A temp directory of one test, removed when dropped — also while a
+/// failed assertion unwinds. The tests of this file run concurrently in
+/// one process, so each gets its own.
+struct ScratchDir(PathBuf);
+
+impl ScratchDir {
+    fn new(test: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "cim_full_run_goldens_{}_{test}",
+            std::process::id()
+        ));
+        fs::create_dir_all(&dir).expect("temp dir");
+        Self(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
 fn check_ablation(name: &str, bin: &str) {
-    let dir = std::env::temp_dir().join(format!("cim_full_run_goldens_{}", std::process::id()));
-    fs::create_dir_all(&dir).expect("temp dir");
-    let json = dir.join(format!("{name}.json"));
-    stdout_of(
-        bin,
-        &["--jobs", "2", "--json", json.to_str().expect("utf-8 path")],
-    );
-    let actual = fs::read(&json).expect("ablation wrote its --json export");
-    let _ = fs::remove_file(&json);
+    let actual = {
+        let dir = ScratchDir::new(name);
+        let json = dir.0.join(format!("{name}.json"));
+        stdout_of(
+            bin,
+            &["--jobs", "2", "--json", json.to_str().expect("utf-8 path")],
+        );
+        fs::read(&json).expect("ablation wrote its --json export")
+    };
     check_golden(&format!("{name}.json"), &actual);
 }
 
@@ -103,4 +127,10 @@ fn fig6_gantt_parts_match_golden() {
         let stdout = stdout_of(env!("CARGO_BIN_EXE_fig6"), &["--part", part, "--jobs", "2"]);
         check_golden(&format!("fig6{part}.txt"), &stdout);
     }
+}
+
+#[test]
+fn fig5_minimal_matches_golden() {
+    let stdout = stdout_of(env!("CARGO_BIN_EXE_fig5_minimal"), &["--jobs", "2"]);
+    check_golden("fig5_minimal.txt", &stdout);
 }

@@ -54,15 +54,22 @@ pub fn critical_path(
     }
     // Edge latencies, precomputed once for the whole walk.
     let costed = CostedDeps::build(layers, deps, edge_cost)?;
+    let space = costed.space();
+    if !schedule.space().same_shape(space) {
+        return Err(CoreError::StageMismatch {
+            detail: "analysis inputs cover different set counts".into(),
+        });
+    }
+    // The walk runs on global indices: the schedule's arena is sliced like
+    // the table.
+    let times = schedule.arena();
     // Find the set finishing last.
-    let mut cur: Option<SetRef> = None;
+    let mut cur: Option<usize> = None;
     let mut best_finish = 0u64;
-    for (li, lt) in schedule.iter_layers().enumerate() {
-        for (si, t) in lt.iter().enumerate() {
-            if t.finish >= best_finish {
-                best_finish = t.finish;
-                cur = Some(SetRef { layer: li, set: si });
-            }
+    for (i, t) in times.iter().enumerate() {
+        if t.finish >= best_finish {
+            best_finish = t.finish;
+            cur = Some(i);
         }
     }
     let mut path = Vec::new();
@@ -70,9 +77,10 @@ pub fn critical_path(
         detail: "empty schedule".into(),
     })?;
     loop {
-        let t = schedule.time(cur.layer, cur.set);
+        let t = times[cur];
+        let set = space.set_ref(cur);
         path.push(CriticalStep {
-            set: cur,
+            set,
             start: t.start,
             finish: t.finish,
         });
@@ -80,31 +88,19 @@ pub fn critical_path(
             break;
         }
         // Prefer a data dependency whose arrival binds the start.
-        let mut binding: Option<SetRef> = None;
-        for (dep, &lat) in deps
-            .of(cur.layer, cur.set)
+        let (producers, latencies) = costed.incoming(cur);
+        let mut binding = producers
             .iter()
-            .zip(costed.latencies_of(cur.layer, cur.set))
-        {
-            let dt = schedule.time(dep.layer, dep.set);
-            if dt.finish + lat == t.start {
-                binding = Some(*dep);
-                break;
-            }
-        }
+            .zip(latencies)
+            .find(|&(&p, &lat)| times[p as usize].finish + lat == t.start)
+            .map(|(&p, _)| p as usize);
         // Otherwise the group chain binds.
-        if binding.is_none() && cur.set > 0 {
-            let prev = SetRef {
-                layer: cur.layer,
-                set: cur.set - 1,
-            };
-            if schedule.time(prev.layer, prev.set).finish == t.start {
-                binding = Some(prev);
-            }
+        if binding.is_none() && set.set > 0 && times[cur - 1].finish == t.start {
+            binding = Some(cur - 1);
         }
         cur = binding.ok_or_else(|| CoreError::InvalidSchedule {
             detail: format!(
-                "no binding predecessor for {cur} starting at {} — schedule does not \
+                "no binding predecessor for {set} starting at {} — schedule does not \
                  match the given stages",
                 t.start
             ),

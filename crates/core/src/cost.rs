@@ -11,13 +11,15 @@
 //!
 //! [`CostedDeps::build`] hoists all of it, and builds up front only what
 //! the schedulers, the validator and the metrics read: per-set byte
-//! counts and the consumer-side CSR (each set's producer indices with
-//! per-edge `u64` latencies). The consumers of the tables never touch
-//! [`EdgeCost`] again. Two things are deliberately not stored per edge:
+//! counts and per-edge `u64` latencies. The edges themselves are not
+//! copied: the table holds the dependency relation's own CSR (a clone of
+//! its `Arc`), so each set's producer indices are the relation's. The
+//! consumers of the tables never touch [`EdgeCost`] again. Two things are
+//! deliberately not stored per edge:
 //!
 //! * latencies under [`EdgeCost::Free`], where every edge costs 0 — each
 //!   latency slice is a prefix of one zero buffer as long as the widest
-//!   row;
+//!   row, so a free table adds only its per-set bytes to the relation;
 //! * hop counts, which depend only on the two layers of an edge — the
 //!   table keeps each layer's home-tile position and
 //!   [`CostedDeps::hops_between`] measures the XY distance.
@@ -28,11 +30,11 @@
 //! never holds one.
 
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use cim_arch::TileCoord;
 
-use crate::deps::{Dependencies, SetRef};
+use crate::deps::{Csr, Dependencies, SetRef};
 use crate::error::{CoreError, Result};
 use crate::schedule::{set_bytes, EdgeCost};
 use crate::sets::LayerSets;
@@ -41,20 +43,19 @@ use crate::space::SetSpace;
 /// Flat, precomputed edge-cost tables for one `(mapping, EdgeCost)` pair.
 ///
 /// Indexing follows the [`SetSpace`] of the [`Dependencies`] it was built
-/// from; the consumer-side arrays (`dep_*`) are aligned edge-for-edge with
-/// [`Dependencies::of`] / [`Dependencies::csr`]. Equality ignores whether
-/// the fan-out has been built, since it is derived from the other fields.
+/// from, whose CSR the table shares: the latencies are aligned
+/// edge-for-edge with [`Dependencies::producers`] / [`Dependencies::csr`].
+/// Equality ignores whether the fan-out has been built, since it is
+/// derived from the other fields.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostedDeps {
     space: SetSpace,
     /// Bytes forwarded when the set with global index `i` is consumed
     /// (one byte per OFM element, 8-bit activations).
     bytes: Vec<u64>,
-    /// Consumer-side CSR offsets (a copy of the dependency offsets, so the
-    /// tables stay usable without the originating `Dependencies`).
-    dep_offsets: Vec<usize>,
-    /// Per consumer edge: the producer's global set index.
-    dep_producer: Vec<usize>,
+    /// The consumer-side CSR: the dependency relation's own, shared, so
+    /// the tables stay usable without the originating `Dependencies`.
+    deps: Arc<Csr>,
     /// Per consumer edge: precomputed latency in cycles. Stored per edge
     /// exactly when the model moves data, i.e. not under
     /// [`EdgeCost::Free`].
@@ -93,7 +94,7 @@ impl Latencies {
 #[derive(Debug, Clone)]
 pub struct FanOut {
     /// Fan-out CSR offsets, per producer global index.
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     /// Per fan-out edge: the consumer set.
     consumers: Vec<SetRef>,
     /// Per fan-out edge: the latency of the consumer-side edge it mirrors.
@@ -109,7 +110,7 @@ impl FanOut {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn outgoing(&self, i: usize) -> (&[SetRef], &[u64]) {
-        let r = self.offsets[i]..self.offsets[i + 1];
+        let r = self.offsets[i] as usize..self.offsets[i + 1] as usize;
         (&self.consumers[r.clone()], self.latency.of(r))
     }
 }
@@ -133,8 +134,8 @@ fn hops(a: TileCoord, b: TileCoord) -> u64 {
 }
 
 /// The number of edges in the widest row of a CSR `offsets` table.
-fn widest_row(offsets: &[usize]) -> usize {
-    offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
+fn widest_row(offsets: &[u32]) -> usize {
+    offsets.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0) as usize
 }
 
 impl CostedDeps {
@@ -176,14 +177,9 @@ impl CostedDeps {
             }
         }
 
-        // Consumer-side tables, aligned with the dependency CSR.
-        let (offsets, producers) = deps.csr();
-        let dep_producer: Vec<usize> = producers
-            .iter()
-            .map(|p| space.index(p.layer, p.set))
-            .collect();
+        let csr = Arc::clone(deps.shared_csr());
         let (dep_latency, homes) = match edge_cost {
-            EdgeCost::Free => (Latencies::Zero(vec![0; widest_row(offsets)]), Vec::new()),
+            EdgeCost::Free => (Latencies::Zero(vec![0; widest_row(csr.offsets())]), Vec::new()),
             EdgeCost::NocHops { arch, placement } | EdgeCost::NocAndGpeu { arch, placement } => {
                 let noc = arch.noc();
                 let homes = (0..space.num_layers())
@@ -193,16 +189,23 @@ impl CostedDeps {
                     EdgeCost::NocAndGpeu { .. } => Some(arch.tile().gpeu_ops_per_cycle as u64),
                     _ => None,
                 };
+                // The home tile of every set's layer, so each edge finds
+                // its producer's without searching the layer starts.
+                let mut home_of = Vec::with_capacity(space.total_sets());
+                for (l, &home) in homes.iter().enumerate() {
+                    home_of.extend(std::iter::repeat_n(home, space.sets_in(l)));
+                }
                 // Walk consumers in arena order so each edge knows its
                 // consumer layer without searching the offset table.
-                let mut latency = Vec::with_capacity(producers.len());
-                for c_layer in 0..space.num_layers() {
+                let mut latency = Vec::with_capacity(csr.producers().len());
+                for (c_layer, &c_home) in homes.iter().enumerate() {
                     let sets = space.layer_range(c_layer);
-                    let r = offsets[sets.start]..offsets[sets.end];
-                    for (p, &pi) in producers[r.clone()].iter().zip(&dep_producer[r]) {
-                        let mut lat = hops(homes[p.layer], homes[c_layer]) * noc.hop_latency_cycles;
+                    let r = csr.offsets()[sets.start] as usize..csr.offsets()[sets.end] as usize;
+                    for &p in &csr.producers()[r] {
+                        let p = p as usize;
+                        let mut lat = hops(home_of[p], c_home) * noc.hop_latency_cycles;
                         if let Some(g) = gpeu {
-                            lat += bytes[pi].div_ceil(g);
+                            lat += bytes[p].div_ceil(g);
                         }
                         latency.push(lat);
                     }
@@ -214,8 +217,7 @@ impl CostedDeps {
         Ok(Self {
             space,
             bytes,
-            dep_offsets: offsets.to_vec(),
-            dep_producer,
+            deps: csr,
             dep_latency,
             homes,
             fanout: LazyFanOut::default(),
@@ -239,23 +241,24 @@ impl CostedDeps {
         &self.space
     }
 
-    /// Bytes forwarded per consumption of set `s` of layer `l`.
+    /// Bytes forwarded per consumption of the set with global index `i`.
     ///
     /// # Panics
     ///
-    /// Panics if the indices are out of range.
+    /// Panics if `i` is out of range.
     #[inline]
-    pub fn set_bytes(&self, l: usize, s: usize) -> u64 {
-        self.bytes[self.space.index(l, s)]
+    pub fn set_bytes(&self, i: usize) -> u64 {
+        self.bytes[i]
     }
 
     /// Consumer-side view of the set with global index `i`: per incoming
     /// edge, the producer's global index and the precomputed latency
-    /// (aligned with [`Dependencies::of`] of the originating relation).
+    /// (aligned with [`Dependencies::producers`] of the originating
+    /// relation).
     #[inline]
-    pub fn incoming(&self, i: usize) -> (&[usize], &[u64]) {
-        let r = self.dep_offsets[i]..self.dep_offsets[i + 1];
-        (&self.dep_producer[r.clone()], self.dep_latency.of(r))
+    pub fn incoming(&self, i: usize) -> (&[u32], &[u64]) {
+        let r = self.deps.row_range(i);
+        (&self.deps.producers()[r.clone()], self.dep_latency.of(r))
     }
 
     /// Latencies of the edges into set `s` of layer `l`, aligned with
@@ -266,8 +269,7 @@ impl CostedDeps {
     /// Panics if the indices are out of range.
     #[inline]
     pub fn latencies_of(&self, l: usize, s: usize) -> &[u64] {
-        let i = self.space.index(l, s);
-        self.dep_latency.of(self.dep_offsets[i]..self.dep_offsets[i + 1])
+        self.incoming(self.space.index(l, s)).1
     }
 
     /// NoC hop count of an edge from layer `from` to layer `to`: the XY
@@ -285,24 +287,16 @@ impl CostedDeps {
         hops(self.homes[from], self.homes[to])
     }
 
-    /// Whether this table was built from exactly `deps` — same set space
-    /// *and* the same edge arena (offsets and producers). The schedulers,
-    /// the validator, and the event engine refuse mismatched tables: a
-    /// same-shaped table from different edges would silently skip or
-    /// mis-weight dependency checks. O(edges) slice comparisons — the
-    /// same order as the topological precondition check.
+    /// Whether this table was built from exactly `deps`' edges — same set
+    /// space *and* the same CSR. The schedulers, the validator, and the
+    /// event engine refuse mismatched tables: a same-shaped table from
+    /// different edges would silently skip or mis-weight dependency checks.
+    /// A table built from `deps` or a clone of it holds the very same CSR,
+    /// so the answer costs one pointer comparison; only a relation built
+    /// separately is compared edge by edge.
     pub fn matches(&self, deps: &Dependencies) -> bool {
-        if !self.space.same_shape(deps.space()) {
-            return false;
-        }
-        let (offsets, producers) = deps.csr();
-        self.dep_offsets == offsets
-            && self.dep_producer.len() == producers.len()
-            && self
-                .dep_producer
-                .iter()
-                .zip(producers)
-                .all(|(&pi, p)| pi == self.space.index(p.layer, p.set))
+        let csr = deps.shared_csr();
+        self.space.same_shape(deps.space()) && (Arc::ptr_eq(&self.deps, csr) || *self.deps == **csr)
     }
 
     /// The producer-side fan-out CSR. Only the event engine reads it, so
@@ -315,27 +309,27 @@ impl CostedDeps {
     /// Counting-sorts the consumer-side edges by producer.
     fn build_fanout(&self) -> FanOut {
         let total = self.space.total_sets();
-        let edges = self.dep_producer.len();
-        let mut counts = vec![0usize; total + 1];
-        for &pi in &self.dep_producer {
-            counts[pi + 1] += 1;
+        let producers = self.deps.producers();
+        let mut counts = vec![0u32; total + 1];
+        for &p in producers {
+            counts[p as usize + 1] += 1;
         }
         for i in 0..total {
             counts[i + 1] += counts[i];
         }
         let offsets = counts.clone();
         let mut cursor = counts;
-        let mut consumers = vec![SetRef { layer: 0, set: 0 }; edges];
+        let mut consumers = vec![SetRef { layer: 0, set: 0 }; producers.len()];
         let mut latency = match &self.dep_latency {
             Latencies::Zero(_) => Latencies::Zero(vec![0; widest_row(&offsets)]),
-            Latencies::PerEdge(_) => Latencies::PerEdge(vec![0; edges]),
+            Latencies::PerEdge(_) => Latencies::PerEdge(vec![0; producers.len()]),
         };
         for l in 0..self.space.num_layers() {
             for s in 0..self.space.sets_in(l) {
-                let i = self.space.index(l, s);
-                for k in self.dep_offsets[i]..self.dep_offsets[i + 1] {
-                    let slot = cursor[self.dep_producer[k]];
-                    cursor[self.dep_producer[k]] += 1;
+                for k in self.deps.row_range(self.space.index(l, s)) {
+                    let p = producers[k] as usize;
+                    let slot = cursor[p] as usize;
+                    cursor[p] += 1;
                     consumers[slot] = SetRef { layer: l, set: s };
                     if let (Latencies::PerEdge(out), Latencies::PerEdge(dep)) =
                         (&mut latency, &self.dep_latency)
@@ -358,6 +352,12 @@ impl CostedDeps {
         self.fanout.0.get().is_some()
     }
 
+    /// Whether this table holds `deps`' own CSR rather than a copy.
+    #[cfg(test)]
+    pub(crate) fn shares_csr_of(&self, deps: &Dependencies) -> bool {
+        Arc::ptr_eq(&self.deps, deps.shared_csr())
+    }
+
     /// Whether the underlying model moves data over the NoC (false for
     /// [`EdgeCost::Free`] — no traffic, no transfer energy).
     pub fn tracks_transfers(&self) -> bool {
@@ -366,7 +366,7 @@ impl CostedDeps {
 
     /// Total number of edges covered.
     pub fn num_edges(&self) -> usize {
-        self.dep_producer.len()
+        self.deps.producers().len()
     }
 
     /// Total bytes forwarded over all cross-layer dependency edges per
@@ -376,7 +376,11 @@ impl CostedDeps {
     /// is independent of the edge-cost *model* (the byte table is the
     /// same for [`EdgeCost::Free`] and the NoC models over one mapping).
     pub fn total_dep_bytes(&self) -> u64 {
-        self.dep_producer.iter().map(|&pi| self.bytes[pi]).sum()
+        self.deps
+            .producers()
+            .iter()
+            .map(|&p| self.bytes[p as usize])
+            .sum()
     }
 }
 
@@ -448,8 +452,8 @@ mod tests {
             }
         }
         // Byte table: one byte per OFM element.
-        assert_eq!(c.set_bytes(0, 0), 4);
-        assert_eq!(c.set_bytes(1, 1), 8);
+        assert_eq!(c.set_bytes(c.space().index(0, 0)), 4);
+        assert_eq!(c.set_bytes(c.space().index(1, 1)), 8);
         // Edge traffic: (0,0) feeds two consumers, (0,1) one → 2·4 + 4.
         assert_eq!(c.total_dep_bytes(), 12);
     }
@@ -465,7 +469,7 @@ mod tests {
         for (k, &lat) in c.latencies_of(1, 0).iter().enumerate() {
             assert_eq!(lat, expect, "edge {k}");
         }
-        for (si, want) in deps.of(1, 1).iter().zip(c.latencies_of(1, 1)) {
+        for (si, want) in deps.of(1, 1).zip(c.latencies_of(1, 1)) {
             let bytes = set_bytes(&layers[si.layer], si.set);
             assert_eq!(*want, cost.cycles(si.layer, 1, bytes).unwrap());
         }
@@ -514,9 +518,9 @@ mod tests {
                 for s in 0..c.space().sets_in(l) {
                     let (producers, lat) = c.incoming(c.space().index(l, s));
                     assert_eq!(lat, c.latencies_of(l, s));
-                    for (p, (&pi, &lat)) in deps.of(l, s).iter().zip(producers.iter().zip(lat)) {
-                        assert_eq!(pi, c.space().index(p.layer, p.set));
-                        from_consumers.push((*p, SetRef { layer: l, set: s }, lat));
+                    for (p, (&pi, &lat)) in deps.of(l, s).zip(producers.iter().zip(lat)) {
+                        assert_eq!(pi as usize, c.space().index(p.layer, p.set));
+                        from_consumers.push((p, SetRef { layer: l, set: s }, lat));
                         let want = if c.tracks_transfers() {
                             placement.hops_between(arch, p.layer, l).unwrap() as u64
                         } else {
@@ -560,6 +564,43 @@ mod tests {
             assert_eq!(c, fresh);
             // A clone after the build carries the fan-out along.
             assert!(c.clone().fanout_built());
+        }
+    }
+
+    /// Both kinds of table hold the relation's own CSR, as does a table
+    /// built from a clone of the relation; a copy would double the edges.
+    #[test]
+    fn tables_share_the_relations_csr() {
+        let (layers, deps) = workload();
+        let free = CostedDeps::free(&layers, &deps).unwrap();
+        let noc = CostedDeps::build(&layers, &deps, &noc_gpeu_cost()).unwrap();
+        assert!(free.shares_csr_of(&deps));
+        assert!(noc.shares_csr_of(&deps));
+        assert!(free.shares_csr_of(&deps.clone()));
+        assert!(CostedDeps::free(&layers, &deps.clone())
+            .unwrap()
+            .shares_csr_of(&deps));
+        // A relation built separately holds its own.
+        let separate = serde_json::from_str(&serde_json::to_string(&deps).unwrap()).unwrap();
+        assert!(!free.shares_csr_of(&separate));
+    }
+
+    /// A table matches its own relation and an equal one built separately,
+    /// which it does not share a CSR with.
+    #[test]
+    fn matches_an_equal_relation_built_separately() {
+        let (layers, deps) = workload();
+        let (_, twin) = workload();
+        let round_trip: Dependencies =
+            serde_json::from_str(&serde_json::to_string(&deps).unwrap()).unwrap();
+        for cost in [EdgeCost::Free, noc_gpeu_cost()] {
+            let costed = CostedDeps::build(&layers, &deps, &cost).unwrap();
+            assert!(costed.matches(&deps));
+            assert!(costed.matches(&deps.clone()));
+            for separate in [&twin, &round_trip] {
+                assert!(!costed.shares_csr_of(separate));
+                assert!(costed.matches(separate));
+            }
         }
     }
 

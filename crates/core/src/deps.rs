@@ -34,16 +34,24 @@
 //!
 //! # Representation
 //!
-//! The relation is stored in **CSR form** over the global
-//! [`SetSpace`] index: one flat `producers` arena holding
-//! every edge's producer [`SetRef`], sliced per consumer set by an offset
-//! table. Compared to the former `Vec<Vec<Vec<SetRef>>>` nesting this is
-//! one allocation instead of one per set, with cache-linear edge walks in
-//! the Stage III/IV longest-path sweep. The public API (`of`, `edges`,
-//! `fan_in`, `fan_out`) and the serde format (the nested `deps` array) are
-//! unchanged.
+//! The relation is stored once, in **CSR form** over the global
+//! [`SetSpace`] index: per consumer set, a `u32` offset into one flat
+//! arena of `u32` producer indices, 4 bytes per edge. A global index sorts
+//! exactly like its `(layer, set)` pair, so each row is sorted and
+//! deduplicated in the order [`of`](Dependencies::of) reports it. The two
+//! arrays sit behind one [`Arc`]: clones of the relation and every
+//! [`CostedDeps`] table built from it share them, and a table recognises
+//! the relation it came from by pointer. The schedulers, the validator
+//! and the event engine walk the indices
+//! ([`producers`](Dependencies::producers)); `of`, `edges`, `fan_in`,
+//! `fan_out` and the serde format (the nested `deps` array) speak
+//! [`SetRef`]s, each index mapped back by a binary search over the layer
+//! starts ([`SetSpace::set_ref`]).
+//!
+//! [`CostedDeps`]: crate::CostedDeps
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use cim_ir::{Axis, FeatureShape, Graph, Node, NodeId, Op, Rect, RegionStep};
 use serde::{Deserialize, Serialize, Value};
@@ -69,18 +77,68 @@ impl std::fmt::Display for SetRef {
 
 /// The Stage-II result: per consumer set, the producer sets it depends on.
 ///
-/// CSR-backed: `producers[offsets[i]..offsets[i + 1]]` are the (sorted,
-/// deduplicated) producers of the consumer set with global index `i` (see
-/// [`SetSpace::index`]).
+/// CSR-backed: `producers[offsets[i]..offsets[i + 1]]` are the global
+/// indices (see [`SetSpace::index`]) of the sorted, deduplicated producers
+/// of the consumer set with global index `i`. Clones share the arrays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dependencies {
     /// The `(layer, set) → usize` index space the CSR arrays are sliced by.
     space: SetSpace,
+    /// The edges, shared with clones and with the cost tables built from
+    /// this relation.
+    csr: Arc<Csr>,
+}
+
+/// The CSR arrays of a [`Dependencies`], both exactly as long as their
+/// capacity.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Csr {
     /// `offsets[i]..offsets[i + 1]` bounds consumer `i`'s producer slice.
-    offsets: Vec<usize>,
-    /// Flat producer arena (`edge_producers`), concatenated in consumer
+    offsets: Vec<u32>,
+    /// Every edge's producer global index, concatenated in consumer
     /// order; each consumer's slice is sorted and deduplicated.
-    producers: Vec<SetRef>,
+    producers: Vec<u32>,
+}
+
+impl Csr {
+    fn new(offsets: Vec<u32>, mut producers: Vec<u32>) -> Arc<Self> {
+        producers.shrink_to_fit();
+        Arc::new(Self { offsets, producers })
+    }
+
+    /// Arena positions of consumer `i`'s edges.
+    #[inline]
+    pub(crate) fn row_range(&self, i: usize) -> Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// Per consumer, the start of its row (length `total_sets + 1`).
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every edge's producer, in consumer order.
+    pub(crate) fn producers(&self) -> &[u32] {
+        &self.producers
+    }
+}
+
+/// Checks that `count` sets or edges fit the CSR's `u32` indices, before
+/// anything proportional to `count` is allocated.
+///
+/// # Errors
+///
+/// Returns [`CoreError::StageMismatch`] when `count` exceeds `u32::MAX`.
+fn check_u32(count: usize, what: &str) -> Result<()> {
+    if u32::try_from(count).is_err() {
+        return Err(CoreError::StageMismatch {
+            detail: format!(
+                "{count} {what} exceed the dependency CSR's u32 indices (at most {})",
+                u32::MAX
+            ),
+        });
+    }
+    Ok(())
 }
 
 impl Dependencies {
@@ -97,12 +155,16 @@ impl Dependencies {
     /// # Errors
     ///
     /// Returns [`CoreError::StageMismatch`] when an edge references a
-    /// nonexistent layer or set.
+    /// nonexistent layer or set, or when there are more than `u32::MAX`
+    /// sets or edges.
     pub fn from_edges(sets_per_layer: &[usize], edges: &[(SetRef, SetRef)]) -> Result<Self> {
         let space = SetSpace::from_counts(sets_per_layer);
-        // Validate endpoints, then sort the edge list by (consumer global
-        // index, producer) so the CSR arena can be filled in one pass.
-        let mut keyed: Vec<(usize, SetRef)> = Vec::with_capacity(edges.len());
+        let total = space.total_sets();
+        check_u32(total, "sets")?;
+        check_u32(edges.len(), "edges")?;
+        // Validate endpoints, then sort the edge list by (consumer,
+        // producer) global index so the CSR arena can be filled in one pass.
+        let mut keyed: Vec<(u32, u32)> = Vec::with_capacity(edges.len());
         for &(consumer, producer) in edges {
             for r in [consumer, producer] {
                 let ok = r.layer < sets_per_layer.len() && r.set < sets_per_layer[r.layer];
@@ -112,27 +174,26 @@ impl Dependencies {
                     });
                 }
             }
-            keyed.push((space.index(consumer.layer, consumer.set), producer));
+            let index = |r: SetRef| space.index(r.layer, r.set) as u32;
+            keyed.push((index(consumer), index(producer)));
         }
         keyed.sort_unstable();
         keyed.dedup();
 
-        let total = space.total_sets();
         let mut offsets = Vec::with_capacity(total + 1);
         let mut producers = Vec::with_capacity(keyed.len());
         offsets.push(0);
         let mut cursor = 0usize;
-        for i in 0..total {
+        for i in 0..total as u32 {
             while cursor < keyed.len() && keyed[cursor].0 == i {
                 producers.push(keyed[cursor].1);
                 cursor += 1;
             }
-            offsets.push(producers.len());
+            offsets.push(producers.len() as u32);
         }
         Ok(Self {
             space,
-            offsets,
-            producers,
+            csr: Csr::new(offsets, producers),
         })
     }
 
@@ -143,16 +204,21 @@ impl Dependencies {
     /// # Errors
     ///
     /// Names the first edge whose producer is not a set of the nested
-    /// shape, as [`from_edges`](Self::from_edges) rejects it.
-    fn from_nested(nested: Vec<Vec<Vec<SetRef>>>) -> std::result::Result<Self, serde::Error> {
+    /// shape, as [`from_edges`](Self::from_edges) rejects it, and refuses
+    /// more than `u32::MAX` sets or edges.
+    fn from_nested(nested: &[Vec<Vec<SetRef>>]) -> std::result::Result<Self, serde::Error> {
         let counts: Vec<usize> = nested.iter().map(Vec::len).collect();
         let space = SetSpace::from_counts(&counts);
+        let edges = nested.iter().flatten().map(Vec::len).sum::<usize>();
+        check_u32(space.total_sets(), "sets")
+            .and_then(|()| check_u32(edges, "edges"))
+            .map_err(|e| serde::Error::custom(format!("Dependencies: {e}")))?;
         let mut offsets = Vec::with_capacity(space.total_sets() + 1);
-        let mut producers =
-            Vec::with_capacity(nested.iter().flatten().map(Vec::len).sum::<usize>());
+        let mut producers = Vec::with_capacity(edges);
+        let mut row: Vec<u32> = Vec::new();
         offsets.push(0);
-        for (l, sets) in nested.into_iter().enumerate() {
-            for (s, mut ds) in sets.into_iter().enumerate() {
+        for (l, sets) in nested.iter().enumerate() {
+            for (s, ds) in sets.iter().enumerate() {
                 if let Some(p) = ds
                     .iter()
                     .find(|p| counts.get(p.layer).is_none_or(|&n| p.set >= n))
@@ -162,28 +228,43 @@ impl Dependencies {
                         "Dependencies: producer {p} of {consumer} is out of range"
                     )));
                 }
-                ds.sort_unstable();
-                ds.dedup();
-                producers.extend_from_slice(&ds);
-                offsets.push(producers.len());
+                row.clear();
+                row.extend(ds.iter().map(|p| space.index(p.layer, p.set) as u32));
+                row.sort_unstable();
+                row.dedup();
+                producers.extend_from_slice(&row);
+                offsets.push(producers.len() as u32);
             }
         }
         Ok(Self {
             space,
-            offsets,
-            producers,
+            csr: Csr::new(offsets, producers),
         })
     }
 
-    /// Producer sets required by set `s` of layer `l`.
+    /// Producer sets required by set `s` of layer `l`, in ascending
+    /// `(layer, set)` order.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of range.
     #[inline]
-    pub fn of(&self, l: usize, s: usize) -> &[SetRef] {
-        let i = self.space.index(l, s);
-        &self.producers[self.offsets[i]..self.offsets[i + 1]]
+    pub fn of(&self, l: usize, s: usize) -> impl ExactSizeIterator<Item = SetRef> + '_ {
+        self.producers(self.space.index(l, s))
+            .iter()
+            .map(|&p| self.space.set_ref(p as usize))
+    }
+
+    /// Global indices of the producers of the set with global index `i`,
+    /// in ascending order: the form the schedulers, the validator and the
+    /// event engine walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn producers(&self, i: usize) -> &[u32] {
+        &self.csr.producers[self.csr.row_range(i)]
     }
 
     /// Number of layers covered.
@@ -197,27 +278,30 @@ impl Dependencies {
     }
 
     /// The raw CSR view: the per-consumer offset table (length
-    /// `total_sets + 1`) and the flat producer arena it slices. Consumer
-    /// `i`'s producers are `producers[offsets[i]..offsets[i + 1]]`, with
-    /// `i` as assigned by [`space`](Self::space).
-    pub fn csr(&self) -> (&[usize], &[SetRef]) {
-        (&self.offsets, &self.producers)
+    /// `total_sets + 1`) and the flat arena of producer global indices it
+    /// slices. Consumer `i`'s producers are
+    /// `producers[offsets[i]..offsets[i + 1]]`, with every index as
+    /// assigned by [`space`](Self::space).
+    pub fn csr(&self) -> (&[u32], &[u32]) {
+        (self.csr.offsets(), self.csr.producers())
+    }
+
+    /// The shared CSR, for the cost tables built from this relation.
+    pub(crate) fn shared_csr(&self) -> &Arc<Csr> {
+        &self.csr
     }
 
     /// Iterates over all `(consumer, producer)` edges.
     pub fn edges(&self) -> impl Iterator<Item = (SetRef, SetRef)> + '_ {
         (0..self.num_layers()).flat_map(move |l| {
-            (0..self.space.sets_in(l)).flat_map(move |s| {
-                self.of(l, s)
-                    .iter()
-                    .map(move |&p| (SetRef { layer: l, set: s }, p))
-            })
+            (0..self.space.sets_in(l))
+                .flat_map(move |s| self.of(l, s).map(move |p| (SetRef { layer: l, set: s }, p)))
         })
     }
 
     /// Total number of dependency edges.
     pub fn num_edges(&self) -> usize {
-        self.producers.len()
+        self.csr.producers.len()
     }
 
     /// The paper's `P` value for a consumer set: how many producer sets it
@@ -227,7 +311,7 @@ impl Dependencies {
     ///
     /// Panics if the indices are out of range.
     pub fn fan_in(&self, l: usize, s: usize) -> usize {
-        self.of(l, s).len()
+        self.csr.row_range(self.space.index(l, s)).len()
     }
 
     /// The paper's `Q` relation, inverted from the stored edges: for every
@@ -244,9 +328,9 @@ impl Dependencies {
 
     /// Checks, once, that every edge points to a topologically earlier
     /// layer — the precondition of the forward longest-path sweep. The
-    /// schedulers run this once per `(layers, deps)` pair (formerly the
-    /// check was duplicated inside both scheduling inner loops and re-run
-    /// for every batch instance).
+    /// schedulers run this once per `(layers, deps)` pair. Rows are
+    /// sorted, so only each row's last producer is read: it must lie
+    /// before the consumer's layer.
     ///
     /// # Errors
     ///
@@ -254,15 +338,18 @@ impl Dependencies {
     /// edge.
     pub fn ensure_backward(&self) -> Result<()> {
         for l in 0..self.num_layers() {
-            for s in 0..self.space.sets_in(l) {
-                for dep in self.of(l, s) {
-                    if dep.layer >= l {
-                        return Err(CoreError::StageMismatch {
-                            detail: format!(
-                                "dependency {dep} of layer {l} is not topologically earlier"
-                            ),
-                        });
-                    }
+            let sets = self.space.layer_range(l);
+            let earlier = sets.start as u32;
+            for i in sets {
+                let row = self.producers(i);
+                if row.last().is_some_and(|&p| p >= earlier) {
+                    let first = row[row.partition_point(|&p| p < earlier)];
+                    let dep = self.space.set_ref(first as usize);
+                    return Err(CoreError::StageMismatch {
+                        detail: format!(
+                            "dependency {dep} of layer {l} is not topologically earlier"
+                        ),
+                    });
                 }
             }
         }
@@ -280,7 +367,7 @@ impl Serialize for Dependencies {
             .map(|l| {
                 Value::Seq(
                     (0..self.space.sets_in(l))
-                        .map(|s| Value::Seq(self.of(l, s).iter().map(|p| p.to_value()).collect()))
+                        .map(|s| Value::Seq(self.of(l, s).map(|p| p.to_value()).collect()))
                         .collect(),
                 )
             })
@@ -297,7 +384,7 @@ impl Deserialize for Dependencies {
         let deps = Value::map_get(entries, "deps")
             .ok_or_else(|| serde::Error::custom("Dependencies: missing `deps`"))?;
         let nested: Vec<Vec<Vec<SetRef>>> = Deserialize::from_value(deps)?;
-        Self::from_nested(nested)
+        Self::from_nested(&nested)
     }
 }
 
@@ -312,15 +399,16 @@ impl Deserialize for Dependencies {
 ///
 /// See the crate-level documentation for the worked Fig. 5 example.
 pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dependencies> {
-    let program = Program::compile(graph, layers)?;
     let space = SetSpace::of_layers(layers);
+    check_u32(space.total_sets(), "sets")?;
+    let program = Program::compile(graph, layers, &space)?;
     let mut offsets = Vec::with_capacity(space.total_sets() + 1);
-    let mut producers: Vec<SetRef> = Vec::new();
+    let mut producers: Vec<u32> = Vec::new();
     offsets.push(0);
-    // One scratch buffer reused across every set (duplicates from multiple
-    // propagation paths are sorted out before the arena append) — no
-    // per-set `HashSet` allocation.
-    let mut scratch: Vec<SetRef> = Vec::new();
+    // One scratch buffer of producer global indices reused across every
+    // set (duplicates from multiple propagation paths are sorted out
+    // before the arena append) — no per-set `HashSet` allocation.
+    let mut scratch: Vec<u32> = Vec::new();
 
     for (li, layer) in layers.iter().enumerate() {
         let entry = &program.branches[program.entries[li].clone()];
@@ -334,14 +422,14 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
             }
             scratch.sort_unstable();
             scratch.dedup();
+            check_u32(producers.len() + scratch.len(), "edges")?;
             producers.extend_from_slice(&scratch);
-            offsets.push(producers.len());
+            offsets.push(producers.len() as u32);
         }
     }
     Ok(Dependencies {
         space,
-        offsets,
-        producers,
+        csr: Csr::new(offsets, producers),
     })
 }
 
@@ -351,6 +439,8 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
 struct Program<'a> {
     graph: &'a Graph,
     layers: &'a [LayerSets],
+    /// The global index space of `layers`' sets.
+    space: &'a SetSpace,
     /// Per layer: whether its sets are strictly ordered, disjoint row bands
     /// (`y1` of each set below `y0` of the next), as `determine_sets`
     /// always emits them.
@@ -403,7 +493,7 @@ enum Dest {
 }
 
 impl<'a> Program<'a> {
-    fn compile(graph: &'a Graph, layers: &'a [LayerSets]) -> Result<Self> {
+    fn compile(graph: &'a Graph, layers: &'a [LayerSets], space: &'a SetSpace) -> Result<Self> {
         let mut layer_of = vec![usize::MAX; graph.len()];
         for (i, l) in layers.iter().enumerate() {
             let node = graph.node(l.node)?;
@@ -422,6 +512,7 @@ impl<'a> Program<'a> {
             program: Program {
                 graph,
                 layers,
+                space,
                 banded,
                 entries: Vec::with_capacity(layers.len()),
                 hops: Vec::new(),
@@ -442,11 +533,11 @@ impl<'a> Program<'a> {
     }
 
     /// Steps `rect` (a region of the branch's node's output) into the
-    /// branch's input and on through its fan, recording intersecting
-    /// producer sets (possibly with duplicates — the caller sort-dedups the
-    /// scratch buffer). Fails with the first base node without Stage-I sets
-    /// that the rectangle reaches.
-    fn step(&self, branch: &Branch, rect: Rect, found: &mut Vec<SetRef>) -> Walked {
+    /// branch's input and on through its fan, recording the global indices
+    /// of intersecting producer sets (possibly with duplicates — the caller
+    /// sort-dedups the scratch buffer). Fails with the first base node
+    /// without Stage-I sets that the rectangle reaches.
+    fn step(&self, branch: &Branch, rect: Rect, found: &mut Vec<u32>) -> Walked {
         let Some(rect) = branch.step.apply(rect) else {
             return Ok(());
         };
@@ -473,7 +564,7 @@ impl<'a> Program<'a> {
 
     /// Steps `rect` into the inputs of hop `h` whose spans it meets: the
     /// first by binary search, stopping at the first span past `rect`.
-    fn hop(&self, h: usize, rect: Rect, found: &mut Vec<SetRef>) -> Walked {
+    fn hop(&self, h: usize, rect: Rect, found: &mut Vec<u32>) -> Walked {
         let hop = &self.hops[h];
         let (lo, hi) = if hop.rows {
             (rect.y0, rect.y1)
@@ -488,11 +579,12 @@ impl<'a> Program<'a> {
         Ok(())
     }
 
-    /// Records every set of layer `li` that `rect` intersects. On a banded
-    /// layer only the sets whose rows overlap `rect` are visited: the first
-    /// is found by binary search, and the walk stops at the first set below
-    /// `rect`. Any other layer is scanned in full.
-    fn push_intersecting(&self, li: usize, rect: Rect, found: &mut Vec<SetRef>) {
+    /// Records the global index of every set of layer `li` that `rect`
+    /// intersects. On a banded layer only the sets whose rows overlap
+    /// `rect` are visited: the first is found by binary search, and the
+    /// walk stops at the first set below `rect`. Any other layer is scanned
+    /// in full.
+    fn push_intersecting(&self, li: usize, rect: Rect, found: &mut Vec<u32>) {
         let sets = &self.layers[li].sets;
         let banded = self.banded[li];
         let first = if banded {
@@ -500,12 +592,13 @@ impl<'a> Program<'a> {
         } else {
             0
         };
+        let start = self.space.layer_range(li).start;
         for (si, set) in sets.iter().enumerate().skip(first) {
             if banded && set.rect.y0 > rect.y1 {
                 break;
             }
             if set.rect.intersects(&rect) {
-                found.push(SetRef { layer: li, set: si });
+                found.push((start + si) as u32);
             }
         }
     }
@@ -644,6 +737,11 @@ mod tests {
         })
     }
 
+    /// `deps.of(l, s)`, collected.
+    fn of(deps: &Dependencies, l: usize, s: usize) -> Vec<SetRef> {
+        deps.of(l, s).collect()
+    }
+
     fn stages(g: &Graph, policy: &SetPolicy) -> (Vec<LayerSets>, Dependencies) {
         let costs = layer_costs(
             g,
@@ -701,7 +799,7 @@ mod tests {
         // conv2 set 0 (OFM row 0) reads padded rows 0..=2 = pool rows 0..=1
         // = conv1 rows 0..=3 = conv1 sets {0, 1}.
         assert_eq!(
-            deps.of(1, 0),
+            of(&deps, 1, 0),
             &[SetRef { layer: 0, set: 0 }, SetRef { layer: 0, set: 1 }]
         );
         // conv2 set 1 reads padded rows 1..=3 = pool rows 0..=2 = conv1 rows
@@ -710,12 +808,12 @@ mod tests {
         // conv2 set 3 (last row) reads padded rows 3..=5 = pool rows 2..=3 =
         // conv1 rows 4..=7 = sets {2, 3}.
         assert_eq!(
-            deps.of(1, 3),
+            of(&deps, 1, 3),
             &[SetRef { layer: 0, set: 2 }, SetRef { layer: 0, set: 3 }]
         );
         // conv1 has no base-layer predecessors.
         for s in 0..4 {
-            assert!(deps.of(0, s).is_empty());
+            assert_eq!(deps.fan_in(0, s), 0);
         }
     }
 
@@ -739,7 +837,7 @@ mod tests {
         let g = fig5_graph();
         let (layers, deps) = stages(&g, &SetPolicy::coarse(1));
         assert_eq!(layers[0].sets.len(), 1);
-        assert_eq!(deps.of(1, 0), &[SetRef { layer: 0, set: 0 }]);
+        assert_eq!(of(&deps, 1, 0), &[SetRef { layer: 0, set: 0 }]);
     }
 
     #[test]
@@ -764,7 +862,7 @@ mod tests {
         // head is layer 2; its set k depends on row k of both branches.
         for s in 0..8 {
             assert_eq!(
-                deps.of(2, s),
+                of(&deps, 2, s),
                 &[SetRef { layer: 0, set: s }, SetRef { layer: 1, set: s }]
             );
         }
@@ -791,13 +889,13 @@ mod tests {
         // c3 (layer 2) set k needs row k of both c1 (skip) and c2 (main).
         for s in 0..8 {
             assert_eq!(
-                deps.of(2, s),
+                of(&deps, 2, s),
                 &[SetRef { layer: 0, set: s }, SetRef { layer: 1, set: s }]
             );
         }
         // c2 set k needs only c1 set k (1×1 kernel).
         for s in 0..8 {
-            assert_eq!(deps.of(1, s), &[SetRef { layer: 0, set: s }]);
+            assert_eq!(of(&deps, 1, s), &[SetRef { layer: 0, set: s }]);
         }
     }
 
@@ -822,7 +920,7 @@ mod tests {
         // c2 rows 2k and 2k+1 both map to c1 row k.
         for s in 0..8 {
             assert_eq!(
-                deps.of(1, s),
+                of(&deps, 1, s),
                 &[SetRef {
                     layer: 0,
                     set: s / 2
@@ -851,7 +949,7 @@ mod tests {
             let expect: Vec<SetRef> = (2 * s..=2 * s + 2)
                 .map(|k| SetRef { layer: 0, set: k })
                 .collect();
-            assert_eq!(deps.of(1, s), expect.as_slice());
+            assert_eq!(of(&deps, 1, s), expect.as_slice());
         }
     }
 
@@ -881,7 +979,7 @@ mod tests {
         let (layers, deps) = stages(&g, &SetPolicy::finest());
         // Flatten forces c1 into a single set; fc depends on it.
         assert_eq!(layers[0].sets.len(), 1);
-        assert_eq!(deps.of(1, 0), &[SetRef { layer: 0, set: 0 }]);
+        assert_eq!(of(&deps, 1, 0), &[SetRef { layer: 0, set: 0 }]);
     }
 
     #[test]
@@ -925,10 +1023,10 @@ mod tests {
         let deps = Dependencies::from_edges(&[2, 2], &edges).unwrap();
         assert_eq!(deps.num_edges(), 3);
         assert_eq!(
-            deps.of(1, 0),
+            of(&deps, 1, 0),
             &[SetRef { layer: 0, set: 0 }, SetRef { layer: 0, set: 1 }]
         );
-        assert_eq!(deps.of(1, 1), &[SetRef { layer: 0, set: 1 }]);
+        assert_eq!(of(&deps, 1, 1), &[SetRef { layer: 0, set: 1 }]);
         let (offsets, producers) = deps.csr();
         assert_eq!(offsets, &[0, 0, 0, 2, 3]);
         assert_eq!(producers.len(), 3);
@@ -946,6 +1044,102 @@ mod tests {
             err.to_string().contains("not topologically earlier"),
             "{err}"
         );
+    }
+
+    /// `of` maps a row's global indices back to `(layer, set)` across
+    /// several producer layers and over empty ones.
+    #[test]
+    fn of_walks_a_row_across_layers() {
+        let r = |layer, set| SetRef { layer, set };
+        let row = [r(0, 0), r(0, 1), r(2, 0), r(2, 2), r(4, 0)];
+        let edges: Vec<_> = row.iter().rev().map(|&p| (r(3, 1), p)).collect();
+        let deps = Dependencies::from_edges(&[2, 0, 3, 2, 1], &edges).unwrap();
+        assert_eq!(of(&deps, 3, 1), row);
+        assert_eq!(deps.of(3, 1).len(), row.len());
+        assert_eq!(deps.fan_in(3, 0), 0);
+        assert_eq!(deps.producers(deps.space().index(3, 1)), &[0, 1, 2, 4, 7]);
+    }
+
+    /// `ensure_backward` reads one producer per row but names the same
+    /// first offending edge as a walk over every edge: the first row in
+    /// consumer order with one, and in it the first producer at or past
+    /// the consumer's layer.
+    #[test]
+    fn ensure_backward_names_the_first_offending_edge() {
+        let r = |layer, set| SetRef { layer, set };
+        let cases = [
+            // A same-layer edge.
+            (
+                vec![2, 1],
+                vec![(r(1, 0), r(0, 1)), (r(0, 1), r(0, 0))],
+                "L0S0 of layer 0",
+            ),
+            // A forward edge, in a later row than a same-layer one.
+            (
+                vec![1, 2],
+                vec![(r(0, 0), r(1, 1)), (r(1, 1), r(1, 0))],
+                "L1S1 of layer 0",
+            ),
+            // Legal producers ahead of the offending one, and a forward
+            // producer behind it in the same row.
+            (
+                vec![2, 2, 1],
+                vec![
+                    (r(1, 0), r(0, 0)),
+                    (r(1, 1), r(0, 0)),
+                    (r(1, 1), r(0, 1)),
+                    (r(1, 1), r(1, 0)),
+                    (r(1, 1), r(2, 0)),
+                    (r(2, 0), r(2, 0)),
+                ],
+                "L1S0 of layer 1",
+            ),
+        ];
+        for (counts, edges, named) in cases {
+            let deps = Dependencies::from_edges(&counts, &edges).unwrap();
+            let err = deps.ensure_backward().unwrap_err();
+            assert!(matches!(err, CoreError::StageMismatch { .. }), "{err}");
+            assert_eq!(
+                err.to_string(),
+                format!("stage input mismatch: dependency {named} is not topologically earlier")
+            );
+        }
+    }
+
+    /// Counts past `u32::MAX` are refused by the check every constructor
+    /// runs before it allocates; the check itself allocates nothing.
+    #[test]
+    fn counts_past_u32_are_a_stage_mismatch() {
+        let max = u32::MAX as usize;
+        check_u32(0, "sets").unwrap();
+        check_u32(max, "edges").unwrap();
+        let err = check_u32(max + 1, "edges").unwrap_err();
+        assert!(matches!(err, CoreError::StageMismatch { .. }), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "stage input mismatch: 4294967296 edges exceed the dependency CSR's u32 \
+             indices (at most 4294967295)"
+        );
+        assert!(check_u32(usize::MAX, "sets").is_err());
+    }
+
+    /// A clone shares the CSR; a relation built separately has its own and
+    /// still compares equal.
+    #[test]
+    fn clones_share_the_csr_and_equality_is_by_content() {
+        let g = fig5_graph();
+        let (layers, deps) = stages(&g, &SetPolicy::finest());
+        let clone = deps.clone();
+        assert!(Arc::ptr_eq(deps.shared_csr(), clone.shared_csr()));
+        let separate = determine_dependencies(&g, &layers).unwrap();
+        assert!(!Arc::ptr_eq(deps.shared_csr(), separate.shared_csr()));
+        assert_eq!(deps, separate);
+        // Stage II's arena holds no spare capacity.
+        assert_eq!(
+            separate.csr.producers.capacity(),
+            separate.csr.producers.len()
+        );
+        assert_eq!(separate.csr.offsets.capacity(), separate.csr.offsets.len());
     }
 
     #[test]

@@ -205,24 +205,25 @@ pub(crate) fn validation_findings(
     }
 
     // -- data dependencies (needs a matching cost table) ------------------
+    // The schedule's arena is sliced like the table (both shapes match the
+    // layers), so every edge reads its producer's window by global index.
     if costed_ok {
-        for l in 0..deps.num_layers() {
-            for s in 0..deps.space().sets_in(l) {
-                let c = schedule.time(l, s);
-                for (producer, &lat) in deps.of(l, s).iter().zip(costed.latencies_of(l, s)) {
-                    let p = schedule.time(producer.layer, producer.set);
-                    let arrival = p.finish + lat;
-                    if c.start < arrival {
-                        let consumer = SetRef { layer: l, set: s };
-                        out.push(ScheduleDiagnostic::error(
-                            "data-dep",
-                            format!(
-                                "data dependency violated: {producer} arrives at {arrival} but \
-                                 {consumer} starts at {}",
-                                c.start
-                            ),
-                        ));
-                    }
+        let times = schedule.arena();
+        for (i, c) in times.iter().enumerate() {
+            let (producers, latencies) = costed.incoming(i);
+            for (&p, &lat) in producers.iter().zip(latencies) {
+                let arrival = times[p as usize].finish + lat;
+                if c.start < arrival {
+                    let producer = deps.space().set_ref(p as usize);
+                    let consumer = deps.space().set_ref(i);
+                    out.push(ScheduleDiagnostic::error(
+                        "data-dep",
+                        format!(
+                            "data dependency violated: {producer} arrives at {arrival} but \
+                             {consumer} starts at {}",
+                            c.start
+                        ),
+                    ));
                 }
             }
         }
@@ -337,34 +338,30 @@ fn find_cycle(deps: &Dependencies) -> Option<SetRef> {
     const WHITE: u8 = 0;
     const GREY: u8 = 1;
     const BLACK: u8 = 2;
-    let space = deps.space();
-    let mut colour = vec![WHITE; space.total_sets()];
-    for l in 0..deps.num_layers() {
-        for s in 0..space.sets_in(l) {
-            if colour[space.index(l, s)] != WHITE {
+    let mut colour = vec![WHITE; deps.space().total_sets()];
+    for root in 0..colour.len() {
+        if colour[root] != WHITE {
+            continue;
+        }
+        // Explicit stack of (set, next-producer position), by global index.
+        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
+        colour[root] = GREY;
+        while let Some(top) = stack.last_mut() {
+            let producers = deps.producers(top.0);
+            let Some(&p) = producers.get(top.1) else {
+                colour[top.0] = BLACK;
+                stack.pop();
                 continue;
-            }
-            // Explicit stack of (node, next-producer-index).
-            let mut stack: Vec<(SetRef, usize)> = vec![(SetRef { layer: l, set: s }, 0)];
-            colour[space.index(l, s)] = GREY;
-            while let Some(top) = stack.last_mut() {
-                let node = top.0;
-                let producers = deps.of(node.layer, node.set);
-                if top.1 >= producers.len() {
-                    colour[space.index(node.layer, node.set)] = BLACK;
-                    stack.pop();
-                    continue;
+            };
+            top.1 += 1;
+            let p = p as usize;
+            match colour[p] {
+                WHITE => {
+                    colour[p] = GREY;
+                    stack.push((p, 0));
                 }
-                let p = producers[top.1];
-                top.1 += 1;
-                match colour[space.index(p.layer, p.set)] {
-                    WHITE => {
-                        colour[space.index(p.layer, p.set)] = GREY;
-                        stack.push((p, 0));
-                    }
-                    GREY => return Some(p),
-                    _ => {}
-                }
+                GREY => return Some(deps.space().set_ref(p)),
+                _ => {}
             }
         }
     }

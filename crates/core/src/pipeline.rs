@@ -159,12 +159,14 @@ pub struct Prepared {
     /// Stage-II dependencies.
     pub deps: Deps,
     /// Precomputed zero-cost edge tables for the paper's peak model
-    /// ([`EdgeCost::Free`]): per-set byte counts and the consumer-side
-    /// CSR, with no per-edge latency or hop array. Cached here — like the
-    /// other stage artifacts — because it depends only on the mapping
-    /// side; every `Free`-model schedule, validation, and simulation over
-    /// this mapping shares the one table. Its fan-out CSR is built only if
-    /// something simulates it ([`CostedDeps::fanout`]).
+    /// ([`EdgeCost::Free`]): per-set byte counts over `deps`' own CSR,
+    /// which the table shares instead of copying, with no per-edge
+    /// latency or hop array. Cached here — like the other stage artifacts
+    /// — because it depends only on the mapping side; every `Free`-model
+    /// schedule, validation, and simulation over this mapping shares the
+    /// one table, and recognises it as built from `deps` by one pointer
+    /// comparison. Its fan-out CSR is built only if something simulates
+    /// it ([`CostedDeps::fanout`]).
     pub costed_free: Costs,
     /// `PE_min` of the *original* graph (weights stored once).
     pub pe_min: usize,

@@ -320,19 +320,18 @@ pub fn cross_layer_schedule_costed(
 /// caller): `costed` covers `layers` and its edges all point backward.
 fn sweep_single(layers: &[LayerSets], costed: &CostedDeps) -> Schedule {
     let space = costed.space().clone();
-    let total = space.total_sets();
-    let mut arena: Vec<SetTime> = Vec::with_capacity(total);
+    let mut arena: Vec<SetTime> = Vec::with_capacity(space.total_sets());
     let mut makespan = 0u64;
-    for (li, layer) in layers.iter().enumerate() {
+    for layer in layers {
         let mut group_free = 0u64; // Stage III: the group runs its sets serially.
-        for (si, set) in layer.sets.iter().enumerate() {
-            let i = space.index(li, si);
+        for set in &layer.sets {
             let mut start = group_free;
-            let (producers, latencies) = costed.incoming(i);
-            for (&pi, &lat) in producers.iter().zip(latencies) {
-                // Backward edges only (see precondition): `pi < i`,
-                // already scheduled.
-                let arrive = arena[pi].finish + lat;
+            // The set's global index is the next arena slot.
+            let (producers, latencies) = costed.incoming(arena.len());
+            for (&p, &lat) in producers.iter().zip(latencies) {
+                // Backward edges only (see precondition): `p` lies below
+                // the set's own index, already scheduled.
+                let arrive = arena[p as usize].finish + lat;
                 start = start.max(arrive);
             }
             let finish = start + set.duration;
@@ -433,12 +432,11 @@ fn sweep_batched(layers: &[LayerSets], costed: &CostedDeps, batch: usize) -> Bat
         let mut arena: Vec<SetTime> = Vec::with_capacity(total);
         let mut instance_makespan = 0u64;
         for (li, layer) in layers.iter().enumerate() {
-            for (si, set) in layer.sets.iter().enumerate() {
-                let i = space.index(li, si);
+            for set in &layer.sets {
                 let mut start = group_free[li];
-                let (producers, latencies) = costed.incoming(i);
-                for (&pi, &lat) in producers.iter().zip(latencies) {
-                    start = start.max(arena[pi].finish + lat);
+                let (producers, latencies) = costed.incoming(arena.len());
+                for (&p, &lat) in producers.iter().zip(latencies) {
+                    start = start.max(arena[p as usize].finish + lat);
                 }
                 let finish = start + set.duration;
                 group_free[li] = finish;

@@ -13,6 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::deps::SetRef;
 use crate::sets::LayerSets;
 
 /// Offset table mapping `(layer, set)` pairs onto a dense `0..total_sets()`
@@ -86,6 +87,28 @@ impl SetSpace {
         start + s
     }
 
+    /// The `(layer, set)` pair of global index `i`, the inverse of
+    /// [`index`](Self::index): one binary search over the layer starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn set_ref(&self, i: usize) -> SetRef {
+        assert!(
+            i < self.total_sets(),
+            "set index {i} out of range ({} sets)",
+            self.total_sets()
+        );
+        // The last layer starting at or before `i`; empty layers share
+        // their start with the next one and are skipped.
+        let layer = self.starts.partition_point(|&start| start <= i) - 1;
+        SetRef {
+            layer,
+            set: i - self.starts[layer],
+        }
+    }
+
     /// The contiguous global-index range of layer `l`'s sets.
     ///
     /// # Panics
@@ -129,6 +152,22 @@ mod tests {
         assert_eq!(sp.sets_in(1), 0);
         assert_eq!(sp.layer_range(1), 2..2);
         assert_eq!(sp.index(2, 0), 2);
+    }
+
+    #[test]
+    fn set_ref_inverts_index_across_empty_layers() {
+        let sp = SetSpace::from_counts(&[2, 0, 0, 3, 1]);
+        for l in 0..sp.num_layers() {
+            for s in 0..sp.sets_in(l) {
+                assert_eq!(sp.set_ref(sp.index(l, s)), SetRef { layer: l, set: s });
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn set_ref_past_the_last_set_panics() {
+        SetSpace::from_counts(&[2, 0]).set_ref(2);
     }
 
     #[test]

@@ -235,12 +235,8 @@ impl TenantState {
     ) -> Self {
         let total = w.costed.space().total_sets();
         let n_layers = w.layers.len();
-        let mut indegree = vec![0u32; total];
-        for (l, layer) in w.layers.iter().enumerate() {
-            for s in 0..layer.sets.len() {
-                indegree[w.costed.space().index(l, s)] = w.deps.of(l, s).len() as u32;
-            }
-        }
+        // A set's indegree is the length of its row of the CSR.
+        let indegree = w.deps.csr().0.windows(2).map(|r| r[1] - r[0]).collect();
         let homes = w.home_tiles.as_ref().map(|own| {
             own.iter()
                 .map(|&tile| Home {
@@ -486,12 +482,10 @@ pub fn run_shared(
                 ),
             });
         }
-        // Streams of one model share one table: a pair already checked for
-        // an earlier tenant is not walked again.
-        let checked = workloads[..k]
-            .iter()
-            .any(|e| std::ptr::eq(e.costed, w.costed) && std::ptr::eq(e.deps, w.deps));
-        if !checked && !w.costed.matches(w.deps) {
+        // A table built from `deps` (or a clone of it) shares its CSR, so
+        // this is a pointer comparison; only a separately built relation is
+        // compared edge by edge.
+        if !w.costed.matches(w.deps) {
             return Err(SimError::BadWorkload {
                 detail: format!("tenant {k}: cost table was built from different dependencies"),
             });
@@ -567,7 +561,7 @@ pub fn run_shared(
         // byte count precomputed, hop count read off the layers' home
         // tiles; link serialization is the only run-time addition.
         let produced = w.costed.space().index(l, s);
-        let bytes = w.costed.set_bytes(l, s);
+        let bytes = w.costed.set_bytes(produced);
         let (consumers, latencies) = fanouts[k].outgoing(produced);
         if !consumers.is_empty() {
             let st = &mut states[k];
@@ -602,11 +596,11 @@ pub fn run_shared(
         // Release producer buffers whose last consuming edge was this
         // completed set's own dependencies.
         let st = &mut states[k];
-        for p in w.deps.of(l, s) {
-            let pi = w.costed.space().index(p.layer, p.set);
-            st.pending_consumers[pi] -= 1;
-            if st.pending_consumers[pi] == 0 {
-                st.live_bytes -= w.costed.set_bytes(p.layer, p.set);
+        for &p in w.deps.producers(produced) {
+            let p = p as usize;
+            st.pending_consumers[p] -= 1;
+            if st.pending_consumers[p] == 0 {
+                st.live_bytes -= w.costed.set_bytes(p);
             }
         }
     }
@@ -878,6 +872,27 @@ mod tests {
             "{err}"
         );
         assert!(run_shared(&workloads[..3], &FabricContention::uncontended()).is_ok());
+    }
+
+    /// A table matches an equal relation that was built separately (and so
+    /// holds its own CSR): the run accepts it and equals the run on the
+    /// table's own relation.
+    #[test]
+    fn a_table_from_an_equal_but_separate_relation_is_accepted() {
+        let (layers, deps) = chain_workload();
+        let (_, twin) = chain_workload();
+        let costed = free_costed(&layers, &deps);
+        let run = |deps| {
+            let w = TenantWorkload {
+                layers: &layers,
+                deps,
+                costed: &costed,
+                arrival: 0,
+                home_tiles: None,
+            };
+            run_shared(&[w], &FabricContention::uncontended())
+        };
+        assert_eq!(run(&twin).unwrap(), run(&deps).unwrap());
     }
 
     #[test]

@@ -50,7 +50,7 @@ fn stage2_p_and_q_relations() {
     let (_, layers, deps) = stage12();
     // Consumer fan-in (P): first conv2 set needs conv1 sets {0, 1}.
     assert_eq!(
-        deps.of(1, 0),
+        deps.of(1, 0).collect::<Vec<_>>(),
         &[SetRef { layer: 0, set: 0 }, SetRef { layer: 0, set: 1 }]
     );
     // Middle sets straddle three producer sets (padding shifts the window).
@@ -58,7 +58,7 @@ fn stage2_p_and_q_relations() {
     assert_eq!(deps.fan_in(1, 2), 3);
     // Last set needs the last two producer sets.
     assert_eq!(
-        deps.of(1, 3),
+        deps.of(1, 3).collect::<Vec<_>>(),
         &[SetRef { layer: 0, set: 2 }, SetRef { layer: 0, set: 3 }]
     );
     // Producer fan-out (Q): every conv1 set influences some conv2 set; the
@@ -89,7 +89,6 @@ fn stage4_earliest_start_semantics() {
             let chain = if si == 0 { 0 } else { lt[si - 1].finish };
             let dep_max = deps
                 .of(li, si)
-                .iter()
                 .map(|d| s.time(d.layer, d.set).finish)
                 .max()
                 .unwrap_or(0);

@@ -49,7 +49,6 @@ proptest! {
                 let dep_max = xl
                     .deps
                     .of(li, si)
-                    .iter()
                     .map(|d| xl.schedule.time(d.layer, d.set).finish)
                     .max()
                     .unwrap_or(0);
