@@ -25,6 +25,11 @@
 //!   concat trees most rectangles miss, and `ResNet152` at `PE_min` under
 //!   cross-layer scheduling, whose long residual chains fold into wide
 //!   fans of producer layers;
+//! * `prepare` — the whole front half (`layer_costs`, the duplication
+//!   plan and rewrite, Stage I, Stage II, the peak-model cost table) on
+//!   two shapes: `ResNet152_coarse2`, once-each mapping at two sets per
+//!   OFM, where the rewrite and Stage I are most of the time, and
+//!   `TinyYOLOv4_wdup100`, serve's first-time key shape;
 //! * `run_prepared` — one cross-layer `run_prepared` (cost-table lookup,
 //!   topological check, Stage IV sweep, validation, metrics) over the
 //!   cached `prepare` of `TinyYOLOv4_wdup100`, serve's first-time key
@@ -64,7 +69,7 @@ use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::{MappingOptions, Solver};
 use clsa_core::{
     batched_cross_layer_schedule, prepare, reference, run, CostedDeps, Dependencies, EdgeCost,
-    LayerSets, Prepared, RunConfig,
+    LayerSets, Prepared, RunConfig, SetPolicy,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -132,11 +137,13 @@ fn bench_stage2(c: &mut Criterion) {
         .into_graph();
     let resnet_pe_min = pe_min_of(&resnet, &MappingOptions::default()).expect("PE_min");
     let resnet_arch = Architecture::paper_case_study(resnet_pe_min).expect("ResNet152 arch");
-    let resnet = prepare(
-        &resnet,
-        &RunConfig::baseline(resnet_arch).with_cross_layer(),
-    )
-    .expect("prepare");
+    let resnet_config = RunConfig::baseline(resnet_arch).with_cross_layer();
+    let resnet_coarse2 = RunConfig {
+        set_policy: SetPolicy::coarse(2),
+        ..resnet_config.clone()
+    };
+    let resnet_graph = resnet;
+    let resnet = prepare(&resnet_graph, &resnet_config).expect("prepare");
     let mut group = c.benchmark_group("schedule_core");
     let stage2 = |p: &Prepared| {
         clsa_core::determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II")
@@ -169,6 +176,15 @@ fn bench_stage2(c: &mut Criterion) {
         &wdup,
         |b, p| b.iter(|| clsa_core::run_prepared(p, &wdup_config).expect("run_prepared")),
     );
+    group.throughput(Throughput::Elements(1));
+    for (id, graph, config) in [
+        ("ResNet152_coarse2", &resnet_graph, &resnet_coarse2),
+        ("TinyYOLOv4_wdup100", &g, &wdup_config),
+    ] {
+        group.bench_with_input(BenchmarkId::new("prepare", id), graph, |b, graph| {
+            b.iter(|| prepare(graph, config).expect("prepare"))
+        });
+    }
     group.finish();
 }
 

@@ -19,9 +19,15 @@
 //! activation, softmax, quantize, add, channel concat) are folded away:
 //! each input leads to a *fan*, the base layers and rectangle-changing
 //! nodes reachable from it through identity ops alone, so a residual chain
-//! becomes one fan of producer layers. A row or column concat keeps its
-//! branches in span order and finds the ones a rectangle meets by binary
-//! search instead of trying every input.
+//! becomes one fan of producer layers. A fan holds each destination once:
+//! joining the fans of an identity op's inputs skips an input whose fan is
+//! already in, and drops the destinations already taken, keeping the first
+//! occurrence of each in input order. So branches that fork and meet again
+//! through identity ops (stacked `relu`/`relu`/`add` diamonds) cost one
+//! fan entry per producer, not one per path. A row or column concat keeps
+//! its branches in span order and finds the ones a rectangle meets by
+//! binary search instead of trying every input. Paths that fork through
+//! hops (stacked pooling diamonds) are still walked one by one.
 //!
 //! Stage I emits every layer's sets as strictly ordered, disjoint row bands
 //! (each set's last row lies above the next set's first row). For such a
@@ -522,6 +528,8 @@ impl<'a> Program<'a> {
             layer_of,
             fan_of: vec![None; graph.len()],
             shapes: Vec::new(),
+            taken: vec![0; layers.len() + 2 * graph.len()],
+            join: 0,
         };
         for l in layers {
             let n = graph.node(l.node)?;
@@ -613,6 +621,11 @@ struct Compiler<'a> {
     fan_of: Vec<Option<Range<usize>>>,
     /// The input shapes of the node whose branches are being built.
     shapes: Vec<FeatureShape>,
+    /// Per destination (indexed by [`key`](Self::key)): the last join
+    /// that took it.
+    taken: Vec<u32>,
+    /// The current join's stamp in `taken`.
+    join: u32,
 }
 
 impl Compiler<'_> {
@@ -693,23 +706,72 @@ impl Compiler<'_> {
         Ok(fan)
     }
 
-    /// The (resolved) fans of `inputs` concatenated in input order. A
-    /// single non-empty fan is shared, not copied.
+    /// The (resolved) fans of `inputs` concatenated in input order, each
+    /// destination kept at its first occurrence only. A fan equal to the
+    /// joined one so far, or holding nothing new, is skipped, and a single
+    /// contributing fan is shared, not copied.
     fn join(&mut self, inputs: &[NodeId]) -> Result<Range<usize>> {
         let mut joined = 0..0;
+        // Whether `joined`'s destinations are marked taken: only once a
+        // second fan arrives, so single-input identity ops mark nothing.
+        let mut marked = false;
         for &inp in inputs {
             let fan = self.fan(inp)?;
+            if fan.is_empty() || fan == joined {
+                continue;
+            }
             if joined.is_empty() {
                 joined = fan;
-            } else if !fan.is_empty() {
-                let dests = &mut self.program.dests;
+                continue;
+            }
+            if !marked {
+                self.join += 1;
+                for i in joined.clone() {
+                    self.take(self.program.dests[i]);
+                }
+                marked = true;
+            }
+            if fan.clone().all(|i| self.is_taken(self.program.dests[i])) {
+                continue;
+            }
+            // Grow `joined` at the end of the arena, where appending leaves
+            // every other fan as it is.
+            let dests = &mut self.program.dests;
+            if joined.end != dests.len() {
                 let start = dests.len();
                 dests.extend_from_within(joined);
-                dests.extend_from_within(fan);
                 joined = start..dests.len();
             }
+            for i in fan {
+                let dest = self.program.dests[i];
+                if !self.is_taken(dest) {
+                    self.take(dest);
+                    self.program.dests.push(dest);
+                }
+            }
+            joined.end = self.program.dests.len();
         }
         Ok(joined)
+    }
+
+    /// A destination's slot in `taken`: layers, then base nodes without
+    /// sets, then hops (at most one per node).
+    fn key(&self, dest: Dest) -> usize {
+        let layers = self.program.layers.len();
+        match dest {
+            Dest::Layer(li) => li,
+            Dest::Unset(node) => layers + node.index(),
+            Dest::Hop(h) => layers + self.program.graph.len() + h,
+        }
+    }
+
+    fn is_taken(&self, dest: Dest) -> bool {
+        self.taken[self.key(dest)] == self.join
+    }
+
+    fn take(&mut self, dest: Dest) {
+        let key = self.key(dest);
+        self.taken[key] = self.join;
     }
 
     fn push_dest(&mut self, dest: Dest) -> Range<usize> {
@@ -1251,6 +1313,64 @@ mod tests {
             let naive = crate::reference::determine_dependencies_naive(&dup, &layers).unwrap();
             assert_eq!(fast, naive, "{policy:?}");
             assert!(fast.num_edges() > 0);
+        }
+    }
+
+    /// Twenty stacked `relu`/`relu`/`add` diamonds fold into one fan
+    /// holding `c1` once (`2^20` copies without the dedup on join), and
+    /// the relation is the direct conv → conv chain's.
+    #[test]
+    fn stacked_diamonds_fold_into_one_destination() {
+        let g = crate::sets::stacked_diamonds(20);
+        let (layers, deps) = stages(&g, &SetPolicy::finest());
+        let space = SetSpace::of_layers(&layers);
+        let program = Program::compile(&g, &layers, &space).unwrap();
+        let entry = &program.branches[program.entries[1].clone()];
+        assert_eq!(entry.len(), 1);
+        assert_eq!(entry[0].fan.len(), 1);
+        assert!(matches!(program.dests[entry[0].fan.start], Dest::Layer(0)));
+
+        let (_, direct) = stages(&crate::sets::stacked_diamonds(0), &SetPolicy::finest());
+        assert_eq!(deps, direct);
+        let small = crate::sets::stacked_diamonds(6);
+        let (layers, deps) = stages(&small, &SetPolicy::finest());
+        let naive = crate::reference::determine_dependencies_naive(&small, &layers).unwrap();
+        assert_eq!(deps, naive);
+        assert_eq!(deps, direct);
+    }
+
+    /// Joins keep each destination's first occurrence, so a walk still
+    /// fails on the first base layer without sets that it reaches, with
+    /// the reference's text.
+    #[test]
+    fn a_join_reports_the_first_unset_layer_it_reaches() {
+        let mut g = Graph::new("t");
+        let input = Op::Input {
+            shape: FeatureShape::new(8, 8, 3),
+        };
+        let x = g.add("input", input, &[]).unwrap();
+        let a = g.add("a", conv_op(4, 1, 1), &[x]).unwrap();
+        let b = g.add("b", conv_op(4, 1, 1), &[x]).unwrap();
+        let ab = g.add("ab", Op::Add, &[a, b]).unwrap();
+        let ba = g.add("ba", Op::Add, &[b, a]).unwrap();
+        let both = g.add("both", Op::Add, &[ba, ab]).unwrap();
+        g.add("head", conv_op(4, 1, 1), &[both]).unwrap();
+        let (layers, _) = stages(&g, &SetPolicy::finest());
+        let [a, b, head] = [0, 1, 2].map(|i| layers[i].clone());
+        // `both` joins [b, a] and then [a, b] into [b, a]: with neither
+        // producer set, b is reached first.
+        for (kept, missing) in [
+            (vec![b, head.clone()], "a"),
+            (vec![a, head.clone()], "b"),
+            (vec![head], "b"),
+        ] {
+            let err = determine_dependencies(&g, &kept).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("stage input mismatch: base layer `{missing}` has no Stage-I sets")
+            );
+            let naive = crate::reference::determine_dependencies_naive(&g, &kept);
+            assert_eq!(naive.unwrap_err().to_string(), err.to_string());
         }
     }
 

@@ -520,6 +520,50 @@ mod tests {
         ));
     }
 
+    /// The mapping rewrite's closing validation names a duplicate node
+    /// name of the input graph, under either mapping.
+    #[test]
+    fn prepare_rejects_a_duplicate_node_name() {
+        let mut g = small_cnn();
+        let p1 = g.find("p1").unwrap();
+        g.node_mut(p1).unwrap().name = "a1".into();
+        for (cfg, ids) in [
+            (RunConfig::baseline(arch(3)), "%2 and %3"),
+            // c1 becomes four slices, four duplicates and a concat.
+            (
+                RunConfig::baseline(arch(3 + 4)).with_duplication(Solver::Greedy),
+                "%10 and %11",
+            ),
+        ] {
+            let err = prepare(&g, &cfg).map(|_| ()).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid graph: duplicate node name `a1` ({ids})")
+            );
+        }
+    }
+
+    /// 64 stacked `relu`/`relu`/`add` diamonds between two convs schedule
+    /// like the direct conv → conv chain, in time linear in the diamonds.
+    #[test]
+    fn stacked_diamonds_schedule_like_the_direct_chain() {
+        let diamonds = crate::sets::stacked_diamonds(64);
+        let direct = crate::sets::stacked_diamonds(0);
+        for cfg in [
+            RunConfig::baseline(arch(2)),
+            RunConfig::baseline(arch(2)).with_cross_layer(),
+            RunConfig::baseline(arch(2 + 6))
+                .with_duplication(Solver::Greedy)
+                .with_cross_layer(),
+        ] {
+            let prepared = prepare(&diamonds, &cfg).unwrap();
+            let direct = run_prepared(&prepare(&direct, &cfg).unwrap(), &cfg).unwrap();
+            assert_eq!(prepared.deps.num_edges(), direct.deps.num_edges());
+            let result = run_prepared(&prepared, &cfg).unwrap();
+            assert_eq!(result.makespan(), direct.makespan(), "{:?}", cfg.mapping);
+        }
+    }
+
     #[test]
     fn baseline_makespan_is_sum_of_layer_latencies() {
         let g = small_cnn();

@@ -13,7 +13,9 @@
 //! * Sets are **quantum-aligned**: the row count per set is a multiple of
 //!   the downstream pooling strides, so non-base operations (e.g. a
 //!   `(2,2)/(2,2)` pooling) always see complete input windows — the Fig. 5a
-//!   constraint that sets contain at least `2×2` values.
+//!   constraint that sets contain at least `2×2` values. Every node's
+//!   quantum comes from one reverse pass over the graph (`row_quanta`),
+//!   in time linear in nodes plus edges.
 //! * Set count per OFM is tunable via [`SetPolicy`]: finer sets give the
 //!   cross-layer scheduler more freedom (paper: "increasing the number of
 //!   sets provides a more detailed scheduling granularity") at the price of
@@ -145,7 +147,7 @@ pub fn determine_sets(
     policy: &SetPolicy,
 ) -> Result<Vec<LayerSets>> {
     policy.validate()?;
-    let consumers = graph.consumers();
+    let quanta = row_quanta(graph);
     let mut out = Vec::with_capacity(costs.len());
     for cost in costs {
         let node = graph.node(cost.node)?;
@@ -163,7 +165,7 @@ pub fn determine_sets(
             });
         }
         let ofm = node.out_shape;
-        let quantum = row_quantum(graph, &consumers, cost.node).min(ofm.h).max(1);
+        let quantum = quanta[cost.node.index()].min(ofm.h).max(1);
         let quanta = ofm.h.div_ceil(quantum);
         let quanta_per_set = match policy.max_sets_per_layer {
             Some(max) => quanta.div_ceil(max),
@@ -194,32 +196,65 @@ pub fn determine_sets(
     Ok(out)
 }
 
-/// The row quantum a base layer's sets must be aligned to: the product of
-/// the pooling row-strides along every downstream non-base path, maximized
-/// over paths (Fig. 5a: sets must accommodate the `(2,2)` pooling between
-/// the layers). Globally-coupled consumers (dense, flatten, global pooling)
-/// require the whole OFM.
-fn row_quantum(graph: &Graph, consumers: &[Vec<NodeId>], node: NodeId) -> usize {
-    fn walk(graph: &Graph, consumers: &[Vec<NodeId>], node: NodeId) -> usize {
-        let mut q = 1usize;
-        for &c in &consumers[node.index()] {
-            let cn = graph.node(c).expect("validated graph"); // cim-lint: allow(panic-unwrap) graph validated upstream
-            let here = match &cn.op {
-                // Base layers end the non-base path.
-                Op::Conv2d(_) | Op::Dense(_) => 1,
-                // Saturating: a downstream global consumer reports
-                // usize::MAX ("whole OFM") and must stay there.
-                Op::MaxPool2d(a) | Op::AvgPool2d(a) => {
-                    a.stride.0.max(1).saturating_mul(walk(graph, consumers, c))
-                }
-                Op::GlobalAvgPool | Op::Flatten | Op::Softmax => usize::MAX,
-                _ => walk(graph, consumers, c),
-            };
-            q = q.max(here);
+/// Every node's row quantum: the row count its output's sets must be a
+/// multiple of. That is the product of the pooling row-strides along each
+/// downstream non-base path, maximized over paths (Fig. 5a: sets must
+/// accommodate the `(2,2)` pooling between the layers); a path ends at the
+/// next base layer. Globally-coupled consumers (flatten, global pooling,
+/// softmax) require the whole OFM, reported as `usize::MAX`.
+///
+/// One pass in reverse id order: ids are topological, so a node's every
+/// consumer is final before the node itself. Each node then raises each of
+/// its inputs to what it asks of them: 1 from a base layer, its row stride
+/// times its own quantum from a pooling (saturating, so a global consumer
+/// downstream stays "whole OFM"), `usize::MAX` from a global consumer, and
+/// its own quantum from any other op. A node without consumers keeps 1.
+fn row_quanta(graph: &Graph) -> Vec<usize> {
+    let mut quanta = vec![1usize; graph.len()];
+    for (idx, n) in graph.iter().enumerate().rev() {
+        let ask = match &n.op {
+            Op::Conv2d(_) | Op::Dense(_) => 1,
+            Op::MaxPool2d(a) | Op::AvgPool2d(a) => a.stride.0.max(1).saturating_mul(quanta[idx]),
+            Op::GlobalAvgPool | Op::Flatten | Op::Softmax => usize::MAX,
+            _ => quanta[idx],
+        };
+        for &i in &n.inputs {
+            let q = &mut quanta[i.index()];
+            *q = (*q).max(ask);
         }
-        q
     }
-    walk(graph, consumers, node)
+    quanta
+}
+
+/// input (18×18×3) → conv → `k` stacked diamonds (`x → relu`,
+/// `x → relu`, `add`) → conv: a graph with `2^k` non-base paths between
+/// its two base layers, whose every set dependency is the direct
+/// conv → conv chain's.
+#[cfg(test)]
+pub(crate) fn stacked_diamonds(k: usize) -> Graph {
+    use cim_ir::{ActFn, Conv2dAttrs, Padding};
+
+    let conv = Op::Conv2d(Conv2dAttrs {
+        out_channels: 8,
+        kernel: (3, 3),
+        stride: (1, 1),
+        padding: Padding::Valid,
+        use_bias: false,
+    });
+    let mut g = Graph::new(format!("diamonds{k}"));
+    let input = Op::Input {
+        shape: FeatureShape::new(18, 18, 3),
+    };
+    let x = g.add("input", input, &[]).unwrap();
+    let mut x = g.add("c1", conv.clone(), &[x]).unwrap(); // 16×16
+    for i in 0..k {
+        let relu = Op::Activation(ActFn::Relu);
+        let a = g.add(format!("a{i}"), relu.clone(), &[x]).unwrap();
+        let b = g.add(format!("b{i}"), relu, &[x]).unwrap();
+        x = g.add(format!("add{i}"), Op::Add, &[a, b]).unwrap();
+    }
+    g.add("c2", conv, &[x]).unwrap(); // 14×14
+    g
 }
 
 #[cfg(test)]
@@ -228,6 +263,80 @@ mod tests {
     use cim_arch::CrossbarSpec;
     use cim_ir::{Conv2dAttrs, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
+    use proptest::prelude::*;
+
+    /// The oracle: a recursive walk from one node over a consumer map,
+    /// straight from the definition. It re-walks every downstream path,
+    /// so it is exponential in stacked non-base diamonds.
+    fn row_quantum_walk(graph: &Graph, consumers: &[Vec<NodeId>], node: NodeId) -> usize {
+        let mut q = 1usize;
+        for &c in &consumers[node.index()] {
+            let here = match &graph.node(c).unwrap().op {
+                Op::Conv2d(_) | Op::Dense(_) => 1,
+                Op::MaxPool2d(a) | Op::AvgPool2d(a) => a
+                    .stride
+                    .0
+                    .max(1)
+                    .saturating_mul(row_quantum_walk(graph, consumers, c)),
+                Op::GlobalAvgPool | Op::Flatten | Op::Softmax => usize::MAX,
+                _ => row_quantum_walk(graph, consumers, c),
+            };
+            q = q.max(here);
+        }
+        q
+    }
+
+    /// `row_quanta` gives every node the oracle's quantum.
+    fn assert_quanta_match_the_walk(g: &Graph) {
+        let consumers = g.consumers();
+        let quanta = row_quanta(g);
+        for id in g.ids() {
+            let walked = row_quantum_walk(g, &consumers, id);
+            assert_eq!(quanta[id.index()], walked, "{} node {id}", g.name());
+        }
+    }
+
+    #[test]
+    fn quanta_match_the_walk_on_the_zoo() {
+        use cim_frontend::{canonicalize, CanonOptions};
+        use cim_mapping::{apply_duplication, min_pes, optimize, Solver};
+
+        let xbar = CrossbarSpec::wan_nature_2022();
+        for name in cim_models::model_names() {
+            let raw = cim_models::graph_by_name(name).unwrap();
+            assert_quanta_match_the_walk(&raw);
+            let g = canonicalize(&raw, &CanonOptions::default())
+                .unwrap()
+                .into_graph();
+            assert_quanta_match_the_walk(&g);
+            // And on the graph Stage I sees under duplication: concat
+            // trees of column and row bands.
+            let costs = layer_costs(&g, &xbar, &MappingOptions::default()).unwrap();
+            let plan = optimize(&costs, min_pes(&costs) + 64, Solver::Greedy).unwrap();
+            assert_quanta_match_the_walk(&apply_duplication(&g, &costs, &plan).unwrap());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn quanta_match_the_walk_on_random_cnns(seed in 0u64..10_000, n in 1usize..12) {
+            assert_quanta_match_the_walk(&cim_models::random_cnn(seed, n));
+        }
+    }
+
+    /// Stacked diamonds cost the reverse pass one visit per node; the
+    /// walk would take `2^40` steps here.
+    #[test]
+    fn stacked_diamonds_take_linear_time() {
+        let g = stacked_diamonds(40);
+        let layers = determine_sets(&g, &costs_of(&g), &SetPolicy::finest()).unwrap();
+        assert_eq!(layers.len(), 2);
+        assert_eq!(layers[0].quantum, 1);
+        assert_eq!(layers[0].sets.len(), 16);
+        assert!(row_quanta(&g).iter().all(|&q| q == 1));
+    }
 
     fn conv_op(oc: usize, k: usize, st: usize) -> Op {
         Op::Conv2d(Conv2dAttrs {

@@ -6,8 +6,6 @@
 //! build new graphs rather than mutating edges, which keeps this invariant
 //! trivially true.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::{IrError, Result};
@@ -122,12 +120,22 @@ pub struct Graph {
     nodes: Vec<Node>,
 }
 
+/// Input shapes [`Graph::add_node`] gathers on the stack; a node with more
+/// inputs (a wide concat) gathers them in a `Vec`.
+const INLINE_INPUTS: usize = 8;
+
 impl Graph {
     /// Creates an empty graph.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_capacity(name, 0)
+    }
+
+    /// Creates an empty graph with room for `nodes` nodes, for a rewrite
+    /// that knows its output size up front.
+    pub fn with_capacity(name: impl Into<String>, nodes: usize) -> Self {
         Self {
             name: name.into(),
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(nodes),
         }
     }
 
@@ -185,12 +193,7 @@ impl Graph {
         params: Option<Params>,
         logical_layer: Option<u32>,
     ) -> Result<NodeId> {
-        let mut in_shapes = Vec::with_capacity(inputs.len());
-        for &i in inputs {
-            let n = self.node(i)?;
-            in_shapes.push(n.out_shape);
-        }
-        let out_shape = op.infer_shape(&in_shapes)?;
+        let out_shape = self.infer(&op, inputs)?;
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,
@@ -202,6 +205,24 @@ impl Graph {
             logical_layer,
         });
         Ok(id)
+    }
+
+    /// Infers `op`'s output shape from the recorded output shapes of
+    /// `inputs`, gathered on the stack for up to [`INLINE_INPUTS`] inputs.
+    fn infer(&self, op: &Op, inputs: &[NodeId]) -> Result<FeatureShape> {
+        let shape_of = |i: NodeId| self.node(i).map(|n| n.out_shape);
+        if inputs.len() > INLINE_INPUTS {
+            let shapes = inputs
+                .iter()
+                .map(|&i| shape_of(i))
+                .collect::<Result<Vec<_>>>()?;
+            return op.infer_shape(&shapes);
+        }
+        let mut shapes = [FeatureShape::new(0, 0, 0); INLINE_INPUTS];
+        for (slot, &i) in shapes.iter_mut().zip(inputs) {
+            *slot = shape_of(i)?;
+        }
+        op.infer_shape(&shapes[..inputs.len()])
     }
 
     /// Looks up a node.
@@ -224,8 +245,9 @@ impl Graph {
             .ok_or(IrError::UnknownNode(id.0))
     }
 
-    /// Iterates over all nodes in topological (insertion) order.
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
+    /// Iterates over all nodes in topological (insertion) order; `rev()`
+    /// visits every consumer before its producers.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &Node> + ExactSizeIterator {
         self.nodes.iter()
     }
 
@@ -286,6 +308,16 @@ impl Graph {
     /// Re-validates the whole graph: edge sanity, topological ids, unique
     /// names, and shape inference consistency.
     ///
+    /// Nodes are checked in id order, and on each node in this order: its
+    /// id matches its position, its name is not an earlier node's, every
+    /// input is an earlier node, and inference from the inputs' shapes
+    /// succeeds and gives the recorded shape. The first failed check is
+    /// reported, so of two faults the one on the lower node id wins. A
+    /// duplicate name is reported at its second occurrence, beside the
+    /// first. Names are compared through one sorted list of
+    /// `(hash, name, position)` triples, and input shapes are gathered in
+    /// one buffer reused across nodes.
+    ///
     /// # Errors
     ///
     /// Returns [`IrError::Invalid`] (or the underlying inference error)
@@ -294,19 +326,21 @@ impl Graph {
         if self.nodes.is_empty() {
             return Err(IrError::EmptyGraph);
         }
-        let mut names: BTreeMap<&str, NodeId> = BTreeMap::new();
+        let duplicate = self.first_duplicate_name();
+        let mut in_shapes = Vec::new();
         for (idx, n) in self.nodes.iter().enumerate() {
             if n.id.index() != idx {
                 return Err(IrError::Invalid {
                     detail: format!("node at position {idx} has id {}", n.id),
                 });
             }
-            if let Some(prev) = names.insert(n.name.as_str(), n.id) {
+            if let Some((prev, _)) = duplicate.filter(|&(_, at)| at == idx) {
+                let prev = self.nodes[prev].id;
                 return Err(IrError::Invalid {
                     detail: format!("duplicate node name `{}` ({prev} and {})", n.name, n.id),
                 });
             }
-            let mut in_shapes = Vec::with_capacity(n.inputs.len());
+            in_shapes.clear();
             for &i in &n.inputs {
                 if i.index() >= idx {
                     return Err(IrError::Invalid {
@@ -326,6 +360,25 @@ impl Graph {
             }
         }
         Ok(())
+    }
+
+    /// The earliest second occurrence of a name, as the positions of the
+    /// name's first and second node. The names sort by their FNV-1a hash
+    /// first, so most comparisons are one integer compare; equal names
+    /// share a hash and end up side by side, ordered by position.
+    fn first_duplicate_name(&self) -> Option<(usize, usize)> {
+        let mut names: Vec<(u64, &str, usize)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(idx, n)| (fnv1a(&n.name), n.name.as_str(), idx))
+            .collect();
+        names.sort_unstable();
+        names
+            .windows(2)
+            .filter(|w| w[0].1 == w[1].1)
+            .map(|w| (w[0].2, w[1].2))
+            .min_by_key(|&(_, second)| second)
     }
 
     /// Counts nodes per operation mnemonic, sorted alphabetically — a
@@ -380,6 +433,13 @@ impl std::fmt::Display for Graph {
             self.outputs().len()
         )
     }
+}
+
+/// 64-bit FNV-1a of `s`.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -466,6 +526,83 @@ mod tests {
         let c = g.add("c", conv_op(4), &[x]).unwrap();
         g.node_mut(c).unwrap().out_shape = FeatureShape::new(1, 1, 1);
         assert!(g.validate().is_err());
+    }
+
+    /// input, then convs `names[0]`, `names[1]`, … each reading the one
+    /// before it.
+    fn conv_chain(names: &[&str]) -> Graph {
+        let mut g = Graph::new("t");
+        let mut prev = input(&mut g, 8, 8, 3);
+        for name in names {
+            prev = g.add(*name, conv_op(4), &[prev]).unwrap();
+        }
+        g
+    }
+
+    fn tamper_shape(g: &mut Graph, id: u32) {
+        g.node_mut(NodeId(id)).unwrap().out_shape = FeatureShape::new(1, 1, 1);
+    }
+
+    fn validate_text(g: &Graph) -> String {
+        g.validate().unwrap_err().to_string()
+    }
+
+    /// With two faults, the one at the lower node id is reported.
+    #[test]
+    fn validate_reports_the_earlier_of_a_duplicate_name_and_a_shape_mismatch() {
+        let mut g = conv_chain(&["a", "b", "a", "d", "e"]);
+        tamper_shape(&mut g, 5);
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: duplicate node name `a` (%1 and %3)"
+        );
+        let mut g = conv_chain(&["a", "b", "c", "d", "a"]);
+        tamper_shape(&mut g, 3);
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: node %3 `c` records shape (1, 1, 1) but inference gives (8, 8, 4)"
+        );
+    }
+
+    #[test]
+    fn validate_reports_the_earlier_of_a_forward_input_and_a_duplicate_name() {
+        let mut g = conv_chain(&["a", "b", "c", "d", "a"]);
+        g.node_mut(NodeId(3)).unwrap().inputs = vec![NodeId(4)];
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: node %3 consumes later/self node %4"
+        );
+        let mut g = conv_chain(&["a", "b", "a", "d", "e"]);
+        g.node_mut(NodeId(5)).unwrap().inputs = vec![NodeId(5)];
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: duplicate node name `a` (%1 and %3)"
+        );
+    }
+
+    /// On one node a duplicate name goes before its edges and its shape,
+    /// and a name seen three times is reported at its second occurrence.
+    #[test]
+    fn validate_checks_a_nodes_name_before_its_inputs() {
+        let mut g = conv_chain(&["a", "b", "a", "a"]);
+        g.node_mut(NodeId(3)).unwrap().inputs = vec![NodeId(4)];
+        tamper_shape(&mut g, 3);
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: duplicate node name `a` (%1 and %3)"
+        );
+        let g = conv_chain(&["b", "a", "c", "a", "a"]);
+        assert_eq!(
+            validate_text(&g),
+            "invalid graph: duplicate node name `a` (%2 and %4)"
+        );
+        // Of two names used twice, the one whose second use comes first.
+        for (names, reported) in [(["a", "b", "a", "b"], "a"), (["b", "a", "b", "a"], "b")] {
+            assert_eq!(
+                validate_text(&conv_chain(&names)),
+                format!("invalid graph: duplicate node name `{reported}` (%1 and %3)")
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,15 @@
 //! All duplicates carry the original node's id as their `logical_layer`, so
 //! the layer-by-layer baseline can run duplicates of one layer concurrently
 //! while keeping distinct layers sequential.
+//!
+//! The rewrite rebuilds the whole graph, also under a trivial plan, so that
+//! every base layer gets its marker. The output is sized once up front.
+//! Every node goes through [`Graph::add_node`], which checks that its
+//! inputs exist and re-infers its shape; the input ids are mapped into one
+//! buffer reused across nodes. The finished graph is validated once
+//! ([`Graph::validate`]: topological ids, unique names, shapes), so a
+//! name clash in the input, or one a duplicate's generated name makes, is
+//! a typed error.
 
 use cim_ir::{input_region, Axis, Graph, NodeId, Op, Rect, SliceAttrs};
 
@@ -39,7 +48,9 @@ use crate::error::{MappingError, Result};
 ///
 /// Returns [`MappingError::PlanMismatch`] when the plan and cost slice
 /// disagree with the graph (length mismatch, non-base node, stale ids, or a
-/// duplicate count exceeding the layer's OFM positions).
+/// duplicate count exceeding the layer's OFM positions), and
+/// [`MappingError::Ir`] when the rebuilt graph fails [`Graph::validate`],
+/// such as on a node name used twice.
 ///
 /// # Examples
 ///
@@ -108,16 +119,26 @@ pub fn apply_duplication(
         dup_of[c.node.index()] = d;
     }
 
-    let mut out = Graph::new(graph.name());
+    let len = graph
+        .iter()
+        .map(|n| expanded_len(n.out_shape.w, dup_of[n.id.index()]))
+        .sum();
+    let mut out = Graph::with_capacity(graph.name(), len);
     let mut map: Vec<Option<NodeId>> = vec![None; graph.len()];
     let mapped = |map: &[Option<NodeId>], id: NodeId| -> NodeId {
         map[id.index()].expect("topological order") // cim-lint: allow(panic-unwrap) duplication plan indices come from the same graph
     };
+    // Scratch reused across nodes: mapped input ids, and a duplicated
+    // layer's parts and bands.
+    let mut inputs: Vec<NodeId> = Vec::new();
+    let mut part_outputs: Vec<NodeId> = Vec::new();
+    let mut band_outputs: Vec<NodeId> = Vec::new();
 
     for node in graph.iter() {
         let d = dup_of[node.id.index()];
         if !node.op.is_base() || d == 1 {
-            let inputs: Vec<NodeId> = node.inputs.iter().map(|&i| mapped(&map, i)).collect();
+            inputs.clear();
+            inputs.extend(node.inputs.iter().map(|&i| mapped(&map, i)));
             let logical = if node.op.is_base() {
                 Some(node.logical_layer.unwrap_or(node.id.0))
             } else {
@@ -148,10 +169,10 @@ pub fn apply_duplication(
         // first row wait for a producer duplicate's *last* row, serializing
         // the duplicates down the chain. Rows are cut only when d > OW.
         let tiles = partition_ofm(ofm.w, ofm.h, d); // (columns, rows) swapped
-        let mut band_outputs: Vec<NodeId> = Vec::with_capacity(tiles.len());
+        band_outputs.clear();
         let mut j = 0usize;
         for band in &tiles {
-            let mut part_outputs: Vec<NodeId> = Vec::with_capacity(band.len());
+            part_outputs.clear();
             for transposed in band {
                 // partition_ofm computed the cut in (w, h) space; swap back.
                 let rect = &Rect::new(transposed.x0, transposed.y0, transposed.x1, transposed.y1);
@@ -211,8 +232,22 @@ pub fn apply_duplication(
         };
         map[node.id.index()] = Some(final_out);
     }
+    debug_assert_eq!(out.len(), len, "expanded_len counts every emitted node");
     out.validate()?;
     Ok(out)
+}
+
+/// Nodes the rewrite emits for a node with OFM width `ow` and duplicate
+/// count `d`: the node itself when `d == 1`, otherwise a slice and a conv
+/// per duplicate, an H concat per column band of more than one part, and a
+/// W concat when there is more than one band (see [`partition_ofm`]).
+fn expanded_len(ow: usize, d: usize) -> usize {
+    if d == 1 {
+        return 1;
+    }
+    let bands = d.min(ow);
+    let stacked = if d / bands >= 2 { bands } else { d % bands };
+    2 * d + stacked + usize::from(bands > 1)
 }
 
 /// Partitions an `oh × ow` grid into `d` disjoint rectangles, returned as
@@ -468,6 +503,10 @@ mod tests {
             }
             prop_assert_eq!(count, d);
             prop_assert_eq!(area, oh * ow);
+            // The rewrite's up-front size: slices, convs and concats.
+            let stacked = bands.iter().filter(|band| band.len() > 1).count();
+            let emitted = if d == 1 { 1 } else { 2 * d + stacked + usize::from(bands.len() > 1) };
+            prop_assert_eq!(expanded_len(oh, d), emitted);
         }
 
         /// Duplication preserves numerics for random convs and duplicate

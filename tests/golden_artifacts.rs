@@ -90,3 +90,45 @@ fn table2_matches_golden() {
     let json = serde_json::to_string_pretty(&table2_rows(2)).expect("rows serialize");
     check_golden("table2.json", &json);
 }
+
+/// The Fig. 4 weight-duplication rewrite's output, pinned by structure:
+/// per model (`fig5` and the zoo, canonicalized) and mapping (once-each,
+/// and Greedy duplication at `PE_min + x`), the mapped graph's node count
+/// and the 64-bit FNV-1a of its serde bytes. Node order, names, shapes,
+/// params and `logical_layer` markers all feed the hash.
+#[test]
+fn mapped_graphs_match_golden() {
+    use cim_arch::CrossbarSpec;
+    use cim_bench::runner::FnvWriter;
+    use cim_frontend::{canonicalize, CanonOptions};
+    use cim_mapping::{apply_duplication, layer_costs, min_pes, optimize, MappingOptions, Solver};
+
+    let xbar = CrossbarSpec::wan_nature_2022();
+    let mut text = String::new();
+    for name in cim_models::model_names() {
+        let raw = cim_models::graph_by_name(name).expect("registry model");
+        let g = canonicalize(&raw, &CanonOptions::default())
+            .expect("model canonicalizes")
+            .into_graph();
+        let costs = layer_costs(&g, &xbar, &MappingOptions::default()).expect("layer costs");
+        let pe_min = min_pes(&costs);
+        let mappings = [
+            ("once-each", 0),
+            ("wdup+16", 16),
+            ("wdup+64", 64),
+            ("wdup+173", 173),
+        ];
+        for (label, extra) in mappings {
+            let plan = optimize(&costs, pe_min + extra, Solver::Greedy).expect("plan");
+            let mapped = apply_duplication(&g, &costs, &plan).expect("rewrite");
+            let mut hash = FnvWriter::new();
+            serde_json::to_fmt_writer(&mut hash, &mapped).expect("graph serializes");
+            text.push_str(&format!(
+                "{name} {label} nodes={} fnv={:016x}\n",
+                mapped.len(),
+                hash.finish()
+            ));
+        }
+    }
+    check_golden("mapped_graphs.txt", &text);
+}
