@@ -15,8 +15,12 @@
 //!
 //! * `cold_pipeline` — a full `clsa_core::run` (mapping + Stages I–IV +
 //!   validation) from scratch;
+//! * `stage1_sets` — `determine_sets` on canonical ResNet152 under
+//!   once-each mapping and finest sets (`ResNet152`): the row-quantum
+//!   pass, then constant work per layer, since sets are computed bands;
 //! * `stage2_dependencies` — the CSR `determine_dependencies` (backward
-//!   walk compiled once per call, flat arena, row-band lookup) on the
+//!   walk compiled once per call, flat arena, producer sets found by
+//!   dividing by band heights) on the
 //!   case-study mapping, beside the retained naive reference (per-set
 //!   `HashSet`, full scan of every producer layer) — the ratio of this
 //!   pair tracks Stage II. Two more points time the walk where it does the
@@ -66,10 +70,10 @@ use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
 use cim_bench::artifacts::{case_study_graph, fig6c_results};
 use cim_bench::runner::{pe_min_of, ResultStore, RunnerOptions};
 use cim_frontend::{canonicalize, CanonOptions};
-use cim_mapping::{MappingOptions, Solver};
+use cim_mapping::{layer_costs, MappingOptions, Solver};
 use clsa_core::{
-    batched_cross_layer_schedule, prepare, reference, run, CostedDeps, Dependencies, EdgeCost,
-    LayerSets, Prepared, RunConfig, SetPolicy,
+    batched_cross_layer_schedule, determine_sets, prepare, reference, run, CostedDeps,
+    Dependencies, EdgeCost, LayerSets, Prepared, RunConfig, SetPolicy,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -144,7 +148,25 @@ fn bench_stage2(c: &mut Criterion) {
     };
     let resnet_graph = resnet;
     let resnet = prepare(&resnet_graph, &resnet_config).expect("prepare");
+    let resnet_costs = layer_costs(
+        &resnet.mapped_graph,
+        resnet_config.arch.crossbar(),
+        &MappingOptions::default(),
+    )
+    .expect("layer costs");
     let mut group = c.benchmark_group("schedule_core");
+    let sets = resnet.layers.iter().map(|l| l.sets.len()).sum::<usize>();
+    group.throughput(Throughput::Elements(sets as u64));
+    group.bench_with_input(
+        BenchmarkId::new("stage1_sets", "ResNet152"),
+        &resnet,
+        |b, p| {
+            b.iter(|| {
+                determine_sets(&p.mapped_graph, &resnet_costs, &SetPolicy::finest())
+                    .expect("stage I")
+            })
+        },
+    );
     let stage2 = |p: &Prepared| {
         clsa_core::determine_dependencies(&p.mapped_graph, &p.layers).expect("stage II")
     };

@@ -388,9 +388,9 @@ impl CostedDeps {
 mod tests {
     use super::*;
     use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
-    use cim_ir::{FeatureShape, NodeId, Rect};
+    use cim_ir::{FeatureShape, NodeId};
 
-    use crate::sets::OfmSet;
+    use crate::sets::SetBands;
 
     fn layer(nsets: usize, width: usize, pes: usize) -> LayerSets {
         LayerSets {
@@ -400,12 +400,7 @@ mod tests {
             ofm: FeatureShape::new(nsets, width, 1),
             pes,
             quantum: 1,
-            sets: (0..nsets)
-                .map(|y| OfmSet {
-                    rect: Rect::new(y, 0, y, width - 1),
-                    duration: width as u64,
-                })
-                .collect(),
+            sets: SetBands::new(nsets, width, 1),
         }
     }
 

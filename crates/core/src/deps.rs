@@ -24,19 +24,26 @@
 //! already in, and drops the destinations already taken, keeping the first
 //! occurrence of each in input order. So branches that fork and meet again
 //! through identity ops (stacked `relu`/`relu`/`add` diamonds) cost one
-//! fan entry per producer, not one per path. A row or column concat keeps
-//! its branches in span order and finds the ones a rectangle meets by
-//! binary search instead of trying every input. Paths that fork through
-//! hops (stacked pooling diamonds) are still walked one by one.
+//! fan entry per producer, not one per path. A fan of layers alone is
+//! kept in layer order. A row or column concat keeps its branches in span
+//! order and finds the ones a rectangle meets by binary search instead of
+//! trying every input.
 //!
-//! Stage I emits every layer's sets as strictly ordered, disjoint row bands
-//! (each set's last row lies above the next set's first row). For such a
-//! producer layer the walk binary-searches the first set whose last row
-//! reaches the propagated rectangle and stops at the first set that starts
-//! below it, so one consumer set costs `O(log S + k)` per producer layer
-//! it reaches (`S` sets, `k` of them intersected) instead of `O(S)`. Layers
-//! built by hand with any other set shape (reversed, overlapping or
-//! column-split) are checked once per call and then scanned in full.
+//! Rectangle-changing nodes are *hops*, and they are hash-consed: a node
+//! whose branches have the same steps, spans and fans as an earlier hop's,
+//! on the same axis, shares that hop and its fan. So two equal pools that
+//! fork from one node and meet again (stacked pooling diamonds) are one
+//! destination that a join keeps once, and the walk takes linear time.
+//! Diamonds of *unequal* pools are still walked path by path.
+//!
+//! Every layer's sets are full-width row bands of `r` rows from the top,
+//! the last possibly shorter ([`SetBands`]). So a stepped rectangle meets
+//! the sets `y0 / r ..= min(y1, h − 1) / r` of a producer layer `h` rows
+//! high, and none when it starts below the last row or right of the last
+//! column: two divisions per producer layer reached. Each consumer set
+//! gathers one `(first, last)` global-index range per layer it reaches
+//! and appends their union in ascending order, sorting the few ranges
+//! only when they arrive out of order.
 //!
 //! # Representation
 //!
@@ -63,7 +70,7 @@ use cim_ir::{Axis, FeatureShape, Graph, Node, NodeId, Op, Rect, RegionStep};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{CoreError, Result};
-use crate::sets::LayerSets;
+use crate::sets::{LayerSets, SetBands};
 use crate::space::SetSpace;
 
 /// Identifier of a set: layer index (into the Stage-I slice) and set index.
@@ -411,25 +418,21 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     let mut offsets = Vec::with_capacity(space.total_sets() + 1);
     let mut producers: Vec<u32> = Vec::new();
     offsets.push(0);
-    // One scratch buffer of producer global indices reused across every
-    // set (duplicates from multiple propagation paths are sorted out
-    // before the arena append) — no per-set `HashSet` allocation.
-    let mut scratch: Vec<u32> = Vec::new();
+    // One scratch buffer of producer ranges reused across every set: one
+    // range per producer layer a path reaches.
+    let mut ranges: Vec<(u32, u32)> = Vec::new();
 
     for (li, layer) in layers.iter().enumerate() {
         let entry = &program.branches[program.entries[li].clone()];
         for set in &layer.sets {
             // The IFM region this conv/dense set needs, walked back.
-            scratch.clear();
+            ranges.clear();
             for branch in entry {
                 program
-                    .step(branch, set.rect, &mut scratch)
+                    .step(branch, set.rect, &mut ranges)
                     .map_err(|node| program.unset(node))?;
             }
-            scratch.sort_unstable();
-            scratch.dedup();
-            check_u32(producers.len() + scratch.len(), "edges")?;
-            producers.extend_from_slice(&scratch);
+            append_union(&mut ranges, &mut producers)?;
             offsets.push(producers.len() as u32);
         }
     }
@@ -439,18 +442,45 @@ pub fn determine_dependencies(graph: &Graph, layers: &[LayerSets]) -> Result<Dep
     })
 }
 
+/// Appends the union of the inclusive global-index `ranges` to
+/// `producers`, in ascending order. The ranges are sorted only when they
+/// arrive out of order, and merged where they overlap or touch.
+///
+/// # Errors
+///
+/// Returns [`CoreError::StageMismatch`] when the arena would pass
+/// `u32::MAX` edges; nothing is appended then.
+fn append_union(ranges: &mut [(u32, u32)], producers: &mut Vec<u32>) -> Result<()> {
+    if !ranges.is_sorted() {
+        ranges.sort_unstable();
+    }
+    let mut merged = 0usize;
+    for i in 0..ranges.len() {
+        let (first, last) = ranges[i];
+        match merged.checked_sub(1).map(|m| &mut ranges[m]) {
+            Some(prev) if first <= prev.1.saturating_add(1) => prev.1 = prev.1.max(last),
+            _ => {
+                ranges[merged] = (first, last);
+                merged += 1;
+            }
+        }
+    }
+    let ranges = &ranges[..merged];
+    let edges: usize = ranges.iter().map(|&(a, b)| (b - a) as usize + 1).sum();
+    check_u32(producers.len() + edges, "edges")?;
+    for &(first, last) in ranges {
+        producers.extend(first..=last);
+    }
+    Ok(())
+}
+
 /// Stage II's backward walk, compiled once per call: every graph node the
 /// walk can reach is resolved to the [`RegionStep`]s of its inputs, so
-/// running it for a set only applies steps and searches producer sets.
+/// running it for a set only applies steps and divides by band heights.
 struct Program<'a> {
     graph: &'a Graph,
-    layers: &'a [LayerSets],
-    /// The global index space of `layers`' sets.
-    space: &'a SetSpace,
-    /// Per layer: whether its sets are strictly ordered, disjoint row bands
-    /// (`y1` of each set below `y0` of the next), as `determine_sets`
-    /// always emits them.
-    banded: Vec<bool>,
+    /// Per layer: its sets, and the global index of its first set.
+    bands: Vec<(SetBands, u32)>,
     /// Per layer: its branches in `branches`, which step from the layer's
     /// output into its inputs.
     entries: Vec<Range<usize>>,
@@ -472,6 +502,7 @@ struct Hop {
 
 /// One input of a node: the step into it and where the stepped rectangle
 /// goes from there.
+#[derive(PartialEq)]
 struct Branch {
     step: RegionStep,
     /// The output rows (row concat) or columns (column concat) this input
@@ -510,16 +541,15 @@ impl<'a> Program<'a> {
             }
             layer_of[l.node.index()] = i;
         }
-        let banded = layers
+        let bands = layers
             .iter()
-            .map(|l| l.sets.windows(2).all(|w| w[0].rect.y1 < w[1].rect.y0))
+            .enumerate()
+            .map(|(i, l)| (l.sets, space.layer_range(i).start as u32))
             .collect();
         let mut c = Compiler {
             program: Program {
                 graph,
-                layers,
-                space,
-                banded,
+                bands,
                 entries: Vec::with_capacity(layers.len()),
                 hops: Vec::new(),
                 branches: Vec::new(),
@@ -527,6 +557,8 @@ impl<'a> Program<'a> {
             },
             layer_of,
             fan_of: vec![None; graph.len()],
+            last_hop_at: Vec::new(),
+            hop_links: Vec::new(),
             shapes: Vec::new(),
             taken: vec![0; layers.len() + 2 * graph.len()],
             join: 0,
@@ -541,17 +573,22 @@ impl<'a> Program<'a> {
     }
 
     /// Steps `rect` (a region of the branch's node's output) into the
-    /// branch's input and on through its fan, recording the global indices
-    /// of intersecting producer sets (possibly with duplicates — the caller
-    /// sort-dedups the scratch buffer). Fails with the first base node
-    /// without Stage-I sets that the rectangle reaches.
-    fn step(&self, branch: &Branch, rect: Rect, found: &mut Vec<u32>) -> Walked {
+    /// branch's input and on through its fan, recording the global-index
+    /// range of the producer sets it meets in each layer it reaches
+    /// (possibly overlapping — the caller merges them). Fails with the
+    /// first base node without Stage-I sets that the rectangle reaches.
+    fn step(&self, branch: &Branch, rect: Rect, found: &mut Vec<(u32, u32)>) -> Walked {
         let Some(rect) = branch.step.apply(rect) else {
             return Ok(());
         };
         for &dest in &self.dests[branch.fan.clone()] {
             match dest {
-                Dest::Layer(li) => self.push_intersecting(li, rect, found),
+                Dest::Layer(li) => {
+                    let (bands, start) = self.bands[li];
+                    if let Some((first, last)) = bands.meeting(&rect) {
+                        found.push((start + first as u32, start + last as u32));
+                    }
+                }
                 Dest::Hop(h) => self.hop(h, rect, found)?,
                 Dest::Unset(node) => return Err(node),
             }
@@ -572,7 +609,7 @@ impl<'a> Program<'a> {
 
     /// Steps `rect` into the inputs of hop `h` whose spans it meets: the
     /// first by binary search, stopping at the first span past `rect`.
-    fn hop(&self, h: usize, rect: Rect, found: &mut Vec<u32>) -> Walked {
+    fn hop(&self, h: usize, rect: Rect, found: &mut Vec<(u32, u32)>) -> Walked {
         let hop = &self.hops[h];
         let (lo, hi) = if hop.rows {
             (rect.y0, rect.y1)
@@ -586,31 +623,10 @@ impl<'a> Program<'a> {
         }
         Ok(())
     }
-
-    /// Records the global index of every set of layer `li` that `rect`
-    /// intersects. On a banded layer only the sets whose rows overlap
-    /// `rect` are visited: the first is found by binary search, and the
-    /// walk stops at the first set below `rect`. Any other layer is scanned
-    /// in full.
-    fn push_intersecting(&self, li: usize, rect: Rect, found: &mut Vec<u32>) {
-        let sets = &self.layers[li].sets;
-        let banded = self.banded[li];
-        let first = if banded {
-            sets.partition_point(|s| s.rect.y1 < rect.y0)
-        } else {
-            0
-        };
-        let start = self.space.layer_range(li).start;
-        for (si, set) in sets.iter().enumerate().skip(first) {
-            if banded && set.rect.y0 > rect.y1 {
-                break;
-            }
-            if set.rect.intersects(&rect) {
-                found.push((start + si) as u32);
-            }
-        }
-    }
 }
+
+/// No hop, in [`Compiler`]'s hop chains.
+const NO_HOP: u32 = u32::MAX;
 
 /// Builds a [`Program`], resolving each graph node at most once.
 struct Compiler<'a> {
@@ -619,6 +635,13 @@ struct Compiler<'a> {
     layer_of: Vec<usize>,
     /// Node index → its fan in `program.dests`, once resolved.
     fan_of: Vec<Option<Range<usize>>>,
+    /// Per position in `program.dests`: the last hop whose first branch's
+    /// fan starts there (`NO_HOP` if none), the head of that position's
+    /// chain in `hop_links`.
+    last_hop_at: Vec<u32>,
+    /// Per hop: the position of its one-destination fan in
+    /// `program.dests`, and the hop before it in its chain.
+    hop_links: Vec<(usize, u32)>,
     /// The input shapes of the node whose branches are being built.
     shapes: Vec<FeatureShape>,
     /// Per destination (indexed by [`key`](Self::key)): the last join
@@ -696,14 +719,43 @@ impl Compiler<'_> {
                 if branches.is_empty() {
                     0..0
                 } else {
-                    let rows = matches!(n.op, Op::Concat(Axis::H));
-                    self.program.hops.push(Hop { branches, rows });
-                    self.push_dest(Dest::Hop(self.program.hops.len() - 1))
+                    self.hop(branches, matches!(n.op, Op::Concat(Axis::H)))
                 }
             }
         };
         self.fan_of[node.index()] = Some(fan.clone());
         Ok(fan)
+    }
+
+    /// The fan of a hop over `branches` (the last ones pushed): that of an
+    /// earlier hop with equal branches and axis, whose copy of them is
+    /// dropped, or else a new hop's. Equal hops step every rectangle to the
+    /// same places, so a join of them keeps one. Only hops whose first
+    /// branch's fan starts at the same place are compared: they are chained
+    /// from `last_hop_at`.
+    fn hop(&mut self, branches: Range<usize>, rows: bool) -> Range<usize> {
+        let p = &self.program;
+        let at = p.branches[branches.start].fan.start;
+        let mut h = self.last_hop_at.get(at).copied().unwrap_or(NO_HOP);
+        while h != NO_HOP {
+            let hop = &p.hops[h as usize];
+            let (fan, earlier) = self.hop_links[h as usize];
+            if hop.rows == rows && p.branches[hop.branches.clone()] == p.branches[branches.clone()]
+            {
+                self.program.branches.truncate(branches.start);
+                return fan..fan + 1;
+            }
+            h = earlier;
+        }
+        if at >= self.last_hop_at.len() {
+            self.last_hop_at.resize(at + 1, NO_HOP);
+        }
+        let h = self.program.hops.len();
+        self.program.hops.push(Hop { branches, rows });
+        let fan = self.push_dest(Dest::Hop(h));
+        self.hop_links.push((fan.start, self.last_hop_at[at]));
+        self.last_hop_at[at] = h as u32;
+        fan
     }
 
     /// The (resolved) fans of `inputs` concatenated in input order, each
@@ -715,6 +767,9 @@ impl Compiler<'_> {
         // Whether `joined`'s destinations are marked taken: only once a
         // second fan arrives, so single-input identity ops mark nothing.
         let mut marked = false;
+        // Whether `joined` is this join's own copy, which no other fan
+        // shares, so that reordering it changes no other fan.
+        let mut own = false;
         for &inp in inputs {
             let fan = self.fan(inp)?;
             if fan.is_empty() || fan == joined {
@@ -741,6 +796,7 @@ impl Compiler<'_> {
                 let start = dests.len();
                 dests.extend_from_within(joined);
                 joined = start..dests.len();
+                own = true;
             }
             for i in fan {
                 let dest = self.program.dests[i];
@@ -751,13 +807,30 @@ impl Compiler<'_> {
             }
             joined.end = self.program.dests.len();
         }
+        // A fan of layers alone is kept in layer order, so that the ranges
+        // it yields arrive sorted. Order matters in no other fan but for
+        // which base layer without sets a walk reaches first.
+        let layer = |d: &Dest| match *d {
+            Dest::Layer(li) => Some(li),
+            Dest::Unset(_) | Dest::Hop(_) => None,
+        };
+        let dests = &mut self.program.dests;
+        let run = &dests[joined.clone()];
+        if run.iter().all(|d| layer(d).is_some()) && !run.is_sorted_by_key(layer) {
+            if !own {
+                let start = dests.len();
+                dests.extend_from_within(joined);
+                joined = start..dests.len();
+            }
+            dests[joined.clone()].sort_unstable_by_key(|d| layer(d));
+        }
         Ok(joined)
     }
 
     /// A destination's slot in `taken`: layers, then base nodes without
     /// sets, then hops (at most one per node).
     fn key(&self, dest: Dest) -> usize {
-        let layers = self.program.layers.len();
+        let layers = self.program.bands.len();
         match dest {
             Dest::Layer(li) => li,
             Dest::Unset(node) => layers + node.index(),
@@ -787,7 +860,7 @@ mod tests {
     use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, PadSpec, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
 
-    use crate::sets::{determine_sets, OfmSet, SetPolicy};
+    use crate::sets::{determine_sets, SetPolicy};
 
     fn conv_op(oc: usize, k: usize, st: usize) -> Op {
         Op::Conv2d(Conv2dAttrs {
@@ -1214,43 +1287,6 @@ mod tests {
         assert!(err.to_string().contains("L2S0 of L0S0"), "{err}");
     }
 
-    /// Hand-built layers whose sets are not ordered row bands take the
-    /// plain scan, and still match the reference analysis.
-    #[test]
-    fn non_banded_sets_match_the_reference() {
-        let g = fig5_graph();
-        let (finest, _) = stages(&g, &SetPolicy::finest());
-        let band = |y0: usize, y1: usize| OfmSet {
-            rect: Rect::new(y0, 0, y1, 7),
-            duration: 8 * (y1 - y0 + 1) as u64,
-        };
-        let split = |y0: usize, y1: usize, x0: usize, x1: usize| OfmSet {
-            rect: Rect::new(y0, x0, y1, x1),
-            duration: ((y1 - y0 + 1) * (x1 - x0 + 1)) as u64,
-        };
-        let shapes: [Vec<OfmSet>; 3] = [
-            // Reversed: bottom band first.
-            vec![band(6, 7), band(4, 5), band(2, 3), band(0, 1)],
-            // Overlapping bands.
-            vec![band(0, 3), band(2, 5), band(4, 7)],
-            // Column-split: two sets share each row band.
-            vec![
-                split(0, 3, 0, 3),
-                split(0, 3, 4, 7),
-                split(4, 7, 0, 3),
-                split(4, 7, 4, 7),
-            ],
-        ];
-        for sets in shapes {
-            let mut layers = finest.clone();
-            layers[0].sets = sets;
-            let fast = determine_dependencies(&g, &layers).unwrap();
-            let naive = crate::reference::determine_dependencies_naive(&g, &layers).unwrap();
-            assert_eq!(fast, naive, "{:?}", layers[0].sets);
-            assert!(fast.num_edges() > 0);
-        }
-    }
-
     /// A walk that reaches a base layer without a Stage-I entry fails with
     /// the reference's error; a missing layer no walk reaches is no error.
     #[test]
@@ -1337,6 +1373,86 @@ mod tests {
         let naive = crate::reference::determine_dependencies_naive(&small, &layers).unwrap();
         assert_eq!(deps, naive);
         assert_eq!(deps, direct);
+    }
+
+    /// Diamonds of two equal pools (`x → pool`, `x → pool`, `add`) share
+    /// one hop, so each join keeps one: forty of them compile to forty
+    /// hops and a walk in linear time, where each set would otherwise
+    /// walk `2^40` paths.
+    #[test]
+    fn stacked_pool_diamonds_take_linear_time() {
+        let g = crate::sets::stacked_pools(40, true);
+        let costs = layer_costs(
+            &g,
+            &CrossbarSpec::wan_nature_2022(),
+            &MappingOptions::default(),
+        )
+        .unwrap();
+        let layers = determine_sets(&g, &costs, &SetPolicy::finest()).unwrap();
+        // The program is checked before any walk, which would not end
+        // without the sharing.
+        let space = SetSpace::of_layers(&layers);
+        let program = Program::compile(&g, &layers, &space).unwrap();
+        assert_eq!(program.hops.len(), 40);
+        let entry = &program.branches[program.entries[1].clone()];
+        assert_eq!(entry.len(), 1);
+        assert_eq!(entry[0].fan.len(), 1);
+        // Each of c2's 14 rows reads c1 rows widened by a row per pool on
+        // each side: all 16 of them.
+        let deps = determine_dependencies(&g, &layers).unwrap();
+        assert_eq!(deps.num_edges(), 14 * 16);
+    }
+
+    /// The relation through pooling diamonds is the naive walk's, and that
+    /// of the chain with each diamond replaced by one pool.
+    #[test]
+    fn stacked_pool_diamonds_match_the_reference_and_the_chain() {
+        let small = crate::sets::stacked_pools(6, true);
+        let (layers, deps) = stages(&small, &SetPolicy::finest());
+        let naive = crate::reference::determine_dependencies_naive(&small, &layers).unwrap();
+        assert_eq!(deps, naive);
+        for k in [6, 40] {
+            let (_, diamonds) = stages(&crate::sets::stacked_pools(k, true), &SetPolicy::finest());
+            let (_, chain) = stages(&crate::sets::stacked_pools(k, false), &SetPolicy::finest());
+            assert_eq!(diamonds, chain, "{k} diamonds");
+        }
+    }
+
+    /// A consumer set whose paths reach a later producer layer before an
+    /// earlier one, and one layer along two paths with overlapping rows,
+    /// gets its ranges sorted and merged: its row is the reference's.
+    #[test]
+    fn ranges_out_of_order_and_overlapping_match_the_reference() {
+        let pool = |k: usize| {
+            Op::MaxPool2d(PoolAttrs {
+                window: (k, k),
+                stride: (1, 1),
+                padding: Padding::Same,
+            })
+        };
+        let mut g = Graph::new("t");
+        let input = Op::Input {
+            shape: FeatureShape::new(12, 12, 3),
+        };
+        let x = g.add("input", input, &[]).unwrap();
+        let c1 = g.add("c1", conv_op(4, 1, 1), &[x]).unwrap();
+        let c2 = g.add("c2", conv_op(4, 1, 1), &[c1]).unwrap();
+        let p = g.add("p", pool(3), &[c2]).unwrap();
+        // The join's fan is [hop p → c2, c1]: c2's range comes first.
+        let later_first = g.add("later_first", Op::Add, &[p, c1]).unwrap();
+        let q = g.add("q", pool(5), &[c1]).unwrap();
+        // And c1 again, two rows wider on each side, through q.
+        let overlap = g.add("overlap", Op::Add, &[later_first, q]).unwrap();
+        g.add("c3", conv_op(4, 1, 1), &[overlap]).unwrap();
+        let (layers, deps) = stages(&g, &SetPolicy::finest());
+        let naive = crate::reference::determine_dependencies_naive(&g, &layers).unwrap();
+        assert_eq!(deps, naive);
+        // c3's row 5 needs c1 rows 3..=7 (q's window) and c2 rows 4..=6.
+        let row: Vec<SetRef> = (3..=7)
+            .map(|set| SetRef { layer: 0, set })
+            .chain((4..=6).map(|set| SetRef { layer: 1, set }))
+            .collect();
+        assert_eq!(of(&deps, 2, 5), row);
     }
 
     /// Joins keep each destination's first occurrence, so a walk still

@@ -174,13 +174,13 @@ pub(crate) fn validation_findings(
     let mut latest = 0u64;
     for (li, layer) in layers.iter().enumerate() {
         let times = schedule.layer(li);
-        for (si, (t, set)) in times.iter().zip(&layer.sets).enumerate() {
-            if t.finish.saturating_sub(t.start) != set.duration {
+        for (si, (t, duration)) in times.iter().zip(layer.sets.durations()).enumerate() {
+            if t.finish.saturating_sub(t.start) != duration {
                 out.push(ScheduleDiagnostic::error(
                     "duration",
                     format!(
-                        "layer `{}` set {si}: window [{}, {}) does not match duration {}",
-                        layer.name, t.start, t.finish, set.duration
+                        "layer `{}` set {si}: window [{}, {}) does not match duration {duration}",
+                        layer.name, t.start, t.finish
                     ),
                 ));
             }

@@ -42,12 +42,12 @@ pub fn gantt_rows(layers: &[LayerSets], schedule: &Schedule) -> Vec<GanttRow> {
 /// # Examples
 ///
 /// ```
-/// # use clsa_core::{gantt_csv, Schedule, SetTime, LayerSets, OfmSet};
-/// # use cim_ir::{FeatureShape, NodeId, Rect};
+/// # use clsa_core::{gantt_csv, Schedule, SetTime, LayerSets, SetBands};
+/// # use cim_ir::{FeatureShape, NodeId};
 /// let layers = vec![LayerSets {
 ///     node: NodeId(1), name: "conv".into(), logical: 1,
 ///     ofm: FeatureShape::new(1, 4, 8), pes: 2, quantum: 1,
-///     sets: vec![OfmSet { rect: Rect::new(0, 0, 0, 3), duration: 4 }],
+///     sets: SetBands::new(1, 4, 1),
 /// }];
 /// let s = Schedule::from_nested(vec![vec![SetTime { start: 0, finish: 4 }]], 4);
 /// let csv = gantt_csv(&layers, &s);
@@ -124,8 +124,8 @@ pub fn gantt_text(layers: &[LayerSets], schedule: &Schedule, width: usize) -> St
 mod tests {
     use super::*;
     use crate::schedule::SetTime;
-    use crate::sets::OfmSet;
-    use cim_ir::{FeatureShape, NodeId, Rect};
+    use crate::sets::SetBands;
+    use cim_ir::{FeatureShape, NodeId};
 
     fn fixture() -> (Vec<LayerSets>, Schedule) {
         let layers = vec![
@@ -136,16 +136,7 @@ mod tests {
                 ofm: FeatureShape::new(2, 4, 8),
                 pes: 3,
                 quantum: 1,
-                sets: vec![
-                    OfmSet {
-                        rect: Rect::new(0, 0, 0, 3),
-                        duration: 4,
-                    },
-                    OfmSet {
-                        rect: Rect::new(1, 0, 1, 3),
-                        duration: 4,
-                    },
-                ],
+                sets: SetBands::new(2, 4, 1),
             },
             LayerSets {
                 node: NodeId(2),
@@ -154,10 +145,7 @@ mod tests {
                 ofm: FeatureShape::new(1, 4, 8),
                 pes: 1,
                 quantum: 1,
-                sets: vec![OfmSet {
-                    rect: Rect::new(0, 0, 0, 3),
-                    duration: 4,
-                }],
+                sets: SetBands::new(1, 4, 1),
             },
         ];
         let schedule = Schedule::from_nested(

@@ -98,6 +98,6 @@ pub use schedule::{
     cross_layer_schedule_costed, layer_by_layer_schedule, set_bytes, BatchedSchedule, EdgeCost,
     Schedule, SetTime,
 };
-pub use sets::{determine_sets, LayerSets, OfmSet, SetPolicy};
+pub use sets::{determine_sets, LayerSets, OfmSet, SetBands, SetPolicy};
 pub use space::SetSpace;
 pub use validate::{validate_schedule, validate_schedule_costed};

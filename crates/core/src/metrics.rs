@@ -138,25 +138,20 @@ pub fn eq3_predicted_from_utilization(
 mod tests {
     use super::*;
     use crate::schedule::{Schedule, SetTime};
-    use crate::sets::OfmSet;
-    use cim_ir::{FeatureShape, NodeId, Rect};
+    use crate::sets::SetBands;
+    use cim_ir::{FeatureShape, NodeId};
 
-    fn layer(pes: usize, durations: &[u64]) -> LayerSets {
+    /// `sets` single-row sets of `duration` cycles each: an OFM `sets`
+    /// rows high and `duration` columns wide.
+    fn layer(pes: usize, sets: usize, duration: usize) -> LayerSets {
         LayerSets {
             node: NodeId(0),
             name: "l".into(),
             logical: 0,
-            ofm: FeatureShape::new(durations.len(), 1, 1),
+            ofm: FeatureShape::new(sets, duration, 1),
             pes,
             quantum: 1,
-            sets: durations
-                .iter()
-                .enumerate()
-                .map(|(y, &d)| OfmSet {
-                    rect: Rect::new(y, 0, y, 0),
-                    duration: d,
-                })
-                .collect(),
+            sets: SetBands::new(sets, duration, 1),
         }
     }
 
@@ -167,9 +162,9 @@ mod tests {
     #[test]
     fn eq2_hand_example() {
         // Layer A: 2 PEs × 10 cycles, layer B: 3 PEs × 5 cycles, sequential.
-        let mut a = layer(2, &[10]);
+        let mut a = layer(2, 1, 10);
         a.logical = 1;
-        let mut b = layer(3, &[5]);
+        let mut b = layer(3, 1, 5);
         b.logical = 2;
         let layers = vec![a, b];
         let s = schedule_of(&layers);
@@ -182,7 +177,7 @@ mod tests {
 
     #[test]
     fn idle_spare_pes_lower_utilization() {
-        let layers = vec![layer(2, &[10])];
+        let layers = vec![layer(2, 1, 10)];
         let s = schedule_of(&layers);
         let tight = utilization(&layers, &s, 2).unwrap();
         let spare = utilization(&layers, &s, 4).unwrap();
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn used_exceeding_total_rejected() {
-        let layers = vec![layer(8, &[10])];
+        let layers = vec![layer(8, 1, 10)];
         let s = schedule_of(&layers);
         assert!(matches!(
             utilization(&layers, &s, 4),
@@ -212,9 +207,9 @@ mod tests {
     /// configurations (same layers, same architecture work).
     #[test]
     fn eq3_exact_when_work_invariant() {
-        let mut a = layer(2, &[6, 6]);
+        let mut a = layer(2, 2, 6);
         a.logical = 1;
-        let mut b = layer(1, &[4, 4]);
+        let mut b = layer(1, 2, 4);
         b.logical = 2;
         let layers = vec![a, b];
         let pe_min = 3;
@@ -274,7 +269,7 @@ mod tests {
 
     #[test]
     fn mismatched_inputs_rejected() {
-        let layers = vec![layer(1, &[1])];
+        let layers = vec![layer(1, 1, 1)];
         let s = Schedule::from_nested(vec![], 0);
         assert!(matches!(
             utilization(&layers, &s, 1),

@@ -694,4 +694,58 @@ mod tests {
         let coarse = run(&g, &cfg).unwrap();
         assert!(fine.makespan() <= coarse.makespan());
     }
+
+    /// Greedy `wdup` over `PE_min + 64` PEs for `g`: the config, and the
+    /// layer costs and plan `prepare` derives from it.
+    fn wdup_config(g: &Graph) -> (RunConfig, Vec<cim_mapping::LayerCost>, DuplicationPlan) {
+        let costs = layer_costs(g, arch(1).crossbar(), &MappingOptions::default()).unwrap();
+        let budget = min_pes(&costs) + 64;
+        let plan = optimize(&costs, budget, Solver::Greedy).unwrap();
+        let cfg = RunConfig::baseline(arch(budget)).with_duplication(Solver::Greedy);
+        (cfg, costs, plan)
+    }
+
+    /// A graph `canonicalize` has not partitioned keeps its padding inside
+    /// its convolutions. `prepare` refuses to duplicate one, naming the
+    /// first such layer the plan duplicates, before it builds anything.
+    #[test]
+    fn raw_graphs_are_refused_before_duplication() {
+        for name in ["TinyYOLOv4", "TinyYOLOv3", "VGG16", "ResNet50"] {
+            let raw = cim_models::graph_by_name(name).unwrap();
+            let (cfg, costs, plan) = wdup_config(&raw);
+            let padded = costs.iter().zip(&plan.duplicates).find(|(c, &d)| {
+                let node = raw.node(c.node).unwrap();
+                d > 1 && matches!(&node.op, Op::Conv2d(a) if a.padding != Padding::Valid)
+            });
+            let (cost, _) = padded.unwrap_or_else(|| panic!("{name} duplicates a padded layer"));
+            let err = prepare(&raw, &cfg).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    crate::CoreError::Mapping(cim_mapping::MappingError::PlanMismatch { .. })
+                ),
+                "{name}: {err}"
+            );
+            let named = format!("`{}` has Same padding", cost.name);
+            assert!(err.to_string().contains(&named), "{name}: {err}");
+        }
+    }
+
+    /// Canonical graphs carry no padding inside their base layers, so the
+    /// zoo still maps under duplication.
+    #[test]
+    fn canonical_zoo_maps_under_duplication() {
+        use cim_frontend::{canonicalize, CanonOptions};
+
+        for name in cim_models::model_names() {
+            let raw = cim_models::graph_by_name(name).unwrap();
+            let g = canonicalize(&raw, &CanonOptions::default())
+                .unwrap()
+                .into_graph();
+            let (cfg, _, plan) = wdup_config(&g);
+            let prepared = prepare(&g, &cfg).unwrap();
+            assert_eq!(prepared.plan.as_ref(), Some(&plan), "{name}");
+            assert!(plan.duplicates.iter().any(|&d| d > 1), "{name}");
+        }
+    }
 }

@@ -324,7 +324,7 @@ fn sweep_single(layers: &[LayerSets], costed: &CostedDeps) -> Schedule {
     let mut makespan = 0u64;
     for layer in layers {
         let mut group_free = 0u64; // Stage III: the group runs its sets serially.
-        for set in &layer.sets {
+        for duration in layer.sets.durations() {
             let mut start = group_free;
             // The set's global index is the next arena slot.
             let (producers, latencies) = costed.incoming(arena.len());
@@ -334,7 +334,7 @@ fn sweep_single(layers: &[LayerSets], costed: &CostedDeps) -> Schedule {
                 let arrive = arena[p as usize].finish + lat;
                 start = start.max(arrive);
             }
-            let finish = start + set.duration;
+            let finish = start + duration;
             group_free = finish;
             makespan = makespan.max(finish);
             arena.push(SetTime { start, finish });
@@ -345,7 +345,7 @@ fn sweep_single(layers: &[LayerSets], costed: &CostedDeps) -> Schedule {
 
 /// Bytes of one producer set: one byte per OFM element (8-bit activations).
 pub fn set_bytes(layer: &LayerSets, set: usize) -> u64 {
-    (layer.sets[set].rect.area() * layer.ofm.c) as u64
+    (layer.sets.get(set).rect.area() * layer.ofm.c) as u64
 }
 
 /// A batched schedule: `batch` back-to-back inferences pipelined through
@@ -432,13 +432,13 @@ fn sweep_batched(layers: &[LayerSets], costed: &CostedDeps, batch: usize) -> Bat
         let mut arena: Vec<SetTime> = Vec::with_capacity(total);
         let mut instance_makespan = 0u64;
         for (li, layer) in layers.iter().enumerate() {
-            for set in &layer.sets {
+            for duration in layer.sets.durations() {
                 let mut start = group_free[li];
                 let (producers, latencies) = costed.incoming(arena.len());
                 for (&p, &lat) in producers.iter().zip(latencies) {
                     start = start.max(arena[p as usize].finish + lat);
                 }
-                let finish = start + set.duration;
+                let finish = start + duration;
                 group_free[li] = finish;
                 instance_makespan = instance_makespan.max(finish);
                 arena.push(SetTime { start, finish });
@@ -506,12 +506,12 @@ pub fn layer_by_layer_schedule(layers: &[LayerSets]) -> Result<Schedule> {
         let mut slot_end = t;
         for li in slot {
             let mut cursor = t;
-            for (si, set) in layers[li].sets.iter().enumerate() {
+            for (si, duration) in layers[li].sets.durations().enumerate() {
                 arena[space.index(li, si)] = SetTime {
                     start: cursor,
-                    finish: cursor + set.duration,
+                    finish: cursor + duration,
                 };
-                cursor += set.duration;
+                cursor += duration;
             }
             slot_end = slot_end.max(cursor);
         }
@@ -691,12 +691,7 @@ mod tests {
             ofm: FeatureShape::new(rows, 4, 8),
             pes: 1,
             quantum: 1,
-            sets: (0..rows)
-                .map(|y| crate::sets::OfmSet {
-                    rect: cim_ir::Rect::new(y, 0, y, 3),
-                    duration: 4,
-                })
-                .collect(),
+            sets: crate::sets::SetBands::new(rows, 4, 1),
         };
         let layers = vec![mk(1, 1, 6), mk(2, 1, 5), mk(3, 3, 2)];
         let s = layer_by_layer_schedule(&layers).unwrap();

@@ -28,7 +28,7 @@
 //! name clash in the input, or one a duplicate's generated name makes, is
 //! a typed error.
 
-use cim_ir::{input_region, Axis, Graph, NodeId, Op, Rect, SliceAttrs};
+use cim_ir::{input_region, Axis, Graph, NodeId, Op, Padding, Rect, SliceAttrs};
 
 use crate::cost::LayerCost;
 use crate::duplication::DuplicationPlan;
@@ -48,9 +48,13 @@ use crate::error::{MappingError, Result};
 ///
 /// Returns [`MappingError::PlanMismatch`] when the plan and cost slice
 /// disagree with the graph (length mismatch, non-base node, stale ids, or a
-/// duplicate count exceeding the layer's OFM positions), and
-/// [`MappingError::Ir`] when the rebuilt graph fails [`Graph::validate`],
-/// such as on a node name used twice.
+/// duplicate count exceeding the layer's OFM positions), and when a layer
+/// with more than one duplicate is not valid-padded: each duplicate reads a
+/// slice of the unpadded input, so `same` or explicit padding must first be
+/// made a separate node (`cim_frontend::canonicalize` does). Both are
+/// checked before anything is built. Returns [`MappingError::Ir`] when the
+/// rebuilt graph fails [`Graph::validate`], such as on a node name used
+/// twice.
 ///
 /// # Examples
 ///
@@ -115,6 +119,17 @@ pub fn apply_duplication(
             return Err(MappingError::PlanMismatch {
                 detail: format!("`{}` cannot host {d} duplicates", node.name),
             });
+        }
+        if let Op::Conv2d(a) = &node.op {
+            if d > 1 && a.padding != Padding::Valid {
+                return Err(MappingError::PlanMismatch {
+                    detail: format!(
+                        "`{}` has {:?} padding and cannot be split into {d} duplicates; \
+                         canonicalize the graph first",
+                        node.name, a.padding
+                    ),
+                });
+            }
         }
         dup_of[c.node.index()] = d;
     }
@@ -447,6 +462,39 @@ mod tests {
             apply_duplication(&g, &costs, &plan),
             Err(MappingError::PlanMismatch { .. })
         ));
+    }
+
+    /// A padded layer is refused once it has a second duplicate, and
+    /// mapped once each as before.
+    #[test]
+    fn duplicating_a_padded_layer_is_refused() {
+        for padding in [
+            Padding::Same,
+            Padding::Explicit(cim_ir::PadSpec::uniform(1)),
+        ] {
+            let mut g = Graph::new("t");
+            let input = Op::Input {
+                shape: FeatureShape::new(9, 9, 2),
+            };
+            let x = g.add("input", input, &[]).unwrap();
+            let attrs = Conv2dAttrs {
+                padding,
+                ..conv_attrs(4, 3, 1)
+            };
+            g.add("conv", Op::Conv2d(attrs), &[x]).unwrap();
+            let (costs, mut plan) = plan_for(&g, 0, Solver::Greedy);
+            assert_eq!(apply_duplication(&g, &costs, &plan).unwrap().len(), 2);
+            plan.duplicates[0] = 2;
+            let err = apply_duplication(&g, &costs, &plan).unwrap_err();
+            assert!(matches!(err, MappingError::PlanMismatch { .. }), "{err}");
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "duplication plan does not fit graph: `conv` has {padding:?} padding and \
+                     cannot be split into 2 duplicates; canonicalize the graph first"
+                )
+            );
+        }
     }
 
     #[test]

@@ -104,10 +104,10 @@ impl<'a> Simulator<'a> {
 mod tests {
     use super::*;
     use cim_arch::CrossbarSpec;
-    use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, Graph, Op, PadSpec, Padding, PoolAttrs, Rect};
+    use cim_ir::{ActFn, Conv2dAttrs, FeatureShape, Graph, Op, PadSpec, Padding, PoolAttrs};
     use cim_mapping::{layer_costs, MappingOptions};
     use clsa_core::{
-        cross_layer_schedule, determine_dependencies, determine_sets, validate_schedule, OfmSet,
+        cross_layer_schedule, determine_dependencies, determine_sets, validate_schedule, SetBands,
         SetPolicy, SetRef,
     };
     use proptest::prelude::*;
@@ -311,12 +311,7 @@ mod tests {
                     ofm: FeatureShape::new(nsets, dur as usize, 1),
                     pes,
                     quantum: 1,
-                    sets: (0..nsets)
-                        .map(|y| OfmSet {
-                            rect: Rect::new(y, 0, y, dur as usize - 1),
-                            duration: dur,
-                        })
-                        .collect(),
+                    sets: SetBands::new(nsets, dur as usize, 1),
                 })
                 .collect();
             let n_layers = layers.len();

@@ -440,7 +440,7 @@ fn try_start(
     }
     let want = states[k].group_free[l].max(states[k].ready[i]);
     let reload = touch_block(fs, states, states[k].first_block + l, spec);
-    let dur = w.layers[l].sets[s].duration + reload;
+    let dur = w.layers[l].sets.duration(s) + reload;
     let (start, stall) = match states[k].homes.as_ref().map(|h| h[l].window) {
         Some(slot) => book_tile(fs, states, slot, k, want, dur),
         None => (want, 0),
@@ -548,7 +548,7 @@ pub fn run_shared(
             st.completed += 1;
             st.makespan = st.makespan.max(t);
             st.last_finish[l] = st.last_finish[l].max(t);
-            let dur = w.layers[l].sets[s].duration;
+            let dur = w.layers[l].sets.duration(s);
             st.stats.groups[l].active_cycles += dur;
             st.stats.groups[l].sets_executed += 1;
             st.energy.record_mvms(dur * w.layers[l].pes as u64);
@@ -656,8 +656,8 @@ pub fn run_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_ir::{FeatureShape, NodeId, Rect};
-    use clsa_core::{OfmSet, SetRef};
+    use cim_ir::{FeatureShape, NodeId};
+    use clsa_core::{SetBands, SetRef};
 
     /// `n` sets of `dur` cycles on a `pes`-PE group.
     fn layer(nsets: usize, dur: u64, pes: usize) -> LayerSets {
@@ -668,12 +668,7 @@ mod tests {
             ofm: FeatureShape::new(nsets, dur as usize, 1),
             pes,
             quantum: 1,
-            sets: (0..nsets)
-                .map(|y| OfmSet {
-                    rect: Rect::new(y, 0, y, dur as usize - 1),
-                    duration: dur,
-                })
-                .collect(),
+            sets: SetBands::new(nsets, dur as usize, 1),
         }
     }
 

@@ -132,3 +132,59 @@ fn mapped_graphs_match_golden() {
     }
     check_golden("mapped_graphs.txt", &text);
 }
+
+/// `tests/golden/stage_artifacts.txt` pins Stages I and II on the mapped
+/// graphs of `mapped_graphs.txt`, under the finest, coarse(8) and
+/// coarse(2) set policies: the set and edge counts, and the 64-bit FNV-1a
+/// of the serde bytes of the `Vec<LayerSets>` and of the `Dependencies`.
+#[test]
+fn stage_artifacts_match_golden() {
+    use cim_arch::CrossbarSpec;
+    use cim_bench::runner::FnvWriter;
+    use cim_frontend::{canonicalize, CanonOptions};
+    use cim_mapping::{apply_duplication, layer_costs, min_pes, optimize, MappingOptions, Solver};
+    use clsa_core::{determine_dependencies, determine_sets, SetPolicy};
+
+    let xbar = CrossbarSpec::wan_nature_2022();
+    let options = MappingOptions::default();
+    let mut text = String::new();
+    for name in cim_models::model_names() {
+        let raw = cim_models::graph_by_name(name).expect("registry model");
+        let g = canonicalize(&raw, &CanonOptions::default())
+            .expect("model canonicalizes")
+            .into_graph();
+        let costs = layer_costs(&g, &xbar, &options).expect("layer costs");
+        let pe_min = min_pes(&costs);
+        for (label, extra) in [
+            ("once-each", 0),
+            ("wdup+16", 16),
+            ("wdup+64", 64),
+            ("wdup+173", 173),
+        ] {
+            let plan = optimize(&costs, pe_min + extra, Solver::Greedy).expect("plan");
+            let mapped = apply_duplication(&g, &costs, &plan).expect("rewrite");
+            let mapped_costs = layer_costs(&mapped, &xbar, &options).expect("layer costs");
+            for (policy_label, policy) in [
+                ("finest", SetPolicy::finest()),
+                ("coarse8", SetPolicy::coarse(8)),
+                ("coarse2", SetPolicy::coarse(2)),
+            ] {
+                let layers = determine_sets(&mapped, &mapped_costs, &policy).expect("Stage I");
+                let deps = determine_dependencies(&mapped, &layers).expect("Stage II");
+                let mut layers_fnv = FnvWriter::new();
+                serde_json::to_fmt_writer(&mut layers_fnv, &layers).expect("sets serialize");
+                let mut deps_fnv = FnvWriter::new();
+                serde_json::to_fmt_writer(&mut deps_fnv, &deps).expect("relation serializes");
+                text.push_str(&format!(
+                    "{name} {label} {policy_label} sets={} edges={} layers_fnv={:016x} \
+                     deps_fnv={:016x}\n",
+                    layers.iter().map(|l| l.sets.len()).sum::<usize>(),
+                    deps.num_edges(),
+                    layers_fnv.finish(),
+                    deps_fnv.finish()
+                ));
+            }
+        }
+    }
+    check_golden("stage_artifacts.txt", &text);
+}
