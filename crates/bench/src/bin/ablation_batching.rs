@@ -7,11 +7,13 @@
 //!
 //! Usage: `cargo run --release -p cim-bench --bin ablation_batching [-- --json <path>] [--jobs N]`
 
+use std::process::ExitCode;
+
 use cim_arch::Architecture;
-use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
-use cim_bench::{cli, render_table};
-use cim_frontend::{canonicalize, CanonOptions};
-use clsa_core::{batched_cross_layer_schedule, run_prepared, EdgeCost, RunConfig};
+use cim_bench::cli::{self, sweep_exit_code, Args};
+use cim_bench::render_table;
+use cim_bench::runner::{canonical, run_jobs, SweepJob};
+use clsa_core::{batched_cross_layer_schedule, CoreError, EdgeCost, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,80 +26,60 @@ struct Record {
     utilization: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let runner = args.runner;
+    sweep_exit_code(run(&args).map(|()| 0))
+}
 
-    // One job per (model, config); the four batch depths inside a job
-    // reuse that job's single pipeline run.
-    struct Job {
-        model: String,
-        fp: u64,
-        graph: std::sync::Arc<cim_ir::Graph>,
-        config: String,
-        total_pes: usize,
-        cfg: RunConfig,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
+fn run(args: &Args) -> Result<(), CoreError> {
+    // One job per (model, config); the four batch depths reuse that job's
+    // single pipeline run.
+    let mut jobs = Vec::new();
     for (name, graph, pe_min) in [
         ("TinyYOLOv4", cim_models::tiny_yolo_v4(), 117usize),
         ("TinyYOLOv3", cim_models::tiny_yolo_v3(), 142),
         ("VGG16", cim_models::vgg16(), 233),
     ] {
-        let g = canonicalize(&graph, &CanonOptions::default())
-            .expect("model canonicalizes")
-            .into_graph();
-        let g = std::sync::Arc::new(g);
-        let fp = fingerprint(g.as_ref());
-        for (config, extra, duplicate) in [("xinf", 0usize, false), ("wdup+32+xinf", 32, true)] {
-            let total_pes = pe_min + extra;
-            let arch = Architecture::paper_case_study(total_pes).unwrap();
-            let mut cfg = RunConfig::baseline(arch).with_cross_layer();
+        let (graph, model_fp) = canonical(&graph)?;
+        for (label, x, duplicate) in [("xinf", 0usize, false), ("wdup+32+xinf", 32, true)] {
+            let mut config =
+                RunConfig::baseline(Architecture::paper_case_study(pe_min + x)?).with_cross_layer();
             if duplicate {
-                cfg = cfg.with_duplication(cim_mapping::Solver::Greedy);
+                config = config.with_duplication(cim_mapping::Solver::Greedy);
             }
-            jobs.push(Job {
+            jobs.push(SweepJob {
                 model: name.to_string(),
-                fp,
-                graph: std::sync::Arc::clone(&g),
-                config: config.to_string(),
-                total_pes,
-                cfg,
+                model_fp,
+                graph: std::sync::Arc::clone(&graph),
+                label: label.to_string(),
+                x,
+                pe_min,
+                config,
             });
         }
     }
 
-    let cache = ScheduleCache::new();
-    let records: Vec<Record> = parallel_map(&jobs, runner.jobs, |_, job| {
-        let r = cache
-            .prepared(job.fp, &job.graph, &job.cfg)
-            .and_then(|prepared| run_prepared(&prepared, &job.cfg))
-            .expect("pipeline runs");
+    let (results, stats) = run_jobs(&jobs, args.runner)?;
+    let mut records = Vec::new();
+    for (job, r) in jobs.iter().zip(&results) {
         let work: u64 = r
             .layers
             .iter()
             .map(|l| l.pes as u64 * l.total_cycles())
             .sum();
-        [1usize, 2, 4, 16]
-            .iter()
-            .map(|&batch| {
-                let b = batched_cross_layer_schedule(&r.layers, &r.deps, &EdgeCost::Free, batch)
-                    .expect("batched schedule");
-                Record {
-                    model: job.model.clone(),
-                    config: job.config.clone(),
-                    batch,
-                    makespan_cycles: b.makespan,
-                    cycles_per_inference: b.cycles_per_inference(),
-                    utilization: (batch as u64 * work) as f64
-                        / (job.total_pes as u64 * b.makespan) as f64,
-                }
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+        let total_pes = job.config.arch.total_pes() as u64;
+        for batch in [1usize, 2, 4, 16] {
+            let b = batched_cross_layer_schedule(&r.layers, &r.deps, &EdgeCost::Free, batch)?;
+            records.push(Record {
+                model: job.model.clone(),
+                config: job.label.clone(),
+                batch,
+                makespan_cycles: b.makespan,
+                cycles_per_inference: b.cycles_per_inference(),
+                utilization: (batch as u64 * work) as f64 / (total_pes * b.makespan) as f64,
+            });
+        }
+    }
 
     println!("Ablation A5 — pipelined inference batches\n");
     let rows: Vec<Vec<String>> = records
@@ -130,7 +112,8 @@ fn main() {
     println!("at PE_min the first layer is already the steady-state bottleneck, so");
     println!("batching adds little; with duplication the layer times are balanced and");
     println!("pipelining compounds the gain (amortizing the fill/drain bubbles).");
-    eprintln!("schedule cache: {}", cache.stats());
+    eprintln!("schedule cache: {stats}");
 
     args.write_json(&records);
+    Ok(())
 }

@@ -5,12 +5,14 @@
 //!
 //! Usage: `cargo run --release -p cim-bench --bin ablation_bitslice [-- --json <path>] [--jobs N]`
 
+use std::process::ExitCode;
+
 use cim_arch::Architecture;
-use cim_bench::runner::{fingerprint, parallel_map, pe_min_of, ScheduleCache};
-use cim_bench::{cli, render_table};
-use cim_frontend::{canonicalize, CanonOptions};
+use cim_bench::cli::{self, sweep_exit_code, Args};
+use cim_bench::render_table;
+use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
 use cim_mapping::MappingOptions;
-use clsa_core::{run_prepared, RunConfig};
+use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -21,69 +23,61 @@ struct Record {
     xinf_speedup: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let runner = args.runner;
+    sweep_exit_code(run(&args).map(|()| 0))
+}
 
-    // One job per (model, precision): both scheduling variants resolve
-    // through the shared cache inside the job, so the lbl/xinf pair still
-    // computes its stages once while the grid points run concurrently.
-    struct Job {
-        model: String,
-        fp: u64,
-        graph: std::sync::Arc<cim_ir::Graph>,
-        bits: u8,
-        pe_min: usize,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
+fn run(args: &Args) -> Result<(), CoreError> {
+    // Two jobs per (model, precision), the lbl/xinf pair, which share one
+    // stage computation; `bits` holds each pair's precision.
+    let mut jobs = Vec::new();
+    let mut bits = Vec::new();
     for info in [cim_models::case_study_model()]
         .into_iter()
         .chain(cim_models::table2_models())
     {
-        let g = canonicalize(&info.build(), &CanonOptions::default())
-            .expect("model canonicalizes")
-            .into_graph();
-        let g = std::sync::Arc::new(g);
-        let fp = fingerprint(g.as_ref());
-        for bits in [4u8, 8, 16] {
-            let mopts = MappingOptions {
-                weight_bits: Some(bits),
+        let (graph, model_fp) = canonical(&info.build())?;
+        for weight_bits in [4u8, 8, 16] {
+            let mapping_options = MappingOptions {
+                weight_bits: Some(weight_bits),
             };
-            jobs.push(Job {
-                model: info.name.to_string(),
-                fp,
-                graph: std::sync::Arc::clone(&g),
-                bits,
-                // PE_min under this precision is closed-form (Eq. 1).
-                pe_min: pe_min_of(&g, &mopts).expect("costs"),
-            });
+            // PE_min under this precision is closed-form (Eq. 1).
+            let pe_min = pe_min_of(&graph, &mapping_options)?;
+            let lbl = RunConfig {
+                mapping_options,
+                ..RunConfig::baseline(Architecture::paper_case_study(pe_min)?)
+            };
+            for (label, config) in [
+                (BASELINE_LABEL, lbl.clone()),
+                ("xinf", lbl.with_cross_layer()),
+            ] {
+                jobs.push(SweepJob {
+                    model: info.name.to_string(),
+                    model_fp,
+                    graph: std::sync::Arc::clone(&graph),
+                    label: label.to_string(),
+                    x: 0,
+                    pe_min,
+                    config,
+                });
+            }
+            bits.push(weight_bits);
         }
     }
 
-    let cache = ScheduleCache::new();
-    let records: Vec<Record> = parallel_map(&jobs, runner.jobs, |_, job| {
-        let mopts = MappingOptions {
-            weight_bits: Some(job.bits),
-        };
-        let arch = Architecture::paper_case_study(job.pe_min).unwrap();
-        let mut lbl_cfg = RunConfig::baseline(arch.clone());
-        lbl_cfg.mapping_options = mopts;
-        let run = |cfg: &RunConfig| {
-            cache
-                .prepared(job.fp, &job.graph, cfg)
-                .and_then(|prepared| run_prepared(&prepared, cfg))
-        };
-        let lbl = run(&lbl_cfg).expect("baseline");
-        let mut xinf_cfg = RunConfig::baseline(arch).with_cross_layer();
-        xinf_cfg.mapping_options = mopts;
-        let xinf = run(&xinf_cfg).expect("xinf");
-        Record {
-            model: job.model.clone(),
-            weight_bits: job.bits,
-            pe_min: job.pe_min,
-            xinf_speedup: lbl.makespan() as f64 / xinf.makespan() as f64,
-        }
-    });
+    let (results, stats) = run_jobs(&jobs, args.runner)?;
+    let records: Vec<Record> = jobs
+        .chunks(2)
+        .zip(results.chunks(2))
+        .zip(bits)
+        .map(|((pair, runs), weight_bits)| Record {
+            model: pair[0].model.clone(),
+            weight_bits,
+            pe_min: pair[0].pe_min,
+            xinf_speedup: runs[0].makespan() as f64 / runs[1].makespan() as f64,
+        })
+        .collect();
 
     println!("Ablation A4 — weight precision vs PE_min and xinf speedup");
     println!("(4-bit RRAM cells; >4-bit weights are bit-sliced across columns)\n");
@@ -104,7 +98,8 @@ fn main() {
     );
     println!("4-bit weights reproduce the paper's PE_min values; higher precisions");
     println!("inflate column demand (P_H) and with it the PE budget.");
-    eprintln!("schedule cache: {}", cache.stats());
+    eprintln!("schedule cache: {stats}");
 
     args.write_json(&records);
+    Ok(())
 }

@@ -7,12 +7,14 @@
 //!
 //! Usage: `cargo run --release -p cim-bench --bin ablation_duplication [-- --json <path>] [--jobs N]`
 
+use std::process::ExitCode;
+
 use cim_arch::Architecture;
-use cim_bench::runner::{fingerprint, parallel_map, ScheduleCache};
-use cim_bench::{cli, render_table};
-use cim_frontend::{canonicalize, CanonOptions};
+use cim_bench::cli::{self, sweep_exit_code, Args};
+use cim_bench::render_table;
+use cim_bench::runner::{canonical, run_jobs, SweepJob};
 use cim_mapping::Solver;
-use clsa_core::{run_prepared, RunConfig};
+use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -26,65 +28,59 @@ struct Record {
     exact_makespan: u64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let runner = args.runner;
+    sweep_exit_code(run(&args).map(|()| 0))
+}
 
-    // One job per (model, x); the two solver runs inside a job share
-    // nothing (different mappings), but across jobs the grid of
-    // 7 models × 5 budgets keeps every worker saturated.
-    struct Job {
-        model: String,
-        fp: u64,
-        graph: std::sync::Arc<cim_ir::Graph>,
-        pe_min_256: usize,
-        x: usize,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
+fn run(args: &Args) -> Result<(), CoreError> {
+    // Two jobs per (model, x), one per solver; they share nothing
+    // (different mappings), but the grid of 7 models × 5 budgets keeps
+    // every worker saturated.
+    let mut jobs = Vec::new();
     for info in cim_models::all_models() {
-        let g = canonicalize(&info.build(), &CanonOptions::default())
-            .expect("model canonicalizes")
-            .into_graph();
-        let g = std::sync::Arc::new(g);
-        let fp = fingerprint(g.as_ref());
+        let (graph, model_fp) = canonical(&info.build())?;
         for x in [4usize, 8, 16, 32, 64] {
-            jobs.push(Job {
-                model: info.name.to_string(),
-                fp,
-                graph: std::sync::Arc::clone(&g),
-                pe_min_256: info.pe_min_256,
-                x,
-            });
+            let arch = Architecture::paper_case_study(info.pe_min_256 + x)?;
+            for (label, solver) in [("greedy", Solver::Greedy), ("exact", Solver::ExactDp)] {
+                jobs.push(SweepJob {
+                    model: info.name.to_string(),
+                    model_fp,
+                    graph: std::sync::Arc::clone(&graph),
+                    label: label.to_string(),
+                    x,
+                    pe_min: info.pe_min_256,
+                    config: RunConfig::baseline(arch.clone())
+                        .with_duplication(solver)
+                        .with_cross_layer(),
+                });
+            }
         }
     }
 
-    let cache = ScheduleCache::new();
-    let records: Vec<Record> = parallel_map(&jobs, runner.jobs, |_, job| {
-        let arch = Architecture::paper_case_study(job.pe_min_256 + job.x).unwrap();
-        let mut results = Vec::new();
-        for solver in [Solver::Greedy, Solver::ExactDp] {
-            let cfg = RunConfig::baseline(arch.clone())
-                .with_duplication(solver)
-                .with_cross_layer();
-            let r = cache
-                .prepared(job.fp, &job.graph, &cfg)
-                .and_then(|prepared| run_prepared(&prepared, &cfg))
-                .expect("pipeline runs");
-            let obj = r.plan.as_ref().expect("duplication").objective_cycles;
-            results.push((obj, r.makespan()));
-        }
-        let (g_obj, g_mk) = results[0];
-        let (e_obj, e_mk) = results[1];
-        Record {
-            model: job.model.clone(),
-            x: job.x,
-            greedy_objective: g_obj,
-            exact_objective: e_obj,
-            objective_gap_pct: (g_obj - e_obj) / e_obj * 100.0,
-            greedy_makespan: g_mk,
-            exact_makespan: e_mk,
-        }
-    });
+    let (results, stats) = run_jobs(&jobs, args.runner)?;
+    let objective = |r: &clsa_core::RunResult| {
+        r.plan
+            .as_ref()
+            .expect("duplication requested")
+            .objective_cycles
+    };
+    let records: Vec<Record> = jobs
+        .chunks(2)
+        .zip(results.chunks(2))
+        .map(|(pair, runs)| {
+            let (g_obj, e_obj) = (objective(&runs[0]), objective(&runs[1]));
+            Record {
+                model: pair[0].model.clone(),
+                x: pair[0].x,
+                greedy_objective: g_obj,
+                exact_objective: e_obj,
+                objective_gap_pct: (g_obj - e_obj) / e_obj * 100.0,
+                greedy_makespan: runs[0].makespan(),
+                exact_makespan: runs[1].makespan(),
+            }
+        })
+        .collect();
 
     println!("Ablation A2 — greedy vs exact duplication solver (wdup+x+xinf)\n");
     let rows: Vec<Vec<String>> = records
@@ -123,7 +119,8 @@ fn main() {
     println!(
         "worst greedy objective gap: {worst:.3}% — the paper's greedy behaviour is near-optimal"
     );
-    eprintln!("schedule cache: {}", cache.stats());
+    eprintln!("schedule cache: {stats}");
 
     args.write_json(&records);
+    Ok(())
 }

@@ -7,12 +7,14 @@
 //!
 //! Usage: `cargo run --release -p cim-bench --bin ablation_granularity [-- --json <path>] [--jobs N]`
 
+use std::process::ExitCode;
+
 use cim_arch::Architecture;
-use cim_bench::runner::{fingerprint, parallel_map, pe_min_of, ScheduleCache};
-use cim_bench::{cli, render_table};
-use cim_frontend::{canonicalize, CanonOptions};
+use cim_bench::cli::{self, sweep_exit_code, Args};
+use cim_bench::render_table;
+use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
 use cim_mapping::MappingOptions;
-use clsa_core::{run_prepared, RunConfig, SetPolicy};
+use clsa_core::{CoreError, RunConfig, SetPolicy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -24,88 +26,63 @@ struct Record {
     speedup_vs_lbl: f64,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let runner = args.runner;
-    let models: Vec<(&str, cim_ir::Graph)> = vec![
-        ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
-        ("VGG16", cim_models::vgg16()),
-    ];
+    sweep_exit_code(run(&args).map(|()| 0))
+}
+
+fn run(args: &Args) -> Result<(), CoreError> {
     let policies: Vec<(String, SetPolicy)> = [1usize, 2, 4, 8, 16, 32, 64]
         .iter()
         .map(|&n| (format!("coarse({n})"), SetPolicy::coarse(n)))
         .chain(std::iter::once(("finest".to_string(), SetPolicy::finest())))
         .collect();
 
-    // Flat job list: (model, policy-or-baseline). The baseline row of each
-    // model doubles as the speedup reference during aggregation.
-    struct Job {
-        model: String,
-        fp: u64,
-        graph: std::sync::Arc<cim_ir::Graph>,
-        label: Option<String>, // None = layer-by-layer reference
-        config: RunConfig,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
-    for (name, graph) in &models {
-        let g = canonicalize(graph, &CanonOptions::default())
-            .expect("model canonicalizes")
-            .into_graph();
-        let g = std::sync::Arc::new(g);
-        let fp = fingerprint(g.as_ref());
-        let pe_min = pe_min_of(&g, &MappingOptions::default()).expect("costs");
-        let arch = Architecture::paper_case_study(pe_min).unwrap();
-        // Baseline at PE_min — granularity does not affect it.
-        jobs.push(Job {
-            model: name.to_string(),
-            fp,
-            graph: std::sync::Arc::clone(&g),
-            label: None,
-            config: RunConfig::baseline(arch.clone()),
-        });
+    // Per model: the layer-by-layer reference at PE_min (granularity does
+    // not affect it), then one xinf job per policy.
+    let mut jobs = Vec::new();
+    for (name, graph) in [
+        ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
+        ("VGG16", cim_models::vgg16()),
+    ] {
+        let (graph, model_fp) = canonical(&graph)?;
+        let pe_min = pe_min_of(&graph, &MappingOptions::default())?;
+        let lbl = RunConfig::baseline(Architecture::paper_case_study(pe_min)?);
+        let mut push = |label: &str, config: RunConfig| {
+            jobs.push(SweepJob {
+                model: name.to_string(),
+                model_fp,
+                graph: std::sync::Arc::clone(&graph),
+                label: label.to_string(),
+                x: 0,
+                pe_min,
+                config,
+            });
+        };
+        push(BASELINE_LABEL, lbl.clone());
         for (label, policy) in &policies {
-            let mut cfg = RunConfig::baseline(arch.clone()).with_cross_layer();
-            cfg.set_policy = *policy;
-            jobs.push(Job {
-                model: name.to_string(),
-                fp,
-                graph: std::sync::Arc::clone(&g),
-                label: Some(label.clone()),
-                config: cfg,
-            });
+            let mut config = lbl.clone().with_cross_layer();
+            config.set_policy = *policy;
+            push(label, config);
         }
     }
 
-    let cache = ScheduleCache::new();
-    let outcomes = parallel_map(&jobs, runner.jobs, |_, job| {
-        cache
-            .prepared(job.fp, &job.graph, &job.config)
-            .and_then(|prepared| run_prepared(&prepared, &job.config))
-            .expect("pipeline runs")
-    });
-
+    let (results, stats) = run_jobs(&jobs, args.runner)?;
     let mut records = Vec::new();
-    for (name, _) in &models {
-        let lbl = jobs
-            .iter()
-            .zip(&outcomes)
-            .find(|(j, _)| j.model == *name && j.label.is_none())
-            .map(|(_, r)| r.makespan())
-            .expect("baseline job exists");
-        for (job, r) in jobs.iter().zip(&outcomes) {
-            if job.model != *name {
-                continue;
-            }
-            let Some(label) = &job.label else { continue };
-            let total_sets: usize = r.layers.iter().map(|l| l.sets.len()).sum();
-            records.push(Record {
-                model: name.to_string(),
-                policy: label.clone(),
-                total_sets,
-                makespan_cycles: r.makespan(),
-                speedup_vs_lbl: lbl as f64 / r.makespan() as f64,
-            });
+    let mut lbl_makespan = 0;
+    for (job, r) in jobs.iter().zip(&results) {
+        // Each model's reference precedes its policy rows.
+        if job.label == BASELINE_LABEL {
+            lbl_makespan = r.makespan();
+            continue;
         }
+        records.push(Record {
+            model: job.model.clone(),
+            policy: job.label.clone(),
+            total_sets: r.layers.iter().map(|l| l.sets.len()).sum(),
+            makespan_cycles: r.makespan(),
+            speedup_vs_lbl: lbl_makespan as f64 / r.makespan() as f64,
+        });
     }
 
     println!("Ablation A1 — Stage-I set granularity vs xinf speedup\n");
@@ -130,7 +107,8 @@ fn main() {
     );
     println!("expectation: speedup grows monotonically with granularity, saturating");
     println!("at the quantum limit; coarse(1) degenerates to layer-by-layer on chains.");
-    eprintln!("schedule cache: {}", cache.stats());
+    eprintln!("schedule cache: {stats}");
 
     args.write_json(&records);
+    Ok(())
 }

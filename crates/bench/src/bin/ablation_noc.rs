@@ -4,12 +4,14 @@
 //!
 //! Usage: `cargo run --release -p cim-bench --bin ablation_noc [-- --json <path>] [--jobs N]`
 
+use std::process::ExitCode;
+
 use cim_arch::{Architecture, PlacementStrategy, TileSpec};
-use cim_bench::runner::{fingerprint, parallel_map, pe_min_of, ScheduleCache};
-use cim_bench::{cli, render_table};
-use cim_frontend::{canonicalize, CanonOptions};
+use cim_bench::cli::{self, sweep_exit_code, Args};
+use cim_bench::render_table;
+use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
 use cim_mapping::MappingOptions;
-use clsa_core::{run_prepared, RunConfig};
+use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -22,117 +24,76 @@ struct Record {
     slowdown_vs_free_noc: f64,
 }
 
-/// What one job measures: the two references, or one sweep point.
-enum Kind {
-    Baseline,
-    FreeXinf,
-    Point { hop: u64, placement: String },
+fn main() -> ExitCode {
+    let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
+    sweep_exit_code(run(&args).map(|()| 0))
 }
 
-fn main() {
-    let args = cli::parse(&[&[cli::JOBS, cli::JSON]]);
-    let runner = args.runner;
-
-    struct Job {
-        model: String,
-        fp: u64,
-        graph: std::sync::Arc<cim_ir::Graph>,
-        kind: Kind,
-        config: RunConfig,
-    }
-    let mut jobs: Vec<Job> = Vec::new();
+fn run(args: &Args) -> Result<(), CoreError> {
+    // Per model: the two references, then the (hop, placement) points,
+    // labelled by their placement.
+    let mut jobs = Vec::new();
     for (name, graph) in [
         ("VGG16", cim_models::vgg16()),
         ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
     ] {
-        let g = canonicalize(&graph, &CanonOptions::default())
-            .expect("model canonicalizes")
-            .into_graph();
-        let g = std::sync::Arc::new(g);
-        let fp = fingerprint(g.as_ref());
-        let pe_min = pe_min_of(&g, &MappingOptions::default()).expect("costs");
-
+        let (graph, model_fp) = canonical(&graph)?;
+        let pe_min = pe_min_of(&graph, &MappingOptions::default())?;
         let arch_for = |hop: u64| {
             Architecture::builder()
                 .tile(TileSpec::isaac_like())
                 .noc_hop_latency(hop)
                 .pes(pe_min)
                 .build()
-                .unwrap()
         };
-        let mut push = |kind: Kind, config: RunConfig| {
-            jobs.push(Job {
+        let mut push = |label: &str, config: RunConfig| {
+            jobs.push(SweepJob {
                 model: name.to_string(),
-                fp,
-                graph: std::sync::Arc::clone(&g),
-                kind,
+                model_fp,
+                graph: std::sync::Arc::clone(&graph),
+                label: label.to_string(),
+                x: 0,
+                pe_min,
                 config,
             });
         };
-        push(Kind::Baseline, RunConfig::baseline(arch_for(0)));
-        push(
-            Kind::FreeXinf,
-            RunConfig::baseline(arch_for(0)).with_cross_layer(),
-        );
+        push(BASELINE_LABEL, RunConfig::baseline(arch_for(0)?));
+        push("xinf", RunConfig::baseline(arch_for(0)?).with_cross_layer());
         for hop in [0u64, 1, 4, 16, 64] {
-            for (pname, strategy, gpeu) in [
+            for (placement, strategy, gpeu) in [
                 ("contiguous", PlacementStrategy::Contiguous, false),
                 ("round-robin", PlacementStrategy::RoundRobinTiles, false),
                 ("contiguous+gpeu", PlacementStrategy::Contiguous, true),
             ] {
-                let mut cfg = RunConfig::baseline(arch_for(hop)).with_cross_layer();
+                let mut cfg = RunConfig::baseline(arch_for(hop)?).with_cross_layer();
                 cfg.noc_cost = true;
                 cfg.gpeu_cost = gpeu;
                 cfg.placement = strategy;
-                push(
-                    Kind::Point {
-                        hop,
-                        placement: pname.to_string(),
-                    },
-                    cfg,
-                );
+                push(placement, cfg);
             }
         }
     }
 
     // All (hop, placement) points of one model share the same mapping and
-    // — per hop value — the same architecture, so the cache collapses
-    // their Stage-I/II work; the workers chew the 17 points per model
-    // concurrently.
-    let cache = ScheduleCache::new();
-    let outcomes = parallel_map(&jobs, runner.jobs, |_, job| {
-        cache
-            .prepared(job.fp, &job.graph, &job.config)
-            .and_then(|prepared| run_prepared(&prepared, &job.config))
-            .expect("pipeline runs")
-    });
-
+    // — per hop value — the same architecture, so the runner's stage cache
+    // collapses their Stage-I/II work.
+    let (results, stats) = run_jobs(&jobs, args.runner)?;
     let mut records = Vec::new();
-    let reference = |model: &str, want_free: bool| {
-        jobs.iter()
-            .zip(&outcomes)
-            .find(|(j, _)| {
-                j.model == model
-                    && matches!(
-                        (&j.kind, want_free),
-                        (Kind::Baseline, false) | (Kind::FreeXinf, true)
-                    )
-            })
-            .map(|(_, r)| r.makespan())
-            .expect("reference job exists")
-    };
-    for (job, r) in jobs.iter().zip(&outcomes) {
-        let Kind::Point { hop, placement } = &job.kind else {
-            continue;
-        };
-        records.push(Record {
-            model: job.model.clone(),
-            hop_latency_cycles: *hop,
-            placement: placement.clone(),
-            makespan_cycles: r.makespan(),
-            speedup_vs_lbl: reference(&job.model, false) as f64 / r.makespan() as f64,
-            slowdown_vs_free_noc: r.makespan() as f64 / reference(&job.model, true) as f64,
-        });
+    let (mut lbl, mut free) = (0, 0);
+    for (job, r) in jobs.iter().zip(&results) {
+        // Each model's two references precede its points.
+        match job.label.as_str() {
+            BASELINE_LABEL => lbl = r.makespan(),
+            "xinf" => free = r.makespan(),
+            placement => records.push(Record {
+                model: job.model.clone(),
+                hop_latency_cycles: job.config.arch.noc().hop_latency_cycles,
+                placement: placement.to_string(),
+                makespan_cycles: r.makespan(),
+                speedup_vs_lbl: lbl as f64 / r.makespan() as f64,
+                slowdown_vs_free_noc: r.makespan() as f64 / free as f64,
+            }),
+        }
     }
 
     println!("Ablation A3 — NoC hop cost vs cross-layer gain (xinf @ PE_min)\n");
@@ -165,7 +126,8 @@ fn main() {
     );
     println!("expectation: gains shrink as hops get expensive; contiguous placement");
     println!("keeps producer-consumer pairs near and degrades more slowly.");
-    eprintln!("schedule cache: {}", cache.stats());
+    eprintln!("schedule cache: {stats}");
 
     args.write_json(&records);
+    Ok(())
 }

@@ -38,16 +38,16 @@
 //!
 //! Exit status 2 when the search cannot run: a bad flag or value (an
 //! unknown model, space or strategy, `--budget 0`), a `--shard` mode
-//! without `--cache-dir`, or an invalid design space.
+//! without `--cache-dir`, a model that does not canonicalize, or an
+//! invalid design space.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SEED, SWEEP};
 use cim_bench::render_table;
-use cim_bench::runner::ShardMode;
+use cim_bench::runner::{canonical, ShardMode};
 use cim_bench::tune::{autotune, autotune_shard, AutotuneReport, ParetoRow};
-use cim_frontend::{canonicalize, CanonOptions};
 use cim_tune::{strategy_by_name, Budget, DesignSpace, TuneOptions};
 use clsa_core::CoreError;
 
@@ -116,9 +116,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
     let mut strategy = strategy_by_name(strategy_name, seed).unwrap_or_else(|| {
         args.fail(format!("invalid value {strategy_name:?} for --strategy <grid|random|anneal>"))
     });
-    let graph = canonicalize(&raw, &CanonOptions::default())
-        .expect("registry models canonicalize")
-        .into_graph();
+    let (graph, _) = canonical(&raw)?;
     let mut budget = Budget {
         max_candidates: budget_candidates,
         max_wall: wall_secs.map(Duration::from_secs),

@@ -3,19 +3,27 @@
 //! padding non-base path, walked through all four CLSA-CIM stages with the
 //! intermediate data structures printed.
 //!
-//! Usage: `cargo run -p cim-bench --bin fig5_minimal [-- --jobs N]`
+//! Usage: `cargo run -p cim-bench --bin fig5_minimal`
+//!
+//! A stage error prints one `error:` line and exits with status 2.
+
+use std::process::ExitCode;
 
 use cim_arch::CrossbarSpec;
-use cim_bench::runner::parallel_map;
-use cim_bench::{cli, render_table};
+use cim_bench::cli::{self, sweep_exit_code};
+use cim_bench::render_table;
 use cim_mapping::{layer_costs, MappingOptions};
 use clsa_core::{
     cross_layer_schedule, determine_dependencies, determine_sets, gantt_text,
-    layer_by_layer_schedule, EdgeCost, Schedule, SetPolicy,
+    layer_by_layer_schedule, CoreError, EdgeCost, SetPolicy,
 };
 
-fn main() {
-    let runner = cli::parse(&[&[cli::JOBS]]).runner;
+fn main() -> ExitCode {
+    cli::parse(&[]);
+    sweep_exit_code(run().map(|()| 0))
+}
+
+fn run() -> Result<(), CoreError> {
     let g = cim_models::fig5_example();
     println!("Fig. 5 — minimal example: two Conv2D layers with a non-base path");
     println!(
@@ -28,9 +36,8 @@ fn main() {
         &g,
         &CrossbarSpec::wan_nature_2022(),
         &MappingOptions::default(),
-    )
-    .expect("graph has base layers");
-    let layers = determine_sets(&g, &costs, &SetPolicy::finest()).expect("stage I");
+    )?;
+    let layers = determine_sets(&g, &costs, &SetPolicy::finest())?;
 
     println!("Stage I — determine sets");
     for l in &layers {
@@ -43,7 +50,7 @@ fn main() {
         }
     }
 
-    let deps = determine_dependencies(&g, &layers).expect("stage II");
+    let deps = determine_dependencies(&g, &layers)?;
     println!("\nStage II — determine dependencies (P = producers per consumer set)");
     for (li, l) in layers.iter().enumerate() {
         for si in 0..l.sets.len() {
@@ -69,17 +76,8 @@ fn main() {
 
     println!("\nStage III — intra-layer order: each layer's sets run top band first");
 
-    // Both schedulers read the same Stage-I/II outputs — one lane each.
-    // Results come back in input order, so the destructure below pairs
-    // position 0 with `false` (baseline) and 1 with `true` (cross-layer).
-    let schedules: Vec<Schedule> = parallel_map(&[false, true], runner.jobs, |_, &cross| {
-        if cross {
-            cross_layer_schedule(&layers, &deps, &EdgeCost::Free).expect("stage IV")
-        } else {
-            layer_by_layer_schedule(&layers).expect("baseline")
-        }
-    });
-    let [lbl, xl]: [Schedule; 2] = schedules.try_into().expect("two schedules");
+    let lbl = layer_by_layer_schedule(&layers)?;
+    let xl = cross_layer_schedule(&layers, &deps, &EdgeCost::Free)?;
     println!("\nStage IV — cross-layer schedule (start/finish in cycles)");
     let mut rows = Vec::new();
     for (li, l) in layers.iter().enumerate() {
@@ -101,4 +99,5 @@ fn main() {
     );
     println!("layer-by-layer Gantt:\n{}", gantt_text(&layers, &lbl, 60));
     println!("CLSA-CIM Gantt:\n{}", gantt_text(&layers, &xl, 60));
+    Ok(())
 }

@@ -24,60 +24,53 @@
 //! warm store into the byte-identical unsharded figure and `--json`
 //! artifact.
 //!
-//! Exit status: 3 when quarantined jobs left part c partial, 2 when its
-//! sweep could not run (a `--shard` mode without `--cache-dir`, or a
-//! merge against a store missing rows).
+//! Exit status: 3 when quarantined jobs left part c partial, 2 when a
+//! pipeline run failed or part c's sweep could not run (a `--shard` mode
+//! without `--cache-dir`, or a merge against a store missing rows).
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use cim_arch::Architecture;
-use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
+use cim_bench::artifacts::fig6c_jobs;
 use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SWEEP};
 use cim_bench::render_table;
-use cim_bench::runner::{fingerprint, ResultStore, ScheduleCache, ShardMode};
+use cim_bench::runner::{canonical, run_jobs, ResultStore, ShardMode, SweepJob};
 use cim_ir::Graph;
 use cim_mapping::Solver;
-use clsa_core::{gantt_text, run_prepared, CoreError, RunConfig, RunResult};
+use clsa_core::{gantt_text, CoreError, RunConfig, RunResult};
 
-/// Parts a and b schedule the *same* `wdup+16` mapping two ways; preparing
-/// both through one cache runs the mapping and Stage-I/II analyses once.
-struct CaseStudy {
-    g: Graph,
-    fp: u64,
-    cache: ScheduleCache,
+/// TinyYOLOv4's `PE_min` on the paper's crossbars (Table I).
+const PE_MIN: usize = 117;
+
+/// The jobs of parts a and b: the *same* `wdup+16` mapping scheduled
+/// layer-by-layer and with CLSA-CIM. Run together, they share one mapping
+/// and Stage-I/II analysis.
+fn gantt_jobs(graph: &Arc<Graph>, model_fp: u64) -> Result<[SweepJob; 2], CoreError> {
+    let wdup = RunConfig::baseline(Architecture::paper_case_study(PE_MIN + 16)?)
+        .with_duplication(Solver::Greedy);
+    let job = |label: &str, config: RunConfig| SweepJob {
+        model: "TinyYOLOv4".to_string(),
+        model_fp,
+        graph: Arc::clone(graph),
+        label: label.to_string(),
+        x: 16,
+        pe_min: PE_MIN,
+        config,
+    };
+    Ok([
+        job("wdup+16", wdup.clone()),
+        job("wdup+16+xinf", wdup.with_cross_layer()),
+    ])
 }
 
-impl CaseStudy {
-    fn new() -> Self {
-        let g = case_study_graph();
-        let fp = fingerprint(&g);
-        CaseStudy {
-            g,
-            fp,
-            cache: ScheduleCache::new(),
-        }
-    }
-
-    fn run(&self, cfg: &RunConfig) -> RunResult {
-        self.cache
-            .prepared(self.fp, &self.g, cfg)
-            .and_then(|prepared| run_prepared(&prepared, cfg))
-            .expect("pipeline runs")
-    }
-}
-
-fn part_a(cs: &CaseStudy) {
+fn part_a(g: &Graph, r: &RunResult) -> Result<(), CoreError> {
     println!("Fig. 6a — weight duplication (wdup+16), layer-by-layer\n");
-    let arch = Architecture::paper_case_study(117 + 16).expect("valid arch");
-    let cfg = RunConfig::baseline(arch).with_duplication(Solver::Greedy);
-    let r = cs.run(&cfg);
-    let g = &cs.g;
     let plan = r.plan.as_ref().expect("duplication requested");
 
     // Duplication table (the inset table of Fig. 6a).
     let xbar = cim_arch::CrossbarSpec::wan_nature_2022();
-    let costs =
-        cim_mapping::layer_costs(g, &xbar, &cim_mapping::MappingOptions::default()).expect("costs");
+    let costs = cim_mapping::layer_costs(g, &xbar, &cim_mapping::MappingOptions::default())?;
     let mut rows = Vec::new();
     for (c, &d) in costs.iter().zip(&plan.duplicates) {
         if d > 1 {
@@ -88,21 +81,45 @@ fn part_a(cs: &CaseStudy) {
         "{}",
         render_table(&["duplicated layer", "#PE each", "duplicates d"], &rows)
     );
-    println!("PEs used: {} of {}", plan.pes_used, 117 + 16);
+    println!("PEs used: {} of {}", plan.pes_used, PE_MIN + 16);
     println!("paper: for x = 16, the first 6 Conv2D layers are duplicated\n");
+    println!("makespan: {} cycles — Gantt:\n", r.makespan());
+    println!("{}", gantt_text(&r.layers, &r.schedule, 100));
+    Ok(())
+}
+
+fn part_b(r: &RunResult) {
+    println!("Fig. 6b — weight duplication (wdup+16), CLSA-CIM (xinf)\n");
     println!("makespan: {} cycles — Gantt:\n", r.makespan());
     println!("{}", gantt_text(&r.layers, &r.schedule, 100));
 }
 
-fn part_b(cs: &CaseStudy) {
-    println!("Fig. 6b — weight duplication (wdup+16), CLSA-CIM (xinf)\n");
-    let arch = Architecture::paper_case_study(117 + 16).expect("valid arch");
-    let cfg = RunConfig::baseline(arch)
-        .with_duplication(Solver::Greedy)
-        .with_cross_layer();
-    let r = cs.run(&cfg);
-    println!("makespan: {} cycles — Gantt:\n", r.makespan());
-    println!("{}", gantt_text(&r.layers, &r.schedule, 100));
+/// Part a or b alone: runs only that part's job.
+fn one_gantt_part(part: &str, args: &Args) -> Result<(), CoreError> {
+    let (graph, model_fp) = canonical(&cim_models::tiny_yolo_v4())?;
+    let [lbl, xinf] = gantt_jobs(&graph, model_fp)?;
+    let job = if part == "a" { lbl } else { xinf };
+    let (runs, _) = run_jobs(&[job], args.runner)?;
+    if part == "a" {
+        part_a(&graph, &runs[0])
+    } else {
+        part_b(&runs[0]);
+        Ok(())
+    }
+}
+
+/// Every part, on one canonicalized graph; returns part c's quarantined
+/// job count.
+fn all_parts(args: &Args, store: Option<&ResultStore>) -> Result<usize, CoreError> {
+    let (graph, model_fp) = canonical(&cim_models::tiny_yolo_v4())?;
+    let (runs, stats) = run_jobs(&gantt_jobs(&graph, model_fp)?, args.runner)?;
+    part_a(&graph, &runs[0])?;
+    println!();
+    part_b(&runs[1]);
+    println!();
+    let quarantined = part_c(&graph, args, store);
+    println!("case-study cache: {stats}");
+    quarantined
 }
 
 /// Returns the number of quarantined jobs, so `main` can exit loudly
@@ -166,31 +183,17 @@ fn main() -> ExitCode {
             if args.shard != ShardMode::All {
                 eprintln!("note: --shard ignored — parts a/b run no batch sweep");
             }
-            let cs = CaseStudy::new();
-            if part == "a" {
-                part_a(&cs);
-            } else {
-                part_b(&cs);
-            }
-            ExitCode::SUCCESS
+            sweep_exit_code(one_gantt_part(part, &args).map(|()| 0))
         }
         Some("c") => {
             let store = args.open_store();
-            sweep_exit_code(part_c(&case_study_graph(), &args, store.as_ref()))
+            let graph = canonical(&cim_models::tiny_yolo_v4());
+            sweep_exit_code(graph.and_then(|(g, _)| part_c(&g, &args, store.as_ref())))
         }
         Some(other) => args.fail(format!("invalid value {other:?} for --part <a|b|c>")),
         None => {
             let store = args.open_store();
-            let cs = CaseStudy::new();
-            part_a(&cs);
-            println!();
-            part_b(&cs);
-            println!();
-            // Reuse the parts' canonicalized graph — one canonicalize
-            // per process.
-            let quarantined = part_c(&cs.g, &args, store.as_ref());
-            println!("case-study cache: {}", cs.cache.stats());
-            sweep_exit_code(quarantined)
+            sweep_exit_code(all_parts(&args, store.as_ref()))
         }
     }
 }

@@ -20,15 +20,10 @@
 //! `--x` that overflows the PE count, or a configuration the pipeline
 //! rejects (e.g. `--sets 0`) exits with status 2.
 
-use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag, JSON};
 use cim_bench::render_table;
-use cim_frontend::{canonicalize, CanonOptions};
 use cim_mapping::Solver;
-use clsa_core::{
-    critical_cycles_per_layer, critical_path, gantt_rows, gantt_text, run, EdgeCost, RunConfig,
-    SetPolicy,
-};
+use clsa_core::{critical_cycles_per_layer, critical_path, gantt_rows, gantt_text, run, EdgeCost};
 
 fn main() {
     let args = cli::parse(&[&[
@@ -42,47 +37,17 @@ fn main() {
         Flag::value("--critical", "n"),
         JSON,
     ]]);
-    let Some(model) = args.value("model") else {
-        args.fail("missing <model>");
-    };
-    let zoo = cim_models::all_models();
-    let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(model)) else {
-        let known = zoo.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
-        args.fail(format!("unknown model `{model}` (known: {known})"));
-    };
-
-    let x: usize = args.get("--x").unwrap_or(0);
-    let wdup = args.has("--wdup");
-    let wdup_exact = args.has("--wdup-exact");
-    let lbl = args.has("--lbl");
-    let sets: Option<usize> = args.get("--sets");
+    let (model, g, mut cfg) = args.zoo_run();
+    if args.has("--wdup-exact") {
+        cfg = cfg.with_duplication(Solver::ExactDp);
+    }
     let gantt: Option<usize> = args.get("--gantt");
     let critical: Option<usize> = args.get("--critical");
-
-    let g = canonicalize(&info.build(), &CanonOptions::default())
-        .expect("model canonicalizes")
-        .into_graph();
-    let Some(pes) = info.pe_min_256.checked_add(x) else {
-        args.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
-    };
-    let arch = Architecture::paper_case_study(pes).expect("arch");
-    let mut cfg = RunConfig::baseline(arch);
-    if !lbl {
-        cfg = cfg.with_cross_layer();
-    }
-    if wdup_exact {
-        cfg = cfg.with_duplication(Solver::ExactDp);
-    } else if wdup {
-        cfg = cfg.with_duplication(Solver::Greedy);
-    }
-    if let Some(n) = sets {
-        cfg.set_policy = SetPolicy::coarse(n);
-    }
     let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
 
     println!(
         "{} — PE_min {}, architecture {} PEs, {} base-layer groups, {} sets",
-        info.name,
+        model,
         r.pe_min,
         r.report.total_pes,
         r.layers.len(),

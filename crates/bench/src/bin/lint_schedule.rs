@@ -21,13 +21,8 @@
 //! configuration the pipeline rejects, e.g. `--sets 0`, and a `--json`
 //! path that cannot be written).
 
-use cim_arch::Architecture;
 use cim_bench::cli::{self, Flag, JSON};
-use cim_frontend::{canonicalize, CanonOptions};
-use cim_mapping::Solver;
-use clsa_core::{
-    analyze_costed, capacity_diagnostics, run, RunConfig, ScheduleDiagnostic, SetPolicy, Severity,
-};
+use clsa_core::{analyze_costed, capacity_diagnostics, run, ScheduleDiagnostic, Severity};
 
 fn main() {
     let args = cli::parse(&[&[
@@ -38,46 +33,16 @@ fn main() {
         Flag::value("--sets", "n"),
         JSON,
     ]]);
-    let Some(model) = args.value("model") else {
-        args.fail("missing <model>");
-    };
-    let zoo = cim_models::all_models();
-    let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(model)) else {
-        let known = zoo.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
-        args.fail(format!("unknown model `{model}` (known: {known})"));
-    };
-
-    let x: usize = args.get("--x").unwrap_or(0);
-    let wdup = args.has("--wdup");
-    let lbl = args.has("--lbl");
-    let sets: Option<usize> = args.get("--sets");
-
-    let g = canonicalize(&info.build(), &CanonOptions::default())
-        .expect("model canonicalizes")
-        .into_graph();
-    let Some(pes) = info.pe_min_256.checked_add(x) else {
-        args.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
-    };
-    let arch = Architecture::paper_case_study(pes).expect("arch");
-    let mut cfg = RunConfig::baseline(arch.clone());
-    if !lbl {
-        cfg = cfg.with_cross_layer();
-    }
-    if wdup {
-        cfg = cfg.with_duplication(Solver::Greedy);
-    }
-    if let Some(n) = sets {
-        cfg.set_policy = SetPolicy::coarse(n);
-    }
+    let (model, g, cfg) = args.zoo_run();
     let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
 
     let mut diags: Vec<ScheduleDiagnostic> =
         analyze_costed(&r.layers, &r.deps, &r.schedule, &r.costed);
-    diags.extend(capacity_diagnostics(&r.layers, &arch));
+    diags.extend(capacity_diagnostics(&r.layers, &cfg.arch));
 
     println!(
         "{} — {} base-layer groups, {} sets, makespan {} cycles",
-        info.name,
+        model,
         r.layers.len(),
         r.layers.iter().map(|l| l.sets.len()).sum::<usize>(),
         r.makespan()

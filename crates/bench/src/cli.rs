@@ -24,12 +24,15 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use clsa_core::CoreError;
+use cim_arch::Architecture;
+use cim_ir::Graph;
+use cim_mapping::Solver;
+use clsa_core::{CoreError, RunConfig, SetPolicy};
 use serde::Serialize;
 
 use crate::runner::{
-    parse_rate_spec, FaultHook, FaultPlan, ResultStore, RunnerOptions, ShardMode, ShardSpec, Sweep,
-    SweepJob, SweepOutcome,
+    canonical, parse_rate_spec, FaultHook, FaultPlan, ResultStore, RunnerOptions, ShardMode,
+    ShardSpec, Sweep, SweepJob, SweepOutcome,
 };
 
 /// One flag a binary reads.
@@ -324,6 +327,44 @@ impl Args {
                 .unwrap_or_else(|e| self.fail(format!("--json {path}: {e}")));
             println!("wrote {path}");
         }
+    }
+
+    /// The zoo model (its name and canonicalized graph) and the pipeline
+    /// configuration that the schedule-inspection binaries (`inspect`,
+    /// `lint-schedule`) select: the positional `model` (a zoo name, in any
+    /// case) on the paper's architecture with `PE_min + --x` PEs;
+    /// cross-layer unless `--lbl`, greedy duplication with `--wdup`, and
+    /// at most `--sets` sets per OFM. The binary must declare those flags.
+    ///
+    /// A missing or unknown model, an `--x` whose PE count overflows, and
+    /// a model or architecture the pipeline rejects [`fail`](Self::fail).
+    pub fn zoo_run(&self) -> (&'static str, Arc<Graph>, RunConfig) {
+        let Some(model) = self.value("model") else {
+            self.fail("missing <model>");
+        };
+        let zoo = cim_models::all_models();
+        let Some(info) = zoo.iter().find(|m| m.name.eq_ignore_ascii_case(model)) else {
+            let known = zoo.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
+            self.fail(format!("unknown model `{model}` (known: {known})"));
+        };
+        let x: usize = self.get("--x").unwrap_or(0);
+        let sets: Option<usize> = self.get("--sets");
+        let Some(pes) = info.pe_min_256.checked_add(x) else {
+            self.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
+        };
+        let (graph, _) = canonical(&info.build()).unwrap_or_else(|e| self.fail(e));
+        let arch = Architecture::paper_case_study(pes).unwrap_or_else(|e| self.fail(e));
+        let mut config = RunConfig::baseline(arch);
+        if !self.has("--lbl") {
+            config = config.with_cross_layer();
+        }
+        if self.has("--wdup") {
+            config = config.with_duplication(Solver::Greedy);
+        }
+        if let Some(n) = sets {
+            config.set_policy = SetPolicy::coarse(n);
+        }
+        (info.name, graph, config)
     }
 
     /// Opens the persistent [`ResultStore`] named by `--cache-dir` (with

@@ -15,6 +15,7 @@
 //! | Ablation: greedy vs exact duplication | `ablation_duplication` |
 //! | Ablation: NoC hop cost (Sec. V-C) | `ablation_noc` |
 //! | Ablation: cell resolution / bit slicing | `ablation_bitslice` |
+//! | Ablation: pipelined inference batches | `ablation_batching` |
 //!
 //! Run e.g. `cargo run --release -p cim-bench --bin fig7`. Each binary
 //! takes only the flags it reads, and `--help` lists them: typically
@@ -25,9 +26,10 @@
 //! exits with status 2 ([`cli`]).
 //!
 //! The library part hosts the parallel batched evaluation engine
-//! ([`runner`]: lane-based worker pool, concurrent schedule cache, and
-//! the one sweep entry point [`Sweep::run`](runner::Sweep::run) with its
-//! deterministic aggregation), the paper's extra-PE budgets and the row
+//! ([`runner`]: lane-based worker pool, concurrent schedule cache, the
+//! sweep entry point [`Sweep::run`](runner::Sweep::run) with its
+//! deterministic aggregation, and [`run_jobs`](runner::run_jobs) for
+//! binaries that read full runs), the paper's extra-PE budgets and the row
 //! type ([`experiments`]), the text-table renderer ([`table`]), JSON export
 //! ([`export`]), and the binaries' one flag parser ([`cli`]).
 //!

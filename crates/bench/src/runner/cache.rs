@@ -13,8 +13,9 @@
 //!    sweeps, a tuner revisiting a candidate) are never rescheduled. A
 //!    run is reduced to its summary the moment it completes; nothing
 //!    here keeps a schedule or a cost table alive. Callers that read a
-//!    full `RunResult` (the Gantt chart, the ablations) rebuild it with
-//!    `run_prepared` over [`prepared`](ScheduleCache::prepared).
+//!    full `RunResult` (the Gantt charts, the ablations) run their jobs
+//!    through [`run_jobs`](super::run_jobs), which calls `run_prepared`
+//!    over [`prepared`](ScheduleCache::prepared), the stage level only.
 //!
 //! [`summary`](ScheduleCache::summary) is the one lookup in front of the
 //! persistent [`ResultStore`]: store row → memo → compute → `put`, so the

@@ -14,8 +14,8 @@
 //!    configuration's [`RunSummary`], so e.g. a layer-by-layer baseline
 //!    and a CLSA run over the same model perform the stage analyses
 //!    exactly once. The cache keeps no full `RunResult`: callers that
-//!    need one call `clsa_core::run_prepared` over
-//!    [`ScheduleCache::prepared`].
+//!    need one run their jobs through [`run_jobs`], which shares the
+//!    stage level the same way.
 //! 3. **Full occupancy** — jobs are dealt round-robin onto per-worker
 //!    *lanes*; a worker that drains its lane steals from the others
 //!    ([`parallel_map`]), so one slow model (ResNet152) cannot idle the
@@ -36,11 +36,14 @@
 //!
 //! Layering: [`parallel_map`] (lane pool) → [`ScheduleCache`] (memo, and
 //! the one lookup in front of the [`ResultStore`]) → [`Sweep::run`]
-//! (sweep jobs → [`SweepOutcome`]). [`Sweep`] holds the
+//! (sweep jobs → [`SweepOutcome`]) or [`run_jobs`] (sweep jobs → one full
+//! `RunResult` each, in job order). [`Sweep`] holds the
 //! job list, the worker count, the optional store, the [`ShardMode`], and
-//! the optional fault hook. The sweep binaries sit on top: their
+//! the optional fault hook. The binaries sit on top: the sweep binaries'
 //! `--jobs N`, `--cache-dir <dir>`, `--shard i/n|merge` and chaos flags
-//! build the [`Sweep`] through [`cli::Args::sweep`](crate::cli::Args::sweep).
+//! build the [`Sweep`] through [`cli::Args::sweep`](crate::cli::Args::sweep);
+//! `fig6`'s Gantt parts and the ablations build [`SweepJob`] lists (graphs
+//! from [`canonical`]) and hand them, with `--jobs N`, to [`run_jobs`].
 //!
 //! # Examples
 //!
@@ -72,8 +75,8 @@ pub use lane::parallel_map;
 pub use shard::{shard_of, ShardMode, ShardSpec};
 pub use store::{ResultStore, RunSummary, StoreStats, STORE_FORMAT_VERSION};
 pub use sweep::{
-    pe_min_of, sweep_jobs, sweep_jobs_for_models, JobFailure, JobFailureKind, Sweep, SweepJob,
-    SweepOutcome, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
+    canonical, pe_min_of, run_jobs, sweep_jobs, sweep_jobs_for_models, JobFailure, JobFailureKind,
+    Sweep, SweepJob, SweepOutcome, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
 };
 
 /// Worker-pool options.

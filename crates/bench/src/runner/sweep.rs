@@ -8,6 +8,10 @@
 //! model's layer-by-layer baseline row), so jobs stay embarrassingly
 //! parallel and the output is bit-for-bit identical for every `--jobs`
 //! value.
+//!
+//! Binaries that read each job's full [`RunResult`] (the Gantt charts and
+//! the ablations) hand their job list to [`run_jobs`] instead: the same
+//! pool and stage cache, with the results themselves in job order.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,7 +21,7 @@ use cim_arch::Architecture;
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_mapping::{layer_costs, min_pes, MappingOptions, Solver};
-use clsa_core::{eq3_predicted_from_utilization, CoreError, RunConfig};
+use clsa_core::{eq3_predicted_from_utilization, run_prepared, CoreError, RunConfig, RunResult};
 
 use super::cache::{CacheStats, ScheduleCache};
 use super::fault::{panic_message, FaultHook, FaultSite};
@@ -71,9 +75,9 @@ pub struct SweepJob {
     pub config: RunConfig,
 }
 
-/// One sweep over a flat job list — the single entry point of the
-/// runner. Build it with [`Sweep::new`] and set the optional fields with
-/// struct-update syntax, e.g.
+/// One sweep over a flat job list, folded into result rows ([`run_jobs`]
+/// returns the full runs instead). Build it with [`Sweep::new`] and set
+/// the optional fields with struct-update syntax, e.g.
 /// `Sweep { store: Some(&store), ..Sweep::new(&jobs, runner) }`:
 ///
 /// ```
@@ -309,6 +313,46 @@ impl<'a> Sweep<'a> {
     }
 }
 
+/// Canonicalizes `graph` (default options) into the shared graph of a
+/// model's [`SweepJob`]s, with its fingerprint.
+///
+/// # Errors
+///
+/// A frontend canonicalization error, as [`CoreError::StageMismatch`].
+pub fn canonical(graph: &Graph) -> Result<(Arc<Graph>, u64), CoreError> {
+    let canon =
+        canonicalize(graph, &CanonOptions::default()).map_err(|e| CoreError::StageMismatch {
+            detail: e.to_string(),
+        })?;
+    let g = Arc::new(canon.into_graph());
+    let model_fp = fingerprint(g.as_ref());
+    Ok((g, model_fp))
+}
+
+/// Runs every job's full pipeline (`prepare`, then `run_prepared`) on the
+/// lane pool through one fresh [`ScheduleCache`], so jobs over one mapping
+/// share a single `prepare`. For callers that read whole [`RunResult`]s
+/// (schedules, sets, duplication plans); [`Sweep::run`] keeps only each
+/// job's summary row. Only the stage level is used: the returned counters
+/// have no schedule lookups.
+///
+/// # Errors
+///
+/// The first pipeline error in job order (deterministically, even when a
+/// later job fails first on the wall clock).
+pub fn run_jobs(
+    jobs: &[SweepJob],
+    runner: RunnerOptions,
+) -> Result<(Vec<RunResult>, CacheStats), CoreError> {
+    let cache = ScheduleCache::new();
+    let results = parallel_map(jobs, runner.jobs, |_, job| {
+        let prepared = cache.prepared(job.model_fp, &job.graph, &job.config)?;
+        run_prepared(&prepared, &job.config)
+    });
+    let results = results.into_iter().collect::<Result<_, _>>()?;
+    Ok((results, cache.stats()))
+}
+
 /// Builds the paper's standard job list for one model: the layer-by-layer
 /// baseline and `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for
 /// every `x` in `xs`, in that order. Every job uses the finest Stage-I
@@ -320,13 +364,7 @@ impl<'a> Sweep<'a> {
 /// errors (raw TF-style models are accepted; the graph is canonicalized
 /// here, once, and shared by every job).
 pub fn sweep_jobs(name: &str, graph: &Graph, xs: &[usize]) -> Result<Vec<SweepJob>, CoreError> {
-    let canon =
-        canonicalize(graph, &CanonOptions::default()).map_err(|e| CoreError::StageMismatch {
-            detail: e.to_string(),
-        })?;
-    let g = Arc::new(canon.into_graph());
-    let model_fp = fingerprint(g.as_ref());
-
+    let (g, model_fp) = canonical(graph)?;
     let pe_min = pe_min_of(&g, &MappingOptions::default())?;
 
     let base_cfg = |pes: usize| -> Result<RunConfig, CoreError> {
@@ -503,6 +541,49 @@ mod tests {
         jobs.remove(0);
         let err = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap_err();
         assert!(matches!(err, CoreError::StageMismatch { .. }));
+    }
+
+    #[test]
+    fn run_jobs_is_identical_at_every_worker_count() {
+        let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1, 2]).unwrap();
+        let (sequential, seq_stats) = run_jobs(&jobs, RunnerOptions::sequential()).unwrap();
+        let (parallel, par_stats) = run_jobs(&jobs, RunnerOptions::with_jobs(4)).unwrap();
+        assert_eq!(sequential.len(), jobs.len());
+        for (a, b) in sequential.iter().zip(&parallel) {
+            assert_eq!(a.layers, b.layers);
+            assert_eq!(a.schedule, b.schedule);
+            assert_eq!(a.report, b.report);
+            assert_eq!(a.plan, b.plan);
+        }
+        assert_eq!(seq_stats, par_stats);
+    }
+
+    #[test]
+    fn run_jobs_prepares_a_shared_mapping_once() {
+        let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[]).unwrap();
+        let labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
+        assert_eq!(labels, [BASELINE_LABEL, "xinf"]);
+        let (results, stats) = run_jobs(&jobs, RunnerOptions::with_jobs(2)).unwrap();
+        assert_eq!(stats.stage_lookups, 2);
+        assert_eq!(stats.stage_computes, 1);
+        assert_eq!(stats.schedule_lookups, 0, "run_jobs keeps no summaries");
+        assert!(Arc::ptr_eq(&results[0].layers, &results[1].layers));
+        assert!(results[1].makespan() < results[0].makespan());
+    }
+
+    #[test]
+    fn run_jobs_returns_the_earliest_failure_in_job_order() {
+        let mut jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1]).unwrap();
+        // fig5's PE_min is 2: one PE cannot hold its weights.
+        jobs[1].config.arch = Architecture::paper_case_study(1).unwrap();
+        jobs[3].config.set_policy = clsa_core::SetPolicy::coarse(0);
+        let alone = |i: usize| run_jobs(&jobs[i..=i], RunnerOptions::sequential()).unwrap_err();
+        let (first, second) = (alone(1), alone(3));
+        assert_ne!(first, second);
+        for workers in [1, 4] {
+            let err = run_jobs(&jobs, RunnerOptions::with_jobs(workers)).unwrap_err();
+            assert_eq!(err, first, "{workers} workers");
+        }
     }
 
     fn shard_tmp_dir(tag: &str) -> std::path::PathBuf {

@@ -2,11 +2,12 @@
 //! than a `RunSummary`: the five `ablation_*` sweeps (their `--json`
 //! export), the `fig6 --part a|b` Gantt charts and the `fig5_minimal`
 //! worked example (their stdout: Stage I sets, every consumer's `P`
-//! producers, every producer's `Q` count, the schedules).
+//! producers, every producer's `Q` count, the schedules). The bare `fig6`
+//! run, all three parts in one process, must reproduce the same bytes.
 //!
-//! Each binary runs at `--jobs 2` and its bytes are compared with the
-//! committed file under `tests/golden/`. To re-bless after an
-//! *intentional* output change:
+//! Each binary but `fig5_minimal`, which has no worker pool, runs at
+//! `--jobs 2`, and its bytes are compared with the committed file under
+//! `tests/golden/`. To re-bless after an *intentional* output change:
 //!
 //! ```text
 //! CIM_BLESS=1 cargo test -p cim-bench --test full_run_goldens
@@ -129,8 +130,49 @@ fn fig6_gantt_parts_match_golden() {
     }
 }
 
+/// The bare run prints parts a and b as `--part a|b` do, each followed by
+/// a blank line, exports part c's rows, and runs parts a and b over one
+/// `prepare`.
+#[test]
+fn fig6_all_parts_match_the_part_goldens() {
+    let (stdout, export) = {
+        let dir = ScratchDir::new("fig6");
+        let json = dir.0.join("fig6c.json");
+        let stdout = stdout_of(
+            env!("CARGO_BIN_EXE_fig6"),
+            &["--jobs", "2", "--json", json.to_str().expect("utf-8 path")],
+        );
+        (
+            stdout,
+            fs::read(&json).expect("fig6 wrote its --json export"),
+        )
+    };
+    let read = |name: &str| fs::read(golden_path(name)).expect("golden readable");
+    let prefix = [
+        read("fig6a.txt"),
+        b"\n".to_vec(),
+        read("fig6b.txt"),
+        b"\n".to_vec(),
+    ]
+    .concat();
+    assert!(
+        stdout.starts_with(&prefix),
+        "fig6 parts a and b drifted from fig6a.txt/fig6b.txt\n--- actual ---\n{}",
+        String::from_utf8_lossy(&stdout)
+    );
+    assert!(
+        export == read("fig6c.json"),
+        "fig6 --json drifted from fig6c.json"
+    );
+    let stdout = String::from_utf8_lossy(&stdout);
+    assert!(
+        stdout.contains("case-study cache: stages 1/2 hit"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn fig5_minimal_matches_golden() {
-    let stdout = stdout_of(env!("CARGO_BIN_EXE_fig5_minimal"), &["--jobs", "2"]);
+    let stdout = stdout_of(env!("CARGO_BIN_EXE_fig5_minimal"), &[]);
     check_golden("fig5_minimal.txt", &stdout);
 }

@@ -424,7 +424,7 @@ pub fn capacity_diagnostics(layers: &[LayerSets], arch: &Architecture) -> Vec<Sc
 
 /// Shape agreement between the schedule and the layer list; pushes
 /// findings and reports whether the shape is sound enough to continue.
-fn check_shape(
+pub(crate) fn check_shape(
     layers: &[LayerSets],
     schedule: &Schedule,
     out: &mut Vec<ScheduleDiagnostic>,

@@ -5,7 +5,7 @@
 
 use crate::cost::CostedDeps;
 use crate::deps::Dependencies;
-use crate::diagnose::validation_findings;
+use crate::diagnose::{check_shape, validation_findings};
 use crate::error::{CoreError, Result};
 use crate::schedule::{EdgeCost, Schedule};
 use crate::sets::LayerSets;
@@ -35,7 +35,11 @@ pub fn validate_schedule(
     schedule: &Schedule,
     edge_cost: &EdgeCost,
 ) -> Result<()> {
-    check_shape(layers, schedule)?;
+    let mut shape = Vec::new();
+    check_shape(layers, schedule, &mut shape);
+    if let Some(d) = shape.into_iter().next() {
+        return Err(CoreError::InvalidSchedule { detail: d.detail });
+    }
     let costed = CostedDeps::build(layers, deps, edge_cost).map_err(invalidate)?;
     validate_schedule_costed(layers, deps, schedule, &costed)
 }
@@ -64,33 +68,6 @@ pub fn validate_schedule_costed(
         Some(d) => Err(CoreError::InvalidSchedule { detail: d.detail }),
         None => Ok(()),
     }
-}
-
-/// Shape agreement between the schedule and the layer list.
-fn check_shape(layers: &[LayerSets], schedule: &Schedule) -> Result<()> {
-    if schedule.num_layers() != layers.len() {
-        return Err(CoreError::InvalidSchedule {
-            detail: format!(
-                "schedule has {} layers, expected {}",
-                schedule.num_layers(),
-                layers.len()
-            ),
-        });
-    }
-    for (li, layer) in layers.iter().enumerate() {
-        let n = schedule.layer(li).len();
-        if n != layer.sets.len() {
-            return Err(CoreError::InvalidSchedule {
-                detail: format!(
-                    "layer `{}` has {} windows for {} sets",
-                    layer.name,
-                    n,
-                    layer.sets.len()
-                ),
-            });
-        }
-    }
-    Ok(())
 }
 
 /// Maps a stage mismatch from cost-table construction onto the validator's
@@ -319,6 +296,50 @@ mod tests {
                 "{code} never reported: {analysis_seen:?}"
             );
         }
+    }
+
+    /// Both shape messages come out of `validate_schedule`, and a shape
+    /// error outranks deps that do not match the layers.
+    #[test]
+    fn shape_errors_come_first_and_name_the_mismatch() {
+        let (layers, deps, s) = pipeline();
+        let detail = |s: &Schedule, deps: &Dependencies| match validate_schedule(
+            &layers,
+            deps,
+            s,
+            &EdgeCost::Free,
+        ) {
+            Err(CoreError::InvalidSchedule { detail }) => detail,
+            other => panic!("expected an invalid schedule, got {other:?}"),
+        };
+        let mut nested = s.to_nested();
+        nested[0].pop();
+        let short = Schedule::from_nested(nested, s.makespan);
+        let mut nested = s.to_nested();
+        nested.pop();
+        let missing = Schedule::from_nested(nested, s.makespan);
+        let sets = layers[0].sets.len();
+        let short_msg = format!(
+            "layer `{}` has {} windows for {sets} sets",
+            layers[0].name,
+            sets - 1
+        );
+        let missing_msg = format!(
+            "schedule has {} layers, expected {}",
+            layers.len() - 1,
+            layers.len()
+        );
+        assert_eq!(detail(&short, &deps), short_msg);
+        assert_eq!(detail(&missing, &deps), missing_msg);
+
+        // Deps over another set space fail on their own …
+        let counts = vec![1; layers.len() + 1];
+        let other = Dependencies::from_edges(&counts, &[]).unwrap();
+        let mismatch = detail(&s, &other);
+        assert!(mismatch.starts_with("dependencies cover"), "{mismatch}");
+        // … but a schedule-shape error is reported first.
+        assert_eq!(detail(&short, &other), short_msg);
+        assert_eq!(detail(&missing, &other), missing_msg);
     }
 
     #[test]
