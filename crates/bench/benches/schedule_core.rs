@@ -67,22 +67,18 @@
 //!   solo baseline per distinct model).
 
 use cim_arch::{place_groups, Architecture, PlacementStrategy, TileSpec};
-use cim_bench::artifacts::{case_study_graph, fig6c_results};
-use cim_bench::runner::{pe_min_of, ResultStore, RunnerOptions};
-use cim_frontend::{canonicalize, CanonOptions};
-use cim_mapping::{layer_costs, MappingOptions, Solver};
+use cim_bench::artifacts::{case_study_graph, case_study_model, fig6c_results};
+use cim_bench::runner::{Model, PaperStrategy, ResultStore, RunnerOptions};
+use cim_mapping::{layer_costs, MappingOptions};
 use clsa_core::{
     batched_cross_layer_schedule, determine_sets, prepare, reference, run, CostedDeps,
     Dependencies, EdgeCost, LayerSets, Prepared, RunConfig, SetPolicy,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-/// TinyYOLOv4's `PE_min` on the paper's 256×256 crossbars (Table II).
-const PE_MIN: usize = 117;
-
 fn xinf_config() -> RunConfig {
-    let arch = Architecture::paper_case_study(PE_MIN).expect("case-study arch");
-    RunConfig::baseline(arch).with_cross_layer()
+    let pe_min = case_study_model().pe_min();
+    PaperStrategy::Xinf.config(pe_min).expect("case-study arch")
 }
 
 /// The Stage-I/II outputs of the case-study mapping, shared by the
@@ -129,25 +125,24 @@ fn bench_cold_pipeline(c: &mut Criterion) {
 }
 
 fn bench_stage2(c: &mut Criterion) {
-    let g = case_study_graph();
-    let prepared = prepare(&g, &xinf_config()).expect("prepare");
-    let wdup_arch = Architecture::paper_case_study(PE_MIN + 100).expect("wdup arch");
-    let wdup_config = RunConfig::baseline(wdup_arch)
-        .with_duplication(Solver::Greedy)
-        .with_cross_layer();
-    let wdup = prepare(&g, &wdup_config).expect("prepare wdup");
-    let resnet = canonicalize(&cim_models::resnet152(), &CanonOptions::default())
-        .expect("ResNet152 canonicalizes")
-        .into_graph();
-    let resnet_pe_min = pe_min_of(&resnet, &MappingOptions::default()).expect("PE_min");
-    let resnet_arch = Architecture::paper_case_study(resnet_pe_min).expect("ResNet152 arch");
-    let resnet_config = RunConfig::baseline(resnet_arch).with_cross_layer();
+    let model = case_study_model();
+    let g = model.graph();
+    let prepared = prepare(g, &xinf_config()).expect("prepare");
+    let wdup_config = PaperStrategy::WdupXinf
+        .config(model.pe_min() + 100)
+        .expect("wdup arch");
+    let wdup = prepare(g, &wdup_config).expect("prepare wdup");
+    let resnet_model =
+        Model::canonical("ResNet152", &cim_models::resnet152()).expect("ResNet152 canonicalizes");
+    let resnet_config = PaperStrategy::Xinf
+        .config(resnet_model.pe_min())
+        .expect("ResNet152 arch");
     let resnet_coarse2 = RunConfig {
         set_policy: SetPolicy::coarse(2),
         ..resnet_config.clone()
     };
-    let resnet_graph = resnet;
-    let resnet = prepare(&resnet_graph, &resnet_config).expect("prepare");
+    let resnet_graph = resnet_model.graph();
+    let resnet = prepare(resnet_graph, &resnet_config).expect("prepare");
     let resnet_costs = layer_costs(
         &resnet.mapped_graph,
         resnet_config.arch.crossbar(),
@@ -200,8 +195,8 @@ fn bench_stage2(c: &mut Criterion) {
     );
     group.throughput(Throughput::Elements(1));
     for (id, graph, config) in [
-        ("ResNet152_coarse2", &resnet_graph, &resnet_coarse2),
-        ("TinyYOLOv4_wdup100", &g, &wdup_config),
+        ("ResNet152_coarse2", resnet_graph, &resnet_coarse2),
+        ("TinyYOLOv4_wdup100", g, &wdup_config),
     ] {
         group.bench_with_input(BenchmarkId::new("prepare", id), graph, |b, graph| {
             b.iter(|| prepare(graph, config).expect("prepare"))
@@ -251,21 +246,26 @@ fn bench_batched(c: &mut Criterion) {
 }
 
 fn bench_warm_sweep(c: &mut Criterion) {
-    let g = case_study_graph();
+    let model = case_study_model();
     let dir = std::env::temp_dir().join(format!("cim-bench-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     {
         // Populate the store once; the bench then measures warm replays.
         let store = ResultStore::open(&dir).expect("store opens");
-        fig6c_results(&g, &RunnerOptions::sequential(), Some(&store)).expect("cold sweep");
+        fig6c_results(&model, &RunnerOptions::sequential(), Some(&store)).expect("cold sweep");
     }
     let mut group = c.benchmark_group("schedule_core");
-    group.bench_with_input(BenchmarkId::new("warm_sweep", "fig6c"), &g, |b, g| {
-        b.iter(|| {
-            let store = ResultStore::open(&dir).expect("store opens");
-            fig6c_results(g, &RunnerOptions::sequential(), Some(&store)).expect("warm sweep")
-        })
-    });
+    group.bench_with_input(
+        BenchmarkId::new("warm_sweep", "fig6c"),
+        &model,
+        |b, model| {
+            b.iter(|| {
+                let store = ResultStore::open(&dir).expect("store opens");
+                fig6c_results(model, &RunnerOptions::sequential(), Some(&store))
+                    .expect("warm sweep")
+            })
+        },
+    );
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);
 }

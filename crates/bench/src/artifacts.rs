@@ -7,43 +7,47 @@
 //! code path: each function returns exactly the record list the
 //! corresponding binary exports with `--json`.
 
+use std::sync::Arc;
+
 use cim_arch::CrossbarSpec;
-use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_mapping::{layer_costs, min_pes, LayerCost, MappingOptions};
 use clsa_core::CoreError;
 use serde::Serialize;
 
 use crate::experiments::ConfigResult;
-use crate::runner::{parallel_map, sweep_jobs, ResultStore, RunnerOptions, Sweep, SweepJob};
+use crate::runner::{parallel_map, sweep_jobs, Model, ResultStore, RunnerOptions, Sweep, SweepJob};
 
-/// The canonicalized TinyYOLOv4 graph of the paper's case study
-/// (Sec. V-A) — BN folded, partitioned, ready for the pipeline.
+/// The paper's case study (Sec. V-A): TinyYOLOv4, canonicalized (BN
+/// folded, partitioned) and ready for the pipeline.
 ///
 /// # Panics
 ///
 /// Panics if the built-in model fails to canonicalize (a build defect).
+pub fn case_study_model() -> Arc<Model> {
+    let raw = cim_models::tiny_yolo_v4();
+    // cim-lint: allow(panic-unwrap) the golden zoo model is known-good
+    Model::canonical("TinyYOLOv4", &raw).expect("model canonicalizes")
+}
+
+/// The canonicalized graph of [`case_study_model`] (which panics likewise).
 pub fn case_study_graph() -> Graph {
-    let model = cim_models::tiny_yolo_v4();
-    canonicalize(&model, &CanonOptions::default())
-        .expect("model canonicalizes") // cim-lint: allow(panic-unwrap) the golden zoo model is known-good
-        .into_graph()
+    case_study_model().graph().clone()
 }
 
 /// The aggregated rows of **Fig. 6c** — the TinyYOLOv4 sweep over
 /// `xinf`, `wdup+{16,32}`, and `wdup+{16,32}+xinf` — exactly as the
-/// `fig6` binary exports them, computed from the canonicalized
-/// [`case_study_graph`].
+/// `fig6` binary exports them, computed from [`case_study_model`].
 ///
 /// # Errors
 ///
 /// Propagates pipeline errors from the sweep.
 pub fn fig6c_results(
-    graph: &Graph,
+    model: &Arc<Model>,
     runner: &RunnerOptions,
     store: Option<&ResultStore>,
 ) -> Result<Vec<ConfigResult>, CoreError> {
-    let jobs = fig6c_jobs(graph)?;
+    let jobs = fig6c_jobs(model)?;
     Ok(Sweep {
         store,
         ..Sweep::new(&jobs, *runner)
@@ -59,9 +63,9 @@ pub fn fig6c_results(
 ///
 /// # Errors
 ///
-/// Propagates job-construction (canonicalization, architecture) errors.
-pub fn fig6c_jobs(graph: &Graph) -> Result<Vec<SweepJob>, CoreError> {
-    sweep_jobs("TinyYOLOv4", graph, &[16, 32])
+/// Propagates architecture errors.
+pub fn fig6c_jobs(model: &Arc<Model>) -> Result<Vec<SweepJob>, CoreError> {
+    sweep_jobs(model, &[16, 32])
 }
 
 /// The per-layer cost rows of **Table I** — TinyYOLOv4's base-layer
@@ -73,7 +77,7 @@ pub fn fig6c_jobs(graph: &Graph) -> Result<Vec<SweepJob>, CoreError> {
 /// Panics if the built-in model has no base layers (a build defect).
 pub fn table1_costs() -> Vec<LayerCost> {
     layer_costs(
-        &case_study_graph(),
+        case_study_model().graph(),
         &CrossbarSpec::wan_nature_2022(),
         &MappingOptions::default(),
     )

@@ -9,11 +9,10 @@
 
 use std::process::ExitCode;
 
-use cim_arch::Architecture;
 use cim_bench::cli::{self, sweep_exit_code, Args};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, run_jobs, SweepJob};
-use clsa_core::{batched_cross_layer_schedule, CoreError, EdgeCost, RunConfig};
+use cim_bench::runner::{run_jobs, Model, PaperStrategy, SweepJob};
+use clsa_core::{batched_cross_layer_schedule, CoreError, EdgeCost};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -35,28 +34,14 @@ fn run(args: &Args) -> Result<(), CoreError> {
     // One job per (model, config); the four batch depths reuse that job's
     // single pipeline run.
     let mut jobs = Vec::new();
-    for (name, graph, pe_min) in [
-        ("TinyYOLOv4", cim_models::tiny_yolo_v4(), 117usize),
-        ("TinyYOLOv3", cim_models::tiny_yolo_v3(), 142),
-        ("VGG16", cim_models::vgg16(), 233),
+    for (name, graph) in [
+        ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
+        ("TinyYOLOv3", cim_models::tiny_yolo_v3()),
+        ("VGG16", cim_models::vgg16()),
     ] {
-        let (graph, model_fp) = canonical(&graph)?;
-        for (label, x, duplicate) in [("xinf", 0usize, false), ("wdup+32+xinf", 32, true)] {
-            let mut config =
-                RunConfig::baseline(Architecture::paper_case_study(pe_min + x)?).with_cross_layer();
-            if duplicate {
-                config = config.with_duplication(cim_mapping::Solver::Greedy);
-            }
-            jobs.push(SweepJob {
-                model: name.to_string(),
-                model_fp,
-                graph: std::sync::Arc::clone(&graph),
-                label: label.to_string(),
-                x,
-                pe_min,
-                config,
-            });
-        }
+        let model = Model::canonical(name, &graph)?;
+        jobs.push(SweepJob::paper(&model, PaperStrategy::Xinf, 0)?);
+        jobs.push(SweepJob::paper(&model, PaperStrategy::WdupXinf, 32)?);
     }
 
     let (results, stats) = run_jobs(&jobs, args.runner)?;
@@ -71,7 +56,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
         for batch in [1usize, 2, 4, 16] {
             let b = batched_cross_layer_schedule(&r.layers, &r.deps, &EdgeCost::Free, batch)?;
             records.push(Record {
-                model: job.model.clone(),
+                model: job.model.name().to_string(),
                 config: job.label.clone(),
                 batch,
                 makespan_cycles: b.makespan,

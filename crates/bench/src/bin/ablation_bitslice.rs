@@ -7,10 +7,9 @@
 
 use std::process::ExitCode;
 
-use cim_arch::Architecture;
 use cim_bench::cli::{self, sweep_exit_code, Args};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
+use cim_bench::runner::{run_jobs, Model, PaperStrategy, SweepJob, BASELINE_LABEL};
 use cim_mapping::MappingOptions;
 use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
@@ -30,39 +29,27 @@ fn main() -> ExitCode {
 
 fn run(args: &Args) -> Result<(), CoreError> {
     // Two jobs per (model, precision), the lbl/xinf pair, which share one
-    // stage computation; `bits` holds each pair's precision.
+    // stage computation; `points` holds each pair's precision and PE_min.
     let mut jobs = Vec::new();
-    let mut bits = Vec::new();
+    let mut points = Vec::new();
     for info in [cim_models::case_study_model()]
         .into_iter()
         .chain(cim_models::table2_models())
     {
-        let (graph, model_fp) = canonical(&info.build())?;
+        let model = Model::canonical(info.name, &info.build())?;
         for weight_bits in [4u8, 8, 16] {
             let mapping_options = MappingOptions {
                 weight_bits: Some(weight_bits),
             };
             // PE_min under this precision is closed-form (Eq. 1).
-            let pe_min = pe_min_of(&graph, &mapping_options)?;
+            let pe_min = model.pe_min_with(&mapping_options)?;
             let lbl = RunConfig {
                 mapping_options,
-                ..RunConfig::baseline(Architecture::paper_case_study(pe_min)?)
+                ..PaperStrategy::LayerByLayer.config(pe_min)?
             };
-            for (label, config) in [
-                (BASELINE_LABEL, lbl.clone()),
-                ("xinf", lbl.with_cross_layer()),
-            ] {
-                jobs.push(SweepJob {
-                    model: info.name.to_string(),
-                    model_fp,
-                    graph: std::sync::Arc::clone(&graph),
-                    label: label.to_string(),
-                    x: 0,
-                    pe_min,
-                    config,
-                });
-            }
-            bits.push(weight_bits);
+            jobs.push(SweepJob::new(&model, BASELINE_LABEL, 0, lbl.clone()));
+            jobs.push(SweepJob::new(&model, "xinf", 0, lbl.with_cross_layer()));
+            points.push((weight_bits, pe_min));
         }
     }
 
@@ -70,11 +57,11 @@ fn run(args: &Args) -> Result<(), CoreError> {
     let records: Vec<Record> = jobs
         .chunks(2)
         .zip(results.chunks(2))
-        .zip(bits)
-        .map(|((pair, runs), weight_bits)| Record {
-            model: pair[0].model.clone(),
+        .zip(points)
+        .map(|((pair, runs), (weight_bits, pe_min))| Record {
+            model: pair[0].model.name().to_string(),
             weight_bits,
-            pe_min: pair[0].pe_min,
+            pe_min,
             xinf_speedup: runs[0].makespan() as f64 / runs[1].makespan() as f64,
         })
         .collect();

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 use cim_arch::Architecture;
 use cim_bench::cli::{self, sweep_exit_code, Args};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, run_jobs, SweepJob};
+use cim_bench::runner::{run_jobs, Model, SweepJob};
 use cim_mapping::Solver;
 use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
@@ -39,21 +39,12 @@ fn run(args: &Args) -> Result<(), CoreError> {
     // every worker saturated.
     let mut jobs = Vec::new();
     for info in cim_models::all_models() {
-        let (graph, model_fp) = canonical(&info.build())?;
+        let model = Model::canonical(info.name, &info.build())?;
         for x in [4usize, 8, 16, 32, 64] {
-            let arch = Architecture::paper_case_study(info.pe_min_256 + x)?;
+            let arch = Architecture::paper_case_study(model.pe_min() + x)?;
             for (label, solver) in [("greedy", Solver::Greedy), ("exact", Solver::ExactDp)] {
-                jobs.push(SweepJob {
-                    model: info.name.to_string(),
-                    model_fp,
-                    graph: std::sync::Arc::clone(&graph),
-                    label: label.to_string(),
-                    x,
-                    pe_min: info.pe_min_256,
-                    config: RunConfig::baseline(arch.clone())
-                        .with_duplication(solver)
-                        .with_cross_layer(),
-                });
+                let config = RunConfig::baseline(arch.clone()).with_duplication(solver);
+                jobs.push(SweepJob::new(&model, label, x, config.with_cross_layer()));
             }
         }
     }
@@ -71,7 +62,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
         .map(|(pair, runs)| {
             let (g_obj, e_obj) = (objective(&runs[0]), objective(&runs[1]));
             Record {
-                model: pair[0].model.clone(),
+                model: pair[0].model.name().to_string(),
                 x: pair[0].x,
                 greedy_objective: g_obj,
                 exact_objective: e_obj,

@@ -9,12 +9,10 @@
 
 use std::process::ExitCode;
 
-use cim_arch::Architecture;
 use cim_bench::cli::{self, sweep_exit_code, Args};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
-use cim_mapping::MappingOptions;
-use clsa_core::{CoreError, RunConfig, SetPolicy};
+use cim_bench::runner::{run_jobs, Model, PaperStrategy, SweepJob, BASELINE_LABEL};
+use clsa_core::{CoreError, SetPolicy};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -45,25 +43,13 @@ fn run(args: &Args) -> Result<(), CoreError> {
         ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
         ("VGG16", cim_models::vgg16()),
     ] {
-        let (graph, model_fp) = canonical(&graph)?;
-        let pe_min = pe_min_of(&graph, &MappingOptions::default())?;
-        let lbl = RunConfig::baseline(Architecture::paper_case_study(pe_min)?);
-        let mut push = |label: &str, config: RunConfig| {
-            jobs.push(SweepJob {
-                model: name.to_string(),
-                model_fp,
-                graph: std::sync::Arc::clone(&graph),
-                label: label.to_string(),
-                x: 0,
-                pe_min,
-                config,
-            });
-        };
-        push(BASELINE_LABEL, lbl.clone());
+        let model = Model::canonical(name, &graph)?;
+        let lbl = PaperStrategy::LayerByLayer.config(model.pe_min())?;
+        jobs.push(SweepJob::new(&model, BASELINE_LABEL, 0, lbl.clone()));
         for (label, policy) in &policies {
             let mut config = lbl.clone().with_cross_layer();
             config.set_policy = *policy;
-            push(label, config);
+            jobs.push(SweepJob::new(&model, label, 0, config));
         }
     }
 
@@ -77,7 +63,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
             continue;
         }
         records.push(Record {
-            model: job.model.clone(),
+            model: job.model.name().to_string(),
             policy: job.label.clone(),
             total_sets: r.layers.iter().map(|l| l.sets.len()).sum(),
             makespan_cycles: r.makespan(),

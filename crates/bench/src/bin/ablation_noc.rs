@@ -9,8 +9,7 @@ use std::process::ExitCode;
 use cim_arch::{Architecture, PlacementStrategy, TileSpec};
 use cim_bench::cli::{self, sweep_exit_code, Args};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, pe_min_of, run_jobs, SweepJob, BASELINE_LABEL};
-use cim_mapping::MappingOptions;
+use cim_bench::runner::{run_jobs, Model, SweepJob, BASELINE_LABEL};
 use clsa_core::{CoreError, RunConfig};
 use serde::Serialize;
 
@@ -37,26 +36,16 @@ fn run(args: &Args) -> Result<(), CoreError> {
         ("VGG16", cim_models::vgg16()),
         ("TinyYOLOv4", cim_models::tiny_yolo_v4()),
     ] {
-        let (graph, model_fp) = canonical(&graph)?;
-        let pe_min = pe_min_of(&graph, &MappingOptions::default())?;
+        let model = Model::canonical(name, &graph)?;
         let arch_for = |hop: u64| {
             Architecture::builder()
                 .tile(TileSpec::isaac_like())
                 .noc_hop_latency(hop)
-                .pes(pe_min)
+                .pes(model.pe_min())
                 .build()
         };
-        let mut push = |label: &str, config: RunConfig| {
-            jobs.push(SweepJob {
-                model: name.to_string(),
-                model_fp,
-                graph: std::sync::Arc::clone(&graph),
-                label: label.to_string(),
-                x: 0,
-                pe_min,
-                config,
-            });
-        };
+        let mut push =
+            |label: &str, config: RunConfig| jobs.push(SweepJob::new(&model, label, 0, config));
         push(BASELINE_LABEL, RunConfig::baseline(arch_for(0)?));
         push("xinf", RunConfig::baseline(arch_for(0)?).with_cross_layer());
         for hop in [0u64, 1, 4, 16, 64] {
@@ -86,7 +75,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
             BASELINE_LABEL => lbl = r.makespan(),
             "xinf" => free = r.makespan(),
             placement => records.push(Record {
-                model: job.model.clone(),
+                model: job.model.name().to_string(),
                 hop_latency_cycles: job.config.arch.noc().hop_latency_cycles,
                 placement: placement.to_string(),
                 makespan_cycles: r.makespan(),

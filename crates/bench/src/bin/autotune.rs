@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SEED, SWEEP};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, ShardMode};
+use cim_bench::runner::{Model, ShardMode};
 use cim_bench::tune::{autotune, autotune_shard, AutotuneReport, ParetoRow};
 use cim_tune::{strategy_by_name, Budget, DesignSpace, TuneOptions};
 use clsa_core::CoreError;
@@ -116,7 +116,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
     let mut strategy = strategy_by_name(strategy_name, seed).unwrap_or_else(|| {
         args.fail(format!("invalid value {strategy_name:?} for --strategy <grid|random|anneal>"))
     });
-    let (graph, _) = canonical(&raw)?;
+    let canon = Model::canonical(model, &raw)?;
     let mut budget = Budget {
         max_candidates: budget_candidates,
         max_wall: wall_secs.map(Duration::from_secs),
@@ -142,7 +142,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
     if let (ShardMode::Slice(shard), Some(store)) = (args.shard, &store) {
         // A slice warms its owned subset of the *whole* space; the
         // strategy/budget only shape the final merge run.
-        let report = autotune_shard(&graph, &space, shard, &runner, store)?;
+        let report = autotune_shard(canon.graph(), &space, shard, &runner, store)?;
         println!("{report}");
         args.report_faults();
         args.note_slice_done();
@@ -151,7 +151,7 @@ fn run(args: &Args) -> Result<(), CoreError> {
     // A merge is a plain strategy run against the warm store —
     // byte-identical to unsharded by tuner determinism.
     let (result, rows) = autotune(
-        &graph,
+        canon.graph(),
         &space,
         strategy.as_mut(),
         &budget,

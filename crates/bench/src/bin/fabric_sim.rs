@@ -14,7 +14,9 @@
 //! and the fairness aggregates. `--mix-sweep` enumerates the tenant-mix
 //! knob space ([`MixSpace::tiny`]) over the lane pool and reports the
 //! Pareto front over (worst-tenant slowdown ↓, aggregate utilization ↑,
-//! evictions ↓).
+//! evictions ↓). Each mix point sets its own co-residency policy and
+//! fabric, so `--mix-sweep` rejects `--policy`, `--bandwidth`,
+//! `--capacity-pes` and `--reload`.
 //!
 //! Every mode is deterministic: byte-identical exports for any `--jobs`
 //! value and any tenant insertion order at a fixed `--seed`
@@ -24,8 +26,9 @@
 //! Bad input — an unknown flag or model, a malformed `--tenants` list, an
 //! unknown `--policy`, a non-numeric count, a `--stagger` or `--reload`
 //! cycle count above `u32::MAX`, an `--extra-pes` that overflows the PE
-//! count, a `--json` path that cannot be written — prints one `error: …`
-//! line and the usage line, and exits with status 2.
+//! count, a `--json` path that cannot be written, a flag `--mix-sweep`
+//! rejects — prints one `error: …` line and the usage line, and exits
+//! with status 2.
 
 use cim_bench::cli::{self, Args, Flag, JOBS, JSON, SEED};
 use cim_bench::runner::parallel_map;
@@ -200,6 +203,14 @@ fn main() {
 
 /// Runs the selected mode; `Err` is an input error for `main` to report.
 fn run(args: &Args) -> Result<(), String> {
+    // Each `--mix-sweep` point sets the policy and fabric these flags set.
+    let per_point = ["--policy", "--bandwidth", "--capacity-pes", "--reload"];
+    let mix_sweep = args.has("--mix-sweep");
+    if let Some(flag) = per_point.into_iter().find(|&f| mix_sweep && args.has(f)) {
+        return Err(format!(
+            "{flag} does not apply to --mix-sweep: each mix point sets its own policy and fabric"
+        ));
+    }
     let tenants = args.value("--tenants").unwrap_or("fig5:2");
     let specs = parse_tenant_list(tenants).map_err(|e| format!("--tenants {tenants}: {e}"))?;
     let policy = match args.value("--policy") {
@@ -227,7 +238,7 @@ fn run(args: &Args) -> Result<(), String> {
         jobs: args.runner.jobs,
     };
 
-    if args.has("--mix-sweep") {
+    if mix_sweep {
         return mix_sweep_mode(args, &instances, &config);
     }
 

@@ -31,46 +31,38 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use cim_arch::Architecture;
 use cim_bench::artifacts::fig6c_jobs;
 use cim_bench::cli::{self, sweep_exit_code, Args, Flag, SWEEP};
 use cim_bench::render_table;
-use cim_bench::runner::{canonical, run_jobs, ResultStore, ShardMode, SweepJob};
-use cim_ir::Graph;
-use cim_mapping::Solver;
-use clsa_core::{gantt_text, CoreError, RunConfig, RunResult};
+use cim_bench::runner::{run_jobs, Model, PaperStrategy, ResultStore, ShardMode, SweepJob};
+use clsa_core::{gantt_text, CoreError, RunResult};
 
-/// TinyYOLOv4's `PE_min` on the paper's crossbars (Table I).
-const PE_MIN: usize = 117;
+/// The case-study model, canonicalized once for every part.
+fn tiny_yolo_v4() -> Result<Arc<Model>, CoreError> {
+    Model::canonical("TinyYOLOv4", &cim_models::tiny_yolo_v4())
+}
 
 /// The jobs of parts a and b: the *same* `wdup+16` mapping scheduled
 /// layer-by-layer and with CLSA-CIM. Run together, they share one mapping
 /// and Stage-I/II analysis.
-fn gantt_jobs(graph: &Arc<Graph>, model_fp: u64) -> Result<[SweepJob; 2], CoreError> {
-    let wdup = RunConfig::baseline(Architecture::paper_case_study(PE_MIN + 16)?)
-        .with_duplication(Solver::Greedy);
-    let job = |label: &str, config: RunConfig| SweepJob {
-        model: "TinyYOLOv4".to_string(),
-        model_fp,
-        graph: Arc::clone(graph),
-        label: label.to_string(),
-        x: 16,
-        pe_min: PE_MIN,
-        config,
-    };
+fn gantt_jobs(model: &Arc<Model>) -> Result<[SweepJob; 2], CoreError> {
     Ok([
-        job("wdup+16", wdup.clone()),
-        job("wdup+16+xinf", wdup.with_cross_layer()),
+        SweepJob::paper(model, PaperStrategy::Wdup, 16)?,
+        SweepJob::paper(model, PaperStrategy::WdupXinf, 16)?,
     ])
 }
 
-fn part_a(g: &Graph, r: &RunResult) -> Result<(), CoreError> {
+fn part_a(model: &Model, r: &RunResult) -> Result<(), CoreError> {
     println!("Fig. 6a — weight duplication (wdup+16), layer-by-layer\n");
     let plan = r.plan.as_ref().expect("duplication requested");
 
     // Duplication table (the inset table of Fig. 6a).
     let xbar = cim_arch::CrossbarSpec::wan_nature_2022();
-    let costs = cim_mapping::layer_costs(g, &xbar, &cim_mapping::MappingOptions::default())?;
+    let costs = cim_mapping::layer_costs(
+        model.graph(),
+        &xbar,
+        &cim_mapping::MappingOptions::default(),
+    )?;
     let mut rows = Vec::new();
     for (c, &d) in costs.iter().zip(&plan.duplicates) {
         if d > 1 {
@@ -81,7 +73,7 @@ fn part_a(g: &Graph, r: &RunResult) -> Result<(), CoreError> {
         "{}",
         render_table(&["duplicated layer", "#PE each", "duplicates d"], &rows)
     );
-    println!("PEs used: {} of {}", plan.pes_used, PE_MIN + 16);
+    println!("PEs used: {} of {}", plan.pes_used, r.report.total_pes);
     println!("paper: for x = 16, the first 6 Conv2D layers are duplicated\n");
     println!("makespan: {} cycles — Gantt:\n", r.makespan());
     println!("{}", gantt_text(&r.layers, &r.schedule, 100));
@@ -96,37 +88,41 @@ fn part_b(r: &RunResult) {
 
 /// Part a or b alone: runs only that part's job.
 fn one_gantt_part(part: &str, args: &Args) -> Result<(), CoreError> {
-    let (graph, model_fp) = canonical(&cim_models::tiny_yolo_v4())?;
-    let [lbl, xinf] = gantt_jobs(&graph, model_fp)?;
+    let model = tiny_yolo_v4()?;
+    let [lbl, xinf] = gantt_jobs(&model)?;
     let job = if part == "a" { lbl } else { xinf };
     let (runs, _) = run_jobs(&[job], args.runner)?;
     if part == "a" {
-        part_a(&graph, &runs[0])
+        part_a(&model, &runs[0])
     } else {
         part_b(&runs[0]);
         Ok(())
     }
 }
 
-/// Every part, on one canonicalized graph; returns part c's quarantined
+/// Every part, on one canonicalized model; returns part c's quarantined
 /// job count.
 fn all_parts(args: &Args, store: Option<&ResultStore>) -> Result<usize, CoreError> {
-    let (graph, model_fp) = canonical(&cim_models::tiny_yolo_v4())?;
-    let (runs, stats) = run_jobs(&gantt_jobs(&graph, model_fp)?, args.runner)?;
-    part_a(&graph, &runs[0])?;
+    let model = tiny_yolo_v4()?;
+    let (runs, stats) = run_jobs(&gantt_jobs(&model)?, args.runner)?;
+    part_a(&model, &runs[0])?;
     println!();
     part_b(&runs[1]);
     println!();
-    let quarantined = part_c(&graph, args, store);
+    let quarantined = part_c(&model, args, store);
     println!("case-study cache: {stats}");
     quarantined
 }
 
 /// Returns the number of quarantined jobs, so `main` can exit loudly
 /// on a partial artifact.
-fn part_c(g: &Graph, args: &Args, store: Option<&ResultStore>) -> Result<usize, CoreError> {
+fn part_c(
+    model: &Arc<Model>,
+    args: &Args,
+    store: Option<&ResultStore>,
+) -> Result<usize, CoreError> {
     println!("Fig. 6c — speedup and utilization (TinyYOLOv4)\n");
-    let jobs = fig6c_jobs(g)?;
+    let jobs = fig6c_jobs(model)?;
     let outcome = args.sweep(&jobs, store).run()?;
     args.report_faults();
     for failure in &outcome.failures {
@@ -187,8 +183,7 @@ fn main() -> ExitCode {
         }
         Some("c") => {
             let store = args.open_store();
-            let graph = canonical(&cim_models::tiny_yolo_v4());
-            sweep_exit_code(graph.and_then(|(g, _)| part_c(&g, &args, store.as_ref())))
+            sweep_exit_code(tiny_yolo_v4().and_then(|model| part_c(&model, &args, store.as_ref())))
         }
         Some(other) => args.fail(format!("invalid value {other:?} for --part <a|b|c>")),
         None => {

@@ -27,7 +27,7 @@
 use std::process::ExitCode;
 
 use cim_bench::cli::{self, sweep_exit_code, Args, SWEEP};
-use cim_bench::runner::sweep_jobs_for_models;
+use cim_bench::runner::{sweep_jobs, Model, PaperStrategy, BASELINE_LABEL};
 use cim_bench::{render_table, PAPER_XS};
 use clsa_core::CoreError;
 
@@ -43,11 +43,11 @@ fn run(args: &Args) -> Result<usize, CoreError> {
     // All models × all configurations as one flat job list: the pool keeps
     // every worker busy across model boundaries instead of sweeping the
     // zoo one model at a time.
-    let models: Vec<(String, cim_ir::Graph)> = cim_models::table2_models()
-        .iter()
-        .map(|info| (info.name.to_string(), info.build()))
-        .collect();
-    let jobs = sweep_jobs_for_models(&models, &PAPER_XS)?;
+    let mut jobs = Vec::new();
+    for info in cim_models::table2_models() {
+        let model = Model::canonical(info.name, &info.build())?;
+        jobs.extend(sweep_jobs(&model, &PAPER_XS)?);
+    }
     eprintln!("running {} configurations on {} workers...", jobs.len(), args.runner.jobs);
     let outcome = args.sweep(&jobs, store.as_ref()).run()?;
     args.report_faults();
@@ -60,16 +60,12 @@ fn run(args: &Args) -> Result<usize, CoreError> {
     }
     let all = &outcome.results;
 
-    let labels: Vec<String> = {
-        let mut v = vec!["layer-by-layer".to_string(), "xinf".to_string()];
-        for x in PAPER_XS {
-            v.push(format!("wdup+{x}"));
-        }
-        for x in PAPER_XS {
-            v.push(format!("wdup+{x}+xinf"));
-        }
-        v
-    };
+    let labels: Vec<String> = [(PaperStrategy::LayerByLayer, 0), (PaperStrategy::Xinf, 0)]
+        .into_iter()
+        .chain(PAPER_XS.map(|x| (PaperStrategy::Wdup, x)))
+        .chain(PAPER_XS.map(|x| (PaperStrategy::WdupXinf, x)))
+        .map(|(strategy, x)| strategy.label(x))
+        .collect();
     let models: Vec<&str> = cim_models::table2_models().iter().map(|m| m.name).collect();
     // A quarantined job leaves a hole in the grid; render it as `-`
     // rather than refusing to print the survivors.
@@ -126,7 +122,7 @@ fn run(args: &Args) -> Result<usize, CoreError> {
     }
     let worst_eq3 = all
         .iter()
-        .filter(|r| r.label != "layer-by-layer")
+        .filter(|r| r.label != BASELINE_LABEL)
         .filter_map(|r| {
             r.eq3_predicted
                 .map(|p| (p - r.speedup).abs() / r.speedup)

@@ -37,17 +37,17 @@ fn main() {
         Flag::value("--critical", "n"),
         JSON,
     ]]);
-    let (model, g, mut cfg) = args.zoo_run();
+    let (model, mut cfg) = args.zoo_run();
     if args.has("--wdup-exact") {
         cfg = cfg.with_duplication(Solver::ExactDp);
     }
     let gantt: Option<usize> = args.get("--gantt");
     let critical: Option<usize> = args.get("--critical");
-    let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
+    let r = run(model.graph(), &cfg).unwrap_or_else(|e| args.fail(e));
 
     println!(
         "{} — PE_min {}, architecture {} PEs, {} base-layer groups, {} sets",
-        model,
+        model.name(),
         r.pe_min,
         r.report.total_pes,
         r.layers.len(),

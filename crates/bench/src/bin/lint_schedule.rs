@@ -33,8 +33,8 @@ fn main() {
         Flag::value("--sets", "n"),
         JSON,
     ]]);
-    let (model, g, cfg) = args.zoo_run();
-    let r = run(&g, &cfg).unwrap_or_else(|e| args.fail(e));
+    let (model, cfg) = args.zoo_run();
+    let r = run(model.graph(), &cfg).unwrap_or_else(|e| args.fail(e));
 
     let mut diags: Vec<ScheduleDiagnostic> =
         analyze_costed(&r.layers, &r.deps, &r.schedule, &r.costed);
@@ -42,7 +42,7 @@ fn main() {
 
     println!(
         "{} — {} base-layer groups, {} sets, makespan {} cycles",
-        model,
+        model.name(),
         r.layers.len(),
         r.layers.iter().map(|l| l.sets.len()).sum::<usize>(),
         r.makespan()

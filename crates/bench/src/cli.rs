@@ -25,14 +25,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cim_arch::Architecture;
-use cim_ir::Graph;
 use cim_mapping::Solver;
 use clsa_core::{CoreError, RunConfig, SetPolicy};
 use serde::Serialize;
 
 use crate::runner::{
-    canonical, parse_rate_spec, FaultHook, FaultPlan, ResultStore, RunnerOptions, ShardMode,
-    ShardSpec, Sweep, SweepJob, SweepOutcome,
+    parse_rate_spec, FaultHook, FaultPlan, Model, ResultStore, RunnerOptions, ShardMode, ShardSpec,
+    Sweep, SweepJob, SweepOutcome,
 };
 
 /// One flag a binary reads.
@@ -329,16 +328,16 @@ impl Args {
         }
     }
 
-    /// The zoo model (its name and canonicalized graph) and the pipeline
-    /// configuration that the schedule-inspection binaries (`inspect`,
-    /// `lint-schedule`) select: the positional `model` (a zoo name, in any
-    /// case) on the paper's architecture with `PE_min + --x` PEs;
+    /// The zoo model and the pipeline configuration that the
+    /// schedule-inspection binaries (`inspect`, `lint-schedule`) select:
+    /// the positional `model` (a zoo name, in any case) on the paper's
+    /// architecture with `PE_min + --x` PEs, whatever the strategy;
     /// cross-layer unless `--lbl`, greedy duplication with `--wdup`, and
     /// at most `--sets` sets per OFM. The binary must declare those flags.
     ///
     /// A missing or unknown model, an `--x` whose PE count overflows, and
     /// a model or architecture the pipeline rejects [`fail`](Self::fail).
-    pub fn zoo_run(&self) -> (&'static str, Arc<Graph>, RunConfig) {
+    pub fn zoo_run(&self) -> (Arc<Model>, RunConfig) {
         let Some(model) = self.value("model") else {
             self.fail("missing <model>");
         };
@@ -349,10 +348,10 @@ impl Args {
         };
         let x: usize = self.get("--x").unwrap_or(0);
         let sets: Option<usize> = self.get("--sets");
-        let Some(pes) = info.pe_min_256.checked_add(x) else {
-            self.fail(format!("--x {x}: PE_min {} + x overflows", info.pe_min_256));
+        let model = Model::canonical(info.name, &info.build()).unwrap_or_else(|e| self.fail(e));
+        let Some(pes) = model.pe_min().checked_add(x) else {
+            self.fail(format!("--x {x}: PE_min {} + x overflows", model.pe_min()));
         };
-        let (graph, _) = canonical(&info.build()).unwrap_or_else(|e| self.fail(e));
         let arch = Architecture::paper_case_study(pes).unwrap_or_else(|e| self.fail(e));
         let mut config = RunConfig::baseline(arch);
         if !self.has("--lbl") {
@@ -364,7 +363,7 @@ impl Args {
         if let Some(n) = sets {
             config.set_policy = SetPolicy::coarse(n);
         }
-        (info.name, graph, config)
+        (model, config)
     }
 
     /// Opens the persistent [`ResultStore`] named by `--cache-dir` (with

@@ -44,7 +44,7 @@ pub const PAPER_XS: [usize; 4] = [4, 8, 16, 32];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{sweep_jobs, RunnerOptions, Sweep};
+    use crate::runner::{sweep_jobs, Model, RunnerOptions, Sweep};
 
     fn sweep_rows(
         name: &str,
@@ -52,7 +52,7 @@ mod tests {
         xs: &[usize],
         runner: RunnerOptions,
     ) -> Vec<ConfigResult> {
-        let jobs = sweep_jobs(name, graph, xs).unwrap();
+        let jobs = sweep_jobs(&Model::canonical(name, graph).unwrap(), xs).unwrap();
         Sweep::new(&jobs, runner).run().unwrap().results
     }
 

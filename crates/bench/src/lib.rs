@@ -38,10 +38,11 @@
 //! Sweep the paper's Fig. 5 example through the parallel runner:
 //!
 //! ```
-//! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
+//! use cim_bench::runner::{sweep_jobs, Model, RunnerOptions, Sweep};
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
-//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
+//! let fig5 = Model::canonical("fig5", &cim_models::fig5_example())?;
+//! let jobs = sweep_jobs(&fig5, &[1])?;
 //! let rows = Sweep::new(&jobs, RunnerOptions::default()).run()?.results;
 //! assert_eq!(rows.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 //! assert!(rows.iter().all(|r| r.speedup >= 1.0));

@@ -39,19 +39,22 @@
 //! (sweep jobs → [`SweepOutcome`]) or [`run_jobs`] (sweep jobs → one full
 //! `RunResult` each, in job order). [`Sweep`] holds the
 //! job list, the worker count, the optional store, the [`ShardMode`], and
-//! the optional fault hook. The binaries sit on top: the sweep binaries'
+//! the optional fault hook. A job's model is a shared [`Model`] handle
+//! (from [`Model::canonical`]), and the paper's four configurations come
+//! only from [`PaperStrategy`]. The binaries sit on top: the sweep binaries'
 //! `--jobs N`, `--cache-dir <dir>`, `--shard i/n|merge` and chaos flags
 //! build the [`Sweep`] through [`cli::Args::sweep`](crate::cli::Args::sweep);
-//! `fig6`'s Gantt parts and the ablations build [`SweepJob`] lists (graphs
-//! from [`canonical`]) and hand them, with `--jobs N`, to [`run_jobs`].
+//! `fig6`'s Gantt parts and the ablations build [`SweepJob`] lists and hand
+//! them, with `--jobs N`, to [`run_jobs`].
 //!
 //! # Examples
 //!
 //! ```
-//! use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
+//! use cim_bench::runner::{sweep_jobs, Model, RunnerOptions, Sweep};
 //!
 //! # fn main() -> Result<(), clsa_core::CoreError> {
-//! let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
+//! let fig5 = Model::canonical("fig5", &cim_models::fig5_example())?;
+//! let jobs = sweep_jobs(&fig5, &[1])?;
 //! let parallel = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run()?;
 //! let sequential = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
 //! assert_eq!(parallel.results, sequential.results); // bit-for-bit
@@ -75,8 +78,8 @@ pub use lane::parallel_map;
 pub use shard::{shard_of, ShardMode, ShardSpec};
 pub use store::{ResultStore, RunSummary, StoreStats, STORE_FORMAT_VERSION};
 pub use sweep::{
-    canonical, pe_min_of, run_jobs, sweep_jobs, sweep_jobs_for_models, JobFailure, JobFailureKind,
-    Sweep, SweepJob, SweepOutcome, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
+    run_jobs, sweep_jobs, JobFailure, JobFailureKind, Model, PaperStrategy, Sweep, SweepJob,
+    SweepOutcome, BASELINE_LABEL, MAX_JOB_ATTEMPTS,
 };
 
 /// Worker-pool options.

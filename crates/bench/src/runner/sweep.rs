@@ -1,7 +1,9 @@
 //! Sweep construction and deterministic aggregation.
 //!
 //! A sweep is expressed as a **flat job list** — one [`SweepJob`] per
-//! `(model, architecture, strategy)` point — that [`Sweep::run`] executes
+//! `(model, architecture, strategy)` point, its model a shared [`Model`]
+//! handle, and the paper's configurations built by [`PaperStrategy`] (see
+//! [`sweep_jobs`]) — that [`Sweep::run`] executes
 //! over the lane pool with a shared [`ScheduleCache`](super::ScheduleCache),
 //! then folds into a [`SweepOutcome`] whose rows come out in job order.
 //! Aggregation is the only cross-job step (speedups are relative to each
@@ -17,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use cim_arch::Architecture;
+use cim_arch::{ArchError, Architecture, CrossbarSpec};
 use cim_frontend::{canonicalize, CanonOptions};
 use cim_ir::Graph;
 use cim_mapping::{layer_costs, min_pes, MappingOptions, Solver};
@@ -41,38 +43,194 @@ pub const BASELINE_LABEL: &str = "layer-by-layer";
 /// deterministic panics fail fast enough to keep batch latency bounded.
 pub const MAX_JOB_ATTEMPTS: u32 = 3;
 
-/// Closed-form `PE_min` of a canonicalized graph on the paper's 256×256
-/// crossbars (Eq. 1 over the layer costs — no probe run needed).
-///
-/// The paper-case-study crossbar is PE-count-independent, so this single
-/// probe serves any architecture in that family; sweeps over other
-/// crossbar specs must compute their own costs.
-///
-/// # Errors
-///
-/// Propagates cost-model errors (e.g. a graph without base layers).
-pub fn pe_min_of(graph: &Graph, options: &MappingOptions) -> Result<usize, CoreError> {
-    let costs = layer_costs(graph, &cim_arch::CrossbarSpec::wan_nature_2022(), options)?;
-    Ok(min_pes(&costs))
+/// A model as every sweep, binary and the serve engine use it: a name, the
+/// canonical graph, its fingerprint and its `PE_min` on the paper's 256×256
+/// crossbars. [`Model::canonical`] builds it, so the last two always
+/// describe the graph; its jobs share it through an [`Arc`].
+#[derive(Debug)]
+pub struct Model {
+    name: String,
+    graph: Graph,
+    fingerprint: u64,
+    pe_min: usize,
+}
+
+impl Model {
+    /// Canonicalizes `raw` (default options) once, and fingerprints and
+    /// costs the result.
+    ///
+    /// # Errors
+    ///
+    /// A frontend canonicalization error, as [`CoreError::StageMismatch`];
+    /// a cost-model error (e.g. a graph without base layers).
+    pub fn canonical(name: &str, raw: &Graph) -> Result<Arc<Model>, CoreError> {
+        let graph = canonicalize(raw, &CanonOptions::default())
+            .map_err(|e| CoreError::StageMismatch {
+                detail: e.to_string(),
+            })?
+            .into_graph();
+        let mut model = Model {
+            name: name.to_string(),
+            fingerprint: fingerprint(&graph),
+            pe_min: 0,
+            graph,
+        };
+        model.pe_min = model.pe_min_with(&MappingOptions::default())?;
+        Ok(Arc::new(model))
+    }
+
+    /// Model name (the `model` column of a result row).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The canonicalized graph.
+    pub fn graph(&self) -> &Graph {
+        &self.graph
+    }
+
+    /// Fingerprint of [`graph`](Self::graph) (the cache and store model key).
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// `PE_min` of the graph on the paper's crossbars (Eq. 1).
+    pub fn pe_min(&self) -> usize {
+        self.pe_min
+    }
+
+    /// `PE_min` under `options` (e.g. bit-sliced weights): Eq. 1 over the
+    /// layer costs on the paper's crossbars, which do not depend on the PE
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Propagates cost-model errors.
+    pub fn pe_min_with(&self, options: &MappingOptions) -> Result<usize, CoreError> {
+        let costs = layer_costs(&self.graph, &CrossbarSpec::wan_nature_2022(), options)?;
+        Ok(min_pes(&costs))
+    }
+}
+
+/// The paper's four evaluated configurations (Sec. V, Figs. 6–7). Each
+/// runs on the case-study architecture with the finest Stage-I sets; the
+/// `wdup` pair duplicates weights greedily over `x` PEs beyond `PE_min`,
+/// and the `xinf` pair schedules cross-layer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PaperStrategy {
+    /// The layer-by-layer baseline at `PE_min`.
+    LayerByLayer,
+    /// CLSA-CIM cross-layer scheduling at `PE_min`.
+    Xinf,
+    /// Weight duplication over `PE_min + x` PEs, layer by layer.
+    Wdup,
+    /// Weight duplication over `PE_min + x` PEs, cross-layer.
+    WdupXinf,
+}
+
+impl PaperStrategy {
+    /// Every strategy, in the order of [`NAMES`](Self::NAMES).
+    pub const ALL: [PaperStrategy; 4] = [
+        PaperStrategy::LayerByLayer,
+        PaperStrategy::Xinf,
+        PaperStrategy::Wdup,
+        PaperStrategy::WdupXinf,
+    ];
+
+    /// The strategies' names, as `cim-serve` requests spell them.
+    pub const NAMES: [&'static str; 4] = [BASELINE_LABEL, "xinf", "wdup", "wdup+xinf"];
+
+    /// The strategy's name (one of [`NAMES`](Self::NAMES)).
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self as usize]
+    }
+
+    /// The strategy named `name`, if any.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    fn duplicates(self) -> bool {
+        matches!(self, PaperStrategy::Wdup | PaperStrategy::WdupXinf)
+    }
+
+    /// The row label at `x`: `layer-by-layer`, `xinf`, `wdup+{x}` or
+    /// `wdup+{x}+xinf`.
+    pub fn label(self, x: usize) -> String {
+        match self {
+            PaperStrategy::LayerByLayer | PaperStrategy::Xinf => self.name().to_string(),
+            PaperStrategy::Wdup => format!("wdup+{x}"),
+            PaperStrategy::WdupXinf => format!("wdup+{x}+xinf"),
+        }
+    }
+
+    /// The architecture's PE count: `pe_min` for the first two strategies,
+    /// `pe_min + x` for the `wdup` pair, `None` when that overflows.
+    pub fn pes(self, pe_min: usize, x: usize) -> Option<usize> {
+        if self.duplicates() {
+            pe_min.checked_add(x)
+        } else {
+            Some(pe_min)
+        }
+    }
+
+    /// The strategy's configuration on the case-study architecture with
+    /// `pes` PEs (see [`pes`](Self::pes)).
+    ///
+    /// # Errors
+    ///
+    /// The architecture's error, e.g. for zero PEs.
+    pub fn config(self, pes: usize) -> Result<RunConfig, ArchError> {
+        let mut config = RunConfig::baseline(Architecture::paper_case_study(pes)?);
+        if self.duplicates() {
+            config = config.with_duplication(Solver::Greedy);
+        }
+        if matches!(self, PaperStrategy::Xinf | PaperStrategy::WdupXinf) {
+            config = config.with_cross_layer();
+        }
+        Ok(config)
+    }
 }
 
 /// One point of a sweep: a model, an architecture, and a strategy.
 #[derive(Debug, Clone)]
 pub struct SweepJob {
-    /// Model name (the `model` column of the result row).
-    pub model: String,
-    /// Fingerprint of the canonicalized model graph.
-    pub model_fp: u64,
-    /// The canonicalized graph, shared across the model's jobs.
-    pub graph: Arc<Graph>,
+    /// The model, shared by all of its jobs.
+    pub model: Arc<Model>,
     /// Configuration label (`layer-by-layer`, `xinf`, `wdup+<x>`, …).
     pub label: String,
     /// Extra PEs over `PE_min` (the paper's `x`).
     pub x: usize,
-    /// `PE_min` of the model on this job's crossbar/bit-slicing setup.
-    pub pe_min: usize,
     /// Full pipeline configuration.
     pub config: RunConfig,
+}
+
+impl SweepJob {
+    /// A job of `model` under `label`.
+    pub fn new(model: &Arc<Model>, label: impl Into<String>, x: usize, config: RunConfig) -> Self {
+        SweepJob {
+            model: Arc::clone(model),
+            label: label.into(),
+            x,
+            config,
+        }
+    }
+
+    /// The paper's `strategy` at `x` on `model`, under its label.
+    ///
+    /// # Errors
+    ///
+    /// An [`ArchError`] when `PE_min + x` overflows or the architecture is
+    /// rejected.
+    pub fn paper(model: &Arc<Model>, strategy: PaperStrategy, x: usize) -> Result<Self, CoreError> {
+        let overflow = || ArchError::InvalidSpec {
+            what: "architecture",
+            detail: format!("PE_min {} + x {x} overflows", model.pe_min()),
+        };
+        let pes = strategy.pes(model.pe_min(), x).ok_or_else(overflow)?;
+        let config = strategy.config(pes)?;
+        Ok(Self::new(model, strategy.label(x), x, config))
+    }
 }
 
 /// One sweep over a flat job list, folded into result rows ([`run_jobs`]
@@ -81,10 +239,11 @@ pub struct SweepJob {
 /// `Sweep { store: Some(&store), ..Sweep::new(&jobs, runner) }`:
 ///
 /// ```
-/// use cim_bench::runner::{sweep_jobs, RunnerOptions, Sweep};
+/// use cim_bench::runner::{sweep_jobs, Model, RunnerOptions, Sweep};
 ///
 /// # fn main() -> Result<(), clsa_core::CoreError> {
-/// let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1])?;
+/// let fig5 = Model::canonical("fig5", &cim_models::fig5_example())?;
+/// let jobs = sweep_jobs(&fig5, &[1])?;
 /// let outcome = Sweep::new(&jobs, RunnerOptions::sequential()).run()?;
 /// assert_eq!(outcome.results.len(), 4); // baseline, xinf, wdup+1, wdup+1+xinf
 /// assert_eq!(outcome.owned, jobs.len());
@@ -264,7 +423,7 @@ impl<'a> Sweep<'a> {
     /// merging) the pipeline with panic containment, bounded retry, and
     /// the fault hook.
     fn run_one(&self, job: &SweepJob, cache: &ScheduleCache) -> JobOutcome {
-        let key = CacheKey::schedule(job.model_fp, &job.config);
+        let key = CacheKey::schedule(job.model.fingerprint(), &job.config);
         if let ShardMode::Slice(spec) = self.shard {
             if !spec.owns(&key) {
                 return JobOutcome::NotOwned;
@@ -278,7 +437,8 @@ impl<'a> Sweep<'a> {
                 detail: format!(
                     "merge: no persisted summary for job `{} {}` (key {key:?}); \
                      run every `--shard i/n` slice against this --cache-dir first",
-                    job.model, job.label
+                    job.model.name(),
+                    job.label
                 ),
             });
         }
@@ -297,8 +457,8 @@ impl<'a> Sweep<'a> {
                 if injected {
                     panic!("injected fault: job panic (key {fault_key:016x}, attempt {attempt})");
                 }
-                let store = self.store;
-                cache.summary_on_store_miss(key, job.model_fp, &job.graph, &job.config, store)
+                let (fp, graph) = (job.model.fingerprint(), job.model.graph());
+                cache.summary_on_store_miss(key, fp, graph, &job.config, self.store)
             }));
             match caught {
                 Ok(Ok(summary)) => return JobOutcome::Done(summary),
@@ -311,22 +471,6 @@ impl<'a> Sweep<'a> {
             message,
         }
     }
-}
-
-/// Canonicalizes `graph` (default options) into the shared graph of a
-/// model's [`SweepJob`]s, with its fingerprint.
-///
-/// # Errors
-///
-/// A frontend canonicalization error, as [`CoreError::StageMismatch`].
-pub fn canonical(graph: &Graph) -> Result<(Arc<Graph>, u64), CoreError> {
-    let canon =
-        canonicalize(graph, &CanonOptions::default()).map_err(|e| CoreError::StageMismatch {
-            detail: e.to_string(),
-        })?;
-    let g = Arc::new(canon.into_graph());
-    let model_fp = fingerprint(g.as_ref());
-    Ok((g, model_fp))
 }
 
 /// Runs every job's full pipeline (`prepare`, then `run_prepared`) on the
@@ -346,7 +490,7 @@ pub fn run_jobs(
 ) -> Result<(Vec<RunResult>, CacheStats), CoreError> {
     let cache = ScheduleCache::new();
     let results = parallel_map(jobs, runner.jobs, |_, job| {
-        let prepared = cache.prepared(job.model_fp, &job.graph, &job.config)?;
+        let prepared = cache.prepared(job.model.fingerprint(), job.model.graph(), &job.config)?;
         run_prepared(&prepared, &job.config)
     });
     let results = results.into_iter().collect::<Result<_, _>>()?;
@@ -355,57 +499,20 @@ pub fn run_jobs(
 
 /// Builds the paper's standard job list for one model: the layer-by-layer
 /// baseline and `xinf` at `PE_min`, plus `wdup+x` and `wdup+x+xinf` for
-/// every `x` in `xs`, in that order. Every job uses the finest Stage-I
-/// sets and the greedy duplication solver.
+/// every `x` in `xs`, in that order (see [`PaperStrategy`]).
 ///
 /// # Errors
 ///
-/// Propagates frontend canonicalization and architecture construction
-/// errors (raw TF-style models are accepted; the graph is canonicalized
-/// here, once, and shared by every job).
-pub fn sweep_jobs(name: &str, graph: &Graph, xs: &[usize]) -> Result<Vec<SweepJob>, CoreError> {
-    let (g, model_fp) = canonical(graph)?;
-    let pe_min = pe_min_of(&g, &MappingOptions::default())?;
-
-    let base_cfg = |pes: usize| -> Result<RunConfig, CoreError> {
-        Ok(RunConfig::baseline(Architecture::paper_case_study(pes)?))
-    };
-    let job = |label: String, x: usize, config: RunConfig| SweepJob {
-        model: name.to_string(),
-        model_fp,
-        graph: Arc::clone(&g),
-        label,
-        x,
-        pe_min,
-        config,
-    };
-
-    let mut jobs = vec![
-        job(BASELINE_LABEL.into(), 0, base_cfg(pe_min)?),
-        job("xinf".into(), 0, base_cfg(pe_min)?.with_cross_layer()),
-    ];
+/// An architecture error from [`SweepJob::paper`].
+pub fn sweep_jobs(model: &Arc<Model>, xs: &[usize]) -> Result<Vec<SweepJob>, CoreError> {
+    let mut points = vec![(PaperStrategy::LayerByLayer, 0), (PaperStrategy::Xinf, 0)];
     for &x in xs {
-        let wdup = base_cfg(pe_min + x)?.with_duplication(Solver::Greedy);
-        jobs.push(job(format!("wdup+{x}"), x, wdup.clone()));
-        jobs.push(job(format!("wdup+{x}+xinf"), x, wdup.with_cross_layer()));
+        points.extend([(PaperStrategy::Wdup, x), (PaperStrategy::WdupXinf, x)]);
     }
-    Ok(jobs)
-}
-
-/// [`sweep_jobs`] over several models, concatenated into one flat list.
-///
-/// # Errors
-///
-/// Propagates the first per-model job-construction error.
-pub fn sweep_jobs_for_models(
-    models: &[(String, Graph)],
-    xs: &[usize],
-) -> Result<Vec<SweepJob>, CoreError> {
-    let mut jobs = Vec::new();
-    for (name, graph) in models {
-        jobs.extend(sweep_jobs(name, graph, xs)?);
-    }
-    Ok(jobs)
+    points
+        .into_iter()
+        .map(|(strategy, x)| SweepJob::paper(model, strategy, x))
+        .collect()
 }
 
 /// Folds per-job summaries into the final row list — the single
@@ -426,9 +533,10 @@ fn aggregate(
     let mut baseline_models: BTreeSet<&str> = BTreeSet::new();
     for (job, outcome) in jobs.iter().zip(&outcomes) {
         if job.label == BASELINE_LABEL {
-            baseline_models.insert(&job.model);
+            let model = job.model.name();
+            baseline_models.insert(model);
             if let JobOutcome::Done(s) = outcome {
-                baselines.insert(&job.model, (s.makespan_cycles, s.utilization, s.total_pes));
+                baselines.insert(model, (s.makespan_cycles, s.utilization, s.total_pes));
             }
         }
     }
@@ -443,7 +551,7 @@ fn aggregate(
             JobOutcome::Panicked { attempts, message } => {
                 failures.push(JobFailure {
                     index,
-                    model: job.model.clone(),
+                    model: job.model.name().to_string(),
                     label: job.label.clone(),
                     kind: JobFailureKind::Quarantined { attempts, message },
                 });
@@ -455,26 +563,29 @@ fn aggregate(
             // slice's job, so rows come from the merge.
             continue;
         }
-        let Some(&(base_makespan, ut_lbl, base_pes)) = baselines.get(job.model.as_str()) else {
-            if baseline_models.contains(job.model.as_str()) {
+        let Some(&(base_makespan, ut_lbl, base_pes)) = baselines.get(job.model.name()) else {
+            if baseline_models.contains(job.model.name()) {
                 failures.push(JobFailure {
                     index,
-                    model: job.model.clone(),
+                    model: job.model.name().to_string(),
                     label: job.label.clone(),
                     kind: JobFailureKind::BaselineUnavailable,
                 });
                 continue;
             }
             return Err(CoreError::StageMismatch {
-                detail: format!("job list for model `{}` has no `{BASELINE_LABEL}` row", job.model),
+                detail: format!(
+                    "job list for model `{}` has no `{BASELINE_LABEL}` row",
+                    job.model.name()
+                ),
             });
         };
         let t_mvm = job.config.arch.crossbar().t_mvm_ns;
         results.push(ConfigResult {
-            model: job.model.clone(),
+            model: job.model.name().to_string(),
             label: job.label.clone(),
             x: job.x,
-            pe_min: job.pe_min,
+            pe_min: job.model.pe_min(),
             total_pes: s.total_pes,
             makespan_cycles: s.makespan_cycles,
             makespan_ns: s.makespan_cycles * t_mvm,
@@ -500,10 +611,13 @@ fn aggregate(
 mod tests {
     use super::*;
 
+    fn fig5() -> Arc<Model> {
+        Model::canonical("fig5", &cim_models::fig5_example()).unwrap()
+    }
+
     #[test]
     fn job_list_covers_the_grid_in_order() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[1, 2]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[1, 2]).unwrap();
         let labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -516,15 +630,49 @@ mod tests {
                 "wdup+2+xinf"
             ]
         );
-        assert!(jobs.iter().all(|j| j.pe_min == 2));
+        assert!(jobs.iter().all(|j| j.model.pe_min() == 2));
         // All jobs of one model share one canonicalized graph allocation.
-        assert!(jobs[1..].iter().all(|j| Arc::ptr_eq(&j.graph, &jobs[0].graph)));
+        assert!(jobs[1..]
+            .iter()
+            .all(|j| Arc::ptr_eq(&j.model, &jobs[0].model)));
+    }
+
+    #[test]
+    fn paper_strategies_spell_names_labels_and_configs_once() {
+        for s in PaperStrategy::ALL {
+            assert_eq!(PaperStrategy::from_name(s.name()), Some(s));
+        }
+        let alias = PaperStrategy::from_name("baseline");
+        assert_eq!(alias, None, "the alias is serve's");
+        let labels: Vec<String> = PaperStrategy::ALL.iter().map(|s| s.label(16)).collect();
+        assert_eq!(labels, [BASELINE_LABEL, "xinf", "wdup+16", "wdup+16+xinf"]);
+
+        assert_eq!(PaperStrategy::Xinf.pes(117, 16), Some(117));
+        assert_eq!(PaperStrategy::Wdup.pes(117, 16), Some(133));
+        assert_eq!(PaperStrategy::WdupXinf.pes(117, usize::MAX), None);
+        assert_eq!(PaperStrategy::LayerByLayer.pes(117, usize::MAX), Some(117));
+
+        // The configurations the paper's sweeps always ran.
+        let key = |config: &RunConfig| CacheKey::schedule(0, config);
+        let base = |pes| RunConfig::baseline(Architecture::paper_case_study(pes).unwrap());
+        let wdup = |pes| base(pes).with_duplication(Solver::Greedy);
+        for (strategy, pes, expected) in [
+            (PaperStrategy::LayerByLayer, 2, base(2)),
+            (PaperStrategy::Xinf, 2, base(2).with_cross_layer()),
+            (PaperStrategy::Wdup, 3, wdup(3)),
+            (PaperStrategy::WdupXinf, 3, wdup(3).with_cross_layer()),
+        ] {
+            let config = strategy.config(pes).unwrap();
+            assert_eq!(key(&config), key(&expected), "{strategy:?}");
+        }
+        assert!(PaperStrategy::Xinf.config(0).is_err());
+        let overflow = SweepJob::paper(&fig5(), PaperStrategy::Wdup, usize::MAX).unwrap_err();
+        assert!(overflow.to_string().contains("overflows"), "{overflow}");
     }
 
     #[test]
     fn batch_reuses_stage_work_across_the_baseline_pair() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         let batch = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
         assert_eq!(batch.results.len(), 2);
         // baseline + xinf share the (model, arch, mapping) stage prefix.
@@ -536,8 +684,7 @@ mod tests {
 
     #[test]
     fn missing_baseline_is_reported() {
-        let g = cim_models::fig5_example();
-        let mut jobs = sweep_jobs("fig5", &g, &crate::PAPER_XS).unwrap();
+        let mut jobs = sweep_jobs(&fig5(), &crate::PAPER_XS).unwrap();
         jobs.remove(0);
         let err = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap_err();
         assert!(matches!(err, CoreError::StageMismatch { .. }));
@@ -545,7 +692,7 @@ mod tests {
 
     #[test]
     fn run_jobs_is_identical_at_every_worker_count() {
-        let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1, 2]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[1, 2]).unwrap();
         let (sequential, seq_stats) = run_jobs(&jobs, RunnerOptions::sequential()).unwrap();
         let (parallel, par_stats) = run_jobs(&jobs, RunnerOptions::with_jobs(4)).unwrap();
         assert_eq!(sequential.len(), jobs.len());
@@ -560,7 +707,7 @@ mod tests {
 
     #[test]
     fn run_jobs_prepares_a_shared_mapping_once() {
-        let jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         let labels: Vec<&str> = jobs.iter().map(|j| j.label.as_str()).collect();
         assert_eq!(labels, [BASELINE_LABEL, "xinf"]);
         let (results, stats) = run_jobs(&jobs, RunnerOptions::with_jobs(2)).unwrap();
@@ -573,7 +720,7 @@ mod tests {
 
     #[test]
     fn run_jobs_returns_the_earliest_failure_in_job_order() {
-        let mut jobs = sweep_jobs("fig5", &cim_models::fig5_example(), &[1]).unwrap();
+        let mut jobs = sweep_jobs(&fig5(), &[1]).unwrap();
         // fig5's PE_min is 2: one PE cannot hold its weights.
         jobs[1].config.arch = Architecture::paper_case_study(1).unwrap();
         jobs[3].config.set_policy = clsa_core::SetPolicy::coarse(0);
@@ -595,8 +742,7 @@ mod tests {
     #[test]
     fn slices_plus_merge_reproduce_the_unsharded_batch() {
         use crate::runner::ShardSpec;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[1]).unwrap();
         let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("merge");
@@ -634,8 +780,7 @@ mod tests {
 
     #[test]
     fn merge_on_a_cold_store_names_the_missing_job() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         let dir = shard_tmp_dir("cold");
         let store = ResultStore::open(&dir).unwrap();
         let err = Sweep {
@@ -654,8 +799,7 @@ mod tests {
     #[test]
     fn slice_and_merge_modes_require_a_store() {
         use crate::runner::ShardSpec;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         for shard in [ShardMode::Slice(ShardSpec::new(0, 2).unwrap()), ShardMode::Merge] {
             let err = Sweep { shard, ..Sweep::new(&jobs, RunnerOptions::sequential()) }
                 .run()
@@ -667,8 +811,7 @@ mod tests {
     #[test]
     fn zero_fault_plan_is_byte_identical_to_a_plain_sweep() {
         use crate::runner::fault::FaultPlan;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[1]).unwrap();
         let reference = Sweep::new(&jobs, RunnerOptions::sequential()).run().unwrap();
 
         let dir = shard_tmp_dir("zerofault");
@@ -694,8 +837,7 @@ mod tests {
     #[test]
     fn persistent_panics_are_quarantined_not_propagated() {
         use crate::runner::fault::FaultPlan;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         let plan = FaultPlan::new(1).with_rate(FaultSite::JobPanic, 1000);
         let batch = Sweep { faults: Some(&plan), ..Sweep::new(&jobs, RunnerOptions::sequential()) }
             .run()
@@ -716,11 +858,10 @@ mod tests {
     #[test]
     fn transient_panics_retry_to_success() {
         use crate::runner::fault::FaultPlan;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         let keys: Vec<u64> = jobs
             .iter()
-            .map(|j| job_fault_key(&CacheKey::schedule(j.model_fp, &j.config)))
+            .map(|j| job_fault_key(&CacheKey::schedule(j.model.fingerprint(), &j.config)))
             .collect();
         // Search for a seed where at least one job panics on its first
         // attempt but every job recovers within its retry budget — the
@@ -753,12 +894,11 @@ mod tests {
     #[test]
     fn quarantined_baseline_reports_dependents_instead_of_erroring() {
         use crate::runner::fault::FaultPlan;
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[]).unwrap();
         assert_eq!(jobs[0].label, BASELINE_LABEL);
         let keys: Vec<u64> = jobs
             .iter()
-            .map(|j| job_fault_key(&CacheKey::schedule(j.model_fp, &j.config)))
+            .map(|j| job_fault_key(&CacheKey::schedule(j.model.fingerprint(), &j.config)))
             .collect();
         // Seed where the baseline burns all attempts and every other job
         // never panics at all.
@@ -786,8 +926,7 @@ mod tests {
 
     #[test]
     fn resumed_batch_replays_warm_and_stays_byte_identical() {
-        let g = cim_models::fig5_example();
-        let jobs = sweep_jobs("fig5", &g, &[1]).unwrap();
+        let jobs = sweep_jobs(&fig5(), &[1]).unwrap();
         let dir = shard_tmp_dir("resume");
         let store = ResultStore::open(&dir).unwrap();
         let first = Sweep { store: Some(&store), ..Sweep::new(&jobs, RunnerOptions::sequential()) }

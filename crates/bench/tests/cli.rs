@@ -109,6 +109,21 @@ fn bad_input_exits_2_before_any_work() {
         assert_usage_error(&format!("{name} {}", args.join(" ")), &out);
         assert!(out.stdout.is_empty(), "{name} {args:?} printed output");
     }
+    // Every `--mix-sweep` point sets its own policy and fabric, so the
+    // flags that would set them are rejected, by name, before `seed:`.
+    for flag in [
+        ["--policy", "partitioned"],
+        ["--bandwidth", "1"],
+        ["--capacity-pes", "3"],
+        ["--reload", "999"],
+    ] {
+        let args = [&["--mix-sweep", "--jobs", "2"][..], &flag].concat();
+        let out = run(env!("CARGO_BIN_EXE_fabric-sim"), &args);
+        let case = format!("fabric-sim {}", args.join(" "));
+        let first = assert_usage_error(&case, &out);
+        assert!(first.contains(flag[0]), "{case}: {first}");
+        assert!(out.stdout.is_empty(), "{case} printed output");
+    }
 }
 
 #[test]

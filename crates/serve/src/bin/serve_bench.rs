@@ -21,16 +21,15 @@ use std::path::Path;
 use std::time::Duration;
 
 use cim_bench::cli::{self, Args, Flag};
-use cim_serve::{Client, Op, Request, Response, RetryPolicy, StatsSnapshot};
+use cim_serve::{Client, Op, Request, Response, RetryPolicy, StatsSnapshot, STRATEGIES};
 use cim_tune::{Clock, SystemClock};
 
 /// The request list of one pass: `n` requests cycling over the four
 /// strategies and two duplication budgets (up to 6 distinct keys).
 fn request_lines(n: usize, model: &str) -> Vec<String> {
-    let strategies = ["layer-by-layer", "xinf", "wdup", "wdup+xinf"];
     (0..n)
         .map(|i| {
-            let strategy = strategies[i % strategies.len()];
+            let strategy = STRATEGIES[i % STRATEGIES.len()];
             let x = if strategy.starts_with("wdup") { 1 + (i / 4) % 2 } else { 0 };
             let req = Request::schedule(&format!("req-{i}"), model, strategy, x);
             serde_json::to_string(&req).expect("requests serialize")

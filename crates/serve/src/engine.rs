@@ -36,9 +36,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cim_bench::runner::{
-    panic_message, parallel_map, CacheKey, ResultStore, RunSummary, ScheduleCache,
+    panic_message, parallel_map, CacheKey, Model, ResultStore, RunSummary, ScheduleCache,
 };
-use cim_ir::Graph;
 use cim_tune::Clock;
 use clsa_core::RunConfig;
 use parking_lot::Mutex;
@@ -137,8 +136,7 @@ struct PendingEntry {
     seq: u64,
     key: CacheKey,
     head: ReplyHead,
-    model_fp: u64,
-    graph: Arc<Graph>,
+    model: Arc<Model>,
     config: RunConfig,
     /// Earliest subscriber deadline — the EDF sort key.
     deadline: Option<Duration>,
@@ -296,28 +294,29 @@ impl ServeEngine {
         // lock — canonicalization is slow and must not serialize the
         // engine (the registry memoizes, so this is cheap after first
         // contact per model).
-        let entry = match self.registry.resolve(&req.model) {
-            Ok(entry) => entry,
+        let model = match self.registry.resolve(&req.model) {
+            Ok(model) => model,
             Err(err) => return self.reject(&req.id, err),
         };
-        let (config, label) = match build_config(&entry, &req.strategy, req.x) {
+        let (config, label) = match build_config(&model, &req.strategy, req.x) {
             Ok(built) => built,
             Err(err) => return self.reject(&req.id, err),
         };
-        let key = CacheKey::schedule(entry.fingerprint, &config);
+        let key = CacheKey::schedule(model.fingerprint(), &config);
+        let tenant = model.name();
         let head = ReplyHead {
-            model: entry.name.clone(),
+            model: tenant.to_string(),
             label,
             x: req.x,
-            pe_min: entry.pe_min,
+            pe_min: model.pe_min(),
             t_mvm_ns: config.arch.crossbar().t_mvm_ns,
         };
         let deadline = req.deadline_ms.map(|ms| arrival + Duration::from_millis(ms));
 
         let mut st = self.state.lock();
-        st.tenants.entry(entry.name.clone()).or_default().submitted += 1;
+        st.tenants.entry(tenant.to_string()).or_default().submitted += 1;
         if st.registered.contains(&req.id) {
-            st.tenants.entry(entry.name.clone()).or_default().errors += 1;
+            st.tenants.entry(tenant.to_string()).or_default().errors += 1;
             drop(st);
             return self.reject(
                 &req.id,
@@ -329,7 +328,7 @@ impl ServeEngine {
         }
         for dep in &req.after {
             if !st.registered.contains(dep) {
-                st.tenants.entry(entry.name.clone()).or_default().errors += 1;
+                st.tenants.entry(tenant.to_string()).or_default().errors += 1;
                 drop(st);
                 return self.reject(
                     &req.id,
@@ -355,7 +354,7 @@ impl ServeEngine {
                 None
             };
             if let Some(summary) = warm {
-                st.tenants.entry(entry.name.clone()).or_default().ok += 1;
+                st.tenants.entry(tenant.to_string()).or_default().ok += 1;
                 st.registered.insert(req.id.clone());
                 st.completed.insert(req.id.clone());
                 drop(st);
@@ -402,17 +401,17 @@ impl ServeEngine {
                 .queue
                 .iter()
                 .chain(st.parked.iter())
-                .filter(|e| e.head.model == entry.name)
+                .filter(|e| e.head.model == tenant)
                 .count();
             if held >= quota {
-                st.tenants.entry(entry.name.clone()).or_default().quota_shed += 1;
+                st.tenants.entry(tenant.to_string()).or_default().quota_shed += 1;
                 drop(st);
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 return Submission::Immediate(Response::error(
                     &req.id,
                     ServeError::new(
                         ErrorCode::QuotaExceeded,
-                        format!("tenant `{}` at its queue quota ({quota})", entry.name),
+                        format!("tenant `{tenant}` at its queue quota ({quota})"),
                     ),
                 ));
             }
@@ -447,8 +446,7 @@ impl ServeEngine {
             seq,
             key,
             head,
-            model_fp: entry.fingerprint,
-            graph: Arc::clone(&entry.graph),
+            model,
             config,
             deadline,
             waiting_on,
@@ -477,8 +475,8 @@ impl ServeEngine {
         // typed `schedule_failed`, the daemon and its queue live on.
         match catch_unwind(AssertUnwindSafe(|| {
             self.cache.summary(
-                entry.model_fp,
-                &entry.graph,
+                entry.model.fingerprint(),
+                entry.model.graph(),
                 &entry.config,
                 self.store.as_ref(),
             )

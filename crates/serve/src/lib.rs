@@ -75,5 +75,5 @@ pub use engine::{EngineOptions, ServeEngine, Submission, Ticket};
 pub use protocol::{
     ErrorCode, HealthReport, Op, Request, Response, ResponseBody, ScheduleReply, ServeError,
 };
-pub use registry::{build_config, ModelEntry, ModelRegistry, STRATEGIES};
+pub use registry::{build_config, ModelRegistry, STRATEGIES};
 pub use stats::{percentile, StatsSnapshot, TenantStat};

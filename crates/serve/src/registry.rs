@@ -1,48 +1,32 @@
-//! The daemon's model registry: name → canonicalized graph, memoized.
+//! The daemon's model registry and strategy lookup.
 //!
 //! Canonicalizing a multi-hundred-layer zoo model is far from free, and a
 //! service answering a request stream must pay it once per model per
-//! process, not once per request. The registry builds a model lazily on
-//! first use and keeps the canonical [`Graph`] (plus its fingerprint and
-//! `PE_min`) behind an [`Arc`] for every later request to share — the
-//! service-side analogue of `sweep_jobs` sharing one graph allocation
-//! across a model's jobs.
+//! process, not once per request. The registry builds each model's
+//! [`Model`] handle (canonical graph, fingerprint, `PE_min`) lazily on
+//! first use and shares it with every later request, as a sweep's jobs
+//! share theirs. [`build_config`] turns a request's strategy name into the
+//! sweeps' [`PaperStrategy`], so a request and a sweep row with the same
+//! label run the same configuration.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cim_arch::Architecture;
-use cim_frontend::{canonicalize, CanonOptions};
-use cim_ir::Graph;
-use cim_mapping::{MappingOptions, Solver};
+use cim_bench::runner::{Model, PaperStrategy};
 use clsa_core::RunConfig;
-use cim_bench::runner::{fingerprint, pe_min_of};
 use parking_lot::Mutex;
 
 use crate::protocol::{ErrorCode, ServeError};
 
-/// One resolved model: the canonical graph plus the derived facts every
-/// request on it needs.
-#[derive(Debug)]
-pub struct ModelEntry {
-    /// Registry name (`fig5` or a zoo name such as `TinyYOLOv4`).
-    pub name: String,
-    /// The canonicalized graph, shared by all requests on the model.
-    pub graph: Arc<Graph>,
-    /// Fingerprint of the canonical graph (the cache/store model key).
-    pub fingerprint: u64,
-    /// `PE_min` on the paper's case-study crossbar.
-    pub pe_min: usize,
-}
-
-/// Lazily-built, memoized name → [`ModelEntry`] map.
+/// Lazily-built, memoized name → [`Model`] map.
 #[derive(Debug, Default)]
 pub struct ModelRegistry {
-    entries: Mutex<BTreeMap<String, Arc<ModelEntry>>>,
+    models: Mutex<BTreeMap<String, Arc<Model>>>,
 }
 
-/// The strategy names the service accepts, in canonical order.
-pub const STRATEGIES: [&str; 4] = ["layer-by-layer", "xinf", "wdup", "wdup+xinf"];
+/// The strategy names the service accepts, in canonical order (plus the
+/// alias `baseline` for `layer-by-layer`).
+pub const STRATEGIES: [&str; 4] = PaperStrategy::NAMES;
 
 impl ModelRegistry {
     /// An empty registry (models materialize on first request).
@@ -63,9 +47,9 @@ impl ModelRegistry {
     /// [`ErrorCode::ScheduleFailed`] if canonicalization or the cost
     /// probe fails (deterministic per name, so the error replies are
     /// reproducible too).
-    pub fn resolve(&self, name: &str) -> Result<Arc<ModelEntry>, ServeError> {
-        if let Some(entry) = self.entries.lock().get(name) {
-            return Ok(Arc::clone(entry));
+    pub fn resolve(&self, name: &str) -> Result<Arc<Model>, ServeError> {
+        if let Some(model) = self.models.lock().get(name) {
+            return Ok(Arc::clone(model));
         }
         // Build outside the lock: canonicalization is slow and concurrent
         // requests for *different* models must not serialize on it. A
@@ -77,36 +61,22 @@ impl ModelRegistry {
                 format!("unknown model `{name}` (known: {})", Self::known_names().join(", ")),
             )
         })?;
-        let canon = canonicalize(&raw, &CanonOptions::default()).map_err(|e| {
+        let model = Model::canonical(name, &raw).map_err(|e| {
             ServeError::new(
                 ErrorCode::ScheduleFailed,
-                format!("canonicalization of `{name}` failed: {e}"),
+                format!("preparing model `{name}` failed: {e}"),
             )
         })?;
-        let graph = Arc::new(canon.into_graph());
-        let fp = fingerprint(graph.as_ref());
-        let pe_min = pe_min_of(&graph, &MappingOptions::default()).map_err(|e| {
-            ServeError::new(
-                ErrorCode::ScheduleFailed,
-                format!("PE_min probe of `{name}` failed: {e}"),
-            )
-        })?;
-        let entry = Arc::new(ModelEntry {
-            name: name.to_string(),
-            graph,
-            fingerprint: fp,
-            pe_min,
-        });
-        self.entries
+        self.models
             .lock()
-            .insert(name.to_string(), Arc::clone(&entry));
-        Ok(entry)
+            .insert(name.to_string(), Arc::clone(&model));
+        Ok(model)
     }
 }
 
-/// Builds the [`RunConfig`] and canonical sweep label for a request's
-/// `(strategy, x)` on `entry`, using the paper's case-study architecture
-/// family (`PE_min + x` PEs of 256×256 crossbars).
+/// Builds the [`RunConfig`] and sweep label of a request's `(strategy, x)`
+/// on `model`: the [`PaperStrategy`] of that name (`baseline` is an alias
+/// of `layer-by-layer`).
 ///
 /// # Errors
 ///
@@ -114,50 +84,36 @@ impl ModelRegistry {
 /// [`ErrorCode::BadRequest`] if `PE_min + x` overflows;
 /// [`ErrorCode::ScheduleFailed`] if the architecture cannot be built.
 pub fn build_config(
-    entry: &ModelEntry,
+    model: &Model,
     strategy: &str,
     x: usize,
 ) -> Result<(RunConfig, String), ServeError> {
-    let with_x = || {
-        entry.pe_min.checked_add(x).ok_or_else(|| {
-            ServeError::new(
-                ErrorCode::BadRequest,
-                format!("`x` {x}: PE_min {} + x overflows", entry.pe_min),
-            )
-        })
+    let named = match strategy {
+        "baseline" => Some(PaperStrategy::LayerByLayer),
+        name => PaperStrategy::from_name(name),
     };
-    let base = |pes: usize| -> Result<RunConfig, ServeError> {
-        let arch = Architecture::paper_case_study(pes).map_err(|e| {
-            ServeError::new(
-                ErrorCode::ScheduleFailed,
-                format!("architecture with {pes} PEs rejected: {e}"),
-            )
-        })?;
-        Ok(RunConfig::baseline(arch))
-    };
-    match strategy {
-        // The paper's baseline/xinf points are defined at PE_min exactly;
-        // extra PEs only matter once duplication can use them.
-        "layer-by-layer" | "baseline" => Ok((base(entry.pe_min)?, "layer-by-layer".into())),
-        "xinf" => Ok((base(entry.pe_min)?.with_cross_layer(), "xinf".into())),
-        "wdup" => Ok((
-            base(with_x()?)?.with_duplication(Solver::Greedy),
-            format!("wdup+{x}"),
-        )),
-        "wdup+xinf" => Ok((
-            base(with_x()?)?
-                .with_duplication(Solver::Greedy)
-                .with_cross_layer(),
-            format!("wdup+{x}+xinf"),
-        )),
-        other => Err(ServeError::new(
+    let strategy = named.ok_or_else(|| {
+        ServeError::new(
             ErrorCode::UnknownStrategy,
             format!(
-                "unknown strategy `{other}` (known: {})",
+                "unknown strategy `{strategy}` (known: {})",
                 STRATEGIES.join(", ")
             ),
-        )),
-    }
+        )
+    })?;
+    let pes = strategy.pes(model.pe_min(), x).ok_or_else(|| {
+        ServeError::new(
+            ErrorCode::BadRequest,
+            format!("`x` {x}: PE_min {} + x overflows", model.pe_min()),
+        )
+    })?;
+    let config = strategy.config(pes).map_err(|e| {
+        ServeError::new(
+            ErrorCode::ScheduleFailed,
+            format!("architecture with {pes} PEs rejected: {e}"),
+        )
+    })?;
+    Ok((config, strategy.label(x)))
 }
 
 #[cfg(test)]
@@ -170,8 +126,8 @@ mod tests {
         let a = reg.resolve("fig5").unwrap();
         let b = reg.resolve("fig5").unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second resolve reuses the entry");
-        assert_eq!(a.pe_min, 2);
-        assert_eq!(a.name, "fig5");
+        assert_eq!(a.pe_min(), 2);
+        assert_eq!(a.name(), "fig5");
     }
 
     #[test]
@@ -205,6 +161,6 @@ mod tests {
         let reg = ModelRegistry::new();
         let entry = reg.resolve("fig5").unwrap();
         let (cfg, _) = build_config(&entry, "wdup", 3).unwrap();
-        assert_eq!(cfg.arch.total_pes(), entry.pe_min + 3);
+        assert_eq!(cfg.arch.total_pes(), entry.pe_min() + 3);
     }
 }

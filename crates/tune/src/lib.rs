@@ -75,6 +75,4 @@ pub use driver::{tune, tune_with_clock, TuneOptions, TuneResult};
 pub use eval::{Evaluator, PeMinMemo, PipelineEvaluator};
 pub use mix::{mix_measurement, MixPoint, MixSpace};
 pub use space::{Candidate, Coords, CostModelAxis, DesignSpace, MappingAxis};
-pub use strategy::{
-    strategy_by_name, AnnealOptions, Annealing, GridSearch, RandomSearch, SearchStrategy,
-};
+pub use strategy::{strategy_by_name, Annealing, GridSearch, RandomSearch, SearchStrategy};

@@ -15,7 +15,7 @@
 //!   others are tested against on small spaces.
 //! * [`RandomSearch`] — seeded uniform sampling without replacement.
 //! * [`Annealing`] — simulated annealing over the mixed-radix coordinate
-//!   vector with configurable neighborhood moves (single-axis steps plus
+//!   vector with fixed neighborhood moves (single-axis steps plus
 //!   occasional reseeds), batched as independent proposals from the
 //!   current state with sequential Metropolis acceptance.
 
@@ -46,7 +46,7 @@ pub fn strategy_by_name(name: &str, seed: u64) -> Option<Box<dyn SearchStrategy>
     match name {
         "grid" => Some(Box::new(GridSearch::new())),
         "random" => Some(Box::new(RandomSearch::new(seed))),
-        "anneal" => Some(Box::new(Annealing::new(seed, AnnealOptions::default()))),
+        "anneal" => Some(Box::new(Annealing::new(seed))),
         _ => None,
     }
 }
@@ -116,44 +116,27 @@ impl SearchStrategy for RandomSearch {
     fn observe(&mut self, _space: &DesignSpace, _results: &[(usize, Option<Measurement>)]) {}
 }
 
-/// Tuning knobs of [`Annealing`].
-#[derive(Debug, Clone, Copy)]
-pub struct AnnealOptions {
-    /// Initial temperature as a fraction of the current energy: an uphill
-    /// move worsening energy by `initial_temp × energy` is accepted with
-    /// probability `1/e` at the start.
-    pub initial_temp: f64,
-    /// Geometric cooling factor applied per observed feasible proposal.
-    pub cooling: f64,
-    /// Largest single-axis step of a neighborhood move (wrapping).
-    pub max_axis_step: usize,
-    /// Probability of a uniform reseed move instead of an axis step —
-    /// the escape hatch out of local Pareto pockets.
-    pub reseed_prob: f64,
-    /// Area pressure of the scalarized energy: `latency × crossbars^w`.
-    /// Zero anneals on pure latency; the default mildly rewards smaller
-    /// architectures so the chain explores the latency/area trade-off
-    /// (the archive catches every non-dominated point it passes).
-    pub area_weight: f64,
-}
-
-impl Default for AnnealOptions {
-    fn default() -> Self {
-        Self {
-            initial_temp: 0.35,
-            cooling: 0.96,
-            max_axis_step: 1,
-            reseed_prob: 0.08,
-            area_weight: 0.25,
-        }
-    }
-}
+/// Initial temperature of [`Annealing`] as a fraction of the current
+/// energy: an uphill move worsening energy by `INITIAL_TEMP × energy` is
+/// accepted with probability `1/e` at the start.
+const INITIAL_TEMP: f64 = 0.35;
+/// Geometric cooling factor applied per observed feasible proposal.
+const COOLING: f64 = 0.96;
+/// Largest single-axis step of a neighborhood move (wrapping).
+const MAX_AXIS_STEP: usize = 1;
+/// Probability of a uniform reseed move instead of an axis step — the
+/// escape hatch out of local Pareto pockets.
+const RESEED_PROB: f64 = 0.08;
+/// Area pressure of the scalarized energy: `latency × crossbars^w`. It
+/// mildly rewards smaller architectures, so the chain explores the
+/// latency/area trade-off (the archive catches every non-dominated point
+/// it passes).
+const AREA_WEIGHT: f64 = 0.25;
 
 /// Simulated annealing over the mixed-radix coordinate vector.
 #[derive(Debug)]
 pub struct Annealing {
     rng: StdRng,
-    opts: AnnealOptions,
     temp: f64,
     /// Current chain state: (flat index, scalarized energy).
     current: Option<(usize, f64)>,
@@ -161,11 +144,10 @@ pub struct Annealing {
 
 impl Annealing {
     /// A chain deterministic in `seed`.
-    pub fn new(seed: u64, opts: AnnealOptions) -> Self {
+    pub fn new(seed: u64) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
-            temp: opts.initial_temp,
-            opts,
+            temp: INITIAL_TEMP,
             current: None,
         }
     }
@@ -173,15 +155,15 @@ impl Annealing {
     /// The scalarized energy the chain descends (the archive still
     /// records the full objective vector of every proposal).
     fn energy(&self, m: &Measurement) -> f64 {
-        m.latency_cycles as f64 * (m.crossbars as f64).powf(self.opts.area_weight)
+        m.latency_cycles as f64 * (m.crossbars as f64).powf(AREA_WEIGHT)
     }
 
     /// One neighborhood move from `from`: a wrapping ±step on one
-    /// non-degenerate axis, or (with [`AnnealOptions::reseed_prob`]) a
-    /// uniform reseed.
+    /// non-degenerate axis, or (with probability [`RESEED_PROB`]) a uniform
+    /// reseed.
     fn neighbor(&mut self, space: &DesignSpace, from: usize) -> usize {
         let lens = space.axis_lens();
-        if self.rng.random_bool(self.opts.reseed_prob) {
+        if self.rng.random_bool(RESEED_PROB) {
             return self.rng.random_range(0..space.len());
         }
         let movable: Vec<usize> = (0..lens.len()).filter(|&a| lens[a] > 1).collect();
@@ -189,7 +171,7 @@ impl Annealing {
             return from;
         }
         let axis = movable[self.rng.random_range(0..movable.len())];
-        let step = self.rng.random_range(1..=self.opts.max_axis_step.max(1));
+        let step = self.rng.random_range(1..=MAX_AXIS_STEP);
         let up = self.rng.random_bool(0.5);
         let mut digits = space.coords(from).as_array();
         let n = lens[axis];
@@ -239,7 +221,7 @@ impl SearchStrategy for Annealing {
             if accept {
                 self.current = Some((index, e));
             }
-            self.temp *= self.opts.cooling;
+            self.temp *= COOLING;
         }
     }
 }
@@ -303,7 +285,7 @@ mod tests {
     fn anneal_is_deterministic_and_descends_on_cold_chain() {
         let s = space();
         let run = |seed| {
-            let mut an = Annealing::new(seed, AnnealOptions::default());
+            let mut an = Annealing::new(seed);
             let mut trace = Vec::new();
             for round in 0..6 {
                 let batch = an.propose(&s, 4);
@@ -324,7 +306,7 @@ mod tests {
     #[test]
     fn anneal_skips_infeasible_results() {
         let s = space();
-        let mut an = Annealing::new(1, AnnealOptions::default());
+        let mut an = Annealing::new(1);
         let batch = an.propose(&s, 3);
         let results: Vec<(usize, Option<Measurement>)> =
             batch.iter().map(|&i| (i, None)).collect();
@@ -335,7 +317,7 @@ mod tests {
     #[test]
     fn neighbors_stay_in_range_and_move_one_axis() {
         let s = DesignSpace::case_study();
-        let mut an = Annealing::new(3, AnnealOptions::default());
+        let mut an = Annealing::new(3);
         for from in [0, 100, s.len() - 1] {
             for _ in 0..50 {
                 let to = an.neighbor(&s, from);

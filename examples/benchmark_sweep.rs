@@ -8,21 +8,20 @@
 //! `--cache-dir <path>` to persist sweep summaries across runs)
 
 use clsa_cim::bench::cli::{self, Flag, CACHE_DIR, JOBS};
-use clsa_cim::bench::runner::{sweep_jobs_for_models, Sweep};
+use clsa_cim::bench::runner::{sweep_jobs, Model, Sweep};
 use clsa_cim::bench::PAPER_XS;
-use clsa_cim::ir::Graph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::parse(&[&[Flag::positional("model"), JOBS, CACHE_DIR]]);
     let (runner, store, filter) = (args.runner, args.open_store(), args.value("model"));
 
-    let models: Vec<(String, Graph)> = clsa_cim::models::table2_models()
-        .iter()
+    let models: Vec<_> = clsa_cim::models::table2_models()
+        .into_iter()
         .filter(|info| {
             filter.is_none_or(|f| info.name.eq_ignore_ascii_case(f))
         })
-        .map(|info| (info.name.to_string(), info.build()))
-        .collect();
+        .map(|info| Model::canonical(info.name, &info.build()))
+        .collect::<Result<_, _>>()?;
     if models.is_empty() {
         let table2 = clsa_cim::models::table2_models();
         let known = table2.iter().map(|m| m.name).collect::<Vec<_>>().join(", ");
@@ -30,10 +29,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         args.fail(format!("unknown model `{filter}` (known: {known})"));
     }
 
-    // One flat job list over all models; the engine canonicalizes each
-    // graph once, shares Stage-I/II work between the baseline and xinf
-    // rows of a model, and spreads the jobs over the worker lanes.
-    let jobs = sweep_jobs_for_models(&models, &PAPER_XS)?;
+    // One flat job list over all models, each canonicalized once; the
+    // engine shares Stage-I/II work between the baseline and xinf rows of
+    // a model and spreads the jobs over the worker lanes.
+    let mut jobs = Vec::new();
+    for model in &models {
+        jobs.extend(sweep_jobs(model, &PAPER_XS)?);
+    }
     eprintln!(
         "running {} configurations on {} workers...",
         jobs.len(),
@@ -45,8 +47,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     .run()?;
 
-    for (name, _) in &models {
-        let rows: Vec<_> = batch.results.iter().filter(|r| &r.model == name).collect();
+    for model in &models {
+        let name = model.name();
+        let rows: Vec<_> = batch.results.iter().filter(|r| r.model == name).collect();
         let base = rows.first().expect("baseline row");
         println!(
             "\n{} — PE_min {}",

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use cim_bench::runner::{fingerprint, sweep_jobs, RunnerOptions, ScheduleCache, Sweep};
+use cim_bench::runner::{fingerprint, sweep_jobs, Model, RunnerOptions, ScheduleCache, Sweep};
 use clsa_cim::arch::Architecture;
 use clsa_cim::core::{prepare, run_prepared, RunConfig};
 
@@ -131,10 +131,12 @@ fn batched_sweep_peaks_at_one_prepared_per_mapping() {
     // though several jobs consume each Prepared, and the results are
     // unaffected (golden tests pin the bytes; here we pin the sharing).
     let g = cim_models::fig5_example();
-    let jobs = sweep_jobs("fig5", &g, &[1, 2]).unwrap();
+    let jobs = sweep_jobs(&Model::canonical("fig5", &g).unwrap(), &[1, 2]).unwrap();
     assert_eq!(jobs.len(), 6);
     // All six jobs share one canonicalized graph allocation.
-    assert!(jobs[1..].iter().all(|j| Arc::ptr_eq(&j.graph, &jobs[0].graph)));
+    assert!(jobs[1..]
+        .iter()
+        .all(|j| Arc::ptr_eq(&j.model, &jobs[0].model)));
 
     let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(4)).run().unwrap();
     // 3 distinct mappings (once-each, wdup+1, wdup+2) serve 6 schedules:

@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
+use cim_bench::artifacts::{case_study_model, fig6c_jobs};
 use cim_bench::runner::{FaultPlan, FaultSite, ResultStore, RunnerOptions, Sweep};
 
 const STORE_ENV: &str = "CIM_CHAOS_IT_STORE";
@@ -43,8 +43,7 @@ fn child_chaos_sweep() {
     let Ok(dir) = std::env::var(STORE_ENV) else {
         return;
     };
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
     let store = ResultStore::open(&dir).expect("store opens");
     // Every job sleeps a second before computing, so the parent's kill
     // reliably lands between the first persisted row and the last.
@@ -64,8 +63,7 @@ fn child_chaos_sweep() {
 #[test]
 fn sigkill_mid_sweep_then_resume_reproduces_the_golden_artifact() {
     let dir = tmp_dir("resume");
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
 
     let mut child = Command::new(std::env::current_exe().expect("own path"))
         .args(["child_chaos_sweep", "--exact", "--test-threads=1"])

@@ -8,8 +8,7 @@
 //!    point twice.
 
 use clsa_cim::bench::runner::{
-    fingerprint, parallel_map, sweep_jobs, sweep_jobs_for_models, RunnerOptions, ScheduleCache,
-    Sweep, SweepJob,
+    fingerprint, parallel_map, sweep_jobs, Model, RunnerOptions, ScheduleCache, Sweep, SweepJob,
 };
 use clsa_cim::core::RunConfig;
 use clsa_cim::ir::Graph;
@@ -22,7 +21,10 @@ fn three_by_two_sweep() -> Vec<SweepJob> {
         ("toy_cnn".to_string(), clsa_cim::models::toy_cnn(None)),
         ("mlp".to_string(), clsa_cim::models::mlp(None)),
     ];
-    sweep_jobs_for_models(&models, &[2]).unwrap()
+    models
+        .iter()
+        .flat_map(|(name, g)| sweep_jobs(&Model::canonical(name, g).unwrap(), &[2]).unwrap())
+        .collect()
 }
 
 #[test]
@@ -44,7 +46,7 @@ fn parallel_batch_is_byte_identical_to_sequential() {
 
     // Row order is the job order.
     for (job, row) in jobs.iter().zip(&parallel.results) {
-        assert_eq!(job.model, row.model);
+        assert_eq!(job.model.name(), row.model);
         assert_eq!(job.label, row.label);
     }
 }
@@ -63,7 +65,7 @@ fn every_worker_count_agrees() {
 fn cache_hits_on_baseline_vs_clsa_pair() {
     let g = clsa_cim::models::fig5_example();
     // Two jobs: layer-by-layer and xinf over the same model and arch.
-    let jobs = sweep_jobs("fig5", &g, &[]).unwrap();
+    let jobs = sweep_jobs(&Model::canonical("fig5", &g).unwrap(), &[]).unwrap();
     assert_eq!(jobs.len(), 2);
     let batch = Sweep::new(&jobs, RunnerOptions::with_jobs(2)).run().unwrap();
     assert!(

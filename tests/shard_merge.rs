@@ -9,7 +9,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cim_bench::artifacts::{case_study_graph, fig6c_jobs};
+use cim_bench::artifacts::{case_study_model, fig6c_jobs};
 use cim_bench::runner::{
     CacheKey, FaultPlan, FaultSite, ResultStore, RunnerOptions, ShardMode, ShardSpec, Sweep,
     SweepJob, SweepOutcome,
@@ -45,8 +45,7 @@ fn slice(i: usize) -> ShardMode {
 
 #[test]
 fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
     let runner = RunnerOptions::with_jobs(4);
     let reference = Sweep::new(&jobs, runner).run().expect("unsharded sweep");
 
@@ -95,8 +94,7 @@ fn two_slices_plus_merge_reproduce_the_unsharded_fig6c_artifact() {
 
 #[test]
 fn merge_against_a_cold_store_names_the_missing_slice() {
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
     let dir = tmp_dir("coldmerge");
     let store = ResultStore::open(&dir).expect("store opens");
     let err = sharded(&jobs, RunnerOptions::sequential(), &store, ShardMode::Merge)
@@ -114,8 +112,7 @@ fn merge_against_a_cold_store_names_the_missing_slice() {
 /// computes, writes, nor consults the job-level fault sites.
 #[test]
 fn merge_against_a_partly_warm_store_computes_nothing() {
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
     let runner = RunnerOptions::with_jobs(2);
     let dir = tmp_dir("partmerge");
     let store = ResultStore::open(&dir).expect("store opens");
@@ -124,8 +121,8 @@ fn merge_against_a_partly_warm_store_computes_nothing() {
     let slice1_owns = ShardSpec::new(1, 2).unwrap();
     let missing: Vec<String> = jobs
         .iter()
-        .filter(|job| slice1_owns.owns(&CacheKey::schedule(job.model_fp, &job.config)))
-        .map(|job| format!("`{} {}`", job.model, job.label))
+        .filter(|job| slice1_owns.owns(&CacheKey::schedule(job.model.fingerprint(), &job.config)))
+        .map(|job| format!("`{} {}`", job.model.name(), job.label))
         .collect();
     assert!(!missing.is_empty(), "slice 1 owns part of the fig6c sweep");
 
@@ -152,8 +149,7 @@ fn merge_against_a_partly_warm_store_computes_nothing() {
 
 #[test]
 fn shard_modes_without_a_store_are_typed_errors() {
-    let g = case_study_graph();
-    let jobs = fig6c_jobs(&g).expect("sweep jobs build");
+    let jobs = fig6c_jobs(&case_study_model()).expect("sweep jobs build");
     let runner = RunnerOptions::sequential();
     for mode in [
         ShardMode::Slice(ShardSpec::new(0, 2).unwrap()),

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use cim_bench::runner::{
-    sweep_jobs, CacheKey, ResultStore, RunSummary, RunnerOptions, Sweep, SweepOutcome,
+    sweep_jobs, CacheKey, Model, ResultStore, RunSummary, RunnerOptions, Sweep, SweepOutcome,
     STORE_FORMAT_VERSION,
 };
 
@@ -21,7 +21,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn fig5_jobs() -> Vec<cim_bench::runner::SweepJob> {
-    sweep_jobs("fig5", &cim_models::fig5_example(), &[1]).expect("jobs build")
+    let fig5 = Model::canonical("fig5", &cim_models::fig5_example()).expect("fig5 canonicalizes");
+    sweep_jobs(&fig5, &[1]).expect("jobs build")
 }
 
 fn sweep(
